@@ -1,15 +1,14 @@
 """Linear codes over a RingSpec, stored as explicit codeword sets.
 
-Codes are built by spanning generators or by exhaustively scanning the
-ambient space for the dual; both are exact and capped so a typo cannot
-demand 4^30 codewords.  Codewords are tuples of element indices in
-lexicographic order.
+Codes are built by spanning generators or, for the dual, by a
+split-syndrome search over the ambient space; both are exact and capped so
+a typo cannot demand 4^30 codewords.  Codewords are tuples of element
+indices in lexicographic order.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import product
 
 from .errors import CapExceededError
 from .posets import LevelStructure
@@ -120,30 +119,56 @@ def _greedy_generators(ring, words):
     return gens
 
 
-def dual_code(code: LinearCode, cap: int | None = None) -> LinearCode:
-    """Every word orthogonal to the code, by exhaustive scan of R^n.
-
-    Checking the generators suffices: orthogonality to them is linear in
-    the codeword.  The result stores a greedily-reduced generator list so
-    that dualizing twice stays cheap.
-    """
+def check_ambient_cap(ring: RingSpec, n: int, cap: int | None = None) -> None:
+    """Refuse work on R^n when q^n exceeds the enumeration cap."""
     if cap is None:
         cap = enumeration_cap()
-    ring, n = code.ring, code.n
     if ring.q**n > cap:
-        raise CapExceededError(f"scanning q^n = {ring.q}^{n} exceeds cap {cap}")
+        raise CapExceededError(f"q^n = {ring.q}^{n} exceeds cap {cap}")
+
+
+def _half_syndromes(ring, columns, k):
+    """Every word over the given coordinates with its syndrome against k generators.
+
+    columns[i] holds the k generator entries at the i-th coordinate; the
+    words come out in lexicographic order.
+    """
     add, mul = ring.add_table, ring.mul_table
-    gen_rows = [[mul[x] for x in g] for g in code.generators]
+    out = [((), (0,) * k)]
+    for col in columns:
+        steps = [((x,), tuple(mul[g][x] for g in col)) for x in range(ring.q)]
+        out = [
+            (w + x, tuple(add[a][b] for a, b in zip(s, c)))
+            for w, s in out
+            for x, c in steps
+        ]
+    return out
+
+
+def dual_code(code: LinearCode, cap: int | None = None) -> LinearCode:
+    """Every word orthogonal to the code, by a split-syndrome search of R^n.
+
+    Checking the generators suffices: orthogonality to them is linear in
+    the codeword.  A word v = (a, b), cut after floor(n/2) coordinates, is
+    in the dual iff the syndrome of b against the generators is minus that
+    of a.  The right halves are bucketed by syndrome and each left half is
+    joined with its bucket, left half outermost, so the words come out in
+    the lexicographic order of a full scan.  The result stores a
+    greedily-reduced generator list so that dualizing twice stays cheap.
+    """
+    check_ambient_cap(code.ring, code.n, cap)
+    ring, n = code.ring, code.n
+    k = len(code.generators)
+    columns = [tuple(g[i] for g in code.generators) for i in range(n)]
+    half = n // 2
+    buckets: dict[tuple, list] = {}
+    for w, s in _half_syndromes(ring, columns[half:], k):
+        buckets.setdefault(s, []).append(w)
+    neg = ring.neg_table
     dual_words = []
-    for v in product(range(ring.q), repeat=n):
-        for rows in gen_rows:
-            acc = 0
-            for row, x in zip(rows, v):
-                acc = add[acc][row[x]]
-            if acc:
-                break
-        else:
-            dual_words.append(v)
+    for v, s in _half_syndromes(ring, columns[:half], k):
+        for w in buckets.get(tuple(neg[x] for x in s), ()):
+            dual_words.append(v + w)
     return LinearCode(ring, n, _greedy_generators(ring, dual_words), dual_words)
 
 

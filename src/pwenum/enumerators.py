@@ -306,8 +306,10 @@ def mspotty_weight(v, levels: LevelStructure, t) -> int:
 
 def mspotty_distance(u, v, levels: LevelStructure, t) -> int:
     """Sum over levels of ceil(level Hamming distance / t_i); a metric."""
-    if len(u) != len(v):
-        raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
+    if not len(u) == len(v) == levels.n:
+        raise ValueError(
+            f"word lengths {len(u)} and {len(v)} do not match level structure size {levels.n}"
+        )
     t = _check_t(levels, t)
     dist = 0
     for (lo, hi), ti in zip(levels.bounds(), t):

@@ -11,6 +11,7 @@ raised as an IntegrityError, never rounded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from math import comb
 
@@ -197,6 +198,15 @@ def krawtchouk_level(n_j: int, l_j: int, p_j: int, q: int) -> int:
     return total
 
 
+@lru_cache(maxsize=256)
+def _krawtchouk_matrix(n_j: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """Row l holds krawtchouk_level(n_j, l, p, q) for p = 0..n_j."""
+    return tuple(
+        tuple(krawtchouk_level(n_j, l, p, q) for p in range(n_j + 1))
+        for l in range(n_j + 1)
+    )
+
+
 def complete_transform(
     spectrum: dict, levels: LevelStructure, q: int, code_size: int
 ) -> EnumeratorPoly:
@@ -204,38 +214,42 @@ def complete_transform(
 
     (1/|C|) sum over spectrum entries A_l of
         prod_j ( sum over p_j of krawtchouk_level(n_j, l_j, p_j, q) z_{j:p_j} ),
-    expanded coefficient by coefficient.
+    expanded coefficient by coefficient.  The product factors by level, so
+    the spectrum is contracted with one Krawtchouk matrix per level in turn.
+    Each step replaces the leading l_j of a key by p_j at its end: after
+    step j the keys read (l_{j+1}, ..., l_s, p_1, ..., p_j).
     """
     sizes = levels.sizes
-    if code_size != sum(spectrum.values()):
+    if code_size < 1 or code_size != sum(spectrum.values()):
         raise ValueError(
             f"spectrum sums to {sum(spectrum.values())}, but |C| = {code_size}"
         )
-    entries = []
+    state: dict[tuple, int] = {}
     for l, count in spectrum.items():
         l = tuple(l)
         if len(l) != len(sizes) or any(not 0 <= w <= n for w, n in zip(l, sizes)):
             raise ValueError(f"spectrum key {l} inconsistent with levels {sizes}")
-        entries.append((l, count))
+        state[l] = count
+
+    for n_j in sizes:
+        matrix = _krawtchouk_matrix(n_j, q)
+        contracted: dict[tuple, int] = {}
+        for key, count in state.items():
+            rest = key[1:]
+            for p_j, k in enumerate(matrix[key[0]]):
+                if k:
+                    cell = rest + (p_j,)
+                    contracted[cell] = contracted.get(cell, 0) + k * count
+        state = {key: total for key, total in contracted.items() if total}
 
     terms: dict[tuple, int] = {}
-    for p in product(*(range(n + 1) for n in sizes)):
-        total = 0
-        for l, count in entries:
-            prod_val = count
-            for n_j, l_j, p_j in zip(sizes, l, p):
-                prod_val *= krawtchouk_level(n_j, l_j, p_j, q)
-                if not prod_val:
-                    break
-            total += prod_val
+    for p, total in state.items():
         coeff, rem = divmod(total, code_size)
         if rem:
             raise IntegrityError(f"coefficient {total} not divisible by |C| = {code_size}")
         if coeff < 0:
             raise IntegrityError(f"negative enumerator coefficient {coeff}")
-        if coeff:
-            mono = tuple((weight_var(j, pj), 1) for j, pj in enumerate(p, start=1))
-            terms[mono] = coeff
+        terms[tuple((weight_var(j, pj), 1) for j, pj in enumerate(p, start=1))] = coeff
     return EnumeratorPoly(terms)
 
 

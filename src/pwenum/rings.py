@@ -200,15 +200,21 @@ def _make_zm(m):
 
 
 def _make_gf(p, k, modulus):
-    if not _is_prime(p):
+    if p < 2:
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("extension degree must be positive")
-    q = p**k
+    # the size cap comes before primality, whose trial division costs
+    # sqrt(p); as p >= 2, a k at the cap's bit length already passes the cap
+    q = p**k if k < MAX_RING_SIZE.bit_length() else MAX_RING_SIZE + 1
     if q > MAX_RING_SIZE:
-        raise ValueError(f"ring size {q} exceeds the cap {MAX_RING_SIZE}")
-    if modulus is None or len(modulus) != k + 1:
-        raise ValueError(f"modulus must have {k + 1} coefficients, low to high")
+        raise ValueError(f"ring size {p}^{k} exceeds the cap {MAX_RING_SIZE}")
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if not isinstance(modulus, (list, tuple)) or len(modulus) != k + 1:
+        raise ValueError(f"modulus must be a list of {k + 1} coefficients, low to high")
+    for c in modulus:
+        _check_int_param("modulus coefficient", c)
     lead = modulus[-1] % p
     if lead == 0:
         raise ValueError("modulus leading coefficient vanishes mod p")
@@ -278,13 +284,14 @@ def make_ring(kind: str, **params) -> RingSpec:
     F2u and F2v take no parameters.
     """
     if kind == "Zm":
-        m = params.pop("m")
+        m = _pop_int_param(kind, params, "m")
         _reject_extra(params)
         if m > MAX_RING_SIZE:
             raise ValueError(f"ring size {m} exceeds the cap {MAX_RING_SIZE}")
         return _make_zm(m)
     if kind == "GF":
-        p, k = params.pop("p"), params.pop("k")
+        p = _pop_int_param(kind, params, "p")
+        k = _pop_int_param(kind, params, "k")
         modulus = params.pop("modulus", None)
         _reject_extra(params)
         return _make_gf(p, k, modulus)
@@ -295,6 +302,19 @@ def make_ring(kind: str, **params) -> RingSpec:
         _reject_extra(params)
         return _make_f2_ext(True, "F2v", "v")
     raise ValueError(f"unknown ring kind {kind!r}; expected one of {RING_KINDS}")
+
+
+def _check_int_param(name, value):
+    # bool is an int subclass, but true/false in a ring description is a typo
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"ring parameter {name} must be an integer, got {value!r}")
+    return value
+
+
+def _pop_int_param(kind, params, name):
+    if name not in params:
+        raise ValueError(f"ring kind {kind} needs the parameter {name!r}")
+    return _check_int_param(name, params.pop(name))
 
 
 def _reject_extra(params):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pwenum
 from pwenum.cli import (
     FIXTURES,
     catalog_ring,
@@ -13,6 +18,7 @@ from pwenum.cli import (
     run_fuzz,
 )
 from pwenum.enumerators import level_enumerator
+from pwenum.macwilliams import verify_identity
 from pwenum.posets import chain, leveled
 
 
@@ -139,7 +145,13 @@ def test_input_errors_exit_2(capsys):
 
 def test_cap_exit_3(capsys):
     assert main(["dual", "--ring", "F2", "--code", "C1", "--cap", "4"]) == 3
-    capsys.readouterr()
+    # every enum route refuses q^n = 2^4 > 4, the transform routes included
+    base = ["enum", "--ring", "F2", "--poset", "leveled:2,1,1", "--code", "ex51",
+            "--t", "2,1,1", "--dual", "--cap", "4"]
+    for kind in ("byte", "complete", "level", "mspotty"):
+        for route in ([], ["--via-transform"]):
+            assert main(base + ["--kind", kind] + route) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_argparse_errors_exit_2(capsys):
@@ -175,6 +187,43 @@ def test_fuzz_command_deterministic(capsys):
     assert capsys.readouterr().out == first
     payload = json.loads(first)
     assert payload["count"] == 5 and not payload["failures"]
+
+
+def _run_cli(*argv):
+    src = Path(pwenum.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "pwenum.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_fuzz_bound_below_ring_sizes_terminates():
+    done = _run_cli("fuzz", "--fuzz-iters", "3", "--seed", "1", "--cap", "3", "--out", "json")
+    payload = json.loads(done.stdout)
+    assert payload["count"] == 3
+    for record in payload["instances"]:
+        assert record["ring"] in ("F2", "F3") and sum(record["levels"]) == 1
+    refused = _run_cli("fuzz", "--fuzz-iters", "3", "--cap", "1")
+    assert refused.returncode == 2
+    assert "below the smallest catalog ring size" in refused.stderr
+
+
+def test_run_fuzz_records_unexpected_errors(monkeypatch):
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise RuntimeError("boom")
+        return verify_identity(*args, **kwargs)
+
+    monkeypatch.setattr("pwenum.cli.verify_identity", flaky)
+    result = run_fuzz(3, seed=3)
+    first, *rest = result["instances"]
+    assert first["error"] == "RuntimeError: boom" and not first["ok"]
+    assert result["failures"] == [first]
+    assert len(rest) == 2 and all(record["ok"] for record in rest)
 
 
 def test_run_fuzz_records():

@@ -200,6 +200,8 @@ def test_mspotty_weight_and_distance():
         mspotty_weight((1, 1, 1, 0), levels, (3, 1, 1))
     with pytest.raises(ValueError):
         mspotty_distance((1, 1), (1, 1, 0, 0), levels, t)
+    with pytest.raises(ValueError):  # equal lengths, but not the level structure's
+        mspotty_distance((1, 1), (0, 0), LevelStructure((2, 2)), (1, 1))
 
 
 def test_mspotty_weight_with_unit_thresholds_is_hamming():

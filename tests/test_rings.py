@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -83,6 +84,29 @@ def test_construction_errors():
         make_ring("Zm", m=65)
     with pytest.raises(ValueError):
         make_ring("nope")
+
+
+def test_construction_rejects_malformed_parameters():
+    for obj in (
+        {"kind": "Zm", "m": "4"},
+        {"kind": "Zm", "m": True},
+        {"kind": "Zm"},
+        {"kind": "GF", "p": "2", "k": 2, "modulus": [1, 1, 1]},
+        {"kind": "GF", "p": 2, "k": 2.0, "modulus": [1, 1, 1]},
+        {"kind": "GF", "p": 2, "k": 2, "modulus": "111"},
+        {"kind": "GF", "p": 2, "k": 2, "modulus": [1, "1", 1]},
+    ):
+        with pytest.raises(ValueError):
+            ring_from_json_obj(obj)
+
+
+def test_gf_size_cap_comes_before_primality():
+    # trial division up to sqrt(p) would take about 0.1 s here
+    for p, k in ((10**12 + 39, 1), (2, 10**9)):  # 10^12 + 39 is prime
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            make_ring("GF", p=p, k=k, modulus=[0, 1])
+        assert time.perf_counter() - start < 0.05
 
 
 def test_out_of_range_index_rejected():
