@@ -405,11 +405,12 @@ def _resolve_cap(args) -> int:
     return args.cap if getattr(args, "cap", None) is not None else enumeration_cap()
 
 
-def _emit(args, text_value: str, json_value) -> None:
+def _emit(args, text, json_obj) -> None:
+    """Print the rendering --out asks for; both are callables, so only that one is built."""
     if args.out == "json":
-        print(json.dumps(json_value, sort_keys=True, separators=(",", ":")))
+        print(json.dumps(json_obj(), sort_keys=True, separators=(",", ":")))
     else:
-        print(text_value)
+        print(text())
 
 
 def _resolve_levels(args) -> LevelStructure:
@@ -461,7 +462,7 @@ def cmd_enum(args) -> int:
                 poly = level_enumerator(target, levels)
             else:
                 poly = mspotty_enumerator(target, levels, t)
-    _emit(args, poly.to_text(), {"kind": kind, "enumerator": poly.to_json_obj()})
+    _emit(args, poly.to_text, lambda: {"kind": kind, "enumerator": poly.to_json_obj()})
     return 0
 
 
@@ -471,11 +472,10 @@ def cmd_dual(args) -> int:
     code = parse_code_spec(args.code, ring, cap)
     dual = dual_code(code, cap)
     joiner = "" if all(len(name) == 1 for name in ring.names) else ","
-    text = "\n".join(joiner.join(ring.names[x] for x in w) for w in dual.words)
     _emit(
         args,
-        text,
-        {
+        lambda: "\n".join(joiner.join(ring.names[x] for x in w) for w in dual.words),
+        lambda: {
             "length": dual.n,
             "size": dual.size,
             "generators": [list(g) for g in dual.generators],
@@ -494,27 +494,31 @@ def cmd_verify(args) -> int:
     if args.kind == "mspotty" and t is None:
         raise ValueError("--kind mspotty needs --t")
     report = verify_identity(args.kind, code, levels, t=t, cap=cap)
-    status = "EQUAL" if report.equal else "DIFFER"
-    text = f"{args.kind}: {status}"
-    if not report.equal:
-        text += f"\n  transform: {report.lhs.to_text()}\n  direct:    {report.rhs.to_text()}"
-    _emit(args, text, report.to_json_obj())
+
+    def text():
+        if report.equal:
+            return f"{args.kind}: EQUAL"
+        return (
+            f"{args.kind}: DIFFER\n  transform: {report.lhs.to_text()}"
+            f"\n  direct:    {report.rhs.to_text()}"
+        )
+
+    _emit(args, text, report.to_json_obj)
     return 0 if report.equal else 1
 
 
 def cmd_fuzz(args) -> int:
     bound = args.cap if args.cap is not None else min(enumeration_cap(), FUZZ_BOUND_DEFAULT)
     result = run_fuzz(args.fuzz_iters, args.seed, bound)
-    summary = (
-        f"fuzz: {result['count']} instances, {len(result['failures'])} failures "
-        f"(seed {result['seed']}, bound {result['bound']})"
-    )
-    if args.out == "json":
-        _emit(args, summary, result)
-    else:
-        print(summary)
-        for record in result["failures"]:
-            print(f"  FAIL {record}")
+
+    def text():
+        summary = (
+            f"fuzz: {result['count']} instances, {len(result['failures'])} failures "
+            f"(seed {result['seed']}, bound {result['bound']})"
+        )
+        return "\n".join([summary] + [f"  FAIL {record}" for record in result["failures"]])
+
+    _emit(args, text, lambda: result)
     return 0 if not result["failures"] else 1
 
 

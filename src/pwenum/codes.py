@@ -73,13 +73,17 @@ def _check_word(ring, n, w):
 
 
 def span(ring: RingSpec, n: int, generators, cap: int | None = None) -> LinearCode:
-    """All R-linear combinations of the generators."""
+    """All R-linear combinations of the generators.
+
+    The span has at most min(q^k, q^n) words for k generators, and that
+    bound, not q^k alone, is held against the cap.
+    """
     if cap is None:
         cap = enumeration_cap()
     gens = [_check_word(ring, n, g) for g in generators]
-    if ring.q ** len(gens) > cap:
+    if ring.q ** min(len(gens), n) > cap:
         raise CapExceededError(
-            f"spanning {len(gens)} generators over q={ring.q} exceeds cap {cap}"
+            f"spanning {len(gens)} generators of length {n} over q={ring.q} exceeds cap {cap}"
         )
     add, mul = ring.add_table, ring.mul_table
     words = {(0,) * n}

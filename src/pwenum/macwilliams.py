@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import compress, count, product
 from math import comb
+from operator import itemgetter, lshift
+from struct import iter_unpack
 
-from .codes import LinearCode, dual_code, inner_product, level_split
+from .codes import LinearCode, dual_code, inner_product
 from .cyclotomic import CycInt
 from .enumerators import (
     EnumeratorPoly,
@@ -31,7 +33,7 @@ from .enumerators import (
 )
 from .errors import IntegrityError
 from .posets import LevelStructure
-from .rings import Character, RingSpec, default_character
+from .rings import Character, RingSpec, check_additive, default_character
 
 TRANSFORM_KINDS = ("byte", "complete", "level", "mspotty")
 
@@ -111,18 +113,113 @@ def _as_cyc(e, val):
     return CycInt(e, (int(val),))
 
 
+# Bits in one packed row of the byte transform; see _packing.
+ROW_BITS = 2**16
+
+
+def _packing(q: int, e: int, code_size: int, n: int) -> tuple[int, int]:
+    """Field width in bytes, and how many trailing coordinates one row packs.
+
+    A field holds one count of the group-ring value, so it must hold |C|.
+    A pattern takes 2e fields, and a row packs the last m coordinates: the
+    largest m <= n with q^m * 2e * field bits <= ROW_BITS.
+    """
+    field = -(-code_size.bit_length() // 8)
+    slot_bits = 2 * e * 8 * field
+    m = 0
+    while m < n and q ** (m + 1) * slot_bits <= ROW_BITS:
+        m += 1
+    return field, m
+
+
+def _twisted_sums(values: list, shifts: list) -> list:
+    """For each b, the sum over a of values[a] << shifts[b][a], skipping zero values."""
+    live = [a for a, v in enumerate(values) if v]
+    if len(live) < len(values):
+        values = [values[a] for a in live]
+        shifts = [[sh[a] for a in live] for sh in shifts]
+    return [sum(map(lshift, values, sh)) for sh in shifts]
+
+
+def _yates_tallies(code: LinearCode, chi: Character) -> tuple[int, bytearray]:
+    """Tally of the exponents of chi(<b, u>) over u in C, for every b in R^n.
+
+    Returns the field width in bytes and the tallies of all patterns b in
+    lexicographic order, each as e count fields followed by e zero fields.
+    """
+    ring = code.ring
+    q, e, n = ring.q, ring.exponent, code.n
+    field, m = _packing(q, e, code.size, n)
+    half = 8 * field * e
+    slot = 2 * half
+    width, nrows = q**m, q ** (n - m)
+    row_bytes = width * slot // 8
+    mul = ring.mul_table
+    shifts = [[chi.exponents[mul[b][a]] * 8 * field for a in range(q)] for b in range(q)]
+    low = int.from_bytes((b"\xff" * (half // 8) + bytes(half // 8)) * width, "little")
+
+    marks: dict[int, bytearray] = {}  # the indicator of C, by row
+    for u in code.words:
+        index = 0
+        for x in u:
+            index = index * q + x
+        r, k = divmod(index, width)
+        if r not in marks:
+            marks[r] = bytearray(row_bytes)
+        marks[r][k * slot // 8] = 1
+    rows = [int.from_bytes(marks.pop(r), "little") if r in marks else 0 for r in range(nrows)]
+
+    for j in range(n - m):  # coordinates between rows, each group of q rows in place
+        stride = q ** (n - m - 1 - j)
+        for base in range(0, nrows, q * stride):
+            for first in range(base, base + stride):
+                group = rows[first : first + q * stride : stride]
+                for b, acc in enumerate(_twisted_sums(group, shifts)):
+                    rows[first + b * stride] = (acc & low) + ((acc >> half) & low)
+
+    for j in range(m):  # coordinates inside a row
+        step = q ** (m - 1 - j) * slot
+        digit0 = int.from_bytes(
+            (b"\xff" * (step // 8) + bytes((q - 1) * step // 8)) * q**j, "little"
+        )
+        for i, row in enumerate(rows):
+            if row:
+                slabs = [(row >> (a * step)) & digit0 for a in range(q)]
+                acc = sum(
+                    part << (b * step) for b, part in enumerate(_twisted_sums(slabs, shifts))
+                )
+                rows[i] = (acc & low) + ((acc >> half) & low)
+
+    tallies = bytearray()
+    for i, row in enumerate(rows):
+        tallies += row.to_bytes(row_bytes, "little")
+        rows[i] = 0  # hold one copy of the tallies at a time
+    return field, tallies
+
+
 def byte_transform(
     code: LinearCode, levels: LevelStructure, chi: Character | None = None
 ) -> EnumeratorPoly:
-    """Dual byte enumerator from the primal code, via per-level character sums.
+    """Dual byte enumerator from the primal code, by Yates' algorithm.
 
-    Per codeword u and level S the factor is
-        sum over patterns beta in R^{n_S} of chi(<beta, u^S>) z_{S:beta};
-    multiplying the factors across levels and summing over the code gives,
-    for every monomial z_{1:b1}...z_{s:bs}, the exact coefficient
-        (1/|C|) sum over u of chi(<b, u>).
-    The walk below accumulates exactly that, one concatenated pattern at a
-    time, tallying character exponents over the codewords.
+    The coefficient of z_{1:b1}...z_{s:bs}, with b the concatenated pattern, is
+        (1/|C|) sum over u in C of chi(<b, u>),
+    the n-fold tensor power of the q x q matrix chi(ab) applied to the
+    indicator of C.  Yates' algorithm applies that matrix one coordinate at a
+    time in the group ring Z[Z_e], where zeta_e is x: n q^(n+1) products of a
+    value by a power of x, and each value ends as the tally of the character
+    exponents <b, u> over the code.
+
+    A value is packed into a Python int as 2e byte-aligned count fields, so
+    multiplying by x^r is a left shift by r fields; after each coordinate
+    one mask-and-add folds field e+j back onto field j.  The last m
+    coordinates (see _packing) index the patterns inside one row int and the
+    others index a list of rows: a coordinate between rows combines whole
+    rows, one inside a row combines its digit slabs, cut out by one mask.
+
+    Each distinct tally is reduced modulo the e-th cyclotomic polynomial once;
+    it must be a rational integer that divides exactly by |C| and is not
+    negative, or IntegrityError is raised.
     """
     ring = code.ring
     if levels.n != code.n:
@@ -131,55 +228,47 @@ def byte_transform(
         )
     if chi is None:
         chi = default_character(ring)
+    else:
+        check_additive(ring, chi)  # Yates' factoring needs chi(a + b) = chi(a) chi(b)
     q, e = ring.q, ring.exponent
-    eps = chi.exponents
-    add, mul = ring.add_table, ring.mul_table
-    csize = code.size
+    field, tallies = _yates_tallies(code, chi)
 
-    slices = [level_split(u, levels) for u in code.words]
-    tables = []
-    for idx, n_s in enumerate(levels.sizes):
-        parts = [sl[idx] for sl in slices]
-        entries = []
-        for beta in product(range(q), repeat=n_s):
-            rows = [mul[b] for b in beta]
-            vec = []
-            for part in parts:
-                acc = 0
-                for row, x in zip(rows, part):
-                    acc = add[acc][row[x]]
-                vec.append(eps[acc])
-            entries.append((beta, vec))
-        tables.append(entries)
+    tables, divisors = [], []
+    after = code.n
+    for level, n_s in enumerate(levels.sizes, start=1):
+        after -= n_s
+        tables.append(
+            [(byte_var(level, beta), 1) for beta in product(range(q), repeat=n_s)]
+        )
+        divisors.append((q**after, q**n_s))
 
+    def each_tally():
+        return map(itemgetter(0), iter_unpack(f"{e * field}s{e * field}x", tallies))
+
+    coeffs = dict.fromkeys(each_tally())  # the distinct tallies, in pattern order
+    for tally in coeffs:
+        coeffs[tally] = _byte_coefficient(tally, e, field, code.size)
+    values = list(map(coeffs.__getitem__, each_tally()))
     terms: dict[tuple, int] = {}
-
-    def walk(level_idx, mono, vec):
-        if level_idx == len(tables):
-            counts = [0] * e
-            for x in vec:
-                counts[x] += 1
-            value = CycInt(e, counts)
-            if not value.is_integer():
-                raise IntegrityError(
-                    f"character sum {value!r} did not collapse to an integer"
-                )
-            coeff, rem = divmod(value.coeffs[0], csize)
-            if rem:
-                raise IntegrityError(
-                    f"coefficient {value.coeffs[0]} not divisible by |C| = {csize}"
-                )
-            if coeff < 0:
-                raise IntegrityError(f"negative enumerator coefficient {coeff}")
-            if coeff:
-                terms[mono] = coeff
-            return
-        for beta, bvec in tables[level_idx]:
-            merged = bvec if vec is None else [(a + b) % e for a, b in zip(vec, bvec)]
-            walk(level_idx + 1, mono + ((byte_var(level_idx + 1, beta), 1),), merged)
-
-    walk(0, (), None)
+    for index in compress(count(), values):
+        mono = tuple(table[index // div % mod] for table, (div, mod) in zip(tables, divisors))
+        terms[mono] = values[index]
     return EnumeratorPoly(terms)
+
+
+def _byte_coefficient(tally: bytes, e: int, field: int, code_size: int) -> int:
+    """(1/|C|) sum over r of tally[r] zeta_e^r, checked to be a nonnegative integer."""
+    value = CycInt(
+        e, [int.from_bytes(tally[r * field : (r + 1) * field], "little") for r in range(e)]
+    )
+    if not value.is_integer():
+        raise IntegrityError(f"character sum {value!r} did not collapse to an integer")
+    coeff, rem = divmod(value.coeffs[0], code_size)
+    if rem:
+        raise IntegrityError(f"coefficient {value.coeffs[0]} not divisible by |C| = {code_size}")
+    if coeff < 0:
+        raise IntegrityError(f"negative enumerator coefficient {coeff}")
+    return coeff
 
 
 def krawtchouk_level(n_j: int, l_j: int, p_j: int, q: int) -> int:

@@ -377,13 +377,8 @@ def default_character(ring: RingSpec) -> Character:
     return chi
 
 
-def verify_generating_character(ring: RingSpec, chi: Character) -> bool:
-    """True iff no nonzero ideal sits inside the kernel of chi.
-
-    It is enough to test principal ideals: every nonzero ideal contains a
-    nonzero principal one.  Raises if the exponent map is not an additive
-    character at all.
-    """
+def check_additive(ring: RingSpec, chi: Character) -> None:
+    """Raise unless the exponent map is an additive character of the ring."""
     q, e = ring.q, ring.exponent
     eps = chi.exponents
     if len(eps) != q or eps[0] != 0 or any(not 0 <= x < e for x in eps):
@@ -394,6 +389,17 @@ def verify_generating_character(ring: RingSpec, chi: Character) -> bool:
         for b in range(q):
             if (eps[a] + eps[b]) % e != eps[row[b]]:
                 raise ValueError("exponent map violates additivity")
+
+
+def verify_generating_character(ring: RingSpec, chi: Character) -> bool:
+    """True iff no nonzero ideal sits inside the kernel of chi.
+
+    It is enough to test principal ideals: every nonzero ideal contains a
+    nonzero principal one.  Raises if the exponent map is not an additive
+    character at all.
+    """
+    check_additive(ring, chi)
+    q, eps = ring.q, chi.exponents
     mul = ring.mul_table
     for a in range(1, q):
         if all(eps[mul[r][a]] == 0 for r in range(q)):

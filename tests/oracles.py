@@ -8,6 +8,9 @@ the fast kernel it checks.
 from itertools import product
 from math import comb
 
+from pwenum.cyclotomic import CycInt
+from pwenum.errors import IntegrityError
+
 
 def scan_dual_words(code) -> list[tuple]:
     """Every word of R^n orthogonal to the generators, by a full scan in lexicographic order."""
@@ -53,4 +56,38 @@ def cell_complete_transform(spectrum, sizes, q, code_size) -> dict[tuple, int]:
         assert rem == 0, f"cell {p}: {total} not divisible by {code_size}"
         if coeff:
             out[p] = coeff
+    return out
+
+
+def pattern_byte_transform(code, chi) -> dict[tuple, int]:
+    """Dual byte coefficients, one pattern at a time.
+
+    For every b in R^n, tallies the exponents of chi(<b, u>) over the
+    codewords u, reduces the tally in Z[zeta_e] and divides it by |C|,
+    raising IntegrityError where the pattern's value is not a nonnegative
+    integer.  Returns {b: coefficient} with zero patterns left out.
+    """
+    ring = code.ring
+    e = ring.exponent
+    add, mul = ring.add_table, ring.mul_table
+    eps = chi.exponents
+    out = {}
+    for b in product(range(ring.q), repeat=code.n):
+        rows = [mul[x] for x in b]
+        counts = [0] * e
+        for u in code.words:
+            acc = 0
+            for row, x in zip(rows, u):
+                acc = add[acc][row[x]]
+            counts[eps[acc]] += 1
+        value = CycInt(e, counts)
+        if not value.is_integer():
+            raise IntegrityError(f"character sum {value!r} did not collapse to an integer")
+        coeff, rem = divmod(value.coeffs[0], code.size)
+        if rem:
+            raise IntegrityError(f"coefficient {value.coeffs[0]} not divisible by |C| = {code.size}")
+        if coeff < 0:
+            raise IntegrityError(f"negative enumerator coefficient {coeff}")
+        if coeff:
+            out[b] = coeff
     return out

@@ -9,6 +9,7 @@ import pytest
 import pwenum
 from pwenum.cli import (
     FIXTURES,
+    NAMED_CODES,
     catalog_ring,
     main,
     parse_code_spec,
@@ -209,6 +210,13 @@ def test_fuzz_bound_below_ring_sizes_terminates():
     assert "below the smallest catalog ring size" in refused.stderr
 
 
+def test_fuzz_small_bound_spans_many_generators():
+    # 3 generators of length 1 over F2 span at most 2 words, within a bound of 3
+    done = _run_cli("fuzz", "--fuzz-iters", "3", "--seed", "1", "--cap", "3")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.strip() == "fuzz: 3 instances, 0 failures (seed 1, bound 3)"
+
+
 def test_run_fuzz_records_unexpected_errors(monkeypatch):
     calls = []
 
@@ -247,3 +255,25 @@ def test_cli_reuses_library_enumerators(capsys):
     expected = level_enumerator(code, level_partition(levels)).to_text()
     main(["enum", "--kind", "level", "--ring", "F2", "--poset", "chain3", "--code", "c1"])
     assert capsys.readouterr().out.strip() == expected
+
+
+PARITY_RINGS = (
+    "F2", "F3", "F4", "Z4", "F2u", "F2v",
+    '{"kind":"GF","p":2,"k":3,"modulus":[1,1,0,1]}',
+    '{"kind":"GF","p":3,"k":2,"modulus":[1,0,1]}',
+)
+PARITY_POSETS = {"c1": "leveled:2,1", "c2": "leveled:1,2", "ex51": "leveled:2,1,1",
+                 "hamming74": "leveled:3,2,2"}
+
+
+@pytest.mark.parametrize("ring", PARITY_RINGS)
+def test_byte_dual_routes_print_identical_text(ring, capsys):
+    q = parse_ring_spec(ring).q
+    for name, poset in PARITY_POSETS.items():
+        if q ** NAMED_CODES[name][0] > 2**14:  # hamming74 over GF(8) and GF(9)
+            continue
+        argv = ["enum", "--kind", "byte", "--ring", ring, "--code", name, "--poset", poset, "--dual"]
+        assert main(argv) == 0
+        direct = capsys.readouterr().out
+        assert main(argv + ["--via-transform"]) == 0
+        assert capsys.readouterr().out == direct

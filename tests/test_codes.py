@@ -37,7 +37,11 @@ def test_span_validation():
     with pytest.raises(ValueError):
         span(F2, 2, [(2, 0)])
     with pytest.raises(CapExceededError):
-        span(Z4, 2, [(1, 0)] * 20)
+        span(Z4, 20, [(1,) + (0,) * 19] * 20)
+    with pytest.raises(CapExceededError):
+        span(Z4, 2, [(1, 0)] * 20, cap=15)
+    # q^k = 4^20 generators' worth, but a span of length 2 has at most 4^2 words
+    assert span(Z4, 2, [(1, 0)] * 20, cap=16).size == 4
 
 
 def test_inner_product():
