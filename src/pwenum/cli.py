@@ -59,16 +59,24 @@ def catalog_ring(name: str) -> RingSpec:
     raise ValueError(f"unknown ring alias {name!r}")
 
 
+def _parse_json(text: str):
+    """json.loads, with nesting too deep for the decoder reported as bad input."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
+
+
 _ZM_SHORTHAND = re.compile(r"^Z(\d+)$")
 
 
 def parse_ring_spec(text: str) -> RingSpec:
     text = text.strip()
     if text.startswith("{"):
-        return ring_from_json_obj(json.loads(text))
+        return ring_from_json_obj(_parse_json(text))
     if os.path.isfile(text):
         with open(text) as fh:
-            return ring_from_json_obj(json.load(fh))
+            return ring_from_json_obj(_parse_json(fh.read()))
     if text in ("F2", "F3", "F4", "F2u", "F2v"):
         return catalog_ring(text)
     m = _ZM_SHORTHAND.match(text)
@@ -83,10 +91,10 @@ _POSET_SHORTHAND = re.compile(r"^(antichain|chain|leveled)[:]?([\d,]+)$")
 def parse_poset_spec(text: str) -> Poset:
     text = text.strip()
     if text.startswith("{"):
-        return poset_from_json_obj(json.loads(text))
+        return poset_from_json_obj(_parse_json(text))
     if os.path.isfile(text):
         with open(text) as fh:
-            return poset_from_json_obj(json.load(fh))
+            return poset_from_json_obj(_parse_json(fh.read()))
     m = _POSET_SHORTHAND.match(text)
     if m:
         kind, rest = m.groups()
@@ -122,10 +130,10 @@ def parse_code_spec(text: str, ring: RingSpec, cap: int | None = None) -> Linear
         n, gens = NAMED_CODES[lowered]
         return span(ring, n, gens, cap)
     if text.startswith("{"):
-        obj = json.loads(text)
+        obj = _parse_json(text)
     elif os.path.isfile(text):
         with open(text) as fh:
-            obj = json.load(fh)
+            obj = _parse_json(fh.read())
     else:
         raise ValueError(f"cannot interpret code spec {text!r}")
     if not isinstance(obj, dict) or "length" not in obj or "generators" not in obj:

@@ -12,11 +12,20 @@ supported:
 Every ring carries a catalog additive character whose kernel contains no
 nonzero ideal; that property is re-verified on construction because all the
 dual-code identities downstream depend on it.
+
+Every construction builds its tables in O(q^2) and checks every ring axiom
+on them exactly in O(q^2·|G|), |G| the size of a generating set of one
+operation (1-6 at q <= 64).  Two closure arguments make that enough.  For
+Light's associativity test, the elements g with (x∘g)∘y = x∘(g∘y) for all
+x, y form a closed sub-magma, so the test need only run on generators.  For
+distributivity, the b with a(b+c) = ab + ac for all a, c form a set closed
+under addition, so the check need only run on additive generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .cyclotomic import CycInt, root_power
 
@@ -35,19 +44,13 @@ class RingSpec:
     def __init__(self, kind, q, add_table, mul_table, names, params):
         self.kind = kind
         self.q = q
-        self.add_table = add_table
-        self.mul_table = mul_table
+        self.add_table = add_table = tuple(map(tuple, add_table))
+        self.mul_table = tuple(map(tuple, mul_table))
         self.names = names
         self.params = dict(params)
-        neg = [None] * q
-        for a in range(q):
-            for b in range(q):
-                if add_table[a][b] == 0:
-                    neg[a] = b
-                    break
-        if any(n is None for n in neg):
+        if any(0 not in row for row in add_table):
             raise ValueError("addition table has an element without an inverse")
-        self.neg_table = tuple(neg)
+        self.neg_table = tuple(row.index(0) for row in add_table)
         self.exponent = self._order_of_one()
         _verify_tables(self)
 
@@ -105,31 +108,80 @@ class RingSpec:
         return f"RingSpec({self.kind}, q={self.q})"
 
 
+def _generators(table, identity):
+    """Generators of the magma of one operation table, chosen greedily.
+
+    The identity counts as reached.  Each element not yet reached becomes a
+    generator, and the reached set is closed under right products x∘g by
+    every generator g, breadth first.  Every element ends up reached, so any
+    table, even a corrupt one, yields a finite list.
+    """
+    reached = {identity}
+    gens = []
+    for s in range(len(table)):
+        if s in reached:
+            continue
+        gens.append(s)
+        reached.add(s)
+        frontier = list(reached)
+        while frontier:
+            fresh = []
+            for x in frontier:
+                row = table[x]
+                for g in gens:
+                    y = row[g]
+                    if y not in reached:
+                        reached.add(y)
+                        fresh.append(y)
+            frontier = fresh
+    return gens
+
+
+def _is_associative(table, gens):
+    """Light's test: (x∘g)∘y = x∘(g∘y) for every generator g and all x, y."""
+    for g in gens:
+        through_g = itemgetter(*table[g])  # row x -> (x∘(g∘y) for y in R)
+        for row in table:
+            if table[row[g]] != through_g(row):
+                return False
+    return True
+
+
 def _verify_tables(ring):
-    """Exhaustive axiom check; cheap at the q <= 64 scale this package allows."""
+    """Exact check of the commutative ring axioms in O(q^2·|G|) table lookups.
+
+    The identities and commutativity are read off whole rows and columns.
+    Associativity uses Light's test on a generating set G of each operation
+    (see _generators): the elements g with (x∘g)∘y = x∘(g∘y) for all x, y
+    form a closed sub-magma that holds the identity, so if it holds G it is
+    the whole ring.  Distributivity is a(g+c) = ag + ac for every a, c and
+    every additive generator g, checked once addition is known to be
+    associative: the b with a(b+c) = ab + ac for all a, c form a set closed
+    under +, so a subgroup of the finite additive group, and holding the
+    additive generators it is the whole ring.  Right distributivity follows
+    from commutativity.
+    """
     q, add, mul = ring.q, ring.add_table, ring.mul_table
     rng = range(q)
-    for a in rng:
-        if add[0][a] != a or add[a][0] != a:
-            raise ValueError("index 0 is not the additive identity")
-        if mul[1][a] != a or mul[a][1] != a:
-            raise ValueError("index 1 is not the multiplicative identity")
-        for b in rng:
-            if add[a][b] != add[b][a] or mul[a][b] != mul[b][a]:
-                raise ValueError("operation tables are not commutative")
-    for a in rng:
-        add_a, mul_a = add[a], mul[a]
-        for b in rng:
-            ab_add, ab_mul = add_a[b], mul_a[b]
-            add_row, mul_row = add[ab_add], mul[ab_mul]
-            add_b, mul_b = add[b], mul[b]
-            for c in rng:
-                if add_row[c] != add_a[add_b[c]]:
-                    raise ValueError("addition is not associative")
-                if mul_row[c] != mul_a[mul_b[c]]:
-                    raise ValueError("multiplication is not associative")
-                if mul_a[add_b[c]] != add[ab_mul][mul_a[c]]:
-                    raise ValueError("multiplication does not distribute")
+    ident = tuple(rng)
+    if add[0] != ident or tuple(row[0] for row in add) != ident:
+        raise ValueError("index 0 is not the additive identity")
+    if mul[1] != ident or tuple(row[1] for row in mul) != ident:
+        raise ValueError("index 1 is not the multiplicative identity")
+    if add != tuple(zip(*add)) or mul != tuple(zip(*mul)):
+        raise ValueError("operation tables are not commutative")
+    add_gens = _generators(add, 0)
+    if not _is_associative(add, add_gens):
+        raise ValueError("addition is not associative")
+    if not _is_associative(mul, _generators(mul, 1)):
+        raise ValueError("multiplication is not associative")
+    # row_getters[a]: row x of the addition table -> (x + ac for c in R)
+    row_getters = [itemgetter(*row) for row in mul]
+    for g in add_gens:
+        plus_g = itemgetter(*add[g])  # row a -> (a(g+c) for c in R)
+        for row, times_a in zip(mul, row_getters):
+            if plus_g(row) != times_a(add[row[g]]):
+                raise ValueError("multiplication does not distribute")
     e = ring.exponent
     if ring.q % e != 0:
         raise ValueError("additive exponent does not divide the ring size")
@@ -145,18 +197,6 @@ def _is_prime(p):
     if p < 2:
         return False
     return all(p % d for d in range(2, int(p**0.5) + 1))
-
-
-def _gf_poly_mod(poly, modulus, p):
-    """Reduce a coefficient list modulo a monic modulus, over GF(p)."""
-    poly = list(poly)
-    k = len(modulus) - 1
-    for i in range(len(poly) - 1, k - 1, -1):
-        c = poly[i] % p
-        if c:
-            for j in range(k + 1):
-                poly[i - k + j] = (poly[i - k + j] - c * modulus[j]) % p
-    return [c % p for c in poly[:k]]
 
 
 def _gf_is_irreducible(modulus, p, k):
@@ -223,41 +263,42 @@ def _make_gf(p, k, modulus):
     if not _gf_is_irreducible(modulus, p, k):
         raise ValueError("modulus is reducible over GF(p)")
 
-    def to_poly(i):
-        out = []
-        for _ in range(k):
-            out.append(i % p)
-            i //= p
-        return out
-
-    def to_index(poly):
-        i = 0
-        for c in reversed(poly):
-            i = i * p + c
-        return i
-
-    polys = [to_poly(i) for i in range(q)]
-    add = tuple(
-        tuple(to_index([(x + y) % p for x, y in zip(polys[a], polys[b])]) for b in range(q))
-        for a in range(q)
-    )
-    mul_rows = []
+    powers = [p**j for j in range(k)]
+    polys = [[i // pj % p for pj in powers] for i in range(q)]
+    # each b > 0 is b - p^j plus the monomial x^j, j its lowest nonzero digit;
+    # b - p^j < b, so every row fills in index order with one lookup per entry
+    steps = []
+    for b in range(1, q):
+        j = next(j for j, c in enumerate(polys[b]) if c)
+        steps.append((j, b - powers[j]))
+    # bump[j][x]: x with its digit j raised by one, mod p
+    bump = [
+        [x - (p - 1) * pj if polys[x][j] == p - 1 else x + pj for x in range(q)]
+        for j, pj in enumerate(powers)
+    ]
+    add = []
     for a in range(q):
-        row = []
-        for b in range(q):
-            conv = [0] * (2 * k - 1)
-            for i, x in enumerate(polys[a]):
-                if x:
-                    for j, y in enumerate(polys[b]):
-                        conv[i + j] += x * y
-            red = _gf_poly_mod(conv, modulus, p)
-            red.extend([0] * (k - len(red)))
-            row.append(to_index(red))
-        mul_rows.append(tuple(row))
+        row = [a]
+        for j, prev in steps:
+            row.append(bump[j][row[prev]])
+        add.append(tuple(row))
+    # a·x shifts the digits of a up by one and folds the top one back in
+    # through x^k = -(modulus_0 + ... + modulus_{k-1} x^{k-1})
+    top = powers[-1]
+    folded = [sum(-c * m % p * pj for m, pj in zip(modulus, powers)) for c in range(p)]
+    times_x = [add[a % top * p][folded[a // top]] for a in range(q)]
+    monomial_multiples = [list(range(q))]  # [j][a] = a·x^j
+    for _ in range(k - 1):
+        monomial_multiples.append([times_x[a] for a in monomial_multiples[-1]])
+    mul = []
+    for a in range(q):
+        a_xj = [col[a] for col in monomial_multiples]
+        row = [0]
+        for j, prev in steps:
+            row.append(add[row[prev]][a_xj[j]])
+        mul.append(tuple(row))
     names = tuple(_gf_name(polys[a]) for a in range(q))
-    return RingSpec(
-        "GF", q, add, tuple(mul_rows), names, {"p": p, "k": k, "modulus": list(modulus)}
-    )
+    return RingSpec("GF", q, tuple(add), tuple(mul), names, {"p": p, "k": k, "modulus": modulus})
 
 
 def _make_f2_ext(square_of_gen, tag, gen_name):

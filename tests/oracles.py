@@ -91,3 +91,90 @@ def pattern_byte_transform(code, chi) -> dict[tuple, int]:
         if coeff:
             out[b] = coeff
     return out
+
+
+def exhaustive_ring_axioms(add, mul) -> bool:
+    """True iff the tables form a commutative ring with identities at indices 0 and 1.
+
+    Checks the identities, commutativity and additive inverses pair by pair,
+    then associativity of both operations and distributivity over every
+    triple (a, b, c).  The additive exponent facts that RingSpec also checks
+    follow from these axioms.
+    """
+    q = len(add)
+    rng = range(q)
+    for a in rng:
+        if add[0][a] != a or add[a][0] != a or mul[1][a] != a or mul[a][1] != a:
+            return False
+        if 0 not in add[a]:
+            return False
+        for b in rng:
+            if add[a][b] != add[b][a] or mul[a][b] != mul[b][a]:
+                return False
+    for a in rng:
+        for b in rng:
+            for c in rng:
+                if add[add[a][b]][c] != add[a][add[b][c]]:
+                    return False
+                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                    return False
+                if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
+                    return False
+    return True
+
+
+def _gf_poly_mod(poly, modulus, p):
+    """Reduce a coefficient list modulo a monic modulus, over GF(p)."""
+    poly = list(poly)
+    k = len(modulus) - 1
+    for i in range(len(poly) - 1, k - 1, -1):
+        c = poly[i] % p
+        if c:
+            for j in range(k + 1):
+                poly[i - k + j] = (poly[i - k + j] - c * modulus[j]) % p
+    return [c % p for c in poly[:k]]
+
+
+def convolution_gf_tables(p, k, modulus) -> tuple[tuple, tuple]:
+    """(add, mul) of GF(p^k), entry by entry from coefficient lists.
+
+    Element i has base-p digits i_0, ..., i_{k-1} as its coefficients, low to
+    high.  The modulus is scaled to be monic; each product is the
+    convolution of two coefficient lists reduced modulo it.
+    """
+    q = p**k
+    inv_lead = pow(modulus[-1] % p, p - 2, p)
+    modulus = [c * inv_lead % p for c in modulus]
+
+    def to_poly(i):
+        out = []
+        for _ in range(k):
+            out.append(i % p)
+            i //= p
+        return out
+
+    def to_index(poly):
+        i = 0
+        for c in reversed(poly):
+            i = i * p + c
+        return i
+
+    polys = [to_poly(i) for i in range(q)]
+    add = tuple(
+        tuple(to_index([(x + y) % p for x, y in zip(polys[a], polys[b])]) for b in range(q))
+        for a in range(q)
+    )
+    mul_rows = []
+    for a in range(q):
+        row = []
+        for b in range(q):
+            conv = [0] * (2 * k - 1)
+            for i, x in enumerate(polys[a]):
+                if x:
+                    for j, y in enumerate(polys[b]):
+                        conv[i + j] += x * y
+            red = _gf_poly_mod(conv, modulus, p)
+            red.extend([0] * (k - len(red)))
+            row.append(to_index(red))
+        mul_rows.append(tuple(row))
+    return add, tuple(mul_rows)

@@ -1,10 +1,15 @@
+import io
 import json
 import os
+import string
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pwenum
 from pwenum.cli import (
@@ -21,6 +26,7 @@ from pwenum.cli import (
 from pwenum.enumerators import level_enumerator
 from pwenum.macwilliams import verify_identity
 from pwenum.posets import chain, leveled
+from pwenum.rings import RING_KINDS
 
 
 def test_parse_ring_spec():
@@ -142,6 +148,21 @@ def test_input_errors_exit_2(capsys):
     assert main(["enum", "--kind", "byte", "--ring", "F2",
                  "--poset", "chain3", "--code", "C1", "--via-transform"]) == 2
     capsys.readouterr()
+
+
+def test_deeply_nested_json_is_an_input_error(capsys):
+    deep = "[" * 100_000 + "]" * 100_000
+    base = {"--ring": "F2", "--poset": "chain3", "--code": "C1"}
+    for flag, spec in (
+        ("--ring", '{"kind":%s}' % deep),
+        ("--poset", '{"kind":%s}' % deep),
+        ("--code", '{"length":%s}' % deep),
+    ):
+        argv = ["enum", "--kind", "level"]
+        for name, value in {**base, flag: spec}.items():
+            argv.append(f"{name}={value}")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "input error: JSON input is nested too deeply\n"
 
 
 def test_cap_exit_3(capsys):
@@ -277,3 +298,146 @@ def test_byte_dual_routes_print_identical_text(ring, capsys):
         direct = capsys.readouterr().out
         assert main(argv + ["--via-transform"]) == 0
         assert capsys.readouterr().out == direct
+
+
+VALID_RING_OBJS = (
+    {"kind": "Zm", "m": 2},
+    {"kind": "Zm", "m": 64},
+    {"kind": "F2u"},
+    {"kind": "F2v"},
+    {"kind": "GF", "p": 3, "k": 2, "modulus": [2, 0, 2]},
+    {"kind": "GF", "p": 2, "k": 6, "modulus": [1, 1, 0, 0, 0, 0, 1]},
+)
+_GF_OBJS = [obj for obj in VALID_RING_OBJS if obj["kind"] == "GF"]
+# an explicit alphabet spares hypothesis its one-off build of the unicode tables
+_ALPHABET = string.printable + "\x00é∘\u2028\ud800"
+# no integers: each of these is malformed wherever a parameter or a coefficient goes
+_JUNK_SCALAR = st.one_of(st.text(_ALPHABET, max_size=4), st.floats(), st.booleans(), st.none())
+_JUNK = st.one_of(_JUNK_SCALAR, st.lists(_JUNK_SCALAR, min_size=1, max_size=3))
+_SMALL_FIELDS = [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (5, 2), (7, 2)]
+
+
+def _poly_product(f, g, p):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+@st.composite
+def _bad_params(draw):
+    obj = dict(draw(st.sampled_from([o for o in VALID_RING_OBJS if len(o) > 1])))
+    name = draw(st.sampled_from(sorted(set(obj) - {"kind"})))
+    if name == "modulus" and draw(st.booleans()):
+        modulus = list(obj["modulus"])
+        modulus[draw(st.integers(0, len(modulus) - 1))] = draw(_JUNK)
+        obj["modulus"] = modulus
+    else:
+        obj[name] = draw(_JUNK_SCALAR if name == "modulus" else _JUNK)
+    return obj
+
+
+@st.composite
+def _reducible_modulus(draw):
+    p, k = draw(st.sampled_from(_SMALL_FIELDS))
+    d = draw(st.integers(1, k - 1))
+    coeff = st.integers(0, p - 1)
+    f = [draw(coeff) for _ in range(d)] + [1]
+    g = [draw(coeff) for _ in range(k - d)] + [1]
+    scale = draw(st.integers(1, p - 1))
+    return {"kind": "GF", "p": p, "k": k, "modulus": [c * scale for c in _poly_product(f, g, p)]}
+
+
+@st.composite
+def _wrong_length(draw):
+    obj = dict(draw(st.sampled_from(_GF_OBJS)))
+    modulus = list(obj["modulus"])
+    if draw(st.booleans()):
+        modulus = modulus[: draw(st.integers(0, len(modulus) - 1))]
+    else:
+        modulus += draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    obj["modulus"] = modulus
+    return obj
+
+
+@st.composite
+def _extra_key(draw):
+    obj = dict(draw(st.sampled_from(VALID_RING_OBJS)))
+    key = draw(st.text(_ALPHABET, max_size=6).filter(lambda key: key not in obj))
+    obj[key] = draw(st.one_of(st.integers(), _JUNK))
+    return obj
+
+
+_MALFORMED_OBJS = st.one_of(
+    # wrong or missing kinds
+    st.builds(
+        lambda kind, obj: {**obj, "kind": kind},
+        st.one_of(
+            st.text(_ALPHABET, max_size=6).filter(lambda k: k not in RING_KINDS),
+            st.integers(),
+            _JUNK,
+        ),
+        st.sampled_from(VALID_RING_OBJS),
+    ),
+    st.sampled_from(VALID_RING_OBJS).map(lambda obj: {k: v for k, v in obj.items() if k != "kind"}),
+    _bad_params(),
+    # non-prime p, k <= 0, oversize rings
+    st.builds(
+        lambda p, k: {"kind": "GF", "p": p, "k": k, "modulus": [0] * k + [1]},
+        st.integers(-5, 64).filter(lambda p: p < 2 or any(p % d == 0 for d in range(2, p))),
+        st.integers(1, 2),
+    ),
+    st.builds(
+        lambda k: {"kind": "GF", "p": 2, "k": k, "modulus": [1, 1]}, st.integers(max_value=0)
+    ),
+    st.builds(
+        lambda m: {"kind": "Zm", "m": m}, st.one_of(st.integers(max_value=1), st.integers(65))
+    ),
+    st.builds(
+        lambda pk, extra: {"kind": "GF", "p": pk[0], "k": pk[1] + extra, "modulus": [0, 1]},
+        st.sampled_from([(2, 7), (3, 4), (5, 3), (7, 3), (11, 2), (67, 1), (10**12 + 39, 1)]),
+        st.integers(0, 10**9),
+    ),
+    _reducible_modulus(),
+    _wrong_length(),
+    _extra_key(),
+)
+
+
+def _nested(depth):
+    return '{"kind":"Zm","m":' + "[" * depth + "]" * depth + "}"
+
+
+@st.composite
+def ring_specs(draw):
+    """(spec text, expected exit code, or None where either 0 or 2 may hold)."""
+    choice = draw(st.integers(0, 5))
+    if choice == 0:
+        return json.dumps(draw(st.sampled_from(VALID_RING_OBJS))), 0
+    if choice <= 2:
+        return json.dumps(draw(_MALFORMED_OBJS)), 2
+    if choice == 3:
+        text = json.dumps(draw(st.sampled_from(VALID_RING_OBJS)))
+        return text[: draw(st.integers(0, len(text) - 1))], 2
+    if choice == 4:
+        return _nested(draw(st.integers(1, 5000))), 2
+    return draw(st.text(_ALPHABET, max_size=20)), None  # may spell an alias such as F2 or Z7
+
+
+@settings(max_examples=300)
+@given(ring_specs())
+def test_malformed_ring_specs_are_input_errors(case):
+    spec, expected = case
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        # --ring=SPEC, so a spec starting with '-' is not read as an option
+        rc = main(["verify", "--kind", "level", f"--ring={spec}", "--poset", "antichain:1",
+                   "--code", '{"length":1,"generators":[[1]]}'])
+    assert rc == expected if expected is not None else rc in (0, 2)
+    if rc == 0:
+        assert (out.getvalue(), err.getvalue()) == ("level: EQUAL\n", "")
+    else:
+        lines = err.getvalue().splitlines()
+        assert out.getvalue() == ""
+        assert len(lines) == 1 and lines[0].startswith("input error: ")

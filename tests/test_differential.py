@@ -4,14 +4,24 @@ Instances range over ten rings (the six catalog rings plus GF(8), GF(9), Z8
 and Z9), level sizes, generators and spotty thresholds t, with q^n kept
 small enough for the full-scan oracle.  Fixed cases over rings of 16-64
 elements take the byte transform to character orders e = 16-64 and to
-several packed rows.
+several packed rows.  Ring construction is checked the same way: the
+generator-based axiom check against the triple loop on corrupted tables,
+and the recurrence-built GF tables against polynomial arithmetic.
 """
+
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cell_complete_transform, pattern_byte_transform, scan_dual_words
+from oracles import (
+    cell_complete_transform,
+    convolution_gf_tables,
+    exhaustive_ring_axioms,
+    pattern_byte_transform,
+    scan_dual_words,
+)
 from pwenum.codes import dual_code, span
 from pwenum.enumerators import byte_enumerator, mspotty_enumerator, weight_spectrum
 from pwenum.macwilliams import (
@@ -22,7 +32,13 @@ from pwenum.macwilliams import (
     verify_identity,
 )
 from pwenum.posets import LevelStructure
-from pwenum.rings import Character, default_character, make_ring, verify_generating_character
+from pwenum.rings import (
+    Character,
+    RingSpec,
+    default_character,
+    make_ring,
+    verify_generating_character,
+)
 
 RINGS = {
     "F2": make_ring("Zm", m=2),
@@ -163,3 +179,142 @@ def test_byte_transform_refuses_a_non_additive_exponent_map():
     code = span(z4, 2, [(1, 2)])
     with pytest.raises(ValueError, match="additivity"):
         byte_transform(code, LevelStructure((1, 1)), Character(z4, (0, 1, 3, 2)))
+
+
+AXIOM_RINGS = {
+    name: {**RINGS, **BIG_RINGS}[name]
+    for name in ("F2", "F4", "Z4", "F2u", "F2v", "GF8", "GF9")
+    + ("Z16", "Z27", "GF49", "Z64", "GF64")
+}
+
+
+def _rebuild(ring, add, mul):
+    """RingSpec over the given tables, or None where construction refuses them."""
+    try:
+        return RingSpec(ring.kind, ring.q, add, mul, ring.names, ring.params)
+    except ValueError:
+        return None
+
+
+@st.composite
+def corrupted_tables(draw):
+    """(ring, add, mul): a ring's tables with 1-3 entries overwritten.
+
+    Each edit picks a table, a cell (a, b) and a value; a symmetric edit
+    also writes (b, a), so the table stays commutative and the fault has to
+    be found by the associativity or distributivity checks.
+    """
+    ring = AXIOM_RINGS[draw(st.sampled_from(sorted(AXIOM_RINGS)))]
+    tables = [[list(row) for row in ring.add_table], [list(row) for row in ring.mul_table]]
+    element = st.integers(0, ring.q - 1)
+    for _ in range(draw(st.integers(1, 3))):
+        table = tables[draw(st.integers(0, 1))]
+        a, b, value = draw(element), draw(element), draw(element)
+        table[a][b] = value
+        if draw(st.booleans()):
+            table[b][a] = value
+    return ring, *tables
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_tables())
+def test_axiom_check_agrees_with_the_exhaustive_oracle(case):
+    ring, add, mul = case
+    assert (_rebuild(ring, add, mul) is not None) == exhaustive_ring_axioms(add, mul)
+
+
+def _bilinear_mul(q, basis_product):
+    """Multiplication on F2^k (index bits = coordinates) extended bilinearly."""
+    bits = q.bit_length() - 1
+    rows = []
+    for a in range(q):
+        row = []
+        for b in range(q):
+            acc = 0
+            for i in range(bits):
+                for j in range(bits):
+                    if a >> i & 1 and b >> j & 1:
+                        acc ^= basis_product[i][j]
+            row.append(acc)
+        rows.append(row)
+    return rows
+
+
+def _edited(table, *edits):
+    rows = [list(row) for row in table]
+    for a, b, value in edits:
+        rows[a][b] = value
+    return rows
+
+
+Z4 = RINGS["Z4"]
+Z16, GF64 = BIG_RINGS["Z16"], BIG_RINGS["GF64"]
+XOR8 = [[a ^ b for b in range(8)] for a in range(8)]
+
+
+@pytest.mark.parametrize(
+    "ring, add, mul, message",
+    [
+        # identities broken only at elements other than 0 and 1
+        (Z4, _edited(Z4.add_table, (0, 2, 3), (2, 0, 3)), Z4.mul_table, "index 0 is not"),
+        (Z4, Z4.add_table, _edited(Z4.mul_table, (1, 2, 3), (2, 1, 3)), "index 1 is not"),
+        (GF64, _edited(GF64.add_table, (37, 0, 5)), GF64.mul_table, "index 0 is not"),
+        (GF64, GF64.add_table, _edited(GF64.mul_table, (1, 37, 5)), "index 1 is not"),
+        # one asymmetric cell between elements other than 0 and 1
+        (Z4, Z4.add_table, _edited(Z4.mul_table, (2, 3, 0)), "not commutative"),
+        (Z16, _edited(Z16.add_table, (5, 9, 13)), Z16.mul_table, "not commutative"),
+        # a commutative magma with identity and inverses: (1+1)+2 = 2, 1+(1+2) = 1
+        (
+            make_ring("Zm", m=3),
+            [[0, 1, 2], [1, 0, 0], [2, 0, 0]],
+            make_ring("Zm", m=3).mul_table,
+            "addition is not associative",
+        ),
+        # F2^3 with basis 1, u, v, u^2 = v^2 = 0 and uv = 1: (uu)v = 0 but u(uv) = u;
+        # bilinear, so it distributes
+        (
+            RINGS["GF8"],
+            XOR8,
+            _bilinear_mul(8, [[1, 2, 4], [2, 0, 1], [4, 1, 0]]),
+            "multiplication is not associative",
+        ),
+        # the additive group of Z4 with the multiplicative monoid of GF(4):
+        # with a = index 2, a(1+1) = a·a = index 3, but a·1 + a·1 = 2 + 2 = 0 in Z4
+        (Z4, Z4.add_table, RINGS["F4"].mul_table, "multiplication does not distribute"),
+    ],
+)
+def test_each_axiom_message_is_reached(ring, add, mul, message):
+    assert not exhaustive_ring_axioms(add, mul)
+    with pytest.raises(ValueError, match=message):
+        RingSpec(ring.kind, len(add), add, mul, ring.names[: len(add)], ring.params)
+
+
+def test_axiom_check_on_every_commutative_unital_algebra_over_f2_cubed():
+    # bilinear products distribute, so only associativity can fail: 512 tables,
+    # among them F2[u,v]/(u^2, uv, v^2), GF(8) and non-associative ones
+    verdicts = set()
+    for uu, uv, vv in product(range(8), repeat=3):
+        mul = _bilinear_mul(8, [[1, 2, 4], [2, uu, uv], [4, uv, vv]])
+        expected = exhaustive_ring_axioms(XOR8, mul)
+        assert (_rebuild(RINGS["GF8"], XOR8, mul) is not None) == expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "p, k, modulus",
+    [
+        (2, 2, [1, 1, 1]),
+        (2, 3, [1, 1, 0, 1]),
+        (3, 2, [2, 0, 2]),  # 2x^2 + 2, scaled to x^2 + 1
+        (2, 4, [1, 1, 0, 0, 1]),
+        (5, 2, [1, 0, 3]),  # 3x^2 + 1, scaled to x^2 + 2
+        (3, 3, [1, 2, 0, 1]),
+        (2, 5, [1, 0, 1, 0, 0, 1]),
+        (7, 2, [1, 0, 1]),
+        (2, 6, [1, 1, 0, 0, 0, 0, 1]),
+    ],
+)
+def test_gf_tables_match_polynomial_arithmetic(p, k, modulus):
+    ring = make_ring("GF", p=p, k=k, modulus=modulus)
+    assert (ring.add_table, ring.mul_table) == convolution_gf_tables(p, k, modulus)
