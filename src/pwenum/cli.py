@@ -88,23 +88,27 @@ def parse_ring_spec(text: str) -> RingSpec:
 _POSET_SHORTHAND = re.compile(r"^(antichain|chain|leveled)[:]?([\d,]+)$")
 
 
-def parse_poset_spec(text: str) -> Poset:
+def parse_poset_spec(text: str, n: int | None = None, cap: int | None = None) -> Poset:
+    """Poset from a shorthand, inline JSON or a file; see poset_from_json_obj for n and cap."""
     text = text.strip()
     if text.startswith("{"):
-        return poset_from_json_obj(_parse_json(text))
-    if os.path.isfile(text):
+        obj = _parse_json(text)
+    elif os.path.isfile(text):
         with open(text) as fh:
-            return poset_from_json_obj(_parse_json(fh.read()))
-    m = _POSET_SHORTHAND.match(text)
-    if m:
+            obj = _parse_json(fh.read())
+    else:
+        m = _POSET_SHORTHAND.match(text)
+        if not m:
+            raise ValueError(f"cannot interpret poset spec {text!r}")
         kind, rest = m.groups()
         nums = [int(x) for x in rest.split(",") if x]
         if kind == "leveled":
-            return leveled(nums)
-        if len(nums) != 1:
+            obj = {"kind": kind, "levels": nums}
+        elif len(nums) != 1:
             raise ValueError(f"{kind} takes a single size, got {rest!r}")
-        return poset_from_json_obj({"kind": kind, "n": nums[0]})
-    raise ValueError(f"cannot interpret poset spec {text!r}")
+        else:
+            obj = {"kind": kind, "n": nums[0]}
+    return poset_from_json_obj(obj, n, cap)
 
 
 NAMED_CODES = {
@@ -138,6 +142,8 @@ def parse_code_spec(text: str, ring: RingSpec, cap: int | None = None) -> Linear
         raise ValueError(f"cannot interpret code spec {text!r}")
     if not isinstance(obj, dict) or "length" not in obj or "generators" not in obj:
         raise ValueError("code description needs 'length' and 'generators' fields")
+    if not isinstance(obj["generators"], list):
+        raise ValueError(f"code generators must be a list of words, got {obj['generators']!r}")
     return span(ring, obj["length"], obj["generators"], cap)
 
 
@@ -421,10 +427,10 @@ def _emit(args, text, json_obj) -> None:
         print(text())
 
 
-def _resolve_levels(args) -> LevelStructure:
+def _resolve_levels(args, n: int, cap: int) -> LevelStructure:
     if not args.poset:
         raise ValueError("this enumerator kind needs --poset")
-    return level_partition(parse_poset_spec(args.poset))
+    return level_partition(parse_poset_spec(args.poset, n, cap))
 
 
 def cmd_enum(args) -> int:
@@ -437,11 +443,11 @@ def cmd_enum(args) -> int:
             raise ValueError("the plain poset enumerator has no transform route")
         if not args.poset:
             raise ValueError("--kind poset needs --poset")
-        poset = parse_poset_spec(args.poset)
+        poset = parse_poset_spec(args.poset, code.n, cap)
         target = dual_code(code, cap) if args.dual else code
         poly = poset_weight_enumerator(target, poset)
     else:
-        levels = _resolve_levels(args)
+        levels = _resolve_levels(args, code.n, cap)
         t = parse_t_spec(args.t) if args.t else None
         if kind == "mspotty" and t is None:
             raise ValueError("--kind mspotty needs --t")
@@ -497,7 +503,7 @@ def cmd_verify(args) -> int:
     cap = _resolve_cap(args)
     ring = parse_ring_spec(args.ring)
     code = parse_code_spec(args.code, ring, cap)
-    levels = _resolve_levels(args)
+    levels = _resolve_levels(args, code.n, cap)
     t = parse_t_spec(args.t) if args.t else None
     if args.kind == "mspotty" and t is None:
         raise ValueError("--kind mspotty needs --t")

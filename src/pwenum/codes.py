@@ -29,16 +29,26 @@ def enumeration_cap() -> int:
 
 
 class LinearCode:
-    """A submodule of R^n with its generator list and full codeword set."""
+    """A submodule of R^n with its generator list and full codeword set.
 
-    __slots__ = ("ring", "n", "generators", "words", "word_set")
+    With generators=None the words must already form a submodule; a small
+    generating subset of them is then picked greedily when first read.
+    """
+
+    __slots__ = ("ring", "n", "_generators", "words", "word_set")
 
     def __init__(self, ring: RingSpec, n: int, generators, words):
         self.ring = ring
         self.n = n
-        self.generators = tuple(tuple(g) for g in generators)
+        self._generators = None if generators is None else tuple(tuple(g) for g in generators)
         self.words = tuple(tuple(w) for w in words)
         self.word_set = frozenset(self.words)
+
+    @property
+    def generators(self) -> tuple:
+        if self._generators is None:
+            self._generators = tuple(_greedy_generators(self.ring, self.words))
+        return self._generators
 
     @property
     def size(self) -> int:
@@ -67,7 +77,7 @@ def _check_word(ring, n, w):
     if len(w) != n:
         raise ValueError(f"word length {len(w)} does not match code length {n}")
     for x in w:
-        if not isinstance(x, int) or not 0 <= x < ring.q:
+        if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < ring.q:
             raise ValueError(f"entry {x!r} is not an element index of {ring!r}")
     return w
 
@@ -76,10 +86,15 @@ def span(ring: RingSpec, n: int, generators, cap: int | None = None) -> LinearCo
     """All R-linear combinations of the generators.
 
     The span has at most min(q^k, q^n) words for k generators, and that
-    bound, not q^k alone, is held against the cap.
+    bound, not q^k alone, is held against the cap.  So is the length n, the
+    entries of one word.
     """
     if cap is None:
         cap = enumeration_cap()
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ValueError(f"code length must be a non-negative integer, got {n!r}")
+    if n > cap:
+        raise CapExceededError(f"code length {n} exceeds cap {cap}")
     gens = [_check_word(ring, n, g) for g in generators]
     if ring.q ** min(len(gens), n) > cap:
         raise CapExceededError(
@@ -157,8 +172,10 @@ def dual_code(code: LinearCode, cap: int | None = None) -> LinearCode:
     in the dual iff the syndrome of b against the generators is minus that
     of a.  The right halves are bucketed by syndrome and each left half is
     joined with its bucket, left half outermost, so the words come out in
-    the lexicographic order of a full scan.  The result stores a
-    greedily-reduced generator list so that dualizing twice stays cheap.
+    the lexicographic order of a full scan.  The result picks a small
+    generator list greedily when its generators are first read, so that
+    dualizing twice stays cheap and a caller that never reads them never
+    pays for them.
     """
     check_ambient_cap(code.ring, code.n, cap)
     ring, n = code.ring, code.n
@@ -173,7 +190,7 @@ def dual_code(code: LinearCode, cap: int | None = None) -> LinearCode:
     for v, s in _half_syndromes(ring, columns[:half], k):
         for w in buckets.get(tuple(neg[x] for x in s), ()):
             dual_words.append(v + w)
-    return LinearCode(ring, n, _greedy_generators(ring, dual_words), dual_words)
+    return LinearCode(ring, n, None, dual_words)
 
 
 def level_split(v, levels: LevelStructure):

@@ -113,6 +113,17 @@ class EnumeratorPoly:
         self.terms = canon
 
     @classmethod
+    def from_canonical(cls, terms: dict) -> EnumeratorPoly:
+        """Wrap terms whose monomials are already canonical and coefficients nonzero.
+
+        The kernels build their monomials sorted, with positive exponents and
+        no repeated variable, so re-canonicalising them would only repeat work.
+        """
+        poly = cls.__new__(cls)
+        poly.terms = terms
+        return poly
+
+    @classmethod
     def constant(cls, c: int) -> EnumeratorPoly:
         return cls({(): c})
 
@@ -249,7 +260,7 @@ def byte_enumerator(code: LinearCode, levels: LevelStructure) -> EnumeratorPoly:
             for i, part in enumerate(level_split(u, levels), start=1)
         )
         terms[mono] = terms.get(mono, 0) + 1
-    return EnumeratorPoly(terms)
+    return EnumeratorPoly.from_canonical(terms)
 
 
 def weight_spectrum(code: LinearCode, levels: LevelStructure) -> dict[tuple, int]:
@@ -268,7 +279,7 @@ def complete_level_enumerator(code: LinearCode, levels: LevelStructure) -> Enume
     for l, count in weight_spectrum(code, levels).items():
         mono = tuple((weight_var(i, w), 1) for i, w in enumerate(l, start=1))
         terms[mono] = count
-    return EnumeratorPoly(terms)
+    return EnumeratorPoly.from_canonical(terms)
 
 
 def level_enumerator(code: LinearCode, levels: LevelStructure) -> EnumeratorPoly:
@@ -277,7 +288,7 @@ def level_enumerator(code: LinearCode, levels: LevelStructure) -> EnumeratorPoly
     for l, count in weight_spectrum(code, levels).items():
         mono = tuple((plain_var(i), w) for i, w in enumerate(l, start=1) if w)
         terms[mono] = terms.get(mono, 0) + count
-    return EnumeratorPoly(terms)
+    return EnumeratorPoly.from_canonical(terms)
 
 
 def _check_levels(code, levels):
@@ -330,7 +341,7 @@ def mspotty_enumerator(code: LinearCode, levels: LevelStructure, t) -> Enumerato
             if w
         )
         terms[mono] = terms.get(mono, 0) + count
-    return EnumeratorPoly(terms)
+    return EnumeratorPoly.from_canonical(terms)
 
 
 SUBSTITUTION_RULES = ("byte->complete", "complete->level", "complete->mspotty")

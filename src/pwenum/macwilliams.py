@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress, count, product
+from itertools import chain, compress, count, product
 from math import comb
 from operator import itemgetter, lshift
 from struct import iter_unpack
@@ -113,23 +113,28 @@ def _as_cyc(e, val):
     return CycInt(e, (int(val),))
 
 
-# Bits in one packed row of the byte transform; see _packing.
+# Bits in one packed row of the in-row layout; see _layout.
 ROW_BITS = 2**16
 
 
-def _packing(q: int, e: int, code_size: int, n: int) -> tuple[int, int]:
-    """Field width in bytes, and how many trailing coordinates one row packs.
+def _layout(q: int, e: int, code_size: int, n: int) -> tuple[int, int, bool]:
+    """Field width in bytes, in-row coordinates m, and whether to transpose.
 
     A field holds one count of the group-ring value, so it must hold |C|.
-    A pattern takes 2e fields, and a row packs the last m coordinates: the
-    largest m <= n with q^m * 2e * field bits <= ROW_BITS.
+    A pattern takes 2e fields, and the in-row layout packs the last m
+    coordinates into each row: the largest m <= n with
+    q^m * 2e * field bits <= ROW_BITS.  A step inside a row costs about q
+    times a step between rows.  The transposed layout has no in-row steps,
+    but its narrowest rows are q^(m - floor(n/2)) times narrower, so it pays
+    more interpreter overhead per pattern: it is taken when that factor is
+    at most q.
     """
     field = -(-code_size.bit_length() // 8)
     slot_bits = 2 * e * 8 * field
     m = 0
     while m < n and q ** (m + 1) * slot_bits <= ROW_BITS:
         m += 1
-    return field, m
+    return field, m, n >= 2 and m <= n // 2 + 1
 
 
 def _twisted_sums(values: list, shifts: list) -> list:
@@ -141,22 +146,83 @@ def _twisted_sums(values: list, shifts: list) -> list:
     return [sum(map(lshift, values, sh)) for sh in shifts]
 
 
-def _yates_tallies(code: LinearCode, chi: Character) -> tuple[int, bytearray]:
+def _step_rows(rows: list, q: int, shifts: list, low: int, half: int) -> None:
+    """Apply chi(ab) in place along each of the k coordinates indexing q^k rows.
+
+    Each group of q rows one stride apart is combined whole; low masks the
+    lower half of every pattern in a row, for the fold of x^(e+j) onto x^j.
+    """
+    stride = len(rows)
+    while stride > 1:
+        stride //= q
+        for base in range(0, len(rows), q * stride):
+            for first in range(base, base + stride):
+                group = rows[first : first + q * stride : stride]
+                rows[first : first + q * stride : stride] = [
+                    (acc & low) + ((acc >> half) & low) for acc in _twisted_sums(group, shifts)
+                ]
+
+
+def _serialize(rows: list, row_bytes: int) -> bytearray:
+    """The rows' bytes end to end; each row is zeroed once copied, so one copy is held."""
+    data = bytearray()
+    for i, row in enumerate(rows):
+        data += row.to_bytes(row_bytes, "little")
+        rows[i] = 0
+    return data
+
+
+def _transpose(rows: list, row_bytes: int, slot_bytes: int) -> list:
+    """The slot matrix transposed, as new rows: slot c of row r becomes slot r of row c.
+
+    Each new row is gathered by C-level strided copies: one per byte of a
+    slot when a slot has no more bytes than there are rows, else one per slot.
+    """
+    nrows = len(rows)
+    data = _serialize(rows, row_bytes)
+    col = bytearray(nrows * slot_bytes)
+    out = []
+    for c in range(0, row_bytes, slot_bytes):
+        if slot_bytes <= nrows:
+            for k in range(slot_bytes):
+                col[k::slot_bytes] = data[c + k :: row_bytes]
+        else:
+            for r in range(nrows):
+                at = r * row_bytes + c
+                col[r * slot_bytes : (r + 1) * slot_bytes] = data[at : at + slot_bytes]
+        out.append(int.from_bytes(col, "little"))
+    return out
+
+
+def _yates_tallies(code: LinearCode, chi: Character) -> tuple[int, bytearray, int]:
     """Tally of the exponents of chi(<b, u>) over u in C, for every b in R^n.
 
-    Returns the field width in bytes and the tallies of all patterns b in
-    lexicographic order, each as e count fields followed by e zero fields.
+    Returns the field width in bytes, the tallies and a period P.  Each
+    tally is e count fields followed by e zero fields; the tally of the
+    pattern with lexicographic index r * q^n / P + c sits at position
+    c * P + r, so P = 1 is lexicographic order.
+
+    The leading coordinates index a list of rows and the others the
+    patterns inside each row int.  In the in-row layout (see _layout) rows
+    pack the last m coordinates, and those are stepped inside each row by
+    digit slabs, cut out by one mask.  In the transposed layout rows pack
+    the last floor(n/2) coordinates: the first ceil(n/2) are stepped between
+    rows, the slot matrix is transposed, and the rest are stepped between
+    the new rows; P is then q^ceil(n/2).
     """
     ring = code.ring
     q, e, n = ring.q, ring.exponent, code.n
-    field, m = _packing(q, e, code.size, n)
+    field, m, transposed = _layout(q, e, code.size, n)
+    lead = n - n // 2 if transposed else n - m  # coordinates indexing the first rows
     half = 8 * field * e
     slot = 2 * half
-    width, nrows = q**m, q ** (n - m)
+    width, nrows = q ** (n - lead), q**lead
     row_bytes = width * slot // 8
     mul = ring.mul_table
     shifts = [[chi.exponents[mul[b][a]] * 8 * field for a in range(q)] for b in range(q)]
-    low = int.from_bytes((b"\xff" * (half // 8) + bytes(half // 8)) * width, "little")
+
+    def low(slots):  # the lower half of each of that many slots
+        return int.from_bytes((b"\xff" * (half // 8) + bytes(half // 8)) * slots, "little")
 
     marks: dict[int, bytearray] = {}  # the indicator of C, by row
     for u in code.words:
@@ -168,14 +234,14 @@ def _yates_tallies(code: LinearCode, chi: Character) -> tuple[int, bytearray]:
             marks[r] = bytearray(row_bytes)
         marks[r][k * slot // 8] = 1
     rows = [int.from_bytes(marks.pop(r), "little") if r in marks else 0 for r in range(nrows)]
+    mask = low(width)
+    _step_rows(rows, q, shifts, mask, half)
 
-    for j in range(n - m):  # coordinates between rows, each group of q rows in place
-        stride = q ** (n - m - 1 - j)
-        for base in range(0, nrows, q * stride):
-            for first in range(base, base + stride):
-                group = rows[first : first + q * stride : stride]
-                for b, acc in enumerate(_twisted_sums(group, shifts)):
-                    rows[first + b * stride] = (acc & low) + ((acc >> half) & low)
+    if transposed:
+        rows = _transpose(rows, row_bytes, slot // 8)
+        row_bytes = nrows * slot // 8
+        _step_rows(rows, q, shifts, low(nrows), half)
+        return field, _serialize(rows, row_bytes), nrows
 
     for j in range(m):  # coordinates inside a row
         step = q ** (m - 1 - j) * slot
@@ -188,13 +254,8 @@ def _yates_tallies(code: LinearCode, chi: Character) -> tuple[int, bytearray]:
                 acc = sum(
                     part << (b * step) for b, part in enumerate(_twisted_sums(slabs, shifts))
                 )
-                rows[i] = (acc & low) + ((acc >> half) & low)
-
-    tallies = bytearray()
-    for i, row in enumerate(rows):
-        tallies += row.to_bytes(row_bytes, "little")
-        rows[i] = 0  # hold one copy of the tallies at a time
-    return field, tallies
+                rows[i] = (acc & mask) + ((acc >> half) & mask)
+    return field, _serialize(rows, row_bytes), 1
 
 
 def byte_transform(
@@ -212,10 +273,13 @@ def byte_transform(
 
     A value is packed into a Python int as 2e byte-aligned count fields, so
     multiplying by x^r is a left shift by r fields; after each coordinate
-    one mask-and-add folds field e+j back onto field j.  The last m
-    coordinates (see _packing) index the patterns inside one row int and the
-    others index a list of rows: a coordinate between rows combines whole
-    rows, one inside a row combines its digit slabs, cut out by one mask.
+    one mask-and-add folds field e+j back onto field j.  Row ints pack the
+    patterns of the trailing coordinates and a list of rows is indexed by
+    the leading ones; a coordinate between rows combines whole rows.  Of the
+    two layouts (see _layout and _yates_tallies), the in-row one steps the
+    trailing coordinates inside each row; the transposed one steps half the
+    coordinates, transposes the slot matrix once and steps the other half,
+    all between rows, and its tallies are read back in transposed order.
 
     Each distinct tally is reduced modulo the e-th cyclotomic polynomial once;
     it must be a rational integer that divides exactly by |C| and is not
@@ -231,7 +295,7 @@ def byte_transform(
     else:
         check_additive(ring, chi)  # Yates' factoring needs chi(a + b) = chi(a) chi(b)
     q, e = ring.q, ring.exponent
-    field, tallies = _yates_tallies(code, chi)
+    field, tallies, period = _yates_tallies(code, chi)
 
     tables, divisors = [], []
     after = code.n
@@ -245,15 +309,16 @@ def byte_transform(
     def each_tally():
         return map(itemgetter(0), iter_unpack(f"{e * field}s{e * field}x", tallies))
 
-    coeffs = dict.fromkeys(each_tally())  # the distinct tallies, in pattern order
+    coeffs = dict.fromkeys(each_tally())  # the distinct tallies
     for tally in coeffs:
         coeffs[tally] = _byte_coefficient(tally, e, field, code.size)
     values = list(map(coeffs.__getitem__, each_tally()))
+    values = list(chain.from_iterable(values[r::period] for r in range(period)))  # lexicographic
     terms: dict[tuple, int] = {}
     for index in compress(count(), values):
         mono = tuple(table[index // div % mod] for table, (div, mod) in zip(tables, divisors))
         terms[mono] = values[index]
-    return EnumeratorPoly(terms)
+    return EnumeratorPoly.from_canonical(terms)
 
 
 def _byte_coefficient(tally: bytes, e: int, field: int, code_size: int) -> int:
@@ -339,7 +404,7 @@ def complete_transform(
         if coeff < 0:
             raise IntegrityError(f"negative enumerator coefficient {coeff}")
         terms[tuple((weight_var(j, pj), 1) for j, pj in enumerate(p, start=1))] = coeff
-    return EnumeratorPoly(terms)
+    return EnumeratorPoly.from_canonical(terms)
 
 
 def level_transform(

@@ -13,15 +13,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import CapExceededError
+
+
+def _hold(total: int, cap: int | None) -> None:
+    """Refuse a poset whose down-sets hold at least total > cap entries."""
+    if cap is not None and total > cap:
+        raise CapExceededError(f"poset down-sets hold at least {total} entries, over the cap {cap}")
+
 
 class Poset:
-    """Partial order over positions 1..n given by cover pairs (lower, upper)."""
+    """Partial order over positions 1..n given by cover pairs (lower, upper).
+
+    With a cap, construction stops with CapExceededError as soon as the
+    down-sets built so far hold more than cap entries in total.
+    """
 
     __slots__ = ("n", "covers", "down")
 
-    def __init__(self, n: int, covers=()):
+    def __init__(self, n: int, covers=(), cap: int | None = None):
         if n < 1:
             raise ValueError(f"poset size must be positive, got {n}")
+        _hold(n, cap)  # each position's down-set holds at least itself
         covers = tuple((int(a), int(b)) for a, b in covers)
         for a, b in covers:
             if not (1 <= a <= n and 1 <= b <= n):
@@ -32,6 +45,7 @@ class Poset:
         for a, b in covers:
             below[b].add(a)
         down: dict[int, frozenset[int]] = {}
+        total = 0
         state = dict.fromkeys(range(1, n + 1), 0)  # 0 new, 1 active, 2 done
         for root in range(1, n + 1):
             if state[root]:
@@ -54,6 +68,8 @@ class Poset:
                     for child in below[node]:
                         acc |= down[child]
                     down[node] = frozenset(acc)
+                    total += len(acc)
+                    _hold(total, cap)
                     state[node] = 2
                     stack.pop()
         self.n = n
@@ -119,20 +135,54 @@ def from_covers(n: int, pairs) -> Poset:
     return Poset(n, pairs)
 
 
-def poset_from_json_obj(obj: dict) -> Poset:
-    """Build from a JSON description such as {"kind": "chain", "n": 3}."""
+def _positive(value, what: str) -> int:
+    """A positive int from decoded JSON; bools, floats and text are refused by name."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+    return value
+
+
+def poset_from_json_obj(obj: dict, n: int | None = None, cap: int | None = None) -> Poset:
+    """Build from a JSON description such as {"kind": "chain", "n": 3}.
+
+    The declared size is checked against n, when given, before anything is
+    built, and the total down-set size against cap: by its closed form for
+    the antichain, chain and leveled kinds, and as the down-sets are built
+    for the cover kind.
+    """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("poset description must be an object with a 'kind' field")
     kind = obj["kind"]
-    if kind == "antichain":
-        return antichain(obj["n"])
-    if kind == "chain":
-        return chain(obj["n"])
     if kind == "leveled":
-        return leveled(obj["levels"])
-    if kind == "cover":
-        return from_covers(obj["n"], obj["covers"])
-    raise ValueError(f"unknown poset kind {kind!r}")
+        sizes = obj.get("levels")
+        if not isinstance(sizes, list) or not sizes:
+            raise ValueError(f"leveled poset needs a non-empty list of level sizes, got {sizes!r}")
+        sizes = [_positive(s, "a level size") for s in sizes]
+        size = sum(sizes)
+    elif kind in ("antichain", "chain", "cover"):
+        size = _positive(obj.get("n"), f"the size n of a {kind} poset")
+    else:
+        raise ValueError(f"unknown poset kind {kind!r}")
+    if n is not None and size != n:
+        raise ValueError(f"poset size {size} does not match code length {n}")
+    if kind == "antichain":
+        return Poset(size, cap=cap)
+    if kind == "chain":
+        _hold(size * (size + 1) // 2, cap)
+        return chain(size)
+    if kind == "leveled":
+        total = below = 0
+        for s in sizes:  # a position's down-set: itself and every lower level
+            total += s * (below + 1)
+            below += s
+        _hold(total, cap)
+        return leveled(sizes)
+    covers = obj.get("covers")
+    if not isinstance(covers, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 for pair in covers
+    ):
+        raise ValueError("poset covers must be a list of [lower, upper] pairs")
+    return Poset(size, [[_positive(x, "a cover position") for x in pair] for pair in covers], cap)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import resource
 import string
 import subprocess
 import sys
@@ -211,12 +212,12 @@ def test_fuzz_command_deterministic(capsys):
     assert payload["count"] == 5 and not payload["failures"]
 
 
-def _run_cli(*argv):
+def _run_cli(*argv, preexec_fn=None):
     src = Path(pwenum.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     return subprocess.run(
         [sys.executable, "-m", "pwenum.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=preexec_fn,
     )
 
 
@@ -441,3 +442,148 @@ def test_malformed_ring_specs_are_input_errors(case):
         lines = err.getvalue().splitlines()
         assert out.getvalue() == ""
         assert len(lines) == 1 and lines[0].startswith("input error: ")
+
+
+# --code, --poset and --t: one of the three is malformed, the other two are valid
+_VALID = {"--code": '{"length":3,"generators":[[1,0,1]]}', "--poset": "leveled:2,1", "--t": "1,1"}
+_JSON_JUNK = st.one_of(
+    _JUNK,
+    st.integers(-3, 0),
+    st.dictionaries(st.text(_ALPHABET, max_size=3), _JUNK_SCALAR, max_size=2),
+)
+_BAD_ENTRY = st.one_of(_JUNK, st.integers(max_value=-1), st.integers(min_value=2))
+
+
+def _truncated(text):
+    return st.integers(0, len(text) - 1).map(lambda k: text[:k])
+
+
+@st.composite
+def _bad_code(draw):
+    gens = [[1, 0, 1]]
+    choice = draw(st.integers(0, 6))
+    if choice == 0:
+        obj = {"length": draw(st.one_of(_JSON_JUNK, st.just(3.0))), "generators": gens}
+    elif choice == 1:
+        obj = {"length": 3, "generators": draw(st.one_of(_JUNK_SCALAR, st.integers(), st.just({})))}
+    elif choice == 2:
+        word = [1, 0, 1]
+        word[draw(st.integers(0, 2))] = draw(_BAD_ENTRY)
+        obj = {"length": 3, "generators": [word]}
+    elif choice == 3:
+        word = draw(st.lists(st.integers(0, 1), max_size=6).filter(lambda w: len(w) != 3))
+        obj = {"length": 3, "generators": [word]}
+    elif choice == 4:
+        obj = draw(st.sampled_from([{"length": 3}, {"generators": gens}, {}]))
+    elif choice == 5:  # a valid code whose length the poset does not match
+        obj = {"length": draw(st.integers(0, 40).filter(lambda n: n != 3)), "generators": []}
+    else:
+        return draw(_truncated(_VALID["--code"]))
+    return json.dumps(obj)
+
+
+@st.composite
+def _bad_poset(draw):
+    choice = draw(st.integers(0, 6))
+    if choice == 0:  # shorthand of the wrong size
+        kind = draw(st.sampled_from(["chain", "antichain"]))
+        return f"{kind}:{draw(st.integers(0, 60).filter(lambda n: n != 3))}"
+    if choice == 1:
+        sizes = draw(st.lists(st.integers(0, 20), min_size=1, max_size=4))
+        if sum(sizes) == 3 and 0 not in sizes:
+            sizes.append(0)
+        return "leveled:" + ",".join(map(str, sizes))
+    if choice == 2:
+        obj = {"kind": draw(st.one_of(st.text(_ALPHABET, max_size=8), _JUNK)), "n": 3}
+        if obj["kind"] in ("chain", "antichain", "cover"):
+            obj["n"] = 0
+    elif choice == 3:
+        kind = draw(st.sampled_from(["chain", "antichain", "cover"]))
+        obj = {"kind": kind, "n": draw(_JSON_JUNK), "covers": []}
+    elif choice == 4:
+        levels = [2, 1]
+        levels[draw(st.integers(0, 1))] = draw(_JSON_JUNK)
+        obj = {"kind": "leveled", "levels": draw(st.sampled_from([levels, [], "2,1", None]))}
+    elif choice == 5:  # not a list of integer pairs, a cycle, or not hierarchical
+        covers = draw(st.one_of(
+            _JSON_JUNK,
+            st.lists(
+                st.lists(st.one_of(st.integers(1, 3), _JUNK_SCALAR), max_size=3),
+                min_size=1,
+                max_size=3,
+            ).filter(lambda c: not all(len(p) == 2 and all(type(x) is int for x in p) for p in c)),
+            st.sampled_from([[[1, 2], [2, 1]], [[1, 1]], [[1, 4]], [[0, 1]], [[1, 2]], [[2, 3]]]),
+        ))
+        obj = {"kind": "cover", "n": 3, "covers": covers}
+    else:
+        return draw(_truncated('{"kind":"leveled","levels":[2,1]}'))
+    return json.dumps(obj)
+
+
+# free text, which may spell a valid t, is drawn by malformed_specs
+_BAD_T = st.one_of(
+    st.lists(st.integers(1, 2), max_size=4)
+    .filter(lambda t: len(t) != 2)
+    .map(lambda t: ",".join(map(str, t))),
+    st.tuples(st.integers(-3, 10**30), st.integers(-3, 10**30))
+    .filter(lambda t: not (1 <= t[0] <= 2 and t[1] == 1))
+    .map(lambda t: f"{t[0]},{t[1]}"),
+)
+
+
+@st.composite
+def malformed_specs(draw):
+    """(flag, spec, expected exit code, or None where either 0 or 2 may hold)."""
+    flag = draw(st.sampled_from(sorted(_VALID)))
+    if draw(st.integers(0, 5)) == 0:
+        return flag, draw(st.text(_ALPHABET, max_size=20)), None  # may spell a valid spec
+    strategy = {"--code": _bad_code(), "--poset": _bad_poset(), "--t": _BAD_T}[flag]
+    return flag, draw(strategy), 2
+
+
+@settings(max_examples=300)
+@given(malformed_specs())
+def test_malformed_code_poset_and_t_specs_are_input_errors(case):
+    flag, spec, expected = case
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["verify", "--kind", "mspotty", "--ring", "F2"]
+    for name, value in {**_VALID, flag: spec}.items():
+        argv.append(f"{name}={value}")
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    assert rc == expected if expected is not None else rc in (0, 2)
+    if rc == 0:
+        assert (out.getvalue(), err.getvalue()) == ("mspotty: EQUAL\n", "")
+    else:
+        lines = err.getvalue().splitlines()
+        assert out.getvalue() == ""
+        assert len(lines) == 1 and lines[0].startswith("input error: ")
+
+
+def _limit_memory():  # 1 GiB of address space, so a poset built in full fails fast
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def _zero_code(n):
+    return json.dumps({"length": n, "generators": []})
+
+
+@pytest.mark.parametrize(
+    "poset, code, rc, message",
+    [
+        ("leveled:99999999", "c1", 2, "poset size 99999999 does not match code length 3"),
+        ('{"kind":"chain","n":100000000}', "c1", 2, "does not match code length 3"),
+        ("chain:20000", _zero_code(20000), 3, "poset down-sets hold at least 200010000 entries"),
+        ("leveled:10000,10000", _zero_code(20000), 3, "down-sets hold at least 100020000 entries"),
+        ("covers.json", _zero_code(20000), 3, "over the cap 1000000"),
+    ],
+)
+def test_oversized_posets_are_refused_before_they_are_built(tmp_path, poset, code, rc, message):
+    if poset == "covers.json":  # a chain given by its covers, too long for one argument
+        covers = [[i, i + 1] for i in range(1, 20000)]
+        (tmp_path / poset).write_text(json.dumps({"kind": "cover", "n": 20000, "covers": covers}))
+        poset = str(tmp_path / poset)
+    done = _run_cli("verify", "--kind", "complete", "--ring", "F2", "--poset", poset,
+                    "--code", code, "--cap", "1000000", preexec_fn=_limit_memory)
+    assert done.returncode == rc, done.stderr[-2000:]
+    assert done.stdout == "" and message in done.stderr and len(done.stderr.splitlines()) == 1

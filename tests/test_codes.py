@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from pwenum import codes
 from pwenum.codes import dual_code, inner_product, level_split, span
 from pwenum.errors import CapExceededError
 from pwenum.posets import LevelStructure
@@ -42,6 +43,12 @@ def test_span_validation():
         span(Z4, 2, [(1, 0)] * 20, cap=15)
     # q^k = 4^20 generators' worth, but a span of length 2 has at most 4^2 words
     assert span(Z4, 2, [(1, 0)] * 20, cap=16).size == 4
+    # a word of length n holds n entries, so the length is held against the cap too
+    with pytest.raises(CapExceededError, match="code length 1000000 exceeds cap 100000"):
+        span(F2, 10**6, [], cap=10**5)
+    assert span(F2, 4, [], cap=4).size == 1
+    with pytest.raises(CapExceededError):
+        span(F2, 5, [], cap=4)
 
 
 def test_inner_product():
@@ -73,6 +80,33 @@ def test_dual_examples():
     assert words(dual_code(code)) == {"0000", "1011", "0101", "1110"}
     zero = span(F2, 2, [])
     assert dual_code(zero).size == 4
+
+
+def test_dual_generators_are_picked_when_first_read(monkeypatch):
+    calls = []
+    greedy = codes._greedy_generators
+
+    def counted(ring, words):
+        calls.append(len(words))
+        return greedy(ring, words)
+
+    monkeypatch.setattr(codes, "_greedy_generators", counted)
+    code = span(F2, 4, [(1, 0, 1, 0), (0, 1, 1, 1)])
+    dual = dual_code(code)
+    assert dual.size == 4 and calls == []
+    assert dual.generators == ((0, 1, 0, 1), (1, 0, 1, 1))
+    assert dual.generators == ((0, 1, 0, 1), (1, 0, 1, 1))
+    assert calls == [4]
+    assert dual_code(dual) == code
+
+
+def test_span_rejects_malformed_lengths_and_entries():
+    for n in ("3", 3.0, True, None, -1):
+        with pytest.raises(ValueError, match="code length must be a non-negative integer"):
+            span(F2, n, [])
+    for entry in (True, False, 1.0, "1", None, -1, 2):
+        with pytest.raises(ValueError, match="is not an element index"):
+            span(F2, 3, [(1, entry, 0)])
 
 
 def test_dual_cap():

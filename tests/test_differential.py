@@ -23,9 +23,16 @@ from oracles import (
     scan_dual_words,
 )
 from pwenum.codes import dual_code, span
-from pwenum.enumerators import byte_enumerator, mspotty_enumerator, weight_spectrum
+from pwenum.enumerators import (
+    EnumeratorPoly,
+    byte_enumerator,
+    complete_level_enumerator,
+    level_enumerator,
+    mspotty_enumerator,
+    weight_spectrum,
+)
 from pwenum.macwilliams import (
-    _packing,
+    _layout,
     byte_transform,
     complete_transform,
     mspotty_transform,
@@ -121,6 +128,24 @@ def test_byte_transform_matches_pattern_oracle(instance):
     assert _as_patterns(poly) == pattern_byte_transform(primal, default_character(ring))
 
 
+@SETTINGS
+@given(instances())
+def test_kernel_output_is_already_canonical(instance):
+    # the kernels skip EnumeratorPoly's canonicalisation, so it must change nothing
+    ring, levels, code, t = instance
+    dual = dual_code(code)
+    spectrum = weight_spectrum(code, levels)
+    for poly in (
+        byte_transform(code, levels),
+        complete_transform(spectrum, levels, ring.q, code.size),
+        byte_enumerator(dual, levels),
+        complete_level_enumerator(dual, levels),
+        level_enumerator(dual, levels),
+        mspotty_enumerator(dual, levels, t),
+    ):
+        assert EnumeratorPoly(poly.terms).terms == poly.terms
+
+
 BIG_RINGS = {
     "Z16": make_ring("Zm", m=16),
     "Z27": make_ring("Zm", m=27),
@@ -132,24 +157,30 @@ BIG_RINGS = {
 
 
 @pytest.mark.parametrize(
-    "name, sizes, generators",
+    "name, sizes, generators, m, transposed",
     [
-        ("Z16", (2, 1), [(1, 3, 5)]),
-        ("Z16", (1, 1, 1), [(1, 0, 7), (0, 2, 6)]),
-        ("Z27", (1, 1), [(3, 9)]),
-        ("Z32", (1, 1), [(1, 5), (0, 8)]),
-        ("Z64", (1, 1), [(1, 17)]),
-        ("Z64", (1, 1), [(1, 0), (0, 16)]),  # |C| = 256: two-byte fields, one pattern per row
-        ("GF49", (1, 1), [(1, 10)]),
-        ("GF64", (2,), [(1, 33)]),
+        ("Z16", (2, 1), [(1, 3, 5)], 2, True),
+        ("Z16", (1, 1, 1), [(1, 0, 7), (0, 2, 6)], 2, True),  # odd n, m = floor(n/2) + 1
+        ("Z27", (1, 1), [(3, 9)], 1, True),
+        ("Z32", (1, 1), [(1, 5), (0, 8)], 1, True),
+        ("Z64", (1, 1), [(1, 17)], 1, True),
+        ("Z64", (1, 1), [(1, 0), (0, 16)], 0, True),  # |C| = 256: two-byte fields
+        ("GF49", (1, 1), [(1, 10)], 1, True),
+        ("GF64", (2,), [(1, 33)], 1, True),
+        ("GF9", (2, 2), [(1, 2, 0, 4), (0, 3, 1, 1)], 3, True),  # m = floor(n/2) + 1
+        ("Z8", (1, 1, 1, 1, 1), [(1, 2, 3, 4, 5), (0, 4, 0, 2, 6)], 3, True),  # odd n
+        ("Z8", (1, 1, 1), [(1, 3, 6)], 3, False),  # m = floor(n/2) + 2, one row
+        ("Z4", (2, 2, 2), [(1, 0, 2, 3, 1, 1), (0, 1, 1, 0, 2, 3)], 5, False),  # m = floor(n/2) + 2
+        ("Z64", (1,), [(2,)], 1, False),  # n = 1
     ],
 )
-def test_byte_transform_matches_pattern_oracle_on_big_rings(name, sizes, generators):
-    ring = BIG_RINGS[name]
+def test_byte_transform_matches_pattern_oracle_on_big_rings(
+    name, sizes, generators, m, transposed
+):
+    ring = {**RINGS, **BIG_RINGS}[name]
     levels = LevelStructure(sizes)
     code = span(ring, levels.n, generators)
-    _, m = _packing(ring.q, ring.exponent, code.size, code.n)
-    assert m < code.n  # the patterns span several packed rows
+    assert _layout(ring.q, ring.exponent, code.size, code.n)[1:] == (m, transposed)
     poly = byte_transform(code, levels)
     assert _as_patterns(poly) == pattern_byte_transform(code, default_character(ring))
     assert poly == byte_enumerator(dual_code(code), levels)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from pwenum.errors import CapExceededError
 from pwenum.posets import (
     LevelStructure,
     Poset,
@@ -153,3 +154,55 @@ def test_poset_from_json_obj():
     assert cover == leveled((2, 1, 3))
     with pytest.raises(ValueError):
         poset_from_json_obj({"kind": "spiral", "n": 3})
+
+
+def test_poset_from_json_obj_checks_the_size_before_building():
+    # built, a chain of 10^12 positions would never finish
+    for obj in (
+        {"kind": "chain", "n": 10**12},
+        {"kind": "antichain", "n": 10**12},
+        {"kind": "cover", "n": 10**12, "covers": []},
+        {"kind": "leveled", "levels": [10**12, 1]},
+    ):
+        with pytest.raises(ValueError, match="poset size .* does not match code length 3"):
+            poset_from_json_obj(obj, n=3)
+    assert poset_from_json_obj({"kind": "chain", "n": 3}, n=3) == chain(3)
+
+
+@pytest.mark.parametrize(
+    "obj, entries",
+    [
+        ({"kind": "antichain", "n": 4}, 4),
+        ({"kind": "chain", "n": 4}, 10),
+        ({"kind": "leveled", "levels": [2, 1, 3]}, 2 + 3 + 3 * 4),
+        ({"kind": "cover", "n": 4, "covers": [[1, 2], [2, 3], [3, 4]]}, 10),
+    ],
+)
+def test_poset_down_sets_are_held_against_the_cap(obj, entries):
+    poset = poset_from_json_obj(obj, cap=entries)
+    assert sum(len(d) for d in poset.down.values()) == entries
+    with pytest.raises(CapExceededError, match=f"over the cap {entries - 1}"):
+        poset_from_json_obj(obj, cap=entries - 1)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"kind": "chain", "n": True},
+        {"kind": "chain", "n": "3"},
+        {"kind": "antichain", "n": 3.0},
+        {"kind": "cover", "n": 0, "covers": []},
+        {"kind": "leveled", "levels": [2, float("inf")]},
+        {"kind": "leveled", "levels": [1.5, 1.5]},
+        {"kind": "leveled", "levels": []},
+        {"kind": "leveled"},
+        {"kind": "cover", "n": 3, "covers": [[1, 2.0]]},
+        {"kind": "cover", "n": 3, "covers": [[True, 2]]},
+        {"kind": "cover", "n": 3, "covers": [[1, 2, 3]]},
+        {"kind": "cover", "n": 3, "covers": {"1": 2}},
+    ],
+)
+def test_poset_from_json_obj_names_malformed_fields(obj):
+    names = "must be a positive integer|must be a list of|needs a non-empty list"
+    with pytest.raises(ValueError, match=names):
+        poset_from_json_obj(obj)
