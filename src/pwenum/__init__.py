@@ -21,7 +21,6 @@ from .enumerators import (
     mspotty_weight,
     mu,
     poset_weight_enumerator,
-    substitute,
     weight_spectrum,
 )
 from .errors import CapExceededError, IntegrityError
@@ -97,7 +96,6 @@ __all__ = [
     "poset_weight_enumerator",
     "root_power",
     "span",
-    "substitute",
     "verify_generating_character",
     "verify_identity",
     "weight_spectrum",

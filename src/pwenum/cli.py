@@ -14,7 +14,15 @@ import random
 import re
 import sys
 
-from .codes import LinearCode, check_ambient_cap, dual_code, enumeration_cap, level_split, span
+from .codes import (
+    LinearCode,
+    check_ambient_cap,
+    dual_code,
+    dual_weight_spectrum,
+    enumeration_cap,
+    level_split,
+    span,
+)
 from .enumerators import (
     EnumeratorPoly,
     X_VAR,
@@ -25,6 +33,7 @@ from .enumerators import (
     mspotty_enumerator,
     plain_var,
     poset_weight_enumerator,
+    render_weight_spectrum,
     weight_spectrum,
     weight_var,
 )
@@ -33,6 +42,7 @@ from .macwilliams import (
     TRANSFORM_KINDS,
     byte_transform,
     complete_transform,
+    krawtchouk_contraction,
     level_transform,
     mspotty_transform,
     verify_identity,
@@ -391,6 +401,7 @@ def run_fuzz(iters: int, seed: int, bound: int = FUZZ_BOUND_DEFAULT) -> dict:
                     levels,
                     t=t if kind == "mspotty" else None,
                     chi=characters[name],
+                    cap=bound,
                     dual=dual,
                 )
                 record[kind] = report.equal
@@ -456,26 +467,17 @@ def cmd_enum(args) -> int:
                 raise ValueError("--via-transform computes the dual enumerator; pass --dual")
             # the same bound as the direct route, so both refuse the same inputs
             check_ambient_cap(ring, code.n, cap)
-            if kind == "byte":
-                poly = byte_transform(code, levels)
-            else:
-                spectrum = weight_spectrum(code, levels)
-                if kind == "complete":
-                    poly = complete_transform(spectrum, levels, ring.q, code.size)
-                elif kind == "level":
-                    poly = level_transform(spectrum, levels, ring.q, code.size)
-                else:
-                    poly = mspotty_transform(spectrum, levels, t, ring.q, code.size)
+        if kind == "byte" and args.via_transform:
+            poly = byte_transform(code, levels)
+        elif kind == "byte":
+            poly = byte_enumerator(dual_code(code, cap) if args.dual else code, levels)
+        elif args.dual and not args.via_transform:
+            poly = render_weight_spectrum(kind, dual_weight_spectrum(code, levels, cap), levels, t)
         else:
-            target = dual_code(code, cap) if args.dual else code
-            if kind == "byte":
-                poly = byte_enumerator(target, levels)
-            elif kind == "complete":
-                poly = complete_level_enumerator(target, levels)
-            elif kind == "level":
-                poly = level_enumerator(target, levels)
-            else:
-                poly = mspotty_enumerator(target, levels, t)
+            spectrum = weight_spectrum(code, levels)
+            if args.via_transform:
+                spectrum = krawtchouk_contraction(spectrum, levels, ring.q, code.size)
+            poly = render_weight_spectrum(kind, spectrum, levels, t)
     _emit(args, poly.to_text, lambda: {"kind": kind, "enumerator": poly.to_json_obj()})
     return 0
 

@@ -1,14 +1,16 @@
 """Linear codes over a RingSpec, stored as explicit codeword sets.
 
 Codes are built by spanning generators or, for the dual, by a
-split-syndrome search over the ambient space; both are exact and capped so
-a typo cannot demand 4^30 codewords.  Codewords are tuples of element
+split-syndrome search over the ambient space, which also counts the dual's
+weight spectrum without listing it; all are exact and capped so a typo
+cannot demand 4^30 codewords.  Codewords are tuples of element
 indices in lexicographic order.
 """
 
 from __future__ import annotations
 
 import os
+from operator import getitem
 
 from .errors import CapExceededError
 from .posets import LevelStructure
@@ -191,6 +193,75 @@ def dual_code(code: LinearCode, cap: int | None = None) -> LinearCode:
         for w in buckets.get(tuple(neg[x] for x in s), ()):
             dual_words.append(v + w)
     return LinearCode(ring, n, None, dual_words)
+
+
+def _half_weight_counts(ring, columns, places, k) -> dict[tuple, dict[int, int]]:
+    """Words over the given coordinates counted by syndrome, then by weight key.
+
+    A word's weight key is the sum of places[i] over its nonzero coordinates
+    i.  The words are never listed: the count is stepped one coordinate at a
+    time, each syndrome once per symbol.  Symbol 0 keeps the syndrome and
+    the key, so its count is moved, not copied.
+    """
+    add, mul = ring.add_table, ring.mul_table
+    states = {(0,) * k: {0: 1}}
+    for col, place in zip(columns, places):
+        # one step per nonzero symbol x; its rows[i] maps s_i to s_i + g_i x
+        steps = [[add[mul[g][x]] for g in col] for x in range(1, ring.q)]
+        nxt: dict[tuple, dict[int, int]] = {}
+        for s, counts in states.items():
+            shifted = {w + place: c for w, c in counts.items()}
+            moves = [(s, counts)] + [(tuple(map(getitem, rows, s)), shifted) for rows in steps]
+            for t, source in moves:
+                target = nxt.get(t)
+                if target is None:
+                    nxt[t] = source if source is counts else dict(source)
+                else:
+                    for w, c in source.items():
+                        target[w] = target.get(w, 0) + c
+        states = nxt
+    return states
+
+
+def dual_weight_spectrum(
+    code: LinearCode, levels: LevelStructure, cap: int | None = None
+) -> dict[tuple, int]:
+    """Count the dual's words by their per-level Hamming weights, listing none.
+
+    The cut of dual_code: a word (a, b), cut after floor(n/2) coordinates,
+    is in the dual iff the syndrome of b is minus that of a.  Each half is
+    counted by syndrome and by partial level weights (Wolf's syndrome
+    trellis, cut once), and each left syndrome s is joined with the right
+    count of -s.  That is the right count of s itself, since b -> -b maps
+    the halves of syndrome s onto those of -s and keeps every weight, so no
+    syndrome is negated.  A weight vector is one mixed-radix int, digit j
+    holding level j's weight in radix n_j + 1, so joining two counts adds
+    their keys as ints.  The cost is about 2 q^(ceil(n/2) + 1) syndrome
+    steps plus one multiply-add per joined pair of weight keys.
+    """
+    check_ambient_cap(code.ring, code.n, cap)
+    if levels.n != code.n:
+        raise ValueError(
+            f"level structure size {levels.n} does not match code length {code.n}"
+        )
+    ring, n, half = code.ring, code.n, code.n // 2
+    radices, places, place = [], [], 1  # radices[j]: the place of level j's digit
+    for size in levels.sizes:
+        radices.append(place)
+        places += [place] * size
+        place *= size + 1
+    k = len(code.generators)
+    columns = [tuple(g[i] for g in code.generators) for i in range(n)]
+    right = _half_weight_counts(ring, columns[half:], places[half:], k)
+    joined: dict[int, int] = {}
+    for s, left in _half_weight_counts(ring, columns[:half], places[:half], k).items():
+        counts = right.get(s)
+        if counts:
+            for a, ca in left.items():
+                for b, cb in counts.items():
+                    joined[a + b] = joined.get(a + b, 0) + ca * cb
+    digits = [[key // r % (size + 1) for key in joined] for r, size in zip(radices, levels.sizes)]
+    return dict(zip(zip(*digits), joined.values()))
 
 
 def level_split(v, levels: LevelStructure):

@@ -273,22 +273,52 @@ def weight_spectrum(code: LinearCode, levels: LevelStructure) -> dict[tuple, int
     return out
 
 
+def render_complete(spectrum: dict) -> EnumeratorPoly:
+    """The complete level enumerator with this spectrum: z_{i:w_i} for each level i."""
+    return EnumeratorPoly.from_canonical(
+        {
+            tuple((weight_var(i, w), 1) for i, w in enumerate(l, start=1)): c
+            for l, c in spectrum.items()
+        }
+    )
+
+
+def render_plain(spectrum: dict) -> EnumeratorPoly:
+    """The enumerator with this spectrum in plain variables: z_i^(key_i) for each level i."""
+    return EnumeratorPoly.from_canonical(
+        {
+            tuple((plain_var(i), w) for i, w in enumerate(l, start=1) if w): c
+            for l, c in spectrum.items()
+        }
+    )
+
+
+def spotty_spectrum(spectrum: dict, t) -> dict[tuple, int]:
+    """Per-level weights w_i folded to ceil(w_i / t_i), counts of equal keys summed."""
+    out: dict[tuple, int] = {}
+    for l, count in spectrum.items():
+        key = tuple(-(-w // ti) for w, ti in zip(l, t))
+        out[key] = out.get(key, 0) + count
+    return out
+
+
+def render_weight_spectrum(kind: str, spectrum: dict, levels: LevelStructure, t=None):
+    """The complete, level or mspotty enumerator of a per-level weight spectrum."""
+    if kind == "complete":
+        return render_complete(spectrum)
+    if kind == "mspotty":
+        spectrum = spotty_spectrum(spectrum, _check_t(levels, t))
+    return render_plain(spectrum)
+
+
 def complete_level_enumerator(code: LinearCode, levels: LevelStructure) -> EnumeratorPoly:
     """sum over codewords of prod_i z_{i:w(level-i block)}."""
-    terms: dict[tuple, int] = {}
-    for l, count in weight_spectrum(code, levels).items():
-        mono = tuple((weight_var(i, w), 1) for i, w in enumerate(l, start=1))
-        terms[mono] = count
-    return EnumeratorPoly.from_canonical(terms)
+    return render_complete(weight_spectrum(code, levels))
 
 
 def level_enumerator(code: LinearCode, levels: LevelStructure) -> EnumeratorPoly:
     """sum over codewords of prod_i z_i^(w(level-i block))."""
-    terms: dict[tuple, int] = {}
-    for l, count in weight_spectrum(code, levels).items():
-        mono = tuple((plain_var(i), w) for i, w in enumerate(l, start=1) if w)
-        terms[mono] = terms.get(mono, 0) + count
-    return EnumeratorPoly.from_canonical(terms)
+    return render_plain(weight_spectrum(code, levels))
 
 
 def _check_levels(code, levels):
@@ -331,58 +361,7 @@ def mspotty_distance(u, v, levels: LevelStructure, t) -> int:
 
 def mspotty_enumerator(code: LinearCode, levels: LevelStructure, t) -> EnumeratorPoly:
     """sum over codewords of prod_i z_i^(ceil(w(level-i block)/t_i))."""
-    _check_levels(code, levels)
-    t = _check_t(levels, t)
-    terms: dict[tuple, int] = {}
-    for l, count in weight_spectrum(code, levels).items():
-        mono = tuple(
-            (plain_var(i), ceil(w / ti))
-            for i, (w, ti) in enumerate(zip(l, t), start=1)
-            if w
-        )
-        terms[mono] = terms.get(mono, 0) + count
-    return EnumeratorPoly.from_canonical(terms)
-
-
-SUBSTITUTION_RULES = ("byte->complete", "complete->level", "complete->mspotty")
-
-
-def substitute(poly: EnumeratorPoly, rule: str, t=None) -> EnumeratorPoly:
-    """Rewrite variables and collect like terms.
-
-    byte->complete      z_{S:pattern} becomes z_{S:w(pattern)}
-    complete->level     z_{j:p}       becomes z_j^p
-    complete->mspotty   z_{j:p}       becomes z_j^ceil(p/t_j)
-    """
-    if rule not in SUBSTITUTION_RULES:
-        raise ValueError(f"unknown substitution rule {rule!r}")
-    source = "byte" if rule == "byte->complete" else "weight"
-    if rule == "complete->mspotty":
-        if t is None:
-            raise ValueError("complete->mspotty needs the spotty thresholds t")
-        t = tuple(int(x) for x in t)
-        if any(ti < 1 for ti in t):
-            raise ValueError(f"t entries must be positive, got {t}")
-    terms: dict[tuple, int] = {}
-    for mono, coeff in poly.terms.items():
-        new_mono = []
-        for key, exp in mono:
-            if key.kind != source:
-                raise ValueError(
-                    f"variable {key} has kind {key.kind!r}; rule {rule} expects {source!r}"
-                )
-            if rule == "byte->complete":
-                new_mono.append((weight_var(key.level, _weight(key.data)), exp))
-            elif rule == "complete->level":
-                new_mono.append((plain_var(key.level), key.data[0] * exp))
-            else:
-                if key.level > len(t):
-                    raise ValueError(f"no t entry for level {key.level}")
-                new_exp = ceil(key.data[0] / t[key.level - 1]) * exp
-                new_mono.append((plain_var(key.level), new_exp))
-        canon = _canonical_monomial(new_mono)
-        terms[canon] = terms.get(canon, 0) + coeff
-    return EnumeratorPoly(terms)
+    return render_weight_spectrum("mspotty", weight_spectrum(code, levels), levels, t)
 
 
 def collapse_to_x(poly: EnumeratorPoly) -> EnumeratorPoly:

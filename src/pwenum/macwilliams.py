@@ -2,7 +2,7 @@
 
 Each transform computes a dual-code enumerator from the primal code alone,
 through exact character sums; verify_identity() then compares the result
-against the same enumerator computed directly on the brute-force dual.
+against the same enumerator, or weight spectrum, computed on the dual.
 Intermediate coefficients are cyclotomic integers that must collapse to
 rational integers and divide exactly by the code size; any remainder is
 raised as an IntegrityError, never rounded.
@@ -10,25 +10,23 @@ raised as an IntegrityError, never rounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, compress, count, product
 from math import comb
 from operator import itemgetter, lshift
 from struct import iter_unpack
 
-from .codes import LinearCode, dual_code, inner_product
+from .codes import LinearCode, dual_code, dual_weight_spectrum, inner_product
 from .cyclotomic import CycInt
 from .enumerators import (
     EnumeratorPoly,
     byte_enumerator,
     byte_var,
-    complete_level_enumerator,
-    level_enumerator,
-    mspotty_enumerator,
-    substitute,
+    render_complete,
+    render_plain,
+    render_weight_spectrum,
+    spotty_spectrum,
     weight_spectrum,
-    weight_var,
     _check_t,
 )
 from .errors import IntegrityError
@@ -38,15 +36,20 @@ from .rings import Character, RingSpec, check_additive, default_character
 TRANSFORM_KINDS = ("byte", "complete", "level", "mspotty")
 
 
-@dataclass
 class IdentityReport:
-    """Outcome of one identity check: transform output vs direct computation."""
+    """Outcome of one identity check: transform output (lhs) vs direct computation (rhs).
 
-    kind: str
-    equal: bool
-    lhs: object  # EnumeratorPoly, or CycInt for the hadamard kind
-    rhs: object
-    instance: dict = field(default_factory=dict)
+    The sides are EnumeratorPolys, or CycInts for the hadamard kind.  The
+    spectrum kinds pass spectra and a render, so that each side becomes a
+    polynomial only when it is first read.
+    """
+
+    def __init__(self, kind, equal, lhs, rhs, instance, render=None):
+        self.kind, self.equal, self.instance = kind, equal, instance
+        self._sides, self._render = (lhs, rhs), render or (lambda side: side)
+
+    lhs = cached_property(lambda self: self._render(self._sides[0]))
+    rhs = cached_property(lambda self: self._render(self._sides[1]))
 
     def to_json_obj(self) -> dict:
         return {
@@ -361,17 +364,18 @@ def _krawtchouk_matrix(n_j: int, q: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def complete_transform(
+def krawtchouk_contraction(
     spectrum: dict, levels: LevelStructure, q: int, code_size: int
-) -> EnumeratorPoly:
-    """Dual complete enumerator from the per-level weight spectrum of the code.
+) -> dict[tuple, int]:
+    """Per-level weight spectrum of the dual, from the code's.
 
-    (1/|C|) sum over spectrum entries A_l of
-        prod_j ( sum over p_j of krawtchouk_level(n_j, l_j, p_j, q) z_{j:p_j} ),
-    expanded coefficient by coefficient.  The product factors by level, so
-    the spectrum is contracted with one Krawtchouk matrix per level in turn.
-    Each step replaces the leading l_j of a key by p_j at its end: after
-    step j the keys read (l_{j+1}, ..., l_s, p_1, ..., p_j).
+    The dual's count at weights p is (1/|C|) sum over spectrum entries A_l of
+        A_l prod_j krawtchouk_level(n_j, l_j, p_j, q).
+    The product factors by level, so the spectrum is contracted with one
+    Krawtchouk matrix per level in turn.  Each step replaces the leading l_j
+    of a key by p_j at its end: after step j the keys read
+    (l_{j+1}, ..., l_s, p_1, ..., p_j).  Every count must divide exactly by
+    |C| and be positive, or IntegrityError is raised; zero counts are left out.
     """
     sizes = levels.sizes
     if code_size < 1 or code_size != sum(spectrum.values()):
@@ -396,32 +400,36 @@ def complete_transform(
                     contracted[cell] = contracted.get(cell, 0) + k * count
         state = {key: total for key, total in contracted.items() if total}
 
-    terms: dict[tuple, int] = {}
     for p, total in state.items():
         coeff, rem = divmod(total, code_size)
         if rem:
             raise IntegrityError(f"coefficient {total} not divisible by |C| = {code_size}")
         if coeff < 0:
             raise IntegrityError(f"negative enumerator coefficient {coeff}")
-        terms[tuple((weight_var(j, pj), 1) for j, pj in enumerate(p, start=1))] = coeff
-    return EnumeratorPoly.from_canonical(terms)
+        state[p] = coeff
+    return state
+
+
+def complete_transform(
+    spectrum: dict, levels: LevelStructure, q: int, code_size: int
+) -> EnumeratorPoly:
+    """Dual complete enumerator from the per-level weight spectrum of the code."""
+    return render_complete(krawtchouk_contraction(spectrum, levels, q, code_size))
 
 
 def level_transform(
     spectrum: dict, levels: LevelStructure, q: int, code_size: int
 ) -> EnumeratorPoly:
-    """Dual plain-level enumerator: the complete transform with z_{j:p} -> z_j^p."""
-    return substitute(complete_transform(spectrum, levels, q, code_size), "complete->level")
+    """Dual plain-level enumerator: the dual spectrum rendered as z_j^p_j."""
+    return render_plain(krawtchouk_contraction(spectrum, levels, q, code_size))
 
 
 def mspotty_transform(
     spectrum: dict, levels: LevelStructure, t, q: int, code_size: int
 ) -> EnumeratorPoly:
-    """Dual spotty enumerator: the complete transform with z_{j:p} -> z_j^ceil(p/t_j)."""
-    t = _check_t(levels, t)
-    return substitute(
-        complete_transform(spectrum, levels, q, code_size), "complete->mspotty", t
-    )
+    """Dual spotty enumerator: the dual spectrum rendered as z_j^ceil(p_j/t_j)."""
+    dual_spectrum = krawtchouk_contraction(spectrum, levels, q, code_size)
+    return render_weight_spectrum("mspotty", dual_spectrum, levels, t)
 
 
 def verify_identity(
@@ -433,31 +441,31 @@ def verify_identity(
     cap: int | None = None,
     dual: LinearCode | None = None,
 ) -> IdentityReport:
-    """Check one transform against brute-force dual enumeration.
+    """Check one transform against a direct computation on the dual.
 
     lhs is the transform computed from the primal code; rhs is the same
-    enumerator computed directly on the scanned dual.  Pass a precomputed
-    dual to amortize the scan across several kinds.
+    enumerator computed on the dual.  Only the byte kind lists the dual, and
+    only it reads a precomputed dual passed in.  The other kinds render one
+    per-level weight spectrum (folded by t for mspotty), so both their sides
+    are spectra, compared as such: the Krawtchouk contraction of the code's
+    spectrum, and the dual's spectrum from dual_weight_spectrum.
     """
     if kind not in TRANSFORM_KINDS:
         raise ValueError(f"unknown identity kind {kind!r}; expected {TRANSFORM_KINDS}")
     ring = code.ring
-    if dual is None:
-        dual = dual_code(code, cap)
+    render = None
     if kind == "byte":
+        if dual is None:
+            dual = dual_code(code, cap)
         lhs = byte_transform(code, levels, chi)
         rhs = byte_enumerator(dual, levels)
     else:
-        spectrum = weight_spectrum(code, levels)
-        if kind == "complete":
-            lhs = complete_transform(spectrum, levels, ring.q, code.size)
-            rhs = complete_level_enumerator(dual, levels)
-        elif kind == "level":
-            lhs = level_transform(spectrum, levels, ring.q, code.size)
-            rhs = level_enumerator(dual, levels)
-        else:
-            lhs = mspotty_transform(spectrum, levels, t, ring.q, code.size)
-            rhs = mspotty_enumerator(dual, levels, t)
+        rhs = dual_weight_spectrum(code, levels, cap)
+        lhs = krawtchouk_contraction(weight_spectrum(code, levels), levels, ring.q, code.size)
+        if kind == "mspotty":
+            t = _check_t(levels, t)
+            lhs, rhs = spotty_spectrum(lhs, t), spotty_spectrum(rhs, t)
+        render = render_complete if kind == "complete" else render_plain
     instance = {
         "ring": ring.to_json_obj(),
         "levels": list(levels.sizes),
@@ -465,4 +473,4 @@ def verify_identity(
     }
     if t is not None:
         instance["t"] = list(t)
-    return IdentityReport(kind=kind, equal=lhs == rhs, lhs=lhs, rhs=rhs, instance=instance)
+    return IdentityReport(kind, lhs == rhs, lhs, rhs, instance, render)

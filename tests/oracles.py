@@ -6,9 +6,10 @@ the fast kernel it checks.
 """
 
 from itertools import product
-from math import comb
+from math import ceil, comb
 
 from pwenum.cyclotomic import CycInt
+from pwenum.enumerators import EnumeratorPoly, plain_var, weight_var
 from pwenum.errors import IntegrityError
 
 
@@ -178,3 +179,44 @@ def convolution_gf_tables(p, k, modulus) -> tuple[tuple, tuple]:
             row.append(to_index(red))
         mul_rows.append(tuple(row))
     return add, tuple(mul_rows)
+
+
+def substitute(poly, rule: str, t=None):
+    """Rewrite the variables of an enumerator and collect like terms.
+
+    byte->complete      z_{S:pattern} becomes z_{S:w(pattern)}
+    complete->level     z_{j:p}       becomes z_j^p
+    complete->mspotty   z_{j:p}       becomes z_j^ceil(p/t_j)
+
+    The paper's substitution relations, read variable by variable; the
+    library renders the level and spotty enumerators from spectra instead.
+    """
+    if rule not in ("byte->complete", "complete->level", "complete->mspotty"):
+        raise ValueError(f"unknown substitution rule {rule!r}")
+    source = "byte" if rule == "byte->complete" else "weight"
+    if rule == "complete->mspotty":
+        if t is None:
+            raise ValueError("complete->mspotty needs the spotty thresholds t")
+        t = tuple(int(x) for x in t)
+        if any(ti < 1 for ti in t):
+            raise ValueError(f"t entries must be positive, got {t}")
+    terms: dict[tuple, int] = {}
+    for mono, coeff in poly.terms.items():
+        new_mono = []
+        for key, exp in mono:
+            if key.kind != source:
+                raise ValueError(
+                    f"variable {key} has kind {key.kind!r}; rule {rule} expects {source!r}"
+                )
+            if rule == "byte->complete":
+                weight = sum(1 for x in key.data if x)
+                new_mono.append((weight_var(key.level, weight), exp))
+            elif rule == "complete->level":
+                new_mono.append((plain_var(key.level), key.data[0] * exp))
+            else:
+                if key.level > len(t):
+                    raise ValueError(f"no t entry for level {key.level}")
+                new_exp = ceil(key.data[0] / t[key.level - 1]) * exp
+                new_mono.append((plain_var(key.level), new_exp))
+        terms[tuple(new_mono)] = terms.get(tuple(new_mono), 0) + coeff
+    return EnumeratorPoly(terms)

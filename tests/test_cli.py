@@ -6,6 +6,7 @@ import string
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from pwenum.cli import (
     parse_ring_spec,
     run_fuzz,
 )
+from pwenum.codes import dual_weight_spectrum
 from pwenum.enumerators import level_enumerator
 from pwenum.macwilliams import verify_identity
 from pwenum.posets import chain, leveled
@@ -137,6 +139,66 @@ def test_verify_json_report(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["equal"] is True
     assert payload["lhs"] == payload["rhs"]
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "weight_kinds_cli.json").read_text())
+
+
+@pytest.mark.parametrize("record", GOLDEN, ids=lambda record: " ".join(record["argv"]))
+def test_weight_kind_output_matches_golden(record):
+    # captured before the weight kinds compared spectra and rendered them lazily
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(record["argv"])
+    expected = (record["rc"], record["stdout"], record["stderr"])
+    assert (rc, out.getvalue(), err.getvalue()) == expected
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this route must not build it")
+
+
+@pytest.mark.parametrize("kind", ["complete", "level", "mspotty"])
+def test_weight_kinds_list_no_dual_words(kind, monkeypatch, capsys):
+    for module in ("pwenum.codes", "pwenum.macwilliams", "pwenum.cli"):
+        monkeypatch.setattr(f"{module}.dual_code", _refuse)
+    base = ["--kind", kind, "--ring", "Z4", "--code", "hamming74", "--poset", "leveled:3,2,2",
+            "--t", "2,1,2"]
+    assert main(["enum", "--dual", *base]) == 0
+    direct = capsys.readouterr().out
+    assert main(["enum", "--dual", "--via-transform", *base]) == 0
+    assert capsys.readouterr().out == direct
+    # a text EQUAL builds no enumerator variable and no polynomial either
+    monkeypatch.setattr("pwenum.enumerators.VarKey", _refuse)
+    monkeypatch.setattr(pwenum.EnumeratorPoly, "__init__", _refuse)
+    monkeypatch.setattr(pwenum.EnumeratorPoly, "from_canonical", _refuse)
+    assert main(["verify", *base]) == 0
+    assert capsys.readouterr().out == f"{kind}: EQUAL\n"
+
+
+@pytest.mark.parametrize("kind, t", [("complete", None), ("level", None), ("mspotty", "2,1,1")])
+def test_a_differing_spectrum_prints_both_polynomials(kind, t, monkeypatch, capsys):
+    def doubled_zero_word(code, levels, cap=None):
+        spectrum = dual_weight_spectrum(code, levels, cap)
+        spectrum[(0,) * levels.count] += 1
+        return spectrum
+
+    monkeypatch.setattr("pwenum.macwilliams.dual_weight_spectrum", doubled_zero_word)
+    argv = ["verify", "--kind", kind, "--ring", "F2", "--code", "ex51", "--poset", "leveled:2,1,1"]
+    argv += ["--t", t] if t else []
+    assert main(argv) == 1
+    fixture = {"complete": "complete_dual", "level": "plain_dual", "mspotty": "spotty_dual"}[kind]
+    notation = "complete" if kind == "complete" else "level"
+    transform = parse_enumerator_text(FIXTURES[fixture], notation).to_text()
+    # the zero word's term sorts first: z_{1:0}z_{2:0}z_{3:0}, or 1 for the plain variables
+    direct = "2" + (transform if kind == "complete" else transform[1:])
+    expected = f"{kind}: DIFFER\n  transform: {transform}\n  direct:    {direct}\n"
+    assert capsys.readouterr().out == expected
+    assert main(argv + ["--out", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["equal"] is False
+    assert payload["lhs"][1:] == payload["rhs"][1:]
+    assert (payload["lhs"][0]["coeff"], payload["rhs"][0]["coeff"]) == (1, 2)
 
 
 def test_input_errors_exit_2(capsys):
@@ -587,3 +649,29 @@ def test_oversized_posets_are_refused_before_they_are_built(tmp_path, poset, cod
                     "--code", code, "--cap", "1000000", preexec_fn=_limit_memory)
     assert done.returncode == rc, done.stderr[-2000:]
     assert done.stdout == "" and message in done.stderr and len(done.stderr.splitlines()) == 1
+
+
+ZERO_24 = ("--ring", "F2", "--poset", "antichain:24", "--code", _zero_code(24))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--kind", "complete"),
+        ("verify", "--kind", "level"),
+        ("verify", "--kind", "mspotty", "--t", "5"),
+        ("enum", "--kind", "complete", "--dual"),
+    ],
+)
+def test_the_whole_ambient_space_as_a_dual_is_counted_not_listed(argv):
+    # the dual of the zero code of length 24 is all 2^24 words of F2^24, inside the default cap
+    done = _run_cli(*argv, *ZERO_24, preexec_fn=_limit_memory)
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr[-2000:]
+    if argv[0] == "verify":
+        assert done.stdout == f"{argv[2]}: EQUAL\n"
+    else:
+        terms = (f"{comb(24, p) if 0 < p < 24 else ''}z_{{1:{p}}}" for p in range(25))
+        assert done.stdout == " + ".join(terms) + "\n"
+    refused = _run_cli(*argv, *ZERO_24, "--cap", "1000000", preexec_fn=_limit_memory)
+    assert (refused.returncode, refused.stdout) == (3, "")
+    assert refused.stderr == "resource cap exceeded: q^n = 2^24 exceeds cap 1000000\n"

@@ -12,7 +12,7 @@ and the recurrence-built GF tables against polynomial arithmetic.
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -22,7 +22,7 @@ from oracles import (
     pattern_byte_transform,
     scan_dual_words,
 )
-from pwenum.codes import dual_code, span
+from pwenum.codes import dual_code, dual_weight_spectrum, span
 from pwenum.enumerators import (
     EnumeratorPoly,
     byte_enumerator,
@@ -95,6 +95,41 @@ def test_dual_code_matches_scan_oracle(instance):
     assert list(dual.words) == scan_dual_words(code)
     assert code.size * dual.size == ring.q**code.n
     assert dual_code(dual) == code
+
+
+def _level_weights(words, levels) -> dict[tuple, int]:
+    """Words counted by their per-level numbers of nonzero entries."""
+    out: dict[tuple, int] = {}
+    for word in words:
+        key, start = [], 0
+        for size in levels.sizes:
+            key.append(sum(1 for x in word[start : start + size] if x))
+            start += size
+        out[tuple(key)] = out.get(tuple(key), 0) + 1
+    return out
+
+
+def _fixed(name, sizes, generators):
+    ring = RINGS[name]
+    levels = LevelStructure(sizes)
+    return ring, levels, span(ring, levels.n, generators), tuple(sizes)
+
+
+# Z4, Z8, Z9, F3 and GF(9) have syndromes s with -s != s; F2u, like every
+# ring of characteristic 2, has none.
+@SETTINGS
+@given(instances())
+@example(_fixed("Z4", (3,), []))  # k = 0: the dual is all of R^n
+@example(_fixed("Z9", (1,), [(3,)]))  # n = 1: an empty left half
+@example(_fixed("Z4", (2, 3), [(1, 3, 2, 1, 0), (0, 2, 1, 3, 3)]))  # odd n; level 2 straddles
+@example(_fixed("Z9", (3,), [(1, 4, 7)]))  # one level across the cut
+@example(_fixed("F2u", (1, 2), [(1, 2, 3)]))
+@example(_fixed("GF9", (2, 1), [(1, 5, 7)]))
+def test_dual_weight_spectrum_matches_listing_and_scan_oracles(instance):
+    _, levels, code, _ = instance
+    spectrum = dual_weight_spectrum(code, levels)
+    assert spectrum == weight_spectrum(dual_code(code), levels)
+    assert spectrum == _level_weights(scan_dual_words(code), levels)
 
 
 @SETTINGS

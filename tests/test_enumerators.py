@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import substitute
 from pwenum.codes import dual_code, span
 from pwenum.enumerators import (
     EnumeratorPoly,
@@ -18,7 +19,6 @@ from pwenum.enumerators import (
     mu,
     plain_var,
     poset_weight_enumerator,
-    substitute,
     weight_spectrum,
     weight_var,
 )

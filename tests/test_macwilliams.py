@@ -3,12 +3,12 @@ from itertools import product
 
 import pytest
 
+from oracles import substitute
 from pwenum.codes import dual_code, span
 from pwenum.cyclotomic import CycInt
 from pwenum.enumerators import (
     byte_enumerator,
     complete_level_enumerator,
-    substitute,
     weight_spectrum,
 )
 from pwenum.errors import IntegrityError

@@ -6,6 +6,7 @@ import pytest
 from pwenum.cyclotomic import CycInt
 from pwenum.rings import (
     Character,
+    RingSpec,
     character_ideal_sum,
     default_character,
     enumerate_ideals,
@@ -125,6 +126,23 @@ def test_exponent_divides_size_everywhere():
             for _ in range(ring.exponent):
                 acc = ring.add_table[acc][a]
             assert acc == 0
+
+
+@pytest.mark.parametrize(
+    "m, e, message",
+    [
+        (4, 3, "additive exponent does not divide the ring size"),
+        (4, 2, "additive exponent does not annihilate the ring"),
+        (27, 9, "additive exponent does not annihilate the ring"),
+        (64, 32, "additive exponent does not annihilate the ring"),
+        (12, 6, "additive exponent does not annihilate the ring"),
+    ],
+)
+def test_a_wrong_additive_exponent_is_refused(monkeypatch, m, e, message):
+    # the ring axioms imply both checks, so only a wrong exponent can reach them
+    monkeypatch.setattr(RingSpec, "_order_of_one", lambda self: e)
+    with pytest.raises(ValueError, match=message):
+        make_ring("Zm", m=m)
 
 
 def test_large_ring_constructs_with_full_axiom_check():
