@@ -427,7 +427,9 @@ def run_fuzz(iters: int, seed: int, bound: int = FUZZ_BOUND_DEFAULT) -> dict:
 
 
 def _resolve_cap(args) -> int:
-    return args.cap if getattr(args, "cap", None) is not None else enumeration_cap()
+    if args.cap is not None and args.cap < 1:
+        raise ValueError(f"--cap must be positive, got {args.cap}")
+    return args.cap if args.cap is not None else enumeration_cap()
 
 
 def _emit(args, text, json_obj) -> None:
@@ -524,6 +526,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    if args.fuzz_iters < 0:
+        raise ValueError(f"--fuzz-iters must not be negative, got {args.fuzz_iters}")
     bound = args.cap if args.cap is not None else min(enumeration_cap(), FUZZ_BOUND_DEFAULT)
     result = run_fuzz(args.fuzz_iters, args.seed, bound)
 
@@ -545,13 +549,28 @@ def cmd_paper_examples(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("enum", "dual", "verify", "fuzz", "paper-examples")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The pwenum parser, with the subparsers of all COMMANDS or of the one named.
+
+    The one-command parser lists every command in its usage line by a
+    metavar, which in the full parser would change two error messages.
+    """
     parser = argparse.ArgumentParser(
         prog="pwenum",
         description="Level weight enumerators of linear codes over finite "
         "Frobenius rings, with exact MacWilliams-identity verification.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    listed = {} if command is None else {"metavar": "{" + ",".join(COMMANDS) + "}"}
+    sub = parser.add_subparsers(dest="command", required=True, **listed)
+
+    def add(name, summary, func):
+        if command in (None, name):
+            sp = sub.add_parser(name, help=summary)
+            sp.set_defaults(func=func)
+            return sp
 
     def add_io(sp, poset=True, kind=None, t=False):
         sp.add_argument("--ring", required=True, help="F2|F3|F4|Z<m>|F2u|F2v, inline JSON, or file")
@@ -565,39 +584,36 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", choices=("text", "json"), default="text")
         sp.add_argument("--cap", type=int, help="enumeration cap (default: PWE_CAP or 2^24)")
 
-    sp = sub.add_parser("enum", help="compute one enumerator")
-    add_io(sp, kind=("byte", "complete", "level", "mspotty", "poset"), t=True)
-    sp.add_argument("--dual", action="store_true", help="enumerate the dual code")
-    sp.add_argument(
-        "--via-transform",
-        action="store_true",
-        help="compute the dual enumerator through the identity instead of enumerating the dual",
-    )
-    sp.set_defaults(func=cmd_enum)
+    if sp := add("enum", "compute one enumerator", cmd_enum):
+        add_io(sp, kind=("byte", "complete", "level", "mspotty", "poset"), t=True)
+        sp.add_argument("--dual", action="store_true", help="enumerate the dual code")
+        sp.add_argument(
+            "--via-transform",
+            action="store_true",
+            help="compute the dual enumerator through the identity instead of enumerating the dual",
+        )
 
-    sp = sub.add_parser("dual", help="print the dual code")
-    add_io(sp, poset=False)
-    sp.set_defaults(func=cmd_dual)
+    if sp := add("dual", "print the dual code", cmd_dual):
+        add_io(sp, poset=False)
 
-    sp = sub.add_parser("verify", help="check one identity against the scanned dual")
-    add_io(sp, kind=TRANSFORM_KINDS, t=True)
-    sp.set_defaults(func=cmd_verify)
+    if sp := add("verify", "check one identity against the scanned dual", cmd_verify):
+        add_io(sp, kind=TRANSFORM_KINDS, t=True)
 
-    sp = sub.add_parser("fuzz", help="randomized identity checking over the ring catalog")
-    sp.add_argument("--fuzz-iters", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--cap", type=int, help=f"sampling bound on q^N (default {FUZZ_BOUND_DEFAULT})")
-    sp.add_argument("--out", choices=("text", "json"), default="text")
-    sp.set_defaults(func=cmd_fuzz)
+    if sp := add("fuzz", "randomized identity checking over the ring catalog", cmd_fuzz):
+        sp.add_argument("--fuzz-iters", type=int, default=100)
+        sp.add_argument("--seed", type=int, default=0)
+        bound = f"sampling bound on q^N (default {FUZZ_BOUND_DEFAULT})"
+        sp.add_argument("--cap", type=int, help=bound)
+        sp.add_argument("--out", choices=("text", "json"), default="text")
 
-    sp = sub.add_parser("paper-examples", help="run the bundled worked-example corpus")
-    sp.set_defaults(func=cmd_paper_examples)
-
+    add("paper-examples", "run the bundled worked-example corpus", cmd_paper_examples)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # -h, a typo or an option before the command get the full parser's messages
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

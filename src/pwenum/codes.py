@@ -1,15 +1,16 @@
 """Linear codes over a RingSpec, stored as explicit codeword sets.
 
 Codes are built by spanning generators or, for the dual, by a
-split-syndrome search over the ambient space, which also counts the dual's
-weight spectrum without listing it; all are exact and capped so a typo
-cannot demand 4^30 codewords.  Codewords are tuples of element
-indices in lexicographic order.
+split-syndrome search over the ambient space, which lists the dual's words
+as lexicographic indices and also counts its weight spectrum without
+listing it; all are exact and capped so a typo cannot demand 4^30
+codewords.  Codewords are tuples of element indices in lexicographic order.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import product, repeat
 from operator import getitem
 
 from .errors import CapExceededError
@@ -148,36 +149,30 @@ def check_ambient_cap(ring: RingSpec, n: int, cap: int | None = None) -> None:
         raise CapExceededError(f"q^n = {ring.q}^{n} exceeds cap {cap}")
 
 
-def _half_syndromes(ring, columns, k):
-    """Every word over the given coordinates with its syndrome against k generators.
+def _half_syndromes(ring, columns, k) -> list[tuple]:
+    """The syndrome against k generators of every word over the given coordinates.
 
-    columns[i] holds the k generator entries at the i-th coordinate; the
-    words come out in lexicographic order.
+    columns[i] holds the k generator entries at the i-th coordinate.  A
+    word's syndrome sits at the word's lexicographic index; no word is built.
     """
     add, mul = ring.add_table, ring.mul_table
-    out = [((), (0,) * k)]
+    out = [(0,) * k]
     for col in columns:
-        steps = [((x,), tuple(mul[g][x] for g in col)) for x in range(ring.q)]
-        out = [
-            (w + x, tuple(add[a][b] for a, b in zip(s, c)))
-            for w, s in out
-            for x, c in steps
-        ]
+        # one step per symbol x; its rows[i] maps s_i to s_i + g_i x
+        steps = [[add[mul[g][x]] for g in col] for x in range(ring.q)]
+        out = [tuple(map(getitem, rows, s)) for s in out for rows in steps]
     return out
 
 
-def dual_code(code: LinearCode, cap: int | None = None) -> LinearCode:
-    """Every word orthogonal to the code, by a split-syndrome search of R^n.
+def dual_indices(code: LinearCode, cap: int | None = None) -> list[int]:
+    """The lexicographic indices of the dual's words, in increasing order.
 
     Checking the generators suffices: orthogonality to them is linear in
     the codeword.  A word v = (a, b), cut after floor(n/2) coordinates, is
     in the dual iff the syndrome of b against the generators is minus that
     of a.  The right halves are bucketed by syndrome and each left half is
-    joined with its bucket, left half outermost, so the words come out in
-    the lexicographic order of a full scan.  The result picks a small
-    generator list greedily when its generators are first read, so that
-    dualizing twice stays cheap and a caller that never reads them never
-    pays for them.
+    joined with its bucket, left half outermost.  A half is held as its
+    index, so a joined word is the int a * q^(n - floor(n/2)) + b.
     """
     check_ambient_cap(code.ring, code.n, cap)
     ring, n = code.ring, code.n
@@ -185,14 +180,31 @@ def dual_code(code: LinearCode, cap: int | None = None) -> LinearCode:
     columns = [tuple(g[i] for g in code.generators) for i in range(n)]
     half = n // 2
     buckets: dict[tuple, list] = {}
-    for w, s in _half_syndromes(ring, columns[half:], k):
-        buckets.setdefault(s, []).append(w)
-    neg = ring.neg_table
-    dual_words = []
-    for v, s in _half_syndromes(ring, columns[:half], k):
-        for w in buckets.get(tuple(neg[x] for x in s), ()):
-            dual_words.append(v + w)
-    return LinearCode(ring, n, None, dual_words)
+    for b, s in enumerate(_half_syndromes(ring, columns[half:], k)):
+        buckets.setdefault(s, []).append(b)
+    shift, neg = ring.q ** (n - half), ring.neg_table
+    out: list[int] = []
+    for a, s in enumerate(_half_syndromes(ring, columns[:half], k)):
+        out += map((a * shift).__add__, buckets.get(tuple(map(neg.__getitem__, s)), ()))
+    return out
+
+
+def dual_code(code: LinearCode, cap: int | None = None) -> LinearCode:
+    """Every word orthogonal to the code: dual_indices decoded to words.
+
+    Its generators are picked only when first read (see LinearCode).
+    """
+    indices = dual_indices(code, cap)  # first, as it checks the cap
+    q, n = code.ring.q, code.n
+    lefts, rights = (list(product(range(q), repeat=m)) for m in (n // 2, n - n // 2))
+    halves = map(divmod, indices, repeat(len(rights)))
+    return LinearCode(code.ring, n, None, [lefts[a] + rights[b] for a, b in halves])
+
+
+def word_indices(code: LinearCode) -> list[int]:
+    """The lexicographic index, sum of u_i q^(n-1-i), of each word of the code, in its order."""
+    places = [code.ring.q ** (code.n - 1 - i) for i in range(code.n)]
+    return [sum(map(int.__mul__, w, places)) for w in code.words]
 
 
 def _half_weight_counts(ring, columns, places, k) -> dict[tuple, dict[int, int]]:
@@ -228,7 +240,7 @@ def dual_weight_spectrum(
 ) -> dict[tuple, int]:
     """Count the dual's words by their per-level Hamming weights, listing none.
 
-    The cut of dual_code: a word (a, b), cut after floor(n/2) coordinates,
+    The cut of dual_indices: a word (a, b), cut after floor(n/2) coordinates,
     is in the dual iff the syndrome of b is minus that of a.  Each half is
     counted by syndrome and by partial level weights (Wolf's syndrome
     trellis, cut once), and each left syndrome s is joined with the right

@@ -14,10 +14,11 @@ coefficient sum always equals the code size.
 
 from __future__ import annotations
 
+from itertools import product
 from math import ceil
 from typing import NamedTuple
 
-from .codes import LinearCode, level_split
+from .codes import LinearCode, level_split, word_indices
 from .posets import LevelStructure, Poset
 
 
@@ -253,14 +254,23 @@ def mu(s_level: int, pattern, u, levels: LevelStructure) -> int:
 def byte_enumerator(code: LinearCode, levels: LevelStructure) -> EnumeratorPoly:
     """sum over codewords of prod_S z_{S:(level-S block of the codeword)}."""
     _check_levels(code, levels)
-    terms: dict[tuple, int] = {}
-    for u in code.words:
-        mono = tuple(
-            (byte_var(i, part), 1)
-            for i, part in enumerate(level_split(u, levels), start=1)
-        )
-        terms[mono] = terms.get(mono, 0) + 1
-    return EnumeratorPoly.from_canonical(terms)
+    return render_byte(dict.fromkeys(word_indices(code), 1), code.ring.q, levels)
+
+
+def render_byte(counts: dict, q: int, levels: LevelStructure) -> EnumeratorPoly:
+    """The byte enumerator with these {pattern index: count}: z_{S:level-S block} per level S.
+
+    Pattern b has index sum of b_i q^(n-1-i); its level-S block has index
+    (index // q^after) % q^n_S, with after coordinates past level S.
+    """
+    blocks, after = [], levels.n
+    for level, n_s in enumerate(levels.sizes, start=1):
+        after -= n_s
+        table = [(byte_var(level, beta), 1) for beta in product(range(q), repeat=n_s)]
+        blocks.append((table, q**after, q**n_s))
+    return EnumeratorPoly.from_canonical(
+        {tuple(t[i // div % mod] for t, div, mod in blocks): c for i, c in counts.items()}
+    )
 
 
 def weight_spectrum(code: LinearCode, levels: LevelStructure) -> dict[tuple, int]:

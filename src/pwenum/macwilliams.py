@@ -10,23 +10,30 @@ raised as an IntegrityError, never rounded.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
-from itertools import chain, compress, count, product
+from functools import cached_property, lru_cache, partial
+from itertools import chain, compress, count
 from math import comb
 from operator import itemgetter, lshift
 from struct import iter_unpack
 
-from .codes import LinearCode, dual_code, dual_weight_spectrum, inner_product
+from .codes import (
+    LinearCode,
+    dual_code,
+    dual_indices,
+    dual_weight_spectrum,
+    inner_product,
+    word_indices,
+)
 from .cyclotomic import CycInt
 from .enumerators import (
     EnumeratorPoly,
-    byte_enumerator,
-    byte_var,
+    render_byte,
     render_complete,
     render_plain,
     render_weight_spectrum,
     spotty_spectrum,
     weight_spectrum,
+    _check_levels,
     _check_t,
 )
 from .errors import IntegrityError
@@ -39,9 +46,9 @@ TRANSFORM_KINDS = ("byte", "complete", "level", "mspotty")
 class IdentityReport:
     """Outcome of one identity check: transform output (lhs) vs direct computation (rhs).
 
-    The sides are EnumeratorPolys, or CycInts for the hadamard kind.  The
-    spectrum kinds pass spectra and a render, so that each side becomes a
-    polynomial only when it is first read.
+    The sides are CycInts for the hadamard kind.  The identity kinds pass
+    {pattern index: count} dicts or spectra and a render, so that each side
+    becomes a polynomial only when it is first read.
     """
 
     def __init__(self, kind, equal, lhs, rhs, instance, render=None):
@@ -261,10 +268,8 @@ def _yates_tallies(code: LinearCode, chi: Character) -> tuple[int, bytearray, in
     return field, _serialize(rows, row_bytes), 1
 
 
-def byte_transform(
-    code: LinearCode, levels: LevelStructure, chi: Character | None = None
-) -> EnumeratorPoly:
-    """Dual byte enumerator from the primal code, by Yates' algorithm.
+def byte_counts(code: LinearCode, chi: Character | None = None) -> dict[int, int]:
+    """Dual byte coefficients from the primal code, by Yates' algorithm.
 
     The coefficient of z_{1:b1}...z_{s:bs}, with b the concatenated pattern, is
         (1/|C|) sum over u in C of chi(<b, u>),
@@ -272,7 +277,8 @@ def byte_transform(
     indicator of C.  Yates' algorithm applies that matrix one coordinate at a
     time in the group ring Z[Z_e], where zeta_e is x: n q^(n+1) products of a
     value by a power of x, and each value ends as the tally of the character
-    exponents <b, u> over the code.
+    exponents <b, u> over the code.  The nonzero coefficients are returned
+    as {lexicographic index of b: coefficient}, in increasing index order.
 
     A value is packed into a Python int as 2e byte-aligned count fields, so
     multiplying by x^r is a left shift by r fields; after each coordinate
@@ -289,25 +295,12 @@ def byte_transform(
     negative, or IntegrityError is raised.
     """
     ring = code.ring
-    if levels.n != code.n:
-        raise ValueError(
-            f"level structure size {levels.n} does not match code length {code.n}"
-        )
     if chi is None:
         chi = default_character(ring)
     else:
         check_additive(ring, chi)  # Yates' factoring needs chi(a + b) = chi(a) chi(b)
-    q, e = ring.q, ring.exponent
+    e = ring.exponent
     field, tallies, period = _yates_tallies(code, chi)
-
-    tables, divisors = [], []
-    after = code.n
-    for level, n_s in enumerate(levels.sizes, start=1):
-        after -= n_s
-        tables.append(
-            [(byte_var(level, beta), 1) for beta in product(range(q), repeat=n_s)]
-        )
-        divisors.append((q**after, q**n_s))
 
     def each_tally():
         return map(itemgetter(0), iter_unpack(f"{e * field}s{e * field}x", tallies))
@@ -317,11 +310,15 @@ def byte_transform(
         coeffs[tally] = _byte_coefficient(tally, e, field, code.size)
     values = list(map(coeffs.__getitem__, each_tally()))
     values = list(chain.from_iterable(values[r::period] for r in range(period)))  # lexicographic
-    terms: dict[tuple, int] = {}
-    for index in compress(count(), values):
-        mono = tuple(table[index // div % mod] for table, (div, mod) in zip(tables, divisors))
-        terms[mono] = values[index]
-    return EnumeratorPoly.from_canonical(terms)
+    return dict(zip(compress(count(), values), filter(None, values)))
+
+
+def byte_transform(
+    code: LinearCode, levels: LevelStructure, chi: Character | None = None
+) -> EnumeratorPoly:
+    """Dual byte enumerator from the primal code: byte_counts, rendered."""
+    _check_levels(code, levels)
+    return render_byte(byte_counts(code, chi), code.ring.q, levels)
 
 
 def _byte_coefficient(tally: bytes, e: int, field: int, code_size: int) -> int:
@@ -444,21 +441,22 @@ def verify_identity(
     """Check one transform against a direct computation on the dual.
 
     lhs is the transform computed from the primal code; rhs is the same
-    enumerator computed on the dual.  Only the byte kind lists the dual, and
-    only it reads a precomputed dual passed in.  The other kinds render one
-    per-level weight spectrum (folded by t for mspotty), so both their sides
-    are spectra, compared as such: the Krawtchouk contraction of the code's
-    spectrum, and the dual's spectrum from dual_weight_spectrum.
+    enumerator computed on the dual.  The sides are compared before they are
+    rendered, and rendered only when read.  The byte kind compares
+    {pattern index: count}, byte_counts against the indicator of the dual's
+    word indices, as each word is its own byte monomial; only it lists the
+    dual and reads a precomputed dual passed in.  The other kinds compare
+    per-level weight spectra (folded by t for mspotty): the Krawtchouk
+    contraction of the code's, and the dual's from dual_weight_spectrum.
     """
     if kind not in TRANSFORM_KINDS:
         raise ValueError(f"unknown identity kind {kind!r}; expected {TRANSFORM_KINDS}")
     ring = code.ring
-    render = None
     if kind == "byte":
-        if dual is None:
-            dual = dual_code(code, cap)
-        lhs = byte_transform(code, levels, chi)
-        rhs = byte_enumerator(dual, levels)
+        rhs = dict.fromkeys(dual_indices(code, cap) if dual is None else word_indices(dual), 1)
+        _check_levels(code, levels)
+        lhs = byte_counts(code, chi)
+        render = partial(render_byte, q=ring.q, levels=levels)
     else:
         rhs = dual_weight_spectrum(code, levels, cap)
         lhs = krawtchouk_contraction(weight_spectrum(code, levels), levels, ring.q, code.size)

@@ -234,8 +234,11 @@ def _gf_name(coeffs):
 def _make_zm(m):
     if m < 2:
         raise ValueError(f"modulus must be at least 2, got {m}")
-    add = tuple(tuple((a + b) % m for b in range(m)) for a in range(m))
-    mul = tuple(tuple((a * b) % m for b in range(m)) for a in range(m))
+    # C-level slices: addition row a is range(m) rotated by a, and
+    # multiplication row a takes every a-th entry of range(m) repeated a times
+    row = tuple(range(m))
+    add = tuple(row[a:] + row[:a] for a in range(m))
+    mul = ((0,) * m,) + tuple((row * a)[::a] for a in range(1, m))
     names = tuple(str(a) for a in range(m))
     return RingSpec("Zm", m, add, mul, names, {"m": m})
 

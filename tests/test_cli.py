@@ -25,7 +25,7 @@ from pwenum.cli import (
     parse_ring_spec,
     run_fuzz,
 )
-from pwenum.codes import dual_weight_spectrum
+from pwenum.codes import dual_indices, dual_weight_spectrum
 from pwenum.enumerators import level_enumerator
 from pwenum.macwilliams import verify_identity
 from pwenum.posets import chain, leveled
@@ -141,17 +141,45 @@ def test_verify_json_report(capsys):
     assert payload["lhs"] == payload["rhs"]
 
 
-GOLDEN = json.loads((Path(__file__).parent / "golden" / "weight_kinds_cli.json").read_text())
+def _golden(name):
+    return json.loads((Path(__file__).parent / "golden" / name).read_text())
 
 
-@pytest.mark.parametrize("record", GOLDEN, ids=lambda record: " ".join(record["argv"]))
-def test_weight_kind_output_matches_golden(record):
-    # captured before the weight kinds compared spectra and rendered them lazily
+def _argv_id(record):
+    return " ".join(record["argv"]) or "(no arguments)"
+
+
+def _call(argv):
+    """(exit code, stdout, stderr) of one in-process CLI run."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        rc = main(record["argv"])
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("record", _golden("weight_kinds_cli.json"), ids=_argv_id)
+def test_weight_kind_output_matches_golden(record):
+    # captured before the weight kinds compared spectra and rendered them lazily
+    assert _call(record["argv"]) == (record["rc"], record["stdout"], record["stderr"])
+
+
+@pytest.mark.parametrize("record", _golden("byte_routes_cli.json"), ids=_argv_id)
+def test_byte_route_output_matches_golden(record):
+    # captured before byte verify compared pattern indices and the join emitted them:
+    # verify, enum (direct, --dual, --dual --via-transform) and dual, text and JSON,
+    # on ex51 and hamming74 over F2, Z4, F4 and GF(9) with q^n <= 2^16
+    assert _call(record["argv"]) == (record["rc"], record["stdout"], record["stderr"])
+
+
+@pytest.mark.parametrize("record", _golden("cli_usage.json"), ids=_argv_id)
+def test_usage_and_help_match_golden(record, monkeypatch):
+    # captured while every call built all five subparsers; help wraps at COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
     expected = (record["rc"], record["stdout"], record["stderr"])
-    assert (rc, out.getvalue(), err.getvalue()) == expected
+    assert _call(record["argv"]) == expected
+    if record["subprocess"]:  # main(None) reads sys.argv itself
+        done = _run_cli(*record["argv"])
+        assert (done.returncode, done.stdout, done.stderr) == expected
 
 
 def _refuse(*args, **kwargs):
@@ -174,6 +202,38 @@ def test_weight_kinds_list_no_dual_words(kind, monkeypatch, capsys):
     monkeypatch.setattr(pwenum.EnumeratorPoly, "from_canonical", _refuse)
     assert main(["verify", *base]) == 0
     assert capsys.readouterr().out == f"{kind}: EQUAL\n"
+
+
+def test_a_text_byte_verify_builds_no_dual_word_or_polynomial(monkeypatch, capsys):
+    for module in ("pwenum.codes", "pwenum.macwilliams", "pwenum.cli"):
+        monkeypatch.setattr(f"{module}.dual_code", _refuse)
+    monkeypatch.setattr("pwenum.enumerators.VarKey", _refuse)
+    monkeypatch.setattr(pwenum.EnumeratorPoly, "__init__", _refuse)
+    monkeypatch.setattr(pwenum.EnumeratorPoly, "from_canonical", _refuse)
+    for ring, code, poset in (("Z4", "hamming74", "leveled:3,2,2"), ("F2", "ex51", "leveled:2,1,1")):
+        argv = ["verify", "--kind", "byte", "--ring", ring, "--code", code, "--poset", poset]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "byte: EQUAL\n"
+
+
+def test_a_differing_byte_identity_prints_both_polynomials(monkeypatch, capsys):
+    def one_word_short(code, cap=None):
+        return dual_indices(code, cap)[:-1]
+
+    monkeypatch.setattr("pwenum.macwilliams.dual_indices", one_word_short)
+    argv = ["verify", "--kind", "byte", "--ring", "F2", "--code", "ex51", "--poset", "leveled:2,1,1"]
+    assert main(argv) == 1
+    # the dual's last word in lexicographic order is 1110
+    last = " + z_{1:11}z_{2:1}z_{3:0}"
+    assert FIXTURES["byte_dual"].endswith(last)
+    transform = parse_enumerator_text(FIXTURES["byte_dual"], "byte").to_text()
+    direct = parse_enumerator_text(FIXTURES["byte_dual"][: -len(last)], "byte").to_text()
+    expected = f"byte: DIFFER\n  transform: {transform}\n  direct:    {direct}\n"
+    assert capsys.readouterr().out == expected
+    assert main(argv + ["--out", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["equal"] is False
+    assert len(payload["lhs"]) == 4 and payload["rhs"] == payload["lhs"][:3]
 
 
 @pytest.mark.parametrize("kind, t", [("complete", None), ("level", None), ("mspotty", "2,1,1")])
@@ -237,6 +297,22 @@ def test_cap_exit_3(capsys):
         for route in ([], ["--via-transform"]):
             assert main(base + ["--kind", kind] + route) == 3
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "enum", "dual"])
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_a_non_positive_cap_is_an_input_error(command, cap):
+    # it used to exit 3, "code length 3 exceeds cap -5", as if the input were too big
+    argv = [command, "--ring", "F2", "--code", "C1", "--cap", cap]
+    argv += [] if command == "dual" else ["--kind", "level", "--poset", "chain:3"]
+    assert _call(argv) == (2, "", f"input error: --cap must be positive, got {cap}\n")
+
+
+def test_a_negative_fuzz_iteration_count_is_an_input_error():
+    # it used to print "fuzz: -1 instances, 0 failures" and exit 0
+    expected = (2, "", "input error: --fuzz-iters must not be negative, got -1\n")
+    assert _call(["fuzz", "--fuzz-iters", "-1"]) == expected
+    assert _call(["fuzz", "--fuzz-iters", "0"])[0] == 0
 
 
 def test_argparse_errors_exit_2(capsys):
@@ -649,6 +725,22 @@ def test_oversized_posets_are_refused_before_they_are_built(tmp_path, poset, cod
                     "--code", code, "--cap", "1000000", preexec_fn=_limit_memory)
     assert done.returncode == rc, done.stderr[-2000:]
     assert done.stdout == "" and message in done.stderr and len(done.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dual",),
+        ("verify", "--kind", "byte", "--poset", "antichain:64"),
+        ("enum", "--kind", "byte", "--poset", "antichain:64", "--dual"),
+        ("enum", "--kind", "poset", "--poset", "antichain:64", "--dual"),
+    ],
+)
+def test_the_listing_routes_check_the_cap_before_building_half_words(argv):
+    # each half of F2^64 has 2^32 words, far over 1 GiB if built before the check
+    done = _run_cli(*argv, "--ring", "F2", "--code", _zero_code(64), preexec_fn=_limit_memory)
+    assert (done.returncode, done.stdout) == (3, ""), done.stderr[-2000:]
+    assert done.stderr == "resource cap exceeded: q^n = 2^64 exceeds cap 16777216\n"
 
 
 ZERO_24 = ("--ring", "F2", "--poset", "antichain:24", "--code", _zero_code(24))

@@ -31,6 +31,13 @@ def test_zm_tables():
     assert Z4.names == ("0", "1", "2", "3")
 
 
+def test_zm_tables_are_modular_arithmetic():
+    for m in range(2, 65):
+        ring = make_ring("Zm", m=m)
+        assert ring.add_table == tuple(tuple((a + b) % m for b in range(m)) for a in range(m))
+        assert ring.mul_table == tuple(tuple(a * b % m for b in range(m)) for a in range(m))
+
+
 def test_f2v_construction():
     assert F2V.q == 4 and F2V.exponent == 2
     assert F2V.names == ("0", "1", "v", "1+v")
