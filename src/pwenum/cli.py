@@ -18,6 +18,7 @@ from .codes import (
     LinearCode,
     check_ambient_cap,
     dual_code,
+    dual_indices,
     dual_weight_spectrum,
     enumeration_cap,
     level_split,
@@ -33,6 +34,7 @@ from .enumerators import (
     mspotty_enumerator,
     plain_var,
     poset_weight_enumerator,
+    render_byte,
     render_weight_spectrum,
     weight_spectrum,
     weight_var,
@@ -471,8 +473,10 @@ def cmd_enum(args) -> int:
             check_ambient_cap(ring, code.n, cap)
         if kind == "byte" and args.via_transform:
             poly = byte_transform(code, levels)
+        elif kind == "byte" and args.dual:  # each dual word is its own byte monomial
+            poly = render_byte(dict.fromkeys(dual_indices(code, cap), 1), ring.q, levels)
         elif kind == "byte":
-            poly = byte_enumerator(dual_code(code, cap) if args.dual else code, levels)
+            poly = byte_enumerator(code, levels)
         elif args.dual and not args.via_transform:
             poly = render_weight_spectrum(kind, dual_weight_spectrum(code, levels, cap), levels, t)
         else:
@@ -553,11 +557,8 @@ COMMANDS = ("enum", "dual", "verify", "fuzz", "paper-examples")
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The pwenum parser, with the subparsers of all COMMANDS or of the one named.
-
-    The one-command parser lists every command in its usage line by a
-    metavar, which in the full parser would change two error messages.
-    """
+    """The parser with every subparser, or only the named one's (whose usage line lists
+    all COMMANDS by a metavar, which in the full parser would change two errors)."""
     parser = argparse.ArgumentParser(
         prog="pwenum",
         description="Level weight enumerators of linear codes over finite "

@@ -190,10 +190,7 @@ def dual_indices(code: LinearCode, cap: int | None = None) -> list[int]:
 
 
 def dual_code(code: LinearCode, cap: int | None = None) -> LinearCode:
-    """Every word orthogonal to the code: dual_indices decoded to words.
-
-    Its generators are picked only when first read (see LinearCode).
-    """
+    """dual_indices decoded to words; the generators are picked when first read."""
     indices = dual_indices(code, cap)  # first, as it checks the cap
     q, n = code.ring.q, code.n
     lefts, rights = (list(product(range(q), repeat=m)) for m in (n // 2, n - n // 2))

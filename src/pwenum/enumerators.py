@@ -14,7 +14,7 @@ coefficient sum always equals the code size.
 
 from __future__ import annotations
 
-from itertools import product
+from functools import cache, partial
 from math import ceil
 from typing import NamedTuple
 
@@ -260,17 +260,23 @@ def byte_enumerator(code: LinearCode, levels: LevelStructure) -> EnumeratorPoly:
 def render_byte(counts: dict, q: int, levels: LevelStructure) -> EnumeratorPoly:
     """The byte enumerator with these {pattern index: count}: z_{S:level-S block} per level S.
 
-    Pattern b has index sum of b_i q^(n-1-i); its level-S block has index
-    (index // q^after) % q^n_S, with after coordinates past level S.
+    Pattern b has index sum of b_i q^(n-1-i); its level-S block, with `after`
+    coordinates past level S, has index (index // q^after) % q^n_S.  A block's
+    variable is built when the block first occurs, so the cost follows the counts.
     """
     blocks, after = [], levels.n
     for level, n_s in enumerate(levels.sizes, start=1):
         after -= n_s
-        table = [(byte_var(level, beta), 1) for beta in product(range(q), repeat=n_s)]
-        blocks.append((table, q**after, q**n_s))
+        places = [q**j for j in reversed(range(n_s))]
+        blocks.append((cache(partial(_block_var, level, q, places)), q**after, q**n_s))
     return EnumeratorPoly.from_canonical(
-        {tuple(t[i // div % mod] for t, div, mod in blocks): c for i, c in counts.items()}
+        {tuple(var(i // div % mod) for var, div, mod in blocks): c for i, c in counts.items()}
     )
+
+
+def _block_var(level: int, q: int, places: list, block: int) -> tuple:
+    """(z_{level:beta}, 1) for the level block beta = (block // p % q for p in places)."""
+    return byte_var(level, [block // p % q for p in places]), 1
 
 
 def weight_spectrum(code: LinearCode, levels: LevelStructure) -> dict[tuple, int]:

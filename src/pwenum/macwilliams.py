@@ -268,8 +268,10 @@ def _yates_tallies(code: LinearCode, chi: Character) -> tuple[int, bytearray, in
     return field, _serialize(rows, row_bytes), 1
 
 
-def byte_counts(code: LinearCode, chi: Character | None = None) -> dict[int, int]:
-    """Dual byte coefficients from the primal code, by Yates' algorithm.
+def byte_transform(
+    code: LinearCode, levels: LevelStructure, chi: Character | None = None, render: bool = True
+) -> EnumeratorPoly | dict[int, int]:
+    """Dual byte enumerator from the primal code, by Yates' algorithm.
 
     The coefficient of z_{1:b1}...z_{s:bs}, with b the concatenated pattern, is
         (1/|C|) sum over u in C of chi(<b, u>),
@@ -277,8 +279,8 @@ def byte_counts(code: LinearCode, chi: Character | None = None) -> dict[int, int
     indicator of C.  Yates' algorithm applies that matrix one coordinate at a
     time in the group ring Z[Z_e], where zeta_e is x: n q^(n+1) products of a
     value by a power of x, and each value ends as the tally of the character
-    exponents <b, u> over the code.  The nonzero coefficients are returned
-    as {lexicographic index of b: coefficient}, in increasing index order.
+    exponents <b, u> over the code.  The result is render_byte of the nonzero
+    {lexicographic index of b: coefficient}, or that dict when render is False.
 
     A value is packed into a Python int as 2e byte-aligned count fields, so
     multiplying by x^r is a left shift by r fields; after each coordinate
@@ -294,6 +296,7 @@ def byte_counts(code: LinearCode, chi: Character | None = None) -> dict[int, int
     it must be a rational integer that divides exactly by |C| and is not
     negative, or IntegrityError is raised.
     """
+    _check_levels(code, levels)
     ring = code.ring
     if chi is None:
         chi = default_character(ring)
@@ -310,15 +313,8 @@ def byte_counts(code: LinearCode, chi: Character | None = None) -> dict[int, int
         coeffs[tally] = _byte_coefficient(tally, e, field, code.size)
     values = list(map(coeffs.__getitem__, each_tally()))
     values = list(chain.from_iterable(values[r::period] for r in range(period)))  # lexicographic
-    return dict(zip(compress(count(), values), filter(None, values)))
-
-
-def byte_transform(
-    code: LinearCode, levels: LevelStructure, chi: Character | None = None
-) -> EnumeratorPoly:
-    """Dual byte enumerator from the primal code: byte_counts, rendered."""
-    _check_levels(code, levels)
-    return render_byte(byte_counts(code, chi), code.ring.q, levels)
+    counts = dict(zip(compress(count(), values), filter(None, values)))
+    return render_byte(counts, ring.q, levels) if render else counts
 
 
 def _byte_coefficient(tally: bytes, e: int, field: int, code_size: int) -> int:
@@ -443,19 +439,19 @@ def verify_identity(
     lhs is the transform computed from the primal code; rhs is the same
     enumerator computed on the dual.  The sides are compared before they are
     rendered, and rendered only when read.  The byte kind compares
-    {pattern index: count}, byte_counts against the indicator of the dual's
-    word indices, as each word is its own byte monomial; only it lists the
-    dual and reads a precomputed dual passed in.  The other kinds compare
-    per-level weight spectra (folded by t for mspotty): the Krawtchouk
-    contraction of the code's, and the dual's from dual_weight_spectrum.
+    {pattern index: count}, byte_transform's unrendered counts against the
+    indicator of the dual's word indices, as each word is its own byte
+    monomial; only it lists the dual and reads a precomputed dual passed
+    in.  The other kinds compare per-level weight spectra (folded by t for
+    mspotty): the Krawtchouk contraction of the code's, and the dual's from
+    dual_weight_spectrum.
     """
     if kind not in TRANSFORM_KINDS:
         raise ValueError(f"unknown identity kind {kind!r}; expected {TRANSFORM_KINDS}")
     ring = code.ring
     if kind == "byte":
         rhs = dict.fromkeys(dual_indices(code, cap) if dual is None else word_indices(dual), 1)
-        _check_levels(code, levels)
-        lhs = byte_counts(code, chi)
+        lhs = byte_transform(code, levels, chi, render=False)
         render = partial(render_byte, q=ring.q, levels=levels)
     else:
         rhs = dual_weight_spectrum(code, levels, cap)

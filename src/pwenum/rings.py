@@ -234,8 +234,7 @@ def _gf_name(coeffs):
 def _make_zm(m):
     if m < 2:
         raise ValueError(f"modulus must be at least 2, got {m}")
-    # C-level slices: addition row a is range(m) rotated by a, and
-    # multiplication row a takes every a-th entry of range(m) repeated a times
+    # C-level slices: row a of + is range(m) rotated by a, of * every a-th of range(m) * a
     row = tuple(range(m))
     add = tuple(row[a:] + row[:a] for a in range(m))
     mul = ((0,) * m,) + tuple((row * a)[::a] for a in range(1, m))

@@ -6,6 +6,7 @@ import string
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import product
 from math import comb
 from pathlib import Path
 
@@ -741,6 +742,33 @@ def test_the_listing_routes_check_the_cap_before_building_half_words(argv):
     done = _run_cli(*argv, "--ring", "F2", "--code", _zero_code(64), preexec_fn=_limit_memory)
     assert (done.returncode, done.stdout) == (3, ""), done.stderr[-2000:]
     assert done.stderr == "resource cap exceeded: q^n = 2^64 exceeds cap 16777216\n"
+
+
+def _twin_code(h):  # generators e_i + e_(h+i): the dual is every word (a, a) with a in F2^h
+    return json.dumps({"length": 2 * h, "generators": [[int(j in (i, h + i)) for j in range(2 * h)] for i in range(h)]})
+
+
+@pytest.mark.parametrize(
+    "argv, terms",
+    [
+        (("--code", json.dumps({"length": 40, "generators": [[1] * 40]}), "--poset", "antichain:40"),
+         ["0" * 40, "1" * 40]),
+        (("--code", _twin_code(12), "--poset", "antichain:24", "--dual"),
+         ["".join(a) * 2 for a in product("01", repeat=12)]),
+    ],
+)
+def test_byte_rendering_builds_variables_only_for_blocks_that_occur(argv, terms):
+    # one level of 40 (or 24) coordinates could hold 2^40 (2^24) blocks, far over 1 GiB if all built
+    done = _run_cli("enum", "--kind", "byte", "--ring", "F2", *argv, preexec_fn=_limit_memory)
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr[-2000:]
+    assert done.stdout == " + ".join(f"z_{{1:{t}}}" for t in terms) + "\n"
+    done = _run_cli("enum", "--kind", "byte", "--ring", "F2", *argv, "--out", "json",
+                    preexec_fn=_limit_memory)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert json.loads(done.stdout) == {"kind": "byte", "enumerator": [
+        {"coeff": 1, "vars": [{"level": 1, "kind": "byte", "pattern": [int(x) for x in t]}]}
+        for t in terms
+    ]}
 
 
 ZERO_24 = ("--ring", "F2", "--poset", "antichain:24", "--code", _zero_code(24))
