@@ -172,6 +172,15 @@ def test_byte_route_output_matches_golden(record):
     assert _call(record["argv"]) == (record["rc"], record["stdout"], record["stderr"])
 
 
+@pytest.mark.parametrize("record", _golden("poset_and_level_order_cli.json"), ids=_argv_id)
+def test_poset_level_order_and_paper_output_matches_golden(record):
+    # captured while enumerators were polynomials of sorted variables: enum --kind poset,
+    # direct and --dual, over F2, Z4 and GF(9) with chain, antichain, leveled and cover
+    # posets; level and mspotty spectra with zero level-1 weights next to later ones;
+    # and the exact paper-examples report
+    assert _call(record["argv"]) == (record["rc"], record["stdout"], record["stderr"])
+
+
 @pytest.mark.parametrize("record", _golden("cli_usage.json"), ids=_argv_id)
 def test_usage_and_help_match_golden(record, monkeypatch):
     # captured while every call built all five subparsers; help wraps at COLUMNS
