@@ -9,29 +9,25 @@ enumeration.
 from .codes import LinearCode, dual_code, inner_product, level_split, span
 from .cyclotomic import CycInt, cyclotomic_poly, root_power
 from .enumerators import (
-    EnumeratorPoly,
-    VarKey,
     byte_enumerator,
-    collapse_to_x,
     complete_level_enumerator,
-    eta,
     level_enumerator,
     mspotty_distance,
     mspotty_enumerator,
     mspotty_weight,
-    mu,
     poset_weight_enumerator,
     weight_spectrum,
 )
 from .errors import CapExceededError, IntegrityError
 from .macwilliams import (
+    KINDS,
     IdentityReport,
     byte_transform,
     complete_transform,
-    hadamard_check,
     krawtchouk_level,
     level_transform,
     mspotty_transform,
+    render,
     verify_identity,
 )
 from .posets import (
@@ -46,9 +42,7 @@ from .posets import (
 from .rings import (
     Character,
     RingSpec,
-    character_ideal_sum,
     default_character,
-    enumerate_ideals,
     make_ring,
     verify_generating_character,
 )
@@ -57,29 +51,23 @@ __all__ = [
     "CapExceededError",
     "Character",
     "CycInt",
-    "EnumeratorPoly",
     "IdentityReport",
     "IntegrityError",
+    "KINDS",
     "LevelStructure",
     "LinearCode",
     "Poset",
     "RingSpec",
-    "VarKey",
     "antichain",
     "byte_enumerator",
     "byte_transform",
     "chain",
-    "character_ideal_sum",
-    "collapse_to_x",
     "complete_level_enumerator",
     "complete_transform",
     "cyclotomic_poly",
     "default_character",
     "dual_code",
-    "enumerate_ideals",
-    "eta",
     "from_covers",
-    "hadamard_check",
     "inner_product",
     "krawtchouk_level",
     "level_enumerator",
@@ -92,8 +80,8 @@ __all__ = [
     "mspotty_enumerator",
     "mspotty_transform",
     "mspotty_weight",
-    "mu",
     "poset_weight_enumerator",
+    "render",
     "root_power",
     "span",
     "verify_generating_character",

@@ -13,42 +13,11 @@ import os
 import random
 import re
 import sys
+from functools import partial
 
-from .codes import (
-    LinearCode,
-    check_ambient_cap,
-    dual_code,
-    dual_indices,
-    dual_weight_spectrum,
-    enumeration_cap,
-    level_split,
-    span,
-)
-from .enumerators import (
-    EnumeratorPoly,
-    X_VAR,
-    byte_enumerator,
-    byte_var,
-    complete_level_enumerator,
-    level_enumerator,
-    mspotty_enumerator,
-    plain_var,
-    poset_weight_enumerator,
-    render_byte,
-    render_weight_spectrum,
-    weight_spectrum,
-    weight_var,
-)
+from .codes import LinearCode, check_ambient_cap, dual_code, enumeration_cap, level_split, span
 from .errors import CapExceededError, IntegrityError
-from .macwilliams import (
-    TRANSFORM_KINDS,
-    byte_transform,
-    complete_transform,
-    krawtchouk_contraction,
-    level_transform,
-    mspotty_transform,
-    verify_identity,
-)
+from .macwilliams import KINDS, TRANSFORM_KINDS, render, verify_identity
 from .posets import LevelStructure, Poset, chain, leveled, level_partition, poset_from_json_obj
 from .rings import RingSpec, default_character, make_ring, ring_from_json_obj
 
@@ -167,65 +136,8 @@ def parse_t_spec(text: str) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Enumerator text, both rendering (EnumeratorPoly.to_text) and parsing of the
-# golden fixtures below.
-# ---------------------------------------------------------------------------
-
-_COEFF_RE = re.compile(r"^(\d+)")
-_VAR_RES = {
-    "byte": re.compile(r"z_\{(\d+):([\d,]+)\}(?:\^(\d+))?"),
-    "complete": re.compile(r"z_\{(\d+):(\d+)\}(?:\^(\d+))?"),
-    "level": re.compile(r"z_(\d+)(?:\^(\d+))?"),
-    "poset": re.compile(r"x(?:\^(\d+))?"),
-}
-
-
-def parse_enumerator_text(text: str, kind: str) -> EnumeratorPoly:
-    """Parse enumerator notation such as 'z_{1:10}z_{2:1} + 2x^2' exactly."""
-    if kind not in _VAR_RES:
-        raise ValueError(f"unknown enumerator kind {kind!r}")
-    var_re = _VAR_RES[kind]
-    terms: dict[tuple, int] = {}
-    for raw in text.replace(" ", "").split("+"):
-        if not raw:
-            raise ValueError(f"empty term in {text!r}")
-        m = _COEFF_RE.match(raw)
-        coeff, rest = (int(m.group(1)), raw[m.end() :]) if m else (1, raw)
-        variables = []
-        pos = 0
-        while pos < len(rest):
-            vm = var_re.match(rest, pos)
-            if not vm:
-                raise ValueError(f"cannot parse {raw!r} near {rest[pos:]!r}")
-            variables.append(_fixture_var(kind, vm))
-            pos = vm.end()
-        mono = tuple(variables)
-        terms[mono] = terms.get(mono, 0) + coeff
-    return EnumeratorPoly(terms)
-
-
-def _fixture_var(kind, match):
-    if kind == "byte":
-        level, body, exp = match.groups()
-        pattern = (
-            tuple(int(x) for x in body.split(","))
-            if "," in body
-            else tuple(int(c) for c in body)
-        )
-        return (byte_var(int(level), pattern), int(exp) if exp else 1)
-    if kind == "complete":
-        level, w, exp = match.groups()
-        return (weight_var(int(level), int(w)), int(exp) if exp else 1)
-    if kind == "level":
-        level, exp = match.groups()
-        return (plain_var(int(level)), int(exp) if exp else 1)
-    exp = match.group(1)
-    return (X_VAR, int(exp) if exp else 1)
-
-
-# ---------------------------------------------------------------------------
 # Bundled worked-example corpus.  Fixture strings are transcribed from the
-# source material; comparisons are structural (parse, then canonical text).
+# source material; a rendering matches one when both hold the same terms.
 # ---------------------------------------------------------------------------
 
 FIXTURES = {
@@ -241,11 +153,25 @@ FIXTURES = {
     "spotty_dual": "1 + z_1z_2z_3 + z_1z_3 + z_1z_2",
 }
 
-
-def _match(computed: EnumeratorPoly, fixture_key: str, kind: str):
-    expected = parse_enumerator_text(FIXTURES[fixture_key], kind)
-    ok = computed.to_text() == expected.to_text()
-    return ok, f"expected {expected.to_text()!r}, got {computed.to_text()!r}"
+# (check, kind, code, route, fixture): the poset kind on chain(3), the others
+# on the levels (2, 1, 1) with t = (2, 1, 1); the route computes the
+# enumerator of the code, of its listed dual, or of the dual by the transform.
+PAPER_CHECKS = (
+    ("chain enumerator of c1", "poset", "c1", "code", "chain_primal"),
+    ("chain enumerator of c2", "poset", "c2", "code", "chain_primal"),
+    ("chain enumerator of c1 dual", "poset", "c1", "dual", "chain_dual_1"),
+    ("chain enumerator of c2 dual", "poset", "c2", "dual", "chain_dual_2"),
+    ("byte enumerator of the code", "byte", "ex51", "code", "byte_code"),
+    ("byte enumerator of the dual", "byte", "ex51", "dual", "byte_dual"),
+    ("byte transform of the code", "byte", "ex51", "transform", "byte_dual"),
+    ("complete enumerator of the code", "complete", "ex51", "code", "complete_code"),
+    ("complete enumerator of the dual", "complete", "ex51", "dual", "complete_dual"),
+    ("complete transform of the code", "complete", "ex51", "transform", "complete_dual"),
+    ("plain level enumerator of the dual", "level", "ex51", "dual", "plain_dual"),
+    ("plain level transform of the code", "level", "ex51", "transform", "plain_dual"),
+    ("spotty enumerator of the dual, t=2,1,1", "mspotty", "ex51", "dual", "spotty_dual"),
+    ("spotty transform of the code, t=2,1,1", "mspotty", "ex51", "transform", "spotty_dual"),
+)
 
 
 def run_paper_examples():
@@ -253,92 +179,31 @@ def run_paper_examples():
 
     Returns (all_ok, lines); one line per check.
     """
-    checks: list[tuple[str, bool, str]] = []
     f2 = catalog_ring("F2")
-
     split = level_split((1, 0, 1, 1, 0, 0), LevelStructure((2, 1, 3)))
     got = ",".join("".join(str(x) for x in part) for part in split)
-    checks.append(("three-level split of 101100", got == FIXTURES["split"], got))
+    checks = [("three-level split of 101100", got == FIXTURES["split"], got)]
 
-    p3 = chain(3)
-    code1 = span(f2, 3, NAMED_CODES["c1"][1])
-    code2 = span(f2, 3, NAMED_CODES["c2"][1])
-    w1 = poset_weight_enumerator(code1, p3)
-    w2 = poset_weight_enumerator(code2, p3)
-    d1 = poset_weight_enumerator(dual_code(code1), p3)
-    d2 = poset_weight_enumerator(dual_code(code2), p3)
-    checks.append(("chain enumerator of c1", *_match(w1, "chain_primal", "poset")))
-    checks.append(("chain enumerator of c2", *_match(w2, "chain_primal", "poset")))
-    checks.append(("chain enumerator of c1 dual", *_match(d1, "chain_dual_1", "poset")))
-    checks.append(("chain enumerator of c2 dual", *_match(d2, "chain_dual_2", "poset")))
-    checks.append(
-        (
-            "expected-negative: equal primal enumerators, unequal duals",
-            w1 == w2 and d1 != d2,
-            f"primals equal={w1 == w2}, duals equal={d1 == d2}",
-        )
-    )
-
+    codes = {name: span(f2, *NAMED_CODES[name]) for name in ("c1", "c2", "ex51")}
     levels = level_partition(leveled((2, 1, 1)))
-    code = span(f2, 4, NAMED_CODES["ex51"][1])
-    dual = dual_code(code)
-    checks.append(
-        ("byte enumerator of the code", *_match(byte_enumerator(code, levels), "byte_code", "byte"))
-    )
-    checks.append(
-        ("byte enumerator of the dual", *_match(byte_enumerator(dual, levels), "byte_dual", "byte"))
-    )
-    checks.append(
-        ("byte transform of the code", *_match(byte_transform(code, levels), "byte_dual", "byte"))
-    )
+    found = []
+    for name, kind, code, route, fixture in PAPER_CHECKS:
+        entry, code = KINDS[kind], codes[code]
+        shape = levels if entry.levels else chain(3)
+        if route == "transform":
+            counts = entry.transform(code, shape, None)
+        else:
+            counts = entry.direct(dual_code(code) if route == "dual" else code, shape)
+        if entry.fold:
+            counts = entry.fold(counts, shape, (2, 1, 1))
+        text = render(kind, counts, f2.q, shape)
+        ok = sorted(text.split(" + ")) == sorted(FIXTURES[fixture].split(" + "))
+        checks.append((name, ok, f"expected {FIXTURES[fixture]!r}, got {text!r}"))
+        found.append(counts)
 
-    spectrum = weight_spectrum(code, levels)
-    checks.append(
-        (
-            "complete enumerator of the code",
-            *_match(complete_level_enumerator(code, levels), "complete_code", "complete"),
-        )
-    )
-    checks.append(
-        (
-            "complete enumerator of the dual",
-            *_match(complete_level_enumerator(dual, levels), "complete_dual", "complete"),
-        )
-    )
-    checks.append(
-        (
-            "complete transform of the code",
-            *_match(
-                complete_transform(spectrum, levels, f2.q, code.size), "complete_dual", "complete"
-            ),
-        )
-    )
-
-    checks.append(
-        (
-            "plain level enumerator of the dual",
-            *_match(level_enumerator(dual, levels), "plain_dual", "level"),
-        )
-    )
-    checks.append(
-        (
-            "plain level transform of the code",
-            *_match(level_transform(spectrum, levels, f2.q, code.size), "plain_dual", "level"),
-        )
-    )
-    t = (2, 1, 1)
-    checks.append(
-        (
-            "spotty enumerator of the dual, t=2,1,1",
-            *_match(mspotty_enumerator(dual, levels, t), "spotty_dual", "level"),
-        )
-    )
-    checks.append(
-        (
-            "spotty transform of the code, t=2,1,1",
-            *_match(mspotty_transform(spectrum, levels, t, f2.q, code.size), "spotty_dual", "level"),
-        )
-    )
+    w1, w2, d1, d2 = found[:4]  # the chain enumerators of c1 and c2 and of their duals
+    negative = ("expected-negative: equal primal enumerators, unequal duals", w1 == w2 and d1 != d2)
+    checks.insert(5, (*negative, f"primals equal={w1 == w2}, duals equal={d1 == d2}"))
 
     lines = []
     all_ok = True
@@ -398,13 +263,7 @@ def run_fuzz(iters: int, seed: int, bound: int = FUZZ_BOUND_DEFAULT) -> dict:
             )
             for kind in TRANSFORM_KINDS:
                 report = verify_identity(
-                    kind,
-                    code,
-                    levels,
-                    t=t if kind == "mspotty" else None,
-                    chi=characters[name],
-                    cap=bound,
-                    dual=dual,
+                    kind, code, levels, t=t, chi=characters[name], cap=bound, dual=dual
                 )
                 record[kind] = report.equal
             record["ok"] = record["duality"] and all(record[k] for k in TRANSFORM_KINDS)
@@ -442,49 +301,44 @@ def _emit(args, text, json_obj) -> None:
         print(text())
 
 
-def _resolve_levels(args, n: int, cap: int) -> LevelStructure:
+def _resolve_shape(args, n: int, cap: int):
+    """What the kind reads of --poset and --t: (levels, t), or (poset, None) for the poset kind."""
+    kind = KINDS[args.kind]
     if not args.poset:
-        raise ValueError("this enumerator kind needs --poset")
-    return level_partition(parse_poset_spec(args.poset, n, cap))
+        needs = "this enumerator kind" if kind.levels else f"--kind {args.kind}"
+        raise ValueError(f"{needs} needs --poset")
+    poset = parse_poset_spec(args.poset, n, cap)
+    if not kind.levels:
+        return poset, None
+    levels = level_partition(poset)
+    t = parse_t_spec(args.t) if args.t else None
+    if kind.fold and t is None:
+        raise ValueError(f"--kind {args.kind} needs --t")
+    return levels, t
 
 
 def cmd_enum(args) -> int:
     cap = _resolve_cap(args)
     ring = parse_ring_spec(args.ring)
     code = parse_code_spec(args.code, ring, cap)
-    kind = args.kind
-    if kind == "poset":
-        if args.via_transform:
-            raise ValueError("the plain poset enumerator has no transform route")
-        if not args.poset:
-            raise ValueError("--kind poset needs --poset")
-        poset = parse_poset_spec(args.poset, code.n, cap)
-        target = dual_code(code, cap) if args.dual else code
-        poly = poset_weight_enumerator(target, poset)
+    kind = KINDS[args.kind]
+    if args.via_transform and kind.transform is None:
+        raise ValueError(f"the plain {args.kind} enumerator has no transform route")
+    shape, t = _resolve_shape(args, code.n, cap)
+    if args.via_transform:
+        if not args.dual:
+            raise ValueError("--via-transform computes the dual enumerator; pass --dual")
+        # the same bound as the direct route, so both refuse the same inputs
+        check_ambient_cap(ring, code.n, cap)
+        counts = kind.transform(code, shape, None)
+    elif args.dual:
+        counts = kind.dual(code, shape, cap)
     else:
-        levels = _resolve_levels(args, code.n, cap)
-        t = parse_t_spec(args.t) if args.t else None
-        if kind == "mspotty" and t is None:
-            raise ValueError("--kind mspotty needs --t")
-        if args.via_transform:
-            if not args.dual:
-                raise ValueError("--via-transform computes the dual enumerator; pass --dual")
-            # the same bound as the direct route, so both refuse the same inputs
-            check_ambient_cap(ring, code.n, cap)
-        if kind == "byte" and args.via_transform:
-            poly = byte_transform(code, levels)
-        elif kind == "byte" and args.dual:  # each dual word is its own byte monomial
-            poly = render_byte(dict.fromkeys(dual_indices(code, cap), 1), ring.q, levels)
-        elif kind == "byte":
-            poly = byte_enumerator(code, levels)
-        elif args.dual and not args.via_transform:
-            poly = render_weight_spectrum(kind, dual_weight_spectrum(code, levels, cap), levels, t)
-        else:
-            spectrum = weight_spectrum(code, levels)
-            if args.via_transform:
-                spectrum = krawtchouk_contraction(spectrum, levels, ring.q, code.size)
-            poly = render_weight_spectrum(kind, spectrum, levels, t)
-    _emit(args, poly.to_text, lambda: {"kind": kind, "enumerator": poly.to_json_obj()})
+        counts = kind.direct(code, shape)
+    if kind.fold:
+        counts = kind.fold(counts, shape, t)
+    spell = partial(render, args.kind, counts, ring.q, shape)
+    _emit(args, spell, lambda: {"kind": args.kind, "enumerator": spell(json=True)})
     return 0
 
 
@@ -511,21 +365,24 @@ def cmd_verify(args) -> int:
     cap = _resolve_cap(args)
     ring = parse_ring_spec(args.ring)
     code = parse_code_spec(args.code, ring, cap)
-    levels = _resolve_levels(args, code.n, cap)
-    t = parse_t_spec(args.t) if args.t else None
-    if args.kind == "mspotty" and t is None:
-        raise ValueError("--kind mspotty needs --t")
+    levels, t = _resolve_shape(args, code.n, cap)
     report = verify_identity(args.kind, code, levels, t=t, cap=cap)
+
+    spell = partial(render, args.kind, q=ring.q, levels=levels)
 
     def text():
         if report.equal:
             return f"{args.kind}: EQUAL"
         return (
-            f"{args.kind}: DIFFER\n  transform: {report.lhs.to_text()}"
-            f"\n  direct:    {report.rhs.to_text()}"
+            f"{args.kind}: DIFFER\n  transform: {spell(report.lhs)}"
+            f"\n  direct:    {spell(report.rhs)}"
         )
 
-    _emit(args, text, report.to_json_obj)
+    def json_obj():
+        sides = {"lhs": spell(report.lhs, json=True), "rhs": spell(report.rhs, json=True)}
+        return {**report._asdict(), **sides}
+
+    _emit(args, text, json_obj)
     return 0 if report.equal else 1
 
 
@@ -586,7 +443,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sp.add_argument("--cap", type=int, help="enumeration cap (default: PWE_CAP or 2^24)")
 
     if sp := add("enum", "compute one enumerator", cmd_enum):
-        add_io(sp, kind=("byte", "complete", "level", "mspotty", "poset"), t=True)
+        add_io(sp, kind=tuple(KINDS), t=True)
         sp.add_argument("--dual", action="store_true", help="enumerate the dual code")
         sp.add_argument(
             "--via-transform",

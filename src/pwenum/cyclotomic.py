@@ -88,10 +88,6 @@ class CycInt:
         self.order = order
         self.coeffs = tuple(coeffs)
 
-    @classmethod
-    def from_int(cls, order: int, n: int) -> CycInt:
-        return cls(order, (n,))
-
     def _coerce(self, other):
         if isinstance(other, CycInt):
             if other.order != self.order:

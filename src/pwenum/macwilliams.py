@@ -10,117 +10,43 @@ raised as an IntegrityError, never rounded.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache
 from itertools import chain, compress, count
 from math import comb
 from operator import itemgetter, lshift
 from struct import iter_unpack
+from typing import Callable, NamedTuple
 
-from .codes import (
-    LinearCode,
-    dual_code,
-    dual_indices,
-    dual_weight_spectrum,
-    inner_product,
-    word_indices,
-)
+from .codes import LinearCode, dual_code, dual_indices, dual_weight_spectrum
 from .cyclotomic import CycInt
 from .enumerators import (
-    EnumeratorPoly,
-    render_byte,
-    render_complete,
-    render_plain,
-    render_weight_spectrum,
-    spotty_spectrum,
-    weight_spectrum,
     _check_levels,
     _check_t,
+    byte_enumerator,
+    byte_terms,
+    complete_terms,
+    plain_terms,
+    poset_terms,
+    poset_weight_enumerator,
+    spotty_spectrum,
+    weight_spectrum,
 )
 from .errors import IntegrityError
 from .posets import LevelStructure
-from .rings import Character, RingSpec, check_additive, default_character
-
-TRANSFORM_KINDS = ("byte", "complete", "level", "mspotty")
+from .rings import Character, check_additive, default_character
 
 
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of one identity check: transform output (lhs) vs direct computation (rhs).
 
-    The sides are CycInts for the hadamard kind.  The identity kinds pass
-    {pattern index: count} dicts or spectra and a render, so that each side
-    becomes a polynomial only when it is first read.
+    The sides are the two compared count dicts; render spells them.
     """
 
-    def __init__(self, kind, equal, lhs, rhs, instance, render=None):
-        self.kind, self.equal, self.instance = kind, equal, instance
-        self._sides, self._render = (lhs, rhs), render or (lambda side: side)
-
-    lhs = cached_property(lambda self: self._render(self._sides[0]))
-    rhs = cached_property(lambda self: self._render(self._sides[1]))
-
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "equal": self.equal,
-            "lhs": _side_json(self.lhs),
-            "rhs": _side_json(self.rhs),
-            "instance": self.instance,
-        }
-
-
-def _side_json(value):
-    if isinstance(value, EnumeratorPoly):
-        return value.to_json_obj()
-    if isinstance(value, CycInt):
-        if value.is_integer():
-            return value.coeffs[0]
-        return {"order": value.order, "coeffs": list(value.coeffs)}
-    return value
-
-
-def hadamard_check(
-    ring: RingSpec,
-    chi: Character,
-    code: LinearCode,
-    f: dict,
-    cap: int | None = None,
-) -> IdentityReport:
-    """Compare sum of f over the dual with the averaged transformed sum over C.
-
-    f maps words of R^n to integers or cyclotomic integers; missing words
-    count as zero.  The transformed function sums chi(<u, v>) f(v) over the
-    support of f, and its total over the code must divide exactly by |C|.
-    """
-    e = ring.exponent
-    zero = CycInt(e)
-    support = [(tuple(v), _as_cyc(e, val)) for v, val in f.items()]
-
-    dual = dual_code(code, cap)
-    lhs = zero
-    for v, val in support:
-        if v in dual:
-            lhs = lhs + val
-
-    total = zero
-    for u in code.words:
-        for v, val in support:
-            total = total + chi.value(inner_product(ring, u, v)) * val
-    rhs = total.divide_exact(code.size)
-    return IdentityReport(
-        kind="hadamard",
-        equal=lhs == rhs,
-        lhs=lhs,
-        rhs=rhs,
-        instance={"ring": ring.to_json_obj(), "generators": [list(g) for g in code.generators]},
-    )
-
-
-def _as_cyc(e, val):
-    if isinstance(val, CycInt):
-        if val.order != e:
-            raise ValueError(f"test function value has order {val.order}, ring has {e}")
-        return val
-    return CycInt(e, (int(val),))
+    kind: str
+    equal: bool
+    lhs: dict
+    rhs: dict
+    instance: dict
 
 
 # Bits in one packed row of the in-row layout; see _layout.
@@ -269,8 +195,8 @@ def _yates_tallies(code: LinearCode, chi: Character) -> tuple[int, bytearray, in
 
 
 def byte_transform(
-    code: LinearCode, levels: LevelStructure, chi: Character | None = None, render: bool = True
-) -> EnumeratorPoly | dict[int, int]:
+    code: LinearCode, levels: LevelStructure, chi: Character | None = None
+) -> dict[int, int]:
     """Dual byte enumerator from the primal code, by Yates' algorithm.
 
     The coefficient of z_{1:b1}...z_{s:bs}, with b the concatenated pattern, is
@@ -279,8 +205,8 @@ def byte_transform(
     indicator of C.  Yates' algorithm applies that matrix one coordinate at a
     time in the group ring Z[Z_e], where zeta_e is x: n q^(n+1) products of a
     value by a power of x, and each value ends as the tally of the character
-    exponents <b, u> over the code.  The result is render_byte of the nonzero
-    {lexicographic index of b: coefficient}, or that dict when render is False.
+    exponents <b, u> over the code.  The result is the nonzero
+    {lexicographic index of b: coefficient}.
 
     A value is packed into a Python int as 2e byte-aligned count fields, so
     multiplying by x^r is a left shift by r fields; after each coordinate
@@ -313,8 +239,7 @@ def byte_transform(
         coeffs[tally] = _byte_coefficient(tally, e, field, code.size)
     values = list(map(coeffs.__getitem__, each_tally()))
     values = list(chain.from_iterable(values[r::period] for r in range(period)))  # lexicographic
-    counts = dict(zip(compress(count(), values), filter(None, values)))
-    return render_byte(counts, ring.q, levels) if render else counts
+    return dict(zip(compress(count(), values), filter(None, values)))
 
 
 def _byte_coefficient(tally: bytes, e: int, field: int, code_size: int) -> int:
@@ -405,24 +330,91 @@ def krawtchouk_contraction(
 
 def complete_transform(
     spectrum: dict, levels: LevelStructure, q: int, code_size: int
-) -> EnumeratorPoly:
+) -> dict[tuple, int]:
     """Dual complete enumerator from the per-level weight spectrum of the code."""
-    return render_complete(krawtchouk_contraction(spectrum, levels, q, code_size))
+    return krawtchouk_contraction(spectrum, levels, q, code_size)
 
 
 def level_transform(
     spectrum: dict, levels: LevelStructure, q: int, code_size: int
-) -> EnumeratorPoly:
-    """Dual plain-level enumerator: the dual spectrum rendered as z_j^p_j."""
-    return render_plain(krawtchouk_contraction(spectrum, levels, q, code_size))
+) -> dict[tuple, int]:
+    """Dual plain-level enumerator: the dual spectrum, read as exponents z_j^p_j."""
+    return krawtchouk_contraction(spectrum, levels, q, code_size)
 
 
 def mspotty_transform(
     spectrum: dict, levels: LevelStructure, t, q: int, code_size: int
-) -> EnumeratorPoly:
-    """Dual spotty enumerator: the dual spectrum rendered as z_j^ceil(p_j/t_j)."""
+) -> dict[tuple, int]:
+    """Dual spotty enumerator: the dual spectrum folded to z_j^ceil(p_j/t_j)."""
     dual_spectrum = krawtchouk_contraction(spectrum, levels, q, code_size)
-    return render_weight_spectrum("mspotty", dual_spectrum, levels, t)
+    return spotty_spectrum(dual_spectrum, _check_t(levels, t))
+
+
+class Kind(NamedTuple):
+    """How one enumerator kind is computed and printed.
+
+    Every route returns the kind's count dict.  shape is a LevelStructure,
+    or for the poset kind (levels False) the poset itself.
+    """
+
+    direct: Callable  # (code, shape) -> counts of the code's words
+    dual: Callable  # (code, shape, cap) -> counts of the dual's words, listed as indices or counted
+    transform: Callable | None  # (code, levels, chi) -> counts of the dual's words, by the identity
+    terms: Callable  # (counts, q, levels) -> the terms in print order; see render
+    fold: Callable | None = None  # (counts, levels, t) -> counts under the thresholds t
+    levels: bool = True
+
+
+def _weight_transform(code, levels, chi):
+    """The dual's per-level weight spectrum, contracted from the code's; chi plays no part."""
+    return krawtchouk_contraction(weight_spectrum(code, levels), levels, code.ring.q, code.size)
+
+
+# The routes call the kernels through their module globals, so that a tracer
+# that rebinds those names (perfbench/spans.py) sees each call.
+_WEIGHT_ROUTES = {
+    "direct": lambda code, levels: weight_spectrum(code, levels),
+    "dual": lambda code, levels, cap: dual_weight_spectrum(code, levels, cap),
+    "transform": _weight_transform,
+}
+KINDS = {
+    "byte": Kind(
+        direct=lambda code, levels: byte_enumerator(code, levels),
+        # each dual word is its own byte monomial
+        dual=lambda code, levels, cap: dict.fromkeys(dual_indices(code, cap), 1),
+        transform=lambda code, levels, chi: byte_transform(code, levels, chi),
+        terms=byte_terms,
+    ),
+    "complete": Kind(**_WEIGHT_ROUTES, terms=complete_terms),
+    "level": Kind(**_WEIGHT_ROUTES, terms=plain_terms),
+    "mspotty": Kind(
+        **_WEIGHT_ROUTES,
+        terms=plain_terms,
+        fold=lambda spectrum, levels, t: spotty_spectrum(spectrum, _check_t(levels, t)),
+    ),
+    "poset": Kind(
+        direct=lambda code, poset: poset_weight_enumerator(code, poset),
+        dual=lambda code, poset, cap: poset_weight_enumerator(dual_code(code, cap), poset),
+        transform=None,
+        terms=poset_terms,
+        levels=False,
+    ),
+}
+TRANSFORM_KINDS = tuple(kind for kind, entry in KINDS.items() if entry.transform)
+
+
+def render(kind: str, counts: dict, q: int | None = None, levels=None, json: bool = False):
+    """The enumerator of this kind with these counts, as text or as a list of JSON terms.
+
+    Only the byte kind reads q and the levels.  A term prints as its
+    coefficient, left out when it is 1 and the term has a variable, then its
+    variables; the zero enumerator prints as 0.
+    """
+    terms = KINDS[kind].terms(counts, q, levels)
+    if json:
+        return [{"coeff": c, "vars": [var[1] for var in variables]} for c, variables in terms]
+    texts = (("".join(var[0] for var in variables), c) for c, variables in terms)
+    return " + ".join(f"{c}{body}" if c != 1 or not body else body for body, c in texts) or "0"
 
 
 def verify_identity(
@@ -437,34 +429,23 @@ def verify_identity(
     """Check one transform against a direct computation on the dual.
 
     lhs is the transform computed from the primal code; rhs is the same
-    enumerator computed on the dual.  The sides are compared before they are
-    rendered, and rendered only when read.  The byte kind compares
-    {pattern index: count}, byte_transform's unrendered counts against the
-    indicator of the dual's word indices, as each word is its own byte
-    monomial; only it lists the dual and reads a precomputed dual passed
-    in.  The other kinds compare per-level weight spectra (folded by t for
-    mspotty): the Krawtchouk contraction of the code's, and the dual's from
-    dual_weight_spectrum.
+    enumerator computed on the dual: on the given dual code, or else from
+    the code by the kind's dual route, which lists the dual's word indices
+    (byte) or counts its per-level weight spectrum without listing it.  Both
+    sides are count dicts, compared before anything is rendered.  t is read,
+    checked and recorded only by the kinds that fold by it.
     """
     if kind not in TRANSFORM_KINDS:
         raise ValueError(f"unknown identity kind {kind!r}; expected {TRANSFORM_KINDS}")
-    ring = code.ring
-    if kind == "byte":
-        rhs = dict.fromkeys(dual_indices(code, cap) if dual is None else word_indices(dual), 1)
-        lhs = byte_transform(code, levels, chi, render=False)
-        render = partial(render_byte, q=ring.q, levels=levels)
-    else:
-        rhs = dual_weight_spectrum(code, levels, cap)
-        lhs = krawtchouk_contraction(weight_spectrum(code, levels), levels, ring.q, code.size)
-        if kind == "mspotty":
-            t = _check_t(levels, t)
-            lhs, rhs = spotty_spectrum(lhs, t), spotty_spectrum(rhs, t)
-        render = render_complete if kind == "complete" else render_plain
+    entry = KINDS[kind]
+    rhs = entry.dual(code, levels, cap) if dual is None else entry.direct(dual, levels)
+    lhs = entry.transform(code, levels, chi)
     instance = {
-        "ring": ring.to_json_obj(),
+        "ring": code.ring.to_json_obj(),
         "levels": list(levels.sizes),
         "generators": [list(g) for g in code.generators],
     }
-    if t is not None:
+    if entry.fold:
+        lhs, rhs = entry.fold(lhs, levels, t), entry.fold(rhs, levels, t)
         instance["t"] = list(t)
-    return IdentityReport(kind, lhs == rhs, lhs, rhs, instance, render)
+    return IdentityReport(kind, lhs == rhs, lhs, rhs, instance)

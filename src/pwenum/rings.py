@@ -84,10 +84,6 @@ class RingSpec:
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def element_name(self, a: int) -> str:
-        self._check_index(a)
-        return self.names[a]
-
     def to_json_obj(self) -> dict:
         return {"kind": self.kind, **self.params}
 
@@ -450,49 +446,3 @@ def verify_generating_character(ring: RingSpec, chi: Character) -> bool:
             return False
     return True
 
-
-def enumerate_ideals(ring: RingSpec) -> list[frozenset[int]]:
-    """All ideals, as the closure of the principal ideals under ideal sum."""
-    q, mul, add = ring.q, ring.mul_table, ring.add_table
-    ideals = {frozenset(mul[r][a] for r in range(q)) for a in range(q)}
-    changed = True
-    while changed:
-        changed = False
-        current = list(ideals)
-        for i, left in enumerate(current):
-            for right in current[i:]:
-                total = frozenset(add[x][y] for x in left for y in right)
-                if total not in ideals:
-                    ideals.add(total)
-                    changed = True
-    return sorted(ideals, key=lambda s: (len(s), sorted(s)))
-
-
-def _is_ideal(ring, subset):
-    if 0 not in subset:
-        return False
-    add, mul = ring.add_table, ring.mul_table
-    for a in subset:
-        for b in subset:
-            if add[a][b] not in subset:
-                return False
-        for r in range(ring.q):
-            if mul[r][a] not in subset:
-                return False
-    return True
-
-
-def character_ideal_sum(ring: RingSpec, chi: Character, ideal) -> CycInt:
-    """Exact value of the character summed over an ideal.
-
-    For a generating character this is 1 on the zero ideal and 0 on every
-    larger one; the sum with the zero element removed is then -1.
-    """
-    ideal = frozenset(ideal)
-    if not _is_ideal(ring, ideal):
-        raise ValueError("subset is not an ideal")
-    e = ring.exponent
-    counts = [0] * e
-    for a in ideal:
-        counts[chi.exponents[a]] += 1
-    return CycInt(e, counts)

@@ -8,9 +8,10 @@ the fast kernel it checks.
 from itertools import product
 from math import ceil, comb
 
+from pwenum.codes import dual_code, inner_product, level_split
 from pwenum.cyclotomic import CycInt
-from pwenum.enumerators import EnumeratorPoly, plain_var, weight_var
 from pwenum.errors import IntegrityError
+from pwenum.macwilliams import IdentityReport
 
 
 def scan_dual_words(code) -> list[tuple]:
@@ -181,42 +182,244 @@ def convolution_gf_tables(p, k, modulus) -> tuple[tuple, tuple]:
     return add, tuple(mul_rows)
 
 
-def substitute(poly, rule: str, t=None):
-    """Rewrite the variables of an enumerator and collect like terms.
+def pattern_of(index, q, n) -> list[int]:
+    """The pattern with this lexicographic index, index = sum of b_i q^(n-1-i)."""
+    digits = []
+    for _ in range(n):
+        index, d = divmod(index, q)
+        digits.append(d)
+    return digits[::-1]
 
-    byte->complete      z_{S:pattern} becomes z_{S:w(pattern)}
-    complete->level     z_{j:p}       becomes z_j^p
+
+def substitute(counts, rule: str, t=None, q=None, levels=None) -> dict:
+    """Rewrite an enumerator's count dict by a substitution and collect equal keys.
+
+    byte->complete      z_{S:pattern} becomes z_{S:w(pattern)}: a pattern index
+                        (read in base q, cut at the levels) becomes its weight tuple
+    complete->level     z_{j:p}       becomes z_j^p: the weight tuple stays
     complete->mspotty   z_{j:p}       becomes z_j^ceil(p/t_j)
 
     The paper's substitution relations, read variable by variable; the
-    library renders the level and spotty enumerators from spectra instead.
+    library computes the level and spotty enumerators from spectra instead.
     """
     if rule not in ("byte->complete", "complete->level", "complete->mspotty"):
         raise ValueError(f"unknown substitution rule {rule!r}")
-    source = "byte" if rule == "byte->complete" else "weight"
+    source = int if rule == "byte->complete" else tuple
     if rule == "complete->mspotty":
         if t is None:
             raise ValueError("complete->mspotty needs the spotty thresholds t")
         t = tuple(int(x) for x in t)
         if any(ti < 1 for ti in t):
             raise ValueError(f"t entries must be positive, got {t}")
-    terms: dict[tuple, int] = {}
-    for mono, coeff in poly.terms.items():
-        new_mono = []
-        for key, exp in mono:
-            if key.kind != source:
-                raise ValueError(
-                    f"variable {key} has kind {key.kind!r}; rule {rule} expects {source!r}"
-                )
-            if rule == "byte->complete":
-                weight = sum(1 for x in key.data if x)
-                new_mono.append((weight_var(key.level, weight), exp))
-            elif rule == "complete->level":
-                new_mono.append((plain_var(key.level), key.data[0] * exp))
-            else:
-                if key.level > len(t):
-                    raise ValueError(f"no t entry for level {key.level}")
-                new_exp = ceil(key.data[0] / t[key.level - 1]) * exp
-                new_mono.append((plain_var(key.level), new_exp))
-        terms[tuple(new_mono)] = terms.get(tuple(new_mono), 0) + coeff
-    return EnumeratorPoly(terms)
+    out: dict = {}
+    for key, coeff in counts.items():
+        if not isinstance(key, source):
+            found = type(key).__name__
+            raise ValueError(f"key {key!r} is a {found}; rule {rule} expects a {source.__name__}")
+        if rule == "byte->complete":
+            pattern = pattern_of(key, q, levels.n)
+            new = tuple(sum(1 for x in pattern[lo - 1 : hi] if x) for lo, hi in levels.bounds())
+        elif rule == "complete->level":
+            new = key
+        else:
+            if len(key) > len(t):
+                raise ValueError(f"no t entry for level {len(t) + 1}")
+            new = tuple(ceil(p / ti) for p, ti in zip(key, t))
+        out[new] = out.get(new, 0) + coeff
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The reference renderer: the sparse polynomial type's term order and spelling.
+# A variable is a (level, kind, data) tuple, a monomial the sorted tuple of its
+# (variable, exponent) pairs with positive exponents, and terms print in
+# ascending monomial order.
+# ---------------------------------------------------------------------------
+
+
+def reference_poly(kind: str, counts: dict, q=None, levels=None) -> dict[tuple, int]:
+    """{monomial: coefficient} of one enumerator kind's count dict."""
+    poly: dict[tuple, int] = {}
+    for key, coeff in counts.items():
+        if kind == "byte":
+            pattern = pattern_of(key, q, levels.n)
+            bounds = enumerate(levels.bounds(), start=1)
+            mono = [((s, "byte", tuple(pattern[lo - 1 : hi])), 1) for s, (lo, hi) in bounds]
+        elif kind == "complete":
+            mono = [((s, "weight", (w,)), 1) for s, w in enumerate(key, start=1)]
+        elif kind in ("level", "mspotty"):
+            mono = [((s, "plain", ()), w) for s, w in enumerate(key, start=1)]
+        else:
+            mono = [((0, "x", ()), key)]
+        mono = tuple(sorted((var, e) for var, e in mono if e))
+        poly[mono] = poly.get(mono, 0) + coeff
+    return {mono: c for mono, c in poly.items() if c}
+
+
+def _var_text(var, exp: int) -> str:
+    level, kind, data = var
+    if kind == "x":
+        base = "x"
+    elif kind == "plain":
+        base = f"z_{level}"
+    elif kind == "weight":
+        base = f"z_{{{level}:{data[0]}}}"
+    else:
+        joined = ("" if all(i < 10 for i in data) else ",").join(str(i) for i in data)
+        base = f"z_{{{level}:{joined}}}"
+    return base if exp == 1 else f"{base}^{exp}"
+
+
+def _var_json(var, exp: int) -> dict:
+    level, kind, data = var
+    if kind == "byte":
+        obj = {"level": level, "kind": kind, "pattern": list(data)}
+    elif kind == "weight":
+        obj = {"level": level, "kind": kind, "w": data[0]}
+    else:
+        return {"level": level, "kind": kind, "exp": exp}
+    if exp != 1:
+        obj["exp"] = exp
+    return obj
+
+
+def reference_text(poly: dict) -> str:
+    parts = []
+    for mono, coeff in sorted(poly.items()):
+        body = "".join(_var_text(var, e) for var, e in mono)
+        parts.append(str(coeff) if not body else body if coeff == 1 else f"{coeff}{body}")
+    return " + ".join(parts) or "0"
+
+
+def reference_json(poly: dict) -> list[dict]:
+    return [
+        {"coeff": coeff, "vars": [_var_json(var, e) for var, e in mono]}
+        for mono, coeff in sorted(poly.items())
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Checks of the definitions the identities rest on, by direct reading.
+# ---------------------------------------------------------------------------
+
+
+def hadamard_check(ring, chi, code, f: dict, cap=None) -> IdentityReport:
+    """Compare sum of f over the dual with the averaged transformed sum over C.
+
+    f maps words of R^n to integers or cyclotomic integers; missing words
+    count as zero.  The transformed function sums chi(<u, v>) f(v) over the
+    support of f, and its total over the code must divide exactly by |C|.
+    """
+    e = ring.exponent
+    zero = CycInt(e)
+    support = [(tuple(v), _as_cyc(e, val)) for v, val in f.items()]
+
+    dual = dual_code(code, cap)
+    lhs = zero
+    for v, val in support:
+        if v in dual:
+            lhs = lhs + val
+
+    total = zero
+    for u in code.words:
+        for v, val in support:
+            total = total + chi.value(inner_product(ring, u, v)) * val
+    rhs = total.divide_exact(code.size)
+    return IdentityReport(
+        kind="hadamard",
+        equal=lhs == rhs,
+        lhs=lhs,
+        rhs=rhs,
+        instance={"ring": ring.to_json_obj(), "generators": [list(g) for g in code.generators]},
+    )
+
+
+def _as_cyc(e, val):
+    if isinstance(val, CycInt):
+        if val.order != e:
+            raise ValueError(f"test function value has order {val.order}, ring has {e}")
+        return val
+    return CycInt(e, (int(val),))
+
+
+def enumerate_ideals(ring) -> list[frozenset[int]]:
+    """All ideals, as the closure of the principal ideals under ideal sum."""
+    q, mul, add = ring.q, ring.mul_table, ring.add_table
+    ideals = {frozenset(mul[r][a] for r in range(q)) for a in range(q)}
+    changed = True
+    while changed:
+        changed = False
+        current = list(ideals)
+        for i, left in enumerate(current):
+            for right in current[i:]:
+                total = frozenset(add[x][y] for x in left for y in right)
+                if total not in ideals:
+                    ideals.add(total)
+                    changed = True
+    return sorted(ideals, key=lambda s: (len(s), sorted(s)))
+
+
+def _is_ideal(ring, subset):
+    if 0 not in subset:
+        return False
+    add, mul = ring.add_table, ring.mul_table
+    for a in subset:
+        for b in subset:
+            if add[a][b] not in subset:
+                return False
+        for r in range(ring.q):
+            if mul[r][a] not in subset:
+                return False
+    return True
+
+
+def character_ideal_sum(ring, chi, ideal) -> CycInt:
+    """Exact value of the character summed over an ideal.
+
+    For a generating character this is 1 on the zero ideal and 0 on every
+    larger one; the sum with the zero element removed is then -1.
+    """
+    ideal = frozenset(ideal)
+    if not _is_ideal(ring, ideal):
+        raise ValueError("subset is not an ideal")
+    e = ring.exponent
+    counts = [0] * e
+    for a in ideal:
+        counts[chi.exponents[a]] += 1
+    return CycInt(e, counts)
+
+
+def eta(s_level: int, pattern, k_level: int, word) -> int:
+    """1 iff the levels agree and the word matches the pattern exactly."""
+    if s_level != k_level:
+        return 0
+    pattern, word = tuple(pattern), tuple(word)
+    if len(pattern) != len(word):
+        raise ValueError(
+            f"pattern length {len(pattern)} does not match word length {len(word)}"
+        )
+    return 1 if pattern == word else 0
+
+
+def mu(s_level: int, pattern, u, levels) -> int:
+    """Indicator that level s_level of u equals the pattern.
+
+    Summing the match indicator over all levels k collapses to the single
+    k = s_level term, since cross-level comparisons vanish by definition.
+    """
+    parts = level_split(u, levels)
+    return eta(s_level, pattern, s_level, parts[s_level - 1])
+
+
+def collapse_to_x(spectrum: dict) -> dict[int, int]:
+    """Set every level variable equal to x (Hamming specialization): fold each key on its sum.
+
+    Only a per-level weight spectrum collapses; the pattern indices of a
+    byte enumerator are refused.
+    """
+    out: dict[int, int] = {}
+    for key, count in spectrum.items():
+        if not isinstance(key, tuple):
+            raise ValueError(f"cannot collapse key {key!r}; expected a per-level weight tuple")
+        out[sum(key)] = out.get(sum(key), 0) + count
+    return out

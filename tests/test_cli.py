@@ -21,14 +21,13 @@ from pwenum.cli import (
     catalog_ring,
     main,
     parse_code_spec,
-    parse_enumerator_text,
     parse_poset_spec,
     parse_ring_spec,
     run_fuzz,
 )
 from pwenum.codes import dual_indices, dual_weight_spectrum
 from pwenum.enumerators import level_enumerator
-from pwenum.macwilliams import verify_identity
+from pwenum.macwilliams import KINDS, render, verify_identity
 from pwenum.posets import chain, leveled
 from pwenum.rings import RING_KINDS
 
@@ -69,19 +68,6 @@ def test_parse_code_spec():
         parse_code_spec("no-such-code", ring)
     with pytest.raises(ValueError):
         parse_code_spec('{"length":4}', ring)
-
-
-def test_parse_enumerator_text_roundtrip():
-    for key, kind in (
-        ("byte_code", "byte"),
-        ("complete_dual", "complete"),
-        ("plain_dual", "level"),
-        ("chain_dual_1", "poset"),
-    ):
-        poly = parse_enumerator_text(FIXTURES[key], kind)
-        assert parse_enumerator_text(poly.to_text(), kind) == poly
-    with pytest.raises(ValueError):
-        parse_enumerator_text("z_1 + ??", "level")
 
 
 def test_enum_level_command(capsys):
@@ -196,6 +182,13 @@ def _refuse(*args, **kwargs):
     raise AssertionError("this route must not build it")
 
 
+def _refuse_rendering(monkeypatch):
+    for module in ("pwenum.macwilliams", "pwenum.cli", "pwenum"):
+        monkeypatch.setattr(f"{module}.render", _refuse)
+    for kind, entry in KINDS.items():
+        monkeypatch.setitem(KINDS, kind, entry._replace(terms=_refuse))
+
+
 @pytest.mark.parametrize("kind", ["complete", "level", "mspotty"])
 def test_weight_kinds_list_no_dual_words(kind, monkeypatch, capsys):
     for module in ("pwenum.codes", "pwenum.macwilliams", "pwenum.cli"):
@@ -206,10 +199,8 @@ def test_weight_kinds_list_no_dual_words(kind, monkeypatch, capsys):
     direct = capsys.readouterr().out
     assert main(["enum", "--dual", "--via-transform", *base]) == 0
     assert capsys.readouterr().out == direct
-    # a text EQUAL builds no enumerator variable and no polynomial either
-    monkeypatch.setattr("pwenum.enumerators.VarKey", _refuse)
-    monkeypatch.setattr(pwenum.EnumeratorPoly, "__init__", _refuse)
-    monkeypatch.setattr(pwenum.EnumeratorPoly, "from_canonical", _refuse)
+    # a text EQUAL renders neither side, not even one term
+    _refuse_rendering(monkeypatch)
     assert main(["verify", *base]) == 0
     assert capsys.readouterr().out == f"{kind}: EQUAL\n"
 
@@ -217,9 +208,7 @@ def test_weight_kinds_list_no_dual_words(kind, monkeypatch, capsys):
 def test_a_text_byte_verify_builds_no_dual_word_or_polynomial(monkeypatch, capsys):
     for module in ("pwenum.codes", "pwenum.macwilliams", "pwenum.cli"):
         monkeypatch.setattr(f"{module}.dual_code", _refuse)
-    monkeypatch.setattr("pwenum.enumerators.VarKey", _refuse)
-    monkeypatch.setattr(pwenum.EnumeratorPoly, "__init__", _refuse)
-    monkeypatch.setattr(pwenum.EnumeratorPoly, "from_canonical", _refuse)
+    _refuse_rendering(monkeypatch)
     for ring, code, poset in (("Z4", "hamming74", "leveled:3,2,2"), ("F2", "ex51", "leveled:2,1,1")):
         argv = ["verify", "--kind", "byte", "--ring", ring, "--code", code, "--poset", poset]
         assert main(argv) == 0
@@ -233,11 +222,11 @@ def test_a_differing_byte_identity_prints_both_polynomials(monkeypatch, capsys):
     monkeypatch.setattr("pwenum.macwilliams.dual_indices", one_word_short)
     argv = ["verify", "--kind", "byte", "--ring", "F2", "--code", "ex51", "--poset", "leveled:2,1,1"]
     assert main(argv) == 1
-    # the dual's last word in lexicographic order is 1110
+    # the fixture's terms in pattern order; the dual's last word in that order is 1110
     last = " + z_{1:11}z_{2:1}z_{3:0}"
-    assert FIXTURES["byte_dual"].endswith(last)
-    transform = parse_enumerator_text(FIXTURES["byte_dual"], "byte").to_text()
-    direct = parse_enumerator_text(FIXTURES["byte_dual"][: -len(last)], "byte").to_text()
+    transform = "z_{1:00}z_{2:0}z_{3:0} + z_{1:01}z_{2:0}z_{3:1} + z_{1:10}z_{2:1}z_{3:1}" + last
+    assert sorted(transform.split(" + ")) == sorted(FIXTURES["byte_dual"].split(" + "))
+    direct = transform[: -len(last)]
     expected = f"byte: DIFFER\n  transform: {transform}\n  direct:    {direct}\n"
     assert capsys.readouterr().out == expected
     assert main(argv + ["--out", "json"]) == 1
@@ -258,8 +247,12 @@ def test_a_differing_spectrum_prints_both_polynomials(kind, t, monkeypatch, caps
     argv += ["--t", t] if t else []
     assert main(argv) == 1
     fixture = {"complete": "complete_dual", "level": "plain_dual", "mspotty": "spotty_dual"}[kind]
-    notation = "complete" if kind == "complete" else "level"
-    transform = parse_enumerator_text(FIXTURES[fixture], notation).to_text()
+    transform = {  # the fixture's terms in print order
+        "complete": "z_{1:0}z_{2:0}z_{3:0} + z_{1:1}z_{2:0}z_{3:1} + z_{1:1}z_{2:1}z_{3:1} + z_{1:2}z_{2:1}z_{3:0}",
+        "level": "1 + z_1z_2z_3 + z_1z_3 + z_1^2z_2",
+        "mspotty": "1 + z_1z_2 + z_1z_2z_3 + z_1z_3",
+    }[kind]
+    assert sorted(transform.split(" + ")) == sorted(FIXTURES[fixture].split(" + "))
     # the zero word's term sorts first: z_{1:0}z_{2:0}z_{3:0}, or 1 for the plain variables
     direct = "2" + (transform if kind == "complete" else transform[1:])
     expected = f"{kind}: DIFFER\n  transform: {transform}\n  direct:    {direct}\n"
@@ -269,6 +262,16 @@ def test_a_differing_spectrum_prints_both_polynomials(kind, t, monkeypatch, caps
     assert payload["equal"] is False
     assert payload["lhs"][1:] == payload["rhs"][1:]
     assert (payload["lhs"][0]["coeff"], payload["rhs"][0]["coeff"]) == (1, 2)
+
+
+def test_verify_records_t_only_for_the_kind_that_reads_it():
+    # it used to record "t":[99] for a level check, unread and unchecked, one entry for two levels
+    argv = ["verify", "--ring", "F2", "--poset", "leveled:2,1", "--code", "c1", "--out", "json"]
+    rc, out, err = _call([*argv, "--kind", "level", "--t", "99"])
+    assert (rc, err) == (0, "") and "t" not in json.loads(out)["instance"]
+    rc, out, err = _call([*argv, "--kind", "mspotty", "--t", "2,1"])
+    assert (rc, err) == (0, "") and json.loads(out)["instance"]["t"] == [2, 1]
+    assert _call([*argv, "--kind", "mspotty", "--t", "99"]) == (2, "", "input error: t has 1 entries for 2 levels\n")
 
 
 def test_input_errors_exit_2(capsys):
@@ -422,7 +425,7 @@ def test_cli_reuses_library_enumerators(capsys):
     levels = parse_poset_spec("chain3")
     from pwenum.posets import level_partition
 
-    expected = level_enumerator(code, level_partition(levels)).to_text()
+    expected = render("level", level_enumerator(code, level_partition(levels)))
     main(["enum", "--kind", "level", "--ring", "F2", "--poset", "chain3", "--code", "c1"])
     assert capsys.readouterr().out.strip() == expected
 

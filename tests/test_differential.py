@@ -20,22 +20,21 @@ from oracles import (
     convolution_gf_tables,
     exhaustive_ring_axioms,
     pattern_byte_transform,
+    pattern_of,
+    reference_json,
+    reference_poly,
+    reference_text,
     scan_dual_words,
 )
 from pwenum.codes import dual_code, dual_indices, dual_weight_spectrum, span
-from pwenum.enumerators import (
-    EnumeratorPoly,
-    byte_enumerator,
-    complete_level_enumerator,
-    level_enumerator,
-    mspotty_enumerator,
-    weight_spectrum,
-)
+from pwenum.enumerators import byte_enumerator, mspotty_enumerator, weight_spectrum
 from pwenum.macwilliams import (
+    KINDS,
     _layout,
     byte_transform,
     complete_transform,
     mspotty_transform,
+    render,
     verify_identity,
 )
 from pwenum.posets import LevelStructure
@@ -81,10 +80,6 @@ def instances(draw):
     gens = draw(st.lists(word, max_size=4))
     t = tuple(draw(st.integers(1, s)) for s in sizes)
     return ring, levels, span(ring, n, gens), t
-
-
-def _as_cells(poly) -> dict[tuple, int]:
-    return {tuple(var.data[0] for var, _ in mono): c for mono, c in poly.terms.items()}
 
 
 def _fixed(name, sizes, generators):
@@ -149,16 +144,16 @@ def test_complete_transform_matches_cell_oracle(instance):
         spectrum = weight_spectrum(primal, levels)
         poly = complete_transform(spectrum, levels, ring.q, primal.size)
         expected = cell_complete_transform(spectrum, levels.sizes, ring.q, primal.size)
-        assert _as_cells(poly) == expected
+        assert poly == expected
     # t reaches the transform only through the spotty substitution
     spectrum = weight_spectrum(code, levels)
     spotty = mspotty_transform(spectrum, levels, t, ring.q, code.size)
     assert spotty == mspotty_enumerator(dual, levels, t)
 
 
-def _as_patterns(poly) -> dict[tuple, int]:
-    """{concatenated pattern: coefficient} of a byte enumerator."""
-    return {sum((var.data for var, _ in mono), ()): c for mono, c in poly.terms.items()}
+def _as_patterns(counts, q, n) -> dict[tuple, int]:
+    """{pattern: coefficient} of a byte enumerator's {pattern index: coefficient}."""
+    return {tuple(pattern_of(i, q, n)): c for i, c in counts.items()}
 
 
 @SETTINGS
@@ -168,25 +163,36 @@ def test_byte_transform_matches_pattern_oracle(instance):
     # the smaller of C and its dual keeps the oracle's |C| q^n pairs below q^(3n/2)
     primal = min(code, dual_code(code), key=lambda c: c.size)
     poly = byte_transform(primal, levels)
-    assert _as_patterns(poly) == pattern_byte_transform(primal, default_character(ring))
+    assert _as_patterns(poly, ring.q, code.n) == pattern_byte_transform(primal, default_character(ring))
 
 
-@SETTINGS
-@given(instances())
-def test_kernel_output_is_already_canonical(instance):
-    # the kernels skip EnumeratorPoly's canonicalisation, so it must change nothing
-    ring, levels, code, t = instance
-    dual = dual_code(code)
-    spectrum = weight_spectrum(code, levels)
-    for poly in (
-        byte_transform(code, levels),
-        complete_transform(spectrum, levels, ring.q, code.size),
-        byte_enumerator(dual, levels),
-        complete_level_enumerator(dual, levels),
-        level_enumerator(dual, levels),
-        mspotty_enumerator(dual, levels, t),
-    ):
-        assert EnumeratorPoly(poly.terms).terms == poly.terms
+@st.composite
+def count_dicts(draw):
+    """(kind, counts, q, levels): positive counts on keys of one kind, q up to 64."""
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    q = draw(st.sampled_from([2, 3, 4, 9, 10, 11, 16, 64]))
+    levels = LevelStructure(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    if kind == "byte":
+        key = st.integers(0, q**levels.n - 1)
+    elif kind == "poset":
+        key = st.integers(0, levels.n)
+    else:
+        key = st.tuples(*(st.integers(0, size) for size in levels.sizes))
+    counts = draw(st.dictionaries(key, st.integers(1, 10**6), max_size=12))
+    return kind, counts, q, levels
+
+
+@settings(max_examples=300, deadline=None)
+@given(count_dicts())
+@example(("byte", {1: 1, 11 * 64 + 3: 2, 64**2 - 1: 5}, 64, LevelStructure((1, 2))))  # 1,11 vs 03
+@example(("level", {(0, 1): 1, (1, 0): 1, (0, 2): 3, (1, 1): 1, (0, 0): 1}, 2, LevelStructure((2, 2))))
+@example(("complete", {}, 2, LevelStructure((1,))))
+def test_render_matches_the_reference_renderer(case):
+    # the polynomial type's order and spelling: (level, kind, data) variables, sorted monomials
+    kind, counts, q, levels = case
+    poly = reference_poly(kind, counts, q, levels)
+    assert render(kind, counts, q, levels) == reference_text(poly)
+    assert render(kind, counts, q, levels, json=True) == reference_json(poly)
 
 
 BIG_RINGS = {
@@ -225,7 +231,7 @@ def test_byte_transform_matches_pattern_oracle_on_big_rings(
     code = span(ring, levels.n, generators)
     assert _layout(ring.q, ring.exponent, code.size, code.n)[1:] == (m, transposed)
     poly = byte_transform(code, levels)
-    assert _as_patterns(poly) == pattern_byte_transform(code, default_character(ring))
+    assert _as_patterns(poly, ring.q, code.n) == pattern_byte_transform(code, default_character(ring))
     assert poly == byte_enumerator(dual_code(code), levels)
 
 
@@ -244,7 +250,7 @@ def test_non_generating_character_fails_as_the_oracle_does(name, exponents, gene
     levels = LevelStructure((1, 1))
     # an additive character sums to |C| or 0 over C, so every division is exact
     # and the failure shows as extra patterns and a DIFFER report
-    assert _as_patterns(byte_transform(code, levels, chi)) == pattern_byte_transform(code, chi)
+    assert _as_patterns(byte_transform(code, levels, chi), ring.q, 2) == pattern_byte_transform(code, chi)
     assert not verify_identity("byte", code, levels, chi=chi).equal
 
 

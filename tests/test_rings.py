@@ -3,13 +3,12 @@ import time
 
 import pytest
 
+from oracles import character_ideal_sum, enumerate_ideals
 from pwenum.cyclotomic import CycInt
 from pwenum.rings import (
     Character,
     RingSpec,
-    character_ideal_sum,
     default_character,
-    enumerate_ideals,
     make_ring,
     ring_from_json_obj,
     verify_generating_character,
