@@ -183,7 +183,7 @@ def _refuse(*args, **kwargs):
 
 
 def _refuse_rendering(monkeypatch):
-    for module in ("pwenum.macwilliams", "pwenum.cli", "pwenum"):
+    for module in ("pwenum.macwilliams", "pwenum.cli"):
         monkeypatch.setattr(f"{module}.render", _refuse)
     for kind, entry in KINDS.items():
         monkeypatch.setitem(KINDS, kind, entry._replace(terms=_refuse))
