@@ -167,6 +167,13 @@ def test_poset_level_order_and_paper_output_matches_golden(record):
     assert _call(record["argv"]) == (record["rc"], record["stdout"], record["stderr"])
 
 
+@pytest.mark.parametrize("record", _golden("fuzz_cli.json"), ids=_argv_id)
+def test_fuzz_output_matches_golden(record):
+    # captured while the byte transform chose between two layouts: 40 instances
+    # of seeds 1-3, text and JSON
+    assert _call(record["argv"]) == (record["rc"], record["stdout"], record["stderr"])
+
+
 @pytest.mark.parametrize("record", _golden("cli_usage.json"), ids=_argv_id)
 def test_usage_and_help_match_golden(record, monkeypatch):
     # captured while every call built all five subparsers; help wraps at COLUMNS
