@@ -19,25 +19,26 @@ from .codes import LinearCode, check_ambient_cap, dual_code, enumeration_cap, le
 from .errors import CapExceededError, IntegrityError
 from .macwilliams import KINDS, TRANSFORM_KINDS, render, verify_identity
 from .posets import LevelStructure, Poset, chain, leveled, level_partition, poset_from_json_obj
-from .rings import RingSpec, default_character, make_ring, ring_from_json_obj
+# default_character is not called here; perfbench's set-up probe reaches it as cli.default_character
+from .rings import RingSpec, default_character, ring_from_json_obj
 
 FUZZ_BOUND_DEFAULT = 2**14
 
-CATALOG_RING_NAMES = ("F2", "F3", "F4", "Z4", "F2u", "F2v")
+# The catalog rings by alias, in the order run_fuzz draws from.
+CATALOG_RINGS = {
+    "F2": {"kind": "Zm", "m": 2},
+    "F3": {"kind": "Zm", "m": 3},
+    "F4": {"kind": "GF", "p": 2, "k": 2, "modulus": [1, 1, 1]},
+    "Z4": {"kind": "Zm", "m": 4},
+    "F2u": {"kind": "F2u"},
+    "F2v": {"kind": "F2v"},
+}
 
 
 def catalog_ring(name: str) -> RingSpec:
-    if name == "F2":
-        return make_ring("Zm", m=2)
-    if name == "F3":
-        return make_ring("Zm", m=3)
-    if name == "F4":
-        return make_ring("GF", p=2, k=2, modulus=[1, 1, 1])
-    if name == "Z4":
-        return make_ring("Zm", m=4)
-    if name in ("F2u", "F2v"):
-        return make_ring(name)
-    raise ValueError(f"unknown ring alias {name!r}")
+    if name not in CATALOG_RINGS:
+        raise ValueError(f"unknown ring alias {name!r}")
+    return ring_from_json_obj(CATALOG_RINGS[name])
 
 
 def _parse_json(text: str):
@@ -48,48 +49,53 @@ def _parse_json(text: str):
         raise ValueError("JSON input is nested too deeply") from None
 
 
+def _spec_json(text: str, what: str, shorthand=lambda text: None):
+    """The JSON value of an inline object or of the named file, else shorthand's object or None."""
+    text = text.strip()
+    if text.startswith("{"):
+        return _parse_json(text)
+    if os.path.isfile(text):
+        with open(text) as fh:
+            return _parse_json(fh.read())
+    obj = shorthand(text)
+    if obj is None:
+        raise ValueError(f"cannot interpret {what} spec {text!r}")
+    return obj
+
+
 _ZM_SHORTHAND = re.compile(r"^Z(\d+)$")
 
 
-def parse_ring_spec(text: str) -> RingSpec:
-    text = text.strip()
-    if text.startswith("{"):
-        return ring_from_json_obj(_parse_json(text))
-    if os.path.isfile(text):
-        with open(text) as fh:
-            return ring_from_json_obj(_parse_json(fh.read()))
-    if text in ("F2", "F3", "F4", "F2u", "F2v"):
-        return catalog_ring(text)
+def _ring_shorthand(text: str) -> dict | None:
+    if text in CATALOG_RINGS:
+        return CATALOG_RINGS[text]
     m = _ZM_SHORTHAND.match(text)
-    if m:
-        return make_ring("Zm", m=int(m.group(1)))
-    raise ValueError(f"cannot interpret ring spec {text!r}")
+    return {"kind": "Zm", "m": int(m.group(1))} if m else None
+
+
+def parse_ring_spec(text: str) -> RingSpec:
+    return ring_from_json_obj(_spec_json(text, "ring", _ring_shorthand))
 
 
 _POSET_SHORTHAND = re.compile(r"^(antichain|chain|leveled)[:]?([\d,]+)$")
 
 
+def _poset_shorthand(text: str) -> dict | None:
+    m = _POSET_SHORTHAND.match(text)
+    if not m:
+        return None
+    kind, rest = m.groups()
+    nums = [int(x) for x in rest.split(",") if x]
+    if kind == "leveled":
+        return {"kind": kind, "levels": nums}
+    if len(nums) != 1:
+        raise ValueError(f"{kind} takes a single size, got {rest!r}")
+    return {"kind": kind, "n": nums[0]}
+
+
 def parse_poset_spec(text: str, n: int | None = None, cap: int | None = None) -> Poset:
     """Poset from a shorthand, inline JSON or a file; see poset_from_json_obj for n and cap."""
-    text = text.strip()
-    if text.startswith("{"):
-        obj = _parse_json(text)
-    elif os.path.isfile(text):
-        with open(text) as fh:
-            obj = _parse_json(fh.read())
-    else:
-        m = _POSET_SHORTHAND.match(text)
-        if not m:
-            raise ValueError(f"cannot interpret poset spec {text!r}")
-        kind, rest = m.groups()
-        nums = [int(x) for x in rest.split(",") if x]
-        if kind == "leveled":
-            obj = {"kind": kind, "levels": nums}
-        elif len(nums) != 1:
-            raise ValueError(f"{kind} takes a single size, got {rest!r}")
-        else:
-            obj = {"kind": kind, "n": nums[0]}
-    return poset_from_json_obj(obj, n, cap)
+    return poset_from_json_obj(_spec_json(text, "poset", _poset_shorthand), n, cap)
 
 
 NAMED_CODES = {
@@ -109,18 +115,10 @@ NAMED_CODES = {
 
 
 def parse_code_spec(text: str, ring: RingSpec, cap: int | None = None) -> LinearCode:
-    text = text.strip()
-    lowered = text.lower()
-    if lowered in NAMED_CODES:
-        n, gens = NAMED_CODES[lowered]
-        return span(ring, n, gens, cap)
-    if text.startswith("{"):
-        obj = _parse_json(text)
-    elif os.path.isfile(text):
-        with open(text) as fh:
-            obj = _parse_json(fh.read())
-    else:
-        raise ValueError(f"cannot interpret code spec {text!r}")
+    named = NAMED_CODES.get(text.strip().lower())
+    if named:
+        return span(ring, *named, cap)
+    obj = _spec_json(text, "code")
     if not isinstance(obj, dict) or "length" not in obj or "generators" not in obj:
         raise ValueError("code description needs 'length' and 'generators' fields")
     if not isinstance(obj["generators"], list):
@@ -191,7 +189,7 @@ def run_paper_examples():
         entry, code = KINDS[kind], codes[code]
         shape = levels if entry.levels else chain(3)
         if route == "transform":
-            counts = entry.transform(code, shape, None)
+            counts = entry.transform(code, shape)
         else:
             counts = entry.direct(dual_code(code) if route == "dual" else code, shape)
         if entry.fold:
@@ -228,12 +226,11 @@ def run_fuzz(iters: int, seed: int, bound: int = FUZZ_BOUND_DEFAULT) -> dict:
     recorded as that instance's error and the run goes on.
     """
     rng = random.Random(seed)
-    rings = {name: catalog_ring(name) for name in CATALOG_RING_NAMES}
-    names = tuple(name for name in CATALOG_RING_NAMES if rings[name].q <= bound)
+    rings = {name: catalog_ring(name) for name in CATALOG_RINGS}
+    names = tuple(name for name, ring in rings.items() if ring.q <= bound)
     if not names:
         smallest = min(ring.q for ring in rings.values())
         raise ValueError(f"fuzz bound {bound} is below the smallest catalog ring size {smallest}")
-    characters = {name: default_character(rings[name]) for name in names}
     instances = []
     failures = []
     for index in range(iters):
@@ -262,10 +259,7 @@ def run_fuzz(iters: int, seed: int, bound: int = FUZZ_BOUND_DEFAULT) -> dict:
                 code.size * dual.size == q**n and dual_code(dual, cap=bound) == code
             )
             for kind in TRANSFORM_KINDS:
-                report = verify_identity(
-                    kind, code, levels, t=t, chi=characters[name], cap=bound, dual=dual
-                )
-                record[kind] = report.equal
+                record[kind] = verify_identity(kind, code, levels, t=t, cap=bound).equal
             record["ok"] = record["duality"] and all(record[k] for k in TRANSFORM_KINDS)
         except Exception as exc:  # one bad instance must not end the run
             record["error"] = f"{type(exc).__name__}: {exc}"
@@ -311,10 +305,11 @@ def _resolve_shape(args, n: int, cap: int):
     if not kind.levels:
         return poset, None
     levels = level_partition(poset)
-    t = parse_t_spec(args.t) if args.t else None
-    if kind.fold and t is None:
+    if not kind.fold:  # only a kind that folds by t reads it
+        return levels, None
+    if not args.t:
         raise ValueError(f"--kind {args.kind} needs --t")
-    return levels, t
+    return levels, parse_t_spec(args.t)
 
 
 def cmd_enum(args) -> int:
@@ -330,7 +325,7 @@ def cmd_enum(args) -> int:
             raise ValueError("--via-transform computes the dual enumerator; pass --dual")
         # the same bound as the direct route, so both refuse the same inputs
         check_ambient_cap(ring, code.n, cap)
-        counts = kind.transform(code, shape, None)
+        counts = kind.transform(code, shape)
     elif args.dual:
         counts = kind.dual(code, shape, cap)
     else:

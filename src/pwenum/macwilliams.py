@@ -17,7 +17,7 @@ from operator import itemgetter, lshift
 from struct import iter_unpack
 from typing import Callable, NamedTuple
 
-from .codes import LinearCode, dual_code, dual_indices, dual_weight_spectrum
+from .codes import LinearCode, dual_code, dual_indices, dual_weight_spectrum, word_indices
 from .cyclotomic import CycInt
 from .enumerators import (
     _check_levels,
@@ -47,30 +47,6 @@ class IdentityReport(NamedTuple):
     lhs: dict
     rhs: dict
     instance: dict
-
-
-# Bits in one packed row of the in-row layout; see _layout.
-ROW_BITS = 2**16
-
-
-def _layout(q: int, e: int, code_size: int, n: int) -> tuple[int, int, bool]:
-    """Field width in bytes, in-row coordinates m, and whether to transpose.
-
-    A field holds one count of the group-ring value, so it must hold |C|.
-    A pattern takes 2e fields, and the in-row layout packs the last m
-    coordinates into each row: the largest m <= n with
-    q^m * 2e * field bits <= ROW_BITS.  A step inside a row costs about q
-    times a step between rows.  The transposed layout has no in-row steps,
-    but its narrowest rows are q^(m - floor(n/2)) times narrower, so it pays
-    more interpreter overhead per pattern: it is taken when that factor is
-    at most q.
-    """
-    field = -(-code_size.bit_length() // 8)
-    slot_bits = 2 * e * 8 * field
-    m = 0
-    while m < n and q ** (m + 1) * slot_bits <= ROW_BITS:
-        m += 1
-    return field, m, n >= 2 and m <= n // 2 + 1
 
 
 def _twisted_sums(values: list, shifts: list) -> list:
@@ -133,26 +109,23 @@ def _transpose(rows: list, row_bytes: int, slot_bytes: int) -> list:
 def _yates_tallies(code: LinearCode, chi: Character) -> tuple[int, bytearray, int]:
     """Tally of the exponents of chi(<b, u>) over u in C, for every b in R^n.
 
-    Returns the field width in bytes, the tallies and a period P.  Each
-    tally is e count fields followed by e zero fields; the tally of the
-    pattern with lexicographic index r * q^n / P + c sits at position
-    c * P + r, so P = 1 is lexicographic order.
+    Returns the field width in bytes, the tallies and the period
+    P = q^ceil(n/2).  Each tally is e count fields followed by e zero fields;
+    the tally of the pattern with lexicographic index r * q^n / P + c sits at
+    position c * P + r.
 
-    The leading coordinates index a list of rows and the others the
-    patterns inside each row int.  In the in-row layout (see _layout) rows
-    pack the last m coordinates, and those are stepped inside each row by
-    digit slabs, cut out by one mask.  In the transposed layout rows pack
-    the last floor(n/2) coordinates: the first ceil(n/2) are stepped between
-    rows, the slot matrix is transposed, and the rest are stepped between
-    the new rows; P is then q^ceil(n/2).
+    The steps follow Bailey's four-step order.  The first ceil(n/2)
+    coordinates index a list of rows, each packing the patterns of the last
+    floor(n/2); those leading coordinates are stepped between rows, the slot
+    matrix is transposed once, and the other coordinates are stepped between
+    the new rows.
     """
     ring = code.ring
     q, e, n = ring.q, ring.exponent, code.n
-    field, m, transposed = _layout(q, e, code.size, n)
-    lead = n - n // 2 if transposed else n - m  # coordinates indexing the first rows
+    field = -(-code.size.bit_length() // 8)  # a count field holds up to |C|
     half = 8 * field * e
     slot = 2 * half
-    width, nrows = q ** (n - lead), q**lead
+    width, nrows = q ** (n // 2), q ** (n - n // 2)
     row_bytes = width * slot // 8
     mul = ring.mul_table
     shifts = [[chi.exponents[mul[b][a]] * 8 * field for a in range(q)] for b in range(q)]
@@ -161,37 +134,16 @@ def _yates_tallies(code: LinearCode, chi: Character) -> tuple[int, bytearray, in
         return int.from_bytes((b"\xff" * (half // 8) + bytes(half // 8)) * slots, "little")
 
     marks: dict[int, bytearray] = {}  # the indicator of C, by row
-    for u in code.words:
-        index = 0
-        for x in u:
-            index = index * q + x
+    for index in word_indices(code):
         r, k = divmod(index, width)
         if r not in marks:
             marks[r] = bytearray(row_bytes)
         marks[r][k * slot // 8] = 1
     rows = [int.from_bytes(marks.pop(r), "little") if r in marks else 0 for r in range(nrows)]
-    mask = low(width)
-    _step_rows(rows, q, shifts, mask, half)
-
-    if transposed:
-        rows = _transpose(rows, row_bytes, slot // 8)
-        row_bytes = nrows * slot // 8
-        _step_rows(rows, q, shifts, low(nrows), half)
-        return field, _serialize(rows, row_bytes), nrows
-
-    for j in range(m):  # coordinates inside a row
-        step = q ** (m - 1 - j) * slot
-        digit0 = int.from_bytes(
-            (b"\xff" * (step // 8) + bytes((q - 1) * step // 8)) * q**j, "little"
-        )
-        for i, row in enumerate(rows):
-            if row:
-                slabs = [(row >> (a * step)) & digit0 for a in range(q)]
-                acc = sum(
-                    part << (b * step) for b, part in enumerate(_twisted_sums(slabs, shifts))
-                )
-                rows[i] = (acc & mask) + ((acc >> half) & mask)
-    return field, _serialize(rows, row_bytes), 1
+    _step_rows(rows, q, shifts, low(width), half)
+    rows = _transpose(rows, row_bytes, slot // 8)
+    _step_rows(rows, q, shifts, low(nrows), half)
+    return field, _serialize(rows, nrows * slot // 8), nrows
 
 
 def byte_transform(
@@ -212,11 +164,10 @@ def byte_transform(
     multiplying by x^r is a left shift by r fields; after each coordinate
     one mask-and-add folds field e+j back onto field j.  Row ints pack the
     patterns of the trailing coordinates and a list of rows is indexed by
-    the leading ones; a coordinate between rows combines whole rows.  Of the
-    two layouts (see _layout and _yates_tallies), the in-row one steps the
-    trailing coordinates inside each row; the transposed one steps half the
-    coordinates, transposes the slot matrix once and steps the other half,
-    all between rows, and its tallies are read back in transposed order.
+    the leading ones, so a coordinate step combines whole rows.  Every
+    coordinate is stepped between rows (see _yates_tallies): half of them,
+    then one transpose of the slot matrix, then the other half; the tallies
+    are read back in transposed order.
 
     Each distinct tally is reduced modulo the e-th cyclotomic polynomial once;
     it must be a rational integer that divides exactly by |C| and is not
@@ -359,14 +310,14 @@ class Kind(NamedTuple):
 
     direct: Callable  # (code, shape) -> counts of the code's words
     dual: Callable  # (code, shape, cap) -> counts of the dual's words, listed as indices or counted
-    transform: Callable | None  # (code, levels, chi) -> counts of the dual's words, by the identity
+    transform: Callable | None  # (code, levels) -> counts of the dual's words, by the identity
     terms: Callable  # (counts, q, levels) -> the terms in print order; see render
     fold: Callable | None = None  # (counts, levels, t) -> counts under the thresholds t
     levels: bool = True
 
 
-def _weight_transform(code, levels, chi):
-    """The dual's per-level weight spectrum, contracted from the code's; chi plays no part."""
+def _weight_transform(code, levels):
+    """The dual's per-level weight spectrum, contracted from the code's."""
     return krawtchouk_contraction(weight_spectrum(code, levels), levels, code.ring.q, code.size)
 
 
@@ -382,7 +333,7 @@ KINDS = {
         direct=lambda code, levels: byte_enumerator(code, levels),
         # each dual word is its own byte monomial
         dual=lambda code, levels, cap: dict.fromkeys(dual_indices(code, cap), 1),
-        transform=lambda code, levels, chi: byte_transform(code, levels, chi),
+        transform=lambda code, levels: byte_transform(code, levels),
         terms=byte_terms,
     ),
     "complete": Kind(**_WEIGHT_ROUTES, terms=complete_terms),
@@ -422,24 +373,22 @@ def verify_identity(
     code: LinearCode,
     levels: LevelStructure,
     t=None,
-    chi: Character | None = None,
     cap: int | None = None,
-    dual: LinearCode | None = None,
 ) -> IdentityReport:
     """Check one transform against a direct computation on the dual.
 
     lhs is the transform computed from the primal code; rhs is the same
-    enumerator computed on the dual: on the given dual code, or else from
-    the code by the kind's dual route, which lists the dual's word indices
-    (byte) or counts its per-level weight spectrum without listing it.  Both
-    sides are count dicts, compared before anything is rendered.  t is read,
-    checked and recorded only by the kinds that fold by it.
+    enumerator computed on the dual by the kind's dual route, which lists
+    the dual's word indices (byte) or counts its per-level weight spectrum
+    without listing it.  Both sides are count dicts, compared before
+    anything is rendered.  t is read, checked and recorded only by the kinds
+    that fold by it.
     """
     if kind not in TRANSFORM_KINDS:
         raise ValueError(f"unknown identity kind {kind!r}; expected {TRANSFORM_KINDS}")
     entry = KINDS[kind]
-    rhs = entry.dual(code, levels, cap) if dual is None else entry.direct(dual, levels)
-    lhs = entry.transform(code, levels, chi)
+    rhs = entry.dual(code, levels, cap)
+    lhs = entry.transform(code, levels)
     instance = {
         "ring": code.ring.to_json_obj(),
         "levels": list(levels.sizes),

@@ -281,6 +281,24 @@ def test_verify_records_t_only_for_the_kind_that_reads_it():
     assert _call([*argv, "--kind", "mspotty", "--t", "99"]) == (2, "", "input error: t has 1 entries for 2 levels\n")
 
 
+@pytest.mark.parametrize("t", ["abc", "9"])
+@pytest.mark.parametrize(
+    "kind, poset",
+    [("byte", "leveled:2,1,1"), ("complete", "leveled:2,1,1"), ("level", "leveled:2,1,1"),
+     ("poset", "chain:4")],
+)
+def test_kinds_that_do_not_fold_ignore_t(kind, poset, t):
+    # --t abc used to exit 2 for the byte, complete and level kinds but not for poset,
+    # and --t 9 passed unchecked with one entry for three levels
+    base = ["--kind", kind, "--ring", "F2", "--code", "ex51", "--poset", poset]
+    runs = [["enum", *base], ["enum", "--dual", *base]]
+    if KINDS[kind].transform:
+        runs.append(["verify", *base])
+    for argv in runs:
+        plain = _call(argv)
+        assert plain[0] == 0 and _call([*argv, "--t", t]) == plain
+
+
 def test_input_errors_exit_2(capsys):
     assert main(["enum", "--kind", "level", "--ring", "F2",
                  "--poset", "antichain:0", "--code", "C1"]) == 2

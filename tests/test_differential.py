@@ -30,7 +30,6 @@ from pwenum.codes import dual_code, dual_indices, dual_weight_spectrum, span
 from pwenum.enumerators import byte_enumerator, mspotty_enumerator, weight_spectrum
 from pwenum.macwilliams import (
     KINDS,
-    _layout,
     byte_transform,
     complete_transform,
     mspotty_transform,
@@ -206,30 +205,42 @@ BIG_RINGS = {
 
 
 @pytest.mark.parametrize(
-    "name, sizes, generators, m, transposed",
+    "name, sizes, generators",
     [
-        ("Z16", (2, 1), [(1, 3, 5)], 2, True),
-        ("Z16", (1, 1, 1), [(1, 0, 7), (0, 2, 6)], 2, True),  # odd n, m = floor(n/2) + 1
-        ("Z27", (1, 1), [(3, 9)], 1, True),
-        ("Z32", (1, 1), [(1, 5), (0, 8)], 1, True),
-        ("Z64", (1, 1), [(1, 17)], 1, True),
-        ("Z64", (1, 1), [(1, 0), (0, 16)], 0, True),  # |C| = 256: two-byte fields
-        ("GF49", (1, 1), [(1, 10)], 1, True),
-        ("GF64", (2,), [(1, 33)], 1, True),
-        ("GF9", (2, 2), [(1, 2, 0, 4), (0, 3, 1, 1)], 3, True),  # m = floor(n/2) + 1
-        ("Z8", (1, 1, 1, 1, 1), [(1, 2, 3, 4, 5), (0, 4, 0, 2, 6)], 3, True),  # odd n
-        ("Z8", (1, 1, 1), [(1, 3, 6)], 3, False),  # m = floor(n/2) + 2, one row
-        ("Z4", (2, 2, 2), [(1, 0, 2, 3, 1, 1), (0, 1, 1, 0, 2, 3)], 5, False),  # m = floor(n/2) + 2
-        ("Z64", (1,), [(2,)], 1, False),  # n = 1
+        ("Z16", (2, 1), [(1, 3, 5)]),
+        ("Z16", (1, 1, 1), [(1, 0, 7), (0, 2, 6)]),  # odd n
+        ("Z27", (1, 1), [(3, 9)]),
+        ("Z32", (1, 1), [(1, 5), (0, 8)]),
+        ("Z64", (1, 1), [(1, 17)]),
+        ("Z64", (1, 1), [(1, 0), (0, 16)]),  # |C| = 256: two-byte fields
+        ("GF49", (1, 1), [(1, 10)]),
+        ("GF64", (2,), [(1, 33)]),
+        ("GF9", (2, 2), [(1, 2, 0, 4), (0, 3, 1, 1)]),
+        ("Z8", (1, 1, 1, 1, 1), [(1, 2, 3, 4, 5), (0, 4, 0, 2, 6)]),  # odd n
+        ("Z8", (1, 1, 1), [(1, 3, 6)]),
+        ("Z4", (2, 2, 2), [(1, 0, 2, 3, 1, 1), (0, 1, 1, 0, 2, 3)]),
+        ("Z64", (1,), [(2,)]),  # n = 1: one slot per row, copied whole
+        (
+            "F2",
+            (4, 4, 4),
+            [
+                (1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1),
+                (0, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0),
+                (0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0),
+                (0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0),
+                (0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0),
+                (0, 1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1),
+            ],
+        ),
+        ("F3", (4, 3), [(1, 2, 0, 1, 1, 0, 2), (0, 1, 1, 2, 0, 1, 1)]),
+        ("F2", (3, 2, 2), [(1, 1, 0, 1, 0, 0, 1), (0, 1, 1, 0, 1, 0, 1)]),  # odd n
+        ("F2", (1,), [(1,)]),  # n = 1: two rows of one 4-byte slot, copied slot by slot
     ],
 )
-def test_byte_transform_matches_pattern_oracle_on_big_rings(
-    name, sizes, generators, m, transposed
-):
+def test_byte_transform_matches_pattern_oracle_on_big_rings(name, sizes, generators):
     ring = {**RINGS, **BIG_RINGS}[name]
     levels = LevelStructure(sizes)
     code = span(ring, levels.n, generators)
-    assert _layout(ring.q, ring.exponent, code.size, code.n)[1:] == (m, transposed)
     poly = byte_transform(code, levels)
     assert _as_patterns(poly, ring.q, code.n) == pattern_byte_transform(code, default_character(ring))
     assert poly == byte_enumerator(dual_code(code), levels)
@@ -249,9 +260,10 @@ def test_non_generating_character_fails_as_the_oracle_does(name, exponents, gene
     code = span(ring, 2, generators)
     levels = LevelStructure((1, 1))
     # an additive character sums to |C| or 0 over C, so every division is exact
-    # and the failure shows as extra patterns and a DIFFER report
-    assert _as_patterns(byte_transform(code, levels, chi), ring.q, 2) == pattern_byte_transform(code, chi)
-    assert not verify_identity("byte", code, levels, chi=chi).equal
+    # and the failure shows as extra patterns next to the dual's indicator
+    poly = byte_transform(code, levels, chi)
+    assert _as_patterns(poly, ring.q, 2) == pattern_byte_transform(code, chi)
+    assert poly != dict.fromkeys(dual_indices(code), 1)
 
 
 def test_byte_transform_refuses_a_non_additive_exponent_map():
