@@ -1,16 +1,17 @@
-"""Linear codes over a RingSpec, stored as explicit codeword sets.
+"""Linear codes over a RingSpec, held as the sorted indices of their words.
 
-Codes are built by spanning generators or, for the dual, by a
-split-syndrome search over the ambient space, which lists the dual's words
-as lexicographic indices and also counts its weight spectrum without
+Word u of R^n has the lexicographic index sum of u_i q^(n-1-i), so the
+indices sort as the words do.  Codes are built by spanning generators or,
+for the dual, by a split-syndrome search over the ambient space, which
+lists the dual's indices and also counts its weight spectrum without
 listing it; all are exact and capped so a typo cannot demand 4^30
-codewords.  Codewords are tuples of element indices in lexicographic order.
+codewords.  Words are decoded to tuples of element indices only when read.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import product, repeat
+from functools import reduce
 from operator import getitem
 
 from .errors import CapExceededError
@@ -25,27 +26,34 @@ def enumeration_cap() -> int:
     raw = os.environ.get("PWE_CAP")
     if raw is None:
         return DEFAULT_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
     if cap < 1:
-        raise ValueError(f"PWE_CAP must be positive, got {cap}")
+        raise ValueError(f"PWE_CAP must be a positive integer, got {raw!r}")
     return cap
 
 
 class LinearCode:
-    """A submodule of R^n with its generator list and full codeword set.
+    """A submodule of R^n with its generator list and the sorted indices of its words.
 
-    With generators=None the words must already form a submodule; a small
-    generating subset of them is then picked greedily when first read.
+    With generators=None the indices must already form a submodule; a small
+    generating subset of its words is then picked greedily when first read.
     """
 
-    __slots__ = ("ring", "n", "_generators", "words", "word_set")
+    __slots__ = ("ring", "n", "_generators", "indices")
 
-    def __init__(self, ring: RingSpec, n: int, generators, words):
+    def __init__(self, ring: RingSpec, n: int, generators, indices):
         self.ring = ring
         self.n = n
         self._generators = None if generators is None else tuple(tuple(g) for g in generators)
-        self.words = tuple(tuple(w) for w in words)
-        self.word_set = frozenset(self.words)
+        self.indices = tuple(indices)
+
+    @property
+    def words(self) -> tuple:
+        """The words as tuples of element indices, decoded from the indices on every read."""
+        return index_digits(self.ring.q, self.n, self.indices)
 
     @property
     def generators(self) -> tuple:
@@ -55,24 +63,35 @@ class LinearCode:
 
     @property
     def size(self) -> int:
-        return len(self.words)
-
-    def __contains__(self, word):
-        return tuple(word) in self.word_set
+        return len(self.indices)
 
     def __eq__(self, other):
         if not isinstance(other, LinearCode):
             return NotImplemented
-        return self.ring == other.ring and self.n == other.n and self.word_set == other.word_set
-
-    def __hash__(self):
-        return hash((self.n, self.words))
+        return self.ring == other.ring and self.n == other.n and self.indices == other.indices
 
     def __repr__(self):
         return f"LinearCode(n={self.n}, size={self.size}, over {self.ring!r})"
 
     def to_json_obj(self) -> dict:
         return {"length": self.n, "generators": [list(g) for g in self.generators]}
+
+
+def index_digits(q: int, n: int, indices) -> tuple:
+    """The n base-q digits of each index, most significant first.
+
+    An index splits into its halves by // and % of q^(n - floor(n/2)), and
+    each distinct half is decoded once, so the cost follows the distinct
+    indices, not q^(n/2).
+    """
+    if n < 2:
+        return tuple((i,) * n for i in indices)
+    cut = q ** (n - n // 2)
+    lefts = dict.fromkeys(i // cut for i in indices)
+    rights = dict.fromkeys(i % cut for i in indices)
+    lefts = dict(zip(lefts, index_digits(q, n // 2, lefts)))
+    rights = dict(zip(rights, index_digits(q, n - n // 2, rights)))
+    return tuple(lefts[i // cut] + rights[i % cut] for i in indices)
 
 
 def _check_word(ring, n, w):
@@ -103,14 +122,17 @@ def span(ring: RingSpec, n: int, generators, cap: int | None = None) -> LinearCo
         raise CapExceededError(
             f"spanning {len(gens)} generators of length {n} over q={ring.q} exceeds cap {cap}"
         )
-    add, mul = ring.add_table, ring.mul_table
-    words = {(0,) * n}
+    words, q = {(0,) * n}, ring.q
     for g in gens:
-        scaled = [tuple(mul[r][x] for x in g) for r in range(ring.q)]
-        words = {
-            tuple(add[a][b] for a, b in zip(w, sg)) for w in words for sg in scaled
-        }
-    return LinearCode(ring, n, gens, sorted(words))
+        words = _closure(ring, words, g)
+    return LinearCode(ring, n, gens, sorted(reduce(lambda i, x: i * q + x, w, 0) for w in words))
+
+
+def _closure(ring, words, g) -> set:
+    """Every word w + r g, for w in words and r in R."""
+    add, mul = ring.add_table, ring.mul_table
+    scaled = [tuple(mul[r][x] for x in g) for r in range(ring.q)]
+    return {tuple(add[a][b] for a, b in zip(w, sg)) for w in words for sg in scaled}
 
 
 def inner_product(ring: RingSpec, u, v) -> int:
@@ -127,17 +149,12 @@ def inner_product(ring: RingSpec, u, v) -> int:
 def _greedy_generators(ring, words):
     """A small generating subset of an already-linear codeword set."""
     n = len(words[0]) if words else 0
-    add, mul = ring.add_table, ring.mul_table
     spanned = {(0,) * n}
     gens = []
     for w in words:
-        if w in spanned:
-            continue
-        gens.append(w)
-        scaled = [tuple(mul[r][x] for x in w) for r in range(ring.q)]
-        spanned = {
-            tuple(add[a][b] for a, b in zip(s, sg)) for s in spanned for sg in scaled
-        }
+        if w not in spanned:
+            gens.append(w)
+            spanned = _closure(ring, spanned, w)
     return gens
 
 
@@ -190,18 +207,8 @@ def dual_indices(code: LinearCode, cap: int | None = None) -> list[int]:
 
 
 def dual_code(code: LinearCode, cap: int | None = None) -> LinearCode:
-    """dual_indices decoded to words; the generators are picked when first read."""
-    indices = dual_indices(code, cap)  # first, as it checks the cap
-    q, n = code.ring.q, code.n
-    lefts, rights = (list(product(range(q), repeat=m)) for m in (n // 2, n - n // 2))
-    halves = map(divmod, indices, repeat(len(rights)))
-    return LinearCode(code.ring, n, None, [lefts[a] + rights[b] for a, b in halves])
-
-
-def word_indices(code: LinearCode) -> list[int]:
-    """The lexicographic index, sum of u_i q^(n-1-i), of each word of the code, in its order."""
-    places = [code.ring.q ** (code.n - 1 - i) for i in range(code.n)]
-    return [sum(map(int.__mul__, w, places)) for w in code.words]
+    """The code on dual_indices; its generators are picked when first read."""
+    return LinearCode(code.ring, code.n, None, dual_indices(code, cap))
 
 
 def _half_weight_counts(ring, columns, places, k) -> dict[tuple, dict[int, int]]:
@@ -249,10 +256,7 @@ def dual_weight_spectrum(
     steps plus one multiply-add per joined pair of weight keys.
     """
     check_ambient_cap(code.ring, code.n, cap)
-    if levels.n != code.n:
-        raise ValueError(
-            f"level structure size {levels.n} does not match code length {code.n}"
-        )
+    check_levels(code, levels)
     ring, n, half = code.ring, code.n, code.n // 2
     radices, places, place = [], [], 1  # radices[j]: the place of level j's digit
     for size in levels.sizes:
@@ -271,6 +275,14 @@ def dual_weight_spectrum(
                     joined[a + b] = joined.get(a + b, 0) + ca * cb
     digits = [[key // r % (size + 1) for key in joined] for r, size in zip(radices, levels.sizes)]
     return dict(zip(zip(*digits), joined.values()))
+
+
+def check_levels(code: LinearCode, levels: LevelStructure) -> None:
+    """Refuse a level structure whose size is not the code length."""
+    if levels.n != code.n:
+        raise ValueError(
+            f"level structure size {levels.n} does not match code length {code.n}"
+        )
 
 
 def level_split(v, levels: LevelStructure):

@@ -18,16 +18,12 @@ macwilliams.render.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache, partial
+from functools import cache
 from itertools import count, starmap
 from math import ceil
 
-from .codes import LinearCode, level_split, word_indices
+from .codes import LinearCode, check_levels, index_digits, level_split
 from .posets import LevelStructure, Poset
-
-
-def _weight(word) -> int:
-    return sum(1 for x in word if x)
 
 
 def poset_weight_enumerator(code: LinearCode, poset: Poset) -> dict[int, int]:
@@ -39,38 +35,45 @@ def poset_weight_enumerator(code: LinearCode, poset: Poset) -> dict[int, int]:
 
 def byte_enumerator(code: LinearCode, levels: LevelStructure) -> dict[int, int]:
     """sum over codewords of prod_S z_{S:(level-S block of the codeword)}, by word index."""
-    _check_levels(code, levels)
-    return dict.fromkeys(word_indices(code), 1)
+    check_levels(code, levels)
+    return dict.fromkeys(code.indices, 1)
 
 
 def byte_terms(counts: dict, q: int, levels: LevelStructure) -> list:
-    """The terms z_{1:beta_1}...z_{s:beta_s} of these {pattern index: count}, by index.
+    """The terms z_{1:beta_1}...z_{s:beta_s} of these {pattern index: count}, by index."""
+    order = sorted(counts)
+    return list(zip(map(counts.__getitem__, order), _per_block(q, levels, order, _block_var)))
 
-    Pattern b has index sum of b_i q^(n-1-i); its level-S block, with `after`
-    coordinates past level S, has index (index // q^after) % q^n_S.  A block's
-    variable is built when the block first occurs, so the cost follows the counts.
+
+def _block_var(level: int, pattern: tuple) -> tuple:
+    """z_{level:beta} for the level block beta."""
+    joined = ("" if all(i < 10 for i in pattern) else ",").join(map(str, pattern))
+    return f"z_{{{level}:{joined}}}", {"level": level, "kind": "byte", "pattern": list(pattern)}
+
+
+def _per_block(q: int, levels: LevelStructure, indices, value) -> zip:
+    """For each index, the tuple of value(S, beta_S) over the levels S.
+
+    The word of index i = sum of u_j q^(n-1-j) has the level-S block beta_S of
+    index i // q^after % q^n_S, with `after` coordinates past level S.  Each
+    distinct block is decoded to its digits and valued once, so the cost
+    follows the indices given.
     """
-    blocks, after = [], levels.n
+    columns, after = [], levels.n
     for level, n_s in enumerate(levels.sizes, start=1):
         after -= n_s
-        places = [q**j for j in reversed(range(n_s))]
-        blocks.append((cache(partial(_block_var, level, q, places)), q**after, q**n_s))
-    return [
-        (counts[i], tuple(var(i // div % mod) for var, div, mod in blocks)) for i in sorted(counts)
-    ]
-
-
-def _block_var(level: int, q: int, places: list, block: int) -> tuple:
-    """z_{level:beta} for the level block beta = (block // p % q for p in places)."""
-    pattern = [block // p % q for p in places]
-    joined = ("" if all(i < 10 for i in pattern) else ",").join(map(str, pattern))
-    return f"z_{{{level}:{joined}}}", {"level": level, "kind": "byte", "pattern": pattern}
+        div, mod = q**after, q**n_s
+        blocks = [i // div % mod for i in indices]
+        distinct = dict.fromkeys(blocks)
+        values = dict(zip(distinct, (value(level, b) for b in index_digits(q, n_s, distinct))))
+        columns.append(map(values.__getitem__, blocks))
+    return zip(*columns)
 
 
 def weight_spectrum(code: LinearCode, levels: LevelStructure) -> dict[tuple, int]:
-    """Count codewords by their tuple of per-level Hamming weights."""
-    _check_levels(code, levels)
-    return Counter(tuple(_weight(part) for part in level_split(u, levels)) for u in code.words)
+    """Count codewords by their tuple of per-level Hamming weights, read from the indices."""
+    check_levels(code, levels)
+    return Counter(_per_block(code.ring.q, levels, code.indices, lambda _, b: len(b) - b.count(0)))
 
 
 def complete_terms(spectrum: dict, q=None, levels=None) -> list:
@@ -115,13 +118,6 @@ def level_enumerator(code: LinearCode, levels: LevelStructure) -> dict[tuple, in
     return weight_spectrum(code, levels)
 
 
-def _check_levels(code, levels):
-    if levels.n != code.n:
-        raise ValueError(
-            f"level structure size {levels.n} does not match code length {code.n}"
-        )
-
-
 def _check_t(levels: LevelStructure, t) -> tuple[int, ...]:
     t = tuple(int(x) for x in t)
     if len(t) != levels.count:
@@ -136,7 +132,7 @@ def mspotty_weight(v, levels: LevelStructure, t) -> int:
     """Sum over levels of ceil(level Hamming weight / t_i)."""
     t = _check_t(levels, t)
     parts = level_split(v, levels)
-    return sum(ceil(_weight(part) / ti) for part, ti in zip(parts, t))
+    return sum(ceil((len(part) - part.count(0)) / ti) for part, ti in zip(parts, t))
 
 
 def mspotty_distance(u, v, levels: LevelStructure, t) -> int:

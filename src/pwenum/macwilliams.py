@@ -17,10 +17,9 @@ from operator import itemgetter, lshift
 from struct import iter_unpack
 from typing import Callable, NamedTuple
 
-from .codes import LinearCode, dual_code, dual_indices, dual_weight_spectrum, word_indices
+from .codes import LinearCode, check_levels, dual_code, dual_indices, dual_weight_spectrum
 from .cyclotomic import CycInt
 from .enumerators import (
-    _check_levels,
     _check_t,
     byte_enumerator,
     byte_terms,
@@ -134,7 +133,7 @@ def _yates_tallies(code: LinearCode, chi: Character) -> tuple[int, bytearray, in
         return int.from_bytes((b"\xff" * (half // 8) + bytes(half // 8)) * slots, "little")
 
     marks: dict[int, bytearray] = {}  # the indicator of C, by row
-    for index in word_indices(code):
+    for index in code.indices:
         r, k = divmod(index, width)
         if r not in marks:
             marks[r] = bytearray(row_bytes)
@@ -173,7 +172,7 @@ def byte_transform(
     it must be a rational integer that divides exactly by |C| and is not
     negative, or IntegrityError is raised.
     """
-    _check_levels(code, levels)
+    check_levels(code, levels)
     ring = code.ring
     if chi is None:
         chi = default_character(ring)

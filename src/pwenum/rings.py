@@ -63,27 +63,6 @@ class RingSpec:
                 raise ValueError("additive order of 1 exceeds the ring size")
         return e
 
-    def _check_index(self, a):
-        if not isinstance(a, int) or not 0 <= a < self.q:
-            raise ValueError(f"element index {a!r} out of range 0..{self.q - 1}")
-
-    def add(self, a: int, b: int) -> int:
-        self._check_index(a)
-        self._check_index(b)
-        return self.add_table[a][b]
-
-    def mul(self, a: int, b: int) -> int:
-        self._check_index(a)
-        self._check_index(b)
-        return self.mul_table[a][b]
-
-    def neg(self, a: int) -> int:
-        self._check_index(a)
-        return self.neg_table[a]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def to_json_obj(self) -> dict:
         return {"kind": self.kind, **self.params}
 

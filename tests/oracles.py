@@ -5,6 +5,7 @@ each one is the direct reading of its definition and shares no logic with
 the fast kernel it checks.
 """
 
+from collections import Counter
 from itertools import product
 from math import ceil, comb
 
@@ -12,6 +13,25 @@ from pwenum.codes import dual_code, inner_product, level_split
 from pwenum.cyclotomic import CycInt
 from pwenum.errors import IntegrityError
 from pwenum.macwilliams import IdentityReport
+
+
+def span_words(ring, n, generators) -> list[tuple]:
+    """Every sum of c_j g_j, over all coefficient tuples c in R^k, in lexicographic order."""
+    add, mul = ring.add_table, ring.mul_table
+    words = set()
+    for coeffs in product(range(ring.q), repeat=len(generators)):
+        word = (0,) * n
+        for c, g in zip(coeffs, generators):
+            word = tuple(add[a][mul[c][x]] for a, x in zip(word, g))
+        words.add(word)
+    return sorted(words)
+
+
+def tuple_weight_spectrum(code, levels) -> Counter:
+    """The codewords, decoded to tuples, counted by their per-level numbers of nonzero entries."""
+    return Counter(
+        tuple(sum(1 for x in part if x) for part in level_split(u, levels)) for u in code.words
+    )
 
 
 def scan_dual_words(code) -> list[tuple]:
@@ -314,7 +334,7 @@ def hadamard_check(ring, chi, code, f: dict, cap=None) -> IdentityReport:
     zero = CycInt(e)
     support = [(tuple(v), _as_cyc(e, val)) for v, val in f.items()]
 
-    dual = dual_code(code, cap)
+    dual = set(dual_code(code, cap).words)
     lhs = zero
     for v, val in support:
         if v in dual:

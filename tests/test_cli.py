@@ -346,6 +346,24 @@ def test_a_non_positive_cap_is_an_input_error(command, cap):
     assert _call(argv) == (2, "", f"input error: --cap must be positive, got {cap}\n")
 
 
+HAMMING_VERIFY = ["verify", "--kind", "complete", "--ring", "F2", "--poset", "antichain:7",
+                  "--code", "hamming74"]
+
+
+@pytest.mark.parametrize("raw", ["abc", "5.0", "0", "-3"])
+def test_a_bad_pwe_cap_is_one_input_error_naming_it(raw, monkeypatch):
+    # a non-integer used to print int()'s own message, which does not name PWE_CAP
+    monkeypatch.setenv("PWE_CAP", raw)
+    expected = f"input error: PWE_CAP must be a positive integer, got {raw!r}\n"
+    assert _call(HAMMING_VERIFY) == (2, "", expected)
+
+
+def test_pwe_cap_holds_unless_cap_is_given(monkeypatch):
+    monkeypatch.setenv("PWE_CAP", "100")
+    assert _call(HAMMING_VERIFY) == (3, "", "resource cap exceeded: q^n = 2^7 exceeds cap 100\n")
+    assert _call(HAMMING_VERIFY + ["--cap", "200"]) == (0, "complete: EQUAL\n", "")
+
+
 def test_a_negative_fuzz_iteration_count_is_an_input_error():
     # it used to print "fuzz: -1 instances, 0 failures" and exit 0
     expected = (2, "", "input error: --fuzz-iters must not be negative, got -1\n")
@@ -367,6 +385,12 @@ def test_dual_command(capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["size"] == 4 and payload["length"] == 3
+
+
+def test_dual_of_the_length_0_code_is_the_empty_word():
+    argv = ["dual", "--ring", "F2", "--code", '{"length":0,"generators":[]}', "--out", "json"]
+    expected = '{"codewords":[[]],"generators":[],"length":0,"size":1}\n'
+    assert _call(argv) == (0, expected, "")
 
 
 def test_paper_examples_command(capsys):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -69,7 +70,7 @@ def test_inner_product_splits_across_levels():
             v = tuple(rng.randrange(ring.q) for _ in range(4))
             per_level = 0
             for us, vs in zip(level_split(u, levels), level_split(v, levels)):
-                per_level = ring.add(per_level, inner_product(ring, us, vs))
+                per_level = ring.add_table[per_level][inner_product(ring, us, vs)]
             assert per_level == inner_product(ring, u, v)
 
 
@@ -142,7 +143,7 @@ def test_duality_invariants_random_codes():
                 a, b = rng.choice(dual.words), rng.choice(dual.words)
                 r = rng.randrange(ring.q)
                 s = tuple(ring.add_table[x][ring.mul_table[r][y]] for x, y in zip(a, b))
-                assert s in dual
+                assert s in dual.words
 
 
 def test_level_split():
@@ -166,3 +167,17 @@ def test_code_json_roundtrip():
     assert obj == {"length": 4, "generators": [[1, 0, 1, 0], [0, 1, 1, 1]]}
     again = span(F2, obj["length"], obj["generators"])
     assert again == code
+
+
+def test_a_held_code_costs_at_most_64_bytes_a_word():
+    # a code used to hold every word as a tuple and again in a frozenset, about 209 bytes a word
+    code = span(F2, 16, [])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dual = dual_code(code)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert dual.size == 2**16
+    assert held <= 64 * dual.size

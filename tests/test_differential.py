@@ -25,6 +25,8 @@ from oracles import (
     reference_poly,
     reference_text,
     scan_dual_words,
+    span_words,
+    tuple_weight_spectrum,
 )
 from pwenum.codes import dual_code, dual_indices, dual_weight_spectrum, span
 from pwenum.enumerators import byte_enumerator, mspotty_enumerator, weight_spectrum
@@ -103,6 +105,21 @@ def test_dual_code_matches_scan_oracle(instance):
     assert list(dual.words) == words
     assert code.size * dual.size == ring.q**code.n
     assert dual_code(dual) == code
+
+
+@SETTINGS
+@given(instances())
+@example(_fixed("Z9", (1,), [(3,)]))  # n = 1: an empty left half
+@example(_fixed("GF9", (2, 1), [(1, 5, 7), (0, 3, 3)]))  # odd n
+@example(_fixed("Z4", (1, 3, 1), [(1, 3, 2, 1, 0), (0, 2, 1, 3, 3)]))  # level 2 straddles the cut
+def test_index_storage_matches_span_and_spectrum_oracles(instance):
+    ring, levels, code, _ = instance
+    words = span_words(ring, code.n, code.generators)
+    places = [ring.q ** (code.n - 1 - i) for i in range(code.n)]
+    assert code.indices == tuple(sum(x * p for x, p in zip(w, places)) for w in words)
+    assert code.words == tuple(words)
+    for held in (code, dual_code(code)):
+        assert weight_spectrum(held, levels) == tuple_weight_spectrum(held, levels)
 
 
 def _level_weights(words, levels) -> dict[tuple, int]:

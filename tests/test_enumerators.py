@@ -204,7 +204,7 @@ def test_mspotty_distance_matches_weight_of_difference():
         for _ in range(50):
             u = tuple(rng.randrange(ring.q) for _ in range(4))
             v = tuple(rng.randrange(ring.q) for _ in range(4))
-            diff = tuple(ring.sub(a, b) for a, b in zip(u, v))
+            diff = tuple(ring.add_table[a][ring.neg_table[b]] for a, b in zip(u, v))
             assert mspotty_distance(u, v, levels, t) == mspotty_weight(diff, levels, t)
 
 
