@@ -11,10 +11,10 @@ raised as an IntegrityError, never rounded.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, compress, count
-from math import comb
-from operator import itemgetter, lshift
-from struct import iter_unpack
+from itertools import chain, compress, count, product
+from math import comb, prod
+from operator import itemgetter, lshift, mul
+from struct import iter_unpack, unpack
 from typing import Callable, NamedTuple
 
 from .codes import LinearCode, check_levels, dual_code, dual_indices, dual_weight_spectrum
@@ -48,13 +48,13 @@ class IdentityReport(NamedTuple):
     instance: dict
 
 
-def _twisted_sums(values: list, shifts: list) -> list:
-    """For each b, the sum over a of values[a] << shifts[b][a], skipping zero values."""
+def _live_sums(values: list, weights: list, op=lshift) -> list:
+    """For each b, the sum over a of op(values[a], weights[b][a]), skipping zero values."""
     live = [a for a, v in enumerate(values) if v]
     if len(live) < len(values):
         values = [values[a] for a in live]
-        shifts = [[sh[a] for a in live] for sh in shifts]
-    return [sum(map(lshift, values, sh)) for sh in shifts]
+        weights = [[w[a] for a in live] for w in weights]
+    return [sum(map(op, values, w)) for w in weights]
 
 
 def _step_rows(rows: list, q: int, shifts: list, low: int, half: int) -> None:
@@ -70,39 +70,59 @@ def _step_rows(rows: list, q: int, shifts: list, low: int, half: int) -> None:
             for first in range(base, base + stride):
                 group = rows[first : first + q * stride : stride]
                 rows[first : first + q * stride : stride] = [
-                    (acc & low) + ((acc >> half) & low) for acc in _twisted_sums(group, shifts)
+                    (acc & low) + ((acc >> half) & low) for acc in _live_sums(group, shifts)
                 ]
 
 
-def _serialize(rows: list, row_bytes: int) -> bytearray:
-    """The rows' bytes end to end; each row is zeroed once copied, so one copy is held."""
+def _bias(slots: int, slot_bytes: int) -> int:
+    """Half the range of each of that many slots, which makes a signed slot nonnegative."""
+    return int.from_bytes((bytes(slot_bytes - 1) + b"\x80") * slots, "little")
+
+
+def _serialize(rows: list, row_bytes: int, bias: int = 0) -> bytearray:
+    """The rows' bytes end to end, bias added; each row is zeroed once copied, so one copy is held."""
     data = bytearray()
     for i, row in enumerate(rows):
-        data += row.to_bytes(row_bytes, "little")
+        data += (row + bias if bias else row).to_bytes(row_bytes, "little")
         rows[i] = 0
     return data
 
 
-def _transpose(rows: list, row_bytes: int, slot_bytes: int) -> list:
-    """The slot matrix transposed, as new rows: slot c of row r becomes slot r of row c.
+def _transpose(rows: list, row_bytes: int, slot_bytes: int, cut: int = 1, signed: bool = False) -> list:
+    """The slot matrix transposed, as new rows of cut columns each.
 
-    Each new row is gathered by C-level strided copies: one per byte of a
-    slot when a slot has no more bytes than there are rows, else one per slot.
+    Slot c of row r becomes slot r of column c.  When each new row is one
+    column and there are no more columns than rows, each column is gathered
+    by one strided copy per byte of a slot, or by one copy per slot when a
+    slot has more bytes than there are rows.  Otherwise each row is
+    scattered by one strided copy per byte of a slot, and the result is cut
+    into new rows.  Signed slots cross as their value plus half their range,
+    so that none borrows from the next.
     """
-    nrows = len(rows)
-    data = _serialize(rows, row_bytes)
-    col = bytearray(nrows * slot_bytes)
-    out = []
-    for c in range(0, row_bytes, slot_bytes):
-        if slot_bytes <= nrows:
-            for k in range(slot_bytes):
-                col[k::slot_bytes] = data[c + k :: row_bytes]
-        else:
-            for r in range(nrows):
-                at = r * row_bytes + c
-                col[r * slot_bytes : (r + 1) * slot_bytes] = data[at : at + slot_bytes]
-        out.append(int.from_bytes(col, "little"))
-    return out
+    nrows, ncols, s = len(rows), row_bytes // slot_bytes, slot_bytes
+    data = _serialize(rows, row_bytes, _bias(ncols, s) if signed else 0)
+    column = nrows * s
+    if cut == 1 and ncols <= nrows:
+        col, new = bytearray(column), []
+        for c in range(0, row_bytes, s):
+            if s <= nrows:
+                for k in range(s):
+                    col[k::s] = data[c + k :: row_bytes]
+            else:
+                col = b"".join(data[at : at + s] for at in range(c, len(data), row_bytes))
+            new.append(int.from_bytes(col, "little"))
+    else:
+        out = bytearray(len(data))
+        for to, at in zip(range(0, column, s), range(0, len(data), row_bytes)):
+            for k in range(s):
+                out[to + k :: column] = data[at + k : at + row_bytes : s]
+        del data
+        view, new_bytes = memoryview(out), cut * column
+        new = [int.from_bytes(view[i : i + new_bytes], "little") for i in range(0, len(out), new_bytes)]
+    if signed:
+        bias = _bias(cut * nrows, s)
+        new = [row - bias for row in new]
+    return new
 
 
 def _yates_tallies(code: LinearCode, chi: Character) -> tuple[int, bytearray, int]:
@@ -224,11 +244,11 @@ def krawtchouk_level(n_j: int, l_j: int, p_j: int, q: int) -> int:
 
 
 @lru_cache(maxsize=256)
-def _krawtchouk_matrix(n_j: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """Row l holds krawtchouk_level(n_j, l, p, q) for p = 0..n_j."""
+def _krawtchouk_columns(n_j: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """Column p holds krawtchouk_level(n_j, l, p, q) for l = 0..n_j."""
     return tuple(
-        tuple(krawtchouk_level(n_j, l, p, q) for p in range(n_j + 1))
-        for l in range(n_j + 1)
+        tuple(krawtchouk_level(n_j, l, p, q) for l in range(n_j + 1))
+        for p in range(n_j + 1)
     )
 
 
@@ -240,42 +260,62 @@ def krawtchouk_contraction(
     The dual's count at weights p is (1/|C|) sum over spectrum entries A_l of
         A_l prod_j krawtchouk_level(n_j, l_j, p_j, q).
     The product factors by level, so the spectrum is contracted with one
-    Krawtchouk matrix per level in turn.  Each step replaces the leading l_j
-    of a key by p_j at its end: after step j the keys read
-    (l_{j+1}, ..., l_s, p_1, ..., p_j).  Every count must divide exactly by
-    |C| and be positive, or IntegrityError is raised; zero counts are left out.
+    Krawtchouk matrix per level in turn, on packed rows as in the byte
+    transform.  The rows are indexed by the leading l_j, and each packs the
+    other cells in mixed radix, one signed field per cell.  Level j sets row
+    p_j to the sum of the nonzero rows, each times its Krawtchouk entry; one
+    transpose then moves p_j to the end of the key and cuts the state into
+    the rows of l_{j+1}.  After step j the cells read
+    (l_{j+1}, ..., l_s, p_1, ..., p_j); the last level is read in place.  The
+    absolute values in a row of a Krawtchouk matrix sum to at most q^n_j, so
+    no cell exceeds |C| q^n in absolute value: a field holds that and a
+    sign, in 1, 2, 4, 8, ... bytes.
+
+    Every count must be a positive int, or ValueError is raised.  Every
+    result must divide exactly by |C| and not be negative, or IntegrityError
+    is raised; zero results are left out.
     """
     sizes = levels.sizes
-    if code_size < 1 or code_size != sum(spectrum.values()):
-        raise ValueError(
-            f"spectrum sums to {sum(spectrum.values())}, but |C| = {code_size}"
-        )
-    state: dict[tuple, int] = {}
+    places = [prod(n + 1 for n in sizes[j + 1 :]) for j in range(len(sizes))]  # in a cell's index
+    cells = {}
     for l, count in spectrum.items():
         l = tuple(l)
         if len(l) != len(sizes) or any(not 0 <= w <= n for w, n in zip(l, sizes)):
             raise ValueError(f"spectrum key {l} inconsistent with levels {sizes}")
-        state[l] = count
+        if type(count) is not int or count < 1:
+            raise ValueError(f"spectrum count {count!r} at {l} is not a positive integer")
+        cells[sum(map(mul, l, places))] = count
+    if code_size < 1 or code_size != sum(spectrum.values()):
+        raise ValueError(f"spectrum sums to {sum(spectrum.values())}, but |C| = {code_size}")
+    field = 1 << ((code_size * q**levels.n).bit_length() // 8).bit_length()
+    data = bytearray(field * places[0] * (sizes[0] + 1))
+    for at, count in cells.items():
+        data[at * field : (at + 1) * field] = count.to_bytes(field, "little")
+    row_bytes = field * places[0]
+    rows = [int.from_bytes(data[i : i + row_bytes], "little") for i in range(0, len(data), row_bytes)]
+    for n_j, n_next in zip(sizes, sizes[1:] + (0,)):
+        rows = _live_sums(rows, _krawtchouk_columns(n_j, q), mul)
+        if n_next:
+            cut = row_bytes // field // (n_next + 1)
+            rows = _transpose(rows, row_bytes, field, cut, signed=True)
+            row_bytes = field * cut * (n_j + 1)
 
-    for n_j in sizes:
-        matrix = _krawtchouk_matrix(n_j, q)
-        contracted: dict[tuple, int] = {}
-        for key, count in state.items():
-            rest = key[1:]
-            for p_j, k in enumerate(matrix[key[0]]):
-                if k:
-                    cell = rest + (p_j,)
-                    contracted[cell] = contracted.get(cell, 0) + k * count
-        state = {key: total for key, total in contracted.items() if total}
-
-    for p, total in state.items():
+    bias = _bias(row_bytes // field, field)  # + bias, then ^ bias: each field its two's complement
+    data = b"".join(((row + bias) ^ bias).to_bytes(row_bytes, "little") for row in rows)
+    if field <= 8:  # struct's codes for 1, 2, 4 and 8 bytes
+        values = unpack(f"<{len(data) // field}{'bhiq'[field.bit_length() - 1]}", data)
+    else:
+        values = [int.from_bytes(data[i : i + field], "little", signed=True) for i in range(0, len(data), field)]
+    keys = product(range(sizes[-1] + 1), product(*(range(n + 1) for n in sizes[:-1])))
+    out = {}
+    for (p_s, prefix), total in zip(compress(keys, values), filter(None, values)):
         coeff, rem = divmod(total, code_size)
         if rem:
             raise IntegrityError(f"coefficient {total} not divisible by |C| = {code_size}")
         if coeff < 0:
             raise IntegrityError(f"negative enumerator coefficient {coeff}")
-        state[p] = coeff
-    return state
+        out[prefix + (p_s,)] = coeff
+    return out
 
 
 def complete_transform(

@@ -6,6 +6,7 @@ the fast kernel it checks.
 """
 
 from collections import Counter
+from functools import cache
 from itertools import product
 from math import ceil, comb
 
@@ -52,6 +53,7 @@ def scan_dual_words(code) -> list[tuple]:
     return words
 
 
+@cache
 def _krawtchouk(n_j, l_j, p_j, q):
     return sum(
         (-1) ** a * (q - 1) ** (p_j - a) * comb(l_j, a) * comb(n_j - l_j, p_j - a)
@@ -59,14 +61,13 @@ def _krawtchouk(n_j, l_j, p_j, q):
     )
 
 
-def cell_complete_transform(spectrum, sizes, q, code_size) -> dict[tuple, int]:
-    """Dual complete spectrum, one output cell at a time.
+def cell_complete_totals(spectrum, sizes, q) -> dict[tuple, int]:
+    """Dual complete spectrum before the division by |C|, zero cells kept.
 
     For every per-level weight tuple p, sums A_l * prod_j K(n_j, l_j, p_j)
-    over the spectrum and divides by |C|, asserting the division is exact.
-    Returns {p: coefficient} with zero cells left out.
+    over the spectrum.
     """
-    out = {}
+    totals = {}
     for p in product(*(range(n + 1) for n in sizes)):
         total = 0
         for l, count in spectrum.items():
@@ -74,6 +75,18 @@ def cell_complete_transform(spectrum, sizes, q, code_size) -> dict[tuple, int]:
             for n_j, l_j, p_j in zip(sizes, l, p):
                 term *= _krawtchouk(n_j, l_j, p_j, q)
             total += term
+        totals[p] = total
+    return totals
+
+
+def cell_complete_transform(spectrum, sizes, q, code_size) -> dict[tuple, int]:
+    """Dual complete spectrum, one output cell at a time.
+
+    Divides each of cell_complete_totals by |C|, asserting the division is
+    exact.  Returns {p: coefficient} with zero cells left out.
+    """
+    out = {}
+    for p, total in cell_complete_totals(spectrum, sizes, q).items():
         coeff, rem = divmod(total, code_size)
         assert rem == 0, f"cell {p}: {total} not divisible by {code_size}"
         if coeff:

@@ -337,6 +337,30 @@ def test_cap_exit_3(capsys):
     assert capsys.readouterr().out == ""
 
 
+class _Reached(Exception):
+    """Raised by a patched kernel, to show that a route got to it."""
+
+
+@pytest.mark.parametrize("route", [
+    ["verify", "--kind", "complete"],
+    ["verify", "--kind", "level"],
+    ["verify", "--kind", "mspotty", "--t", "2,1,1"],
+    ["enum", "--kind", "complete", "--dual", "--via-transform"],
+])
+def test_the_cap_is_checked_before_the_contraction(route, monkeypatch):
+    # the cap bounds the contraction's dense state: prod(n_j + 1) <= 2^n <= q^n <= cap
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr("pwenum.macwilliams.krawtchouk_contraction", reached)
+    argv = route + ["--ring", "F2", "--poset", "leveled:2,1,1", "--code", "ex51"]
+    over = (3, "", "resource cap exceeded: q^n = 2^4 exceeds cap 15\n")
+    assert _call(argv + ["--cap", "15"]) == over
+    # under the cap the route calls the module global, which a tracer may rebind
+    with pytest.raises(_Reached):
+        _call(argv + ["--cap", "16"])
+
+
 @pytest.mark.parametrize("command", ["verify", "enum", "dual"])
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_a_non_positive_cap_is_an_input_error(command, cap):

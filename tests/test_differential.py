@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    cell_complete_totals,
     cell_complete_transform,
     convolution_gf_tables,
     exhaustive_ring_axioms,
@@ -30,10 +31,12 @@ from oracles import (
 )
 from pwenum.codes import dual_code, dual_indices, dual_weight_spectrum, span
 from pwenum.enumerators import byte_enumerator, mspotty_enumerator, weight_spectrum
+from pwenum.errors import IntegrityError
 from pwenum.macwilliams import (
     KINDS,
     byte_transform,
     complete_transform,
+    krawtchouk_contraction,
     mspotty_transform,
     render,
     verify_identity,
@@ -165,6 +168,46 @@ def test_complete_transform_matches_cell_oracle(instance):
     spectrum = weight_spectrum(code, levels)
     spotty = mspotty_transform(spectrum, levels, t, ring.q, code.size)
     assert spotty == mspotty_enumerator(dual, levels, t)
+
+
+@st.composite
+def arbitrary_spectra(draw):
+    """(spectrum, levels, q): in-range keys with counts up to 2^45, mostly no code's spectrum.
+
+    The counts take the packed fields of the contraction across byte
+    boundaries.  A lone key at weight 0 divides exactly and stays nonnegative;
+    a lone key elsewhere divides exactly but turns negative.
+    """
+    q = draw(st.sampled_from([2, 3, 4, 9, 64]))
+    levels = LevelStructure(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
+    key = st.tuples(*(st.integers(0, size) for size in levels.sizes))
+    spectrum = draw(st.dictionaries(key, st.integers(1, 2**45), min_size=1, max_size=6))
+    return spectrum, levels, q
+
+
+def _scaled_spectrum(name, sizes, generators, factor):
+    """A real code's spectrum with every count times factor: it divides exactly."""
+    ring, levels, code, _ = _fixed(name, sizes, generators)
+    return {l: c * factor for l, c in weight_spectrum(code, levels).items()}, levels, ring.q
+
+
+@SETTINGS
+@given(arbitrary_spectra())
+@example(({(0, 0): 2**45}, LevelStructure((6, 6)), 64))  # 2^45 * 64^12: 16-byte fields
+@example(({(0,): 3}, LevelStructure((1,)), 64))  # 3 * 63 = 189 needs a byte past the sign
+@example(({(0, 0): 9}, LevelStructure((1, 1)), 64))  # 9 * 63^2 = 35721 likewise
+@example(_scaled_spectrum("F3", (2, 1), [(1, 2, 0)], 2**40))
+@example(_scaled_spectrum("F4", (1, 2, 1), [(1, 0, 2, 3), (0, 1, 1, 1)], 3**20))
+def test_contraction_checks_match_the_raw_cell_totals(case):
+    spectrum, levels, q = case
+    size = sum(spectrum.values())
+    totals = cell_complete_totals(spectrum, levels.sizes, q)
+    if any(total % size or total < 0 for total in totals.values()):
+        with pytest.raises(IntegrityError):
+            krawtchouk_contraction(spectrum, levels, q, size)
+    else:
+        expected = {p: total // size for p, total in totals.items() if total}
+        assert krawtchouk_contraction(spectrum, levels, q, size) == expected
 
 
 def _as_patterns(counts, q, n) -> dict[tuple, int]:

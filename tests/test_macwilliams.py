@@ -104,6 +104,11 @@ def test_complete_transform_validates_spectrum():
         complete_transform({(5, 0, 0): 1}, EX_LEVELS, 2, 1)
     with pytest.raises(ValueError):
         complete_transform({(0, 0, 0): 1}, EX_LEVELS, 2, 2)
+    # no code has these spectra, though each sums to |C| = 1; the first used to
+    # contract to {(0,): 1, (1,): 4, (2,): 3}
+    for spectrum in ({(0,): 2, (1,): -1}, {(0,): 1, (1,): 0}, {(0,): True}, {(0,): 1.0}):
+        with pytest.raises(ValueError, match="is not a positive integer"):
+            complete_transform(spectrum, LevelStructure((2,)), 2, 1)
 
 
 def test_level_transform_examples():
