@@ -11,10 +11,10 @@ raised as an IntegrityError, never rounded.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, compress, count, product
+from itertools import compress, product
 from math import comb, prod
-from operator import itemgetter, lshift, mul
-from struct import iter_unpack, unpack
+from operator import lshift, mul
+from struct import Struct, unpack
 from typing import Callable, NamedTuple
 
 from .codes import LinearCode, check_levels, dual_code, dual_indices, dual_weight_spectrum
@@ -125,19 +125,20 @@ def _transpose(rows: list, row_bytes: int, slot_bytes: int, cut: int = 1, signed
     return new
 
 
-def _yates_tallies(code: LinearCode, chi: Character) -> tuple[int, bytearray, int]:
+def _yates_tallies(code: LinearCode, chi: Character) -> tuple[int, list, int]:
     """Tally of the exponents of chi(<b, u>) over u in C, for every b in R^n.
 
-    Returns the field width in bytes, the tallies and the period
+    Returns the field width in bytes, the final rows and the period
     P = q^ceil(n/2).  Each tally is e count fields followed by e zero fields;
-    the tally of the pattern with lexicographic index r * q^n / P + c sits at
-    position c * P + r.
+    row r packs the tallies of the P patterns with lexicographic index
+    r * P + k, at slot k, so the rows read in order are the patterns in
+    lexicographic order.
 
-    The steps follow Bailey's four-step order.  The first ceil(n/2)
-    coordinates index a list of rows, each packing the patterns of the last
-    floor(n/2); those leading coordinates are stepped between rows, the slot
-    matrix is transposed once, and the other coordinates are stepped between
-    the new rows.
+    The steps follow Bailey's four-step order.  The last ceil(n/2)
+    coordinates index a list of rows, each packing the patterns of the first
+    floor(n/2); those trailing coordinates are stepped between rows, the
+    slot matrix is transposed once, and the leading coordinates are stepped
+    between the new rows.
     """
     ring = code.ring
     q, e, n = ring.q, ring.exponent, code.n
@@ -154,15 +155,27 @@ def _yates_tallies(code: LinearCode, chi: Character) -> tuple[int, bytearray, in
 
     marks: dict[int, bytearray] = {}  # the indicator of C, by row
     for index in code.indices:
-        r, k = divmod(index, width)
-        if r not in marks:
-            marks[r] = bytearray(row_bytes)
-        marks[r][k * slot // 8] = 1
-    rows = [int.from_bytes(marks.pop(r), "little") if r in marks else 0 for r in range(nrows)]
+        r, k = divmod(index, nrows)
+        if k not in marks:
+            marks[k] = bytearray(row_bytes)
+        marks[k][r * slot // 8] = 1
+    rows = [int.from_bytes(marks.pop(k), "little") if k in marks else 0 for k in range(nrows)]
     _step_rows(rows, q, shifts, low(width), half)
     rows = _transpose(rows, row_bytes, slot // 8)
     _step_rows(rows, q, shifts, low(nrows), half)
-    return field, _serialize(rows, nrows * slot // 8), nrows
+    return field, rows, nrows
+
+
+class _Coefficients(dict):
+    """The coefficient of each tally met so far; a new tally is reduced and checked once."""
+
+    def __init__(self, e: int, field: int, code_size: int):
+        super().__init__()
+        self.e, self.field, self.code_size = e, field, code_size
+
+    def __missing__(self, tally: bytes) -> int:
+        coeff = self[tally] = _byte_coefficient(tally, self.e, self.field, self.code_size)
+        return coeff
 
 
 def byte_transform(
@@ -177,20 +190,22 @@ def byte_transform(
     time in the group ring Z[Z_e], where zeta_e is x: n q^(n+1) products of a
     value by a power of x, and each value ends as the tally of the character
     exponents <b, u> over the code.  The result is the nonzero
-    {lexicographic index of b: coefficient}.
+    {lexicographic index of b: coefficient}, in increasing index order.
 
     A value is packed into a Python int as 2e byte-aligned count fields, so
     multiplying by x^r is a left shift by r fields; after each coordinate
     one mask-and-add folds field e+j back onto field j.  Row ints pack the
-    patterns of the trailing coordinates and a list of rows is indexed by
-    the leading ones, so a coordinate step combines whole rows.  Every
-    coordinate is stepped between rows (see _yates_tallies): half of them,
-    then one transpose of the slot matrix, then the other half; the tallies
-    are read back in transposed order.
+    patterns of some coordinates and a list of rows is indexed by the
+    others, so a coordinate step combines whole rows.  Every coordinate is
+    stepped between rows (see _yates_tallies): half of them, then one
+    transpose of the slot matrix, then the other half.
 
-    Each distinct tally is reduced modulo the e-th cyclotomic polynomial once;
-    it must be a rational integer that divides exactly by |C| and is not
-    negative, or IntegrityError is raised.
+    The final rows hold the tallies in lexicographic order and are read one
+    at a time, so no list or dict over R^n is built besides the result; a
+    row equal, as an int, to one already read reuses its nonzero slots.
+    Each distinct tally is reduced modulo the e-th cyclotomic polynomial
+    once; it must be a rational integer that divides exactly by |C| and is
+    not negative, or IntegrityError is raised.
     """
     check_levels(code, levels)
     ring = code.ring
@@ -199,17 +214,19 @@ def byte_transform(
     else:
         check_additive(ring, chi)  # Yates' factoring needs chi(a + b) = chi(a) chi(b)
     e = ring.exponent
-    field, tallies, period = _yates_tallies(code, chi)
-
-    def each_tally():
-        return map(itemgetter(0), iter_unpack(f"{e * field}s{e * field}x", tallies))
-
-    coeffs = dict.fromkeys(each_tally())  # the distinct tallies
-    for tally in coeffs:
-        coeffs[tally] = _byte_coefficient(tally, e, field, code.size)
-    values = list(map(coeffs.__getitem__, each_tally()))
-    values = list(chain.from_iterable(values[r::period] for r in range(period)))  # lexicographic
-    return dict(zip(compress(count(), values), filter(None, values)))
+    field, rows, period = _yates_tallies(code, chi)
+    row_bytes = period * 2 * e * field
+    tallies = Struct(f"{e * field}s{e * field}x" * period)  # a row's tallies, without their zero fields
+    coeffs = _Coefficients(e, field, code.size)
+    read: dict[int, tuple] = {}  # row -> the slots k of its nonzero coefficients, and those coefficients
+    out = {}
+    for start, row in zip(range(0, period * len(rows), period), rows):
+        if row not in read:
+            values = tuple(map(coeffs.__getitem__, tallies.unpack(row.to_bytes(row_bytes, "little"))))
+            read[row] = tuple(compress(range(period), values)), tuple(filter(None, values))
+        slots, values = read[row]
+        out.update(zip(map(start.__add__, slots), values))
+    return out
 
 
 def _byte_coefficient(tally: bytes, e: int, field: int, code_size: int) -> int:

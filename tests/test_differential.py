@@ -4,7 +4,8 @@ Instances range over ten rings (the six catalog rings plus GF(8), GF(9), Z8
 and Z9), level sizes, generators and spotty thresholds t, with q^n kept
 small enough for the full-scan oracle.  Fixed cases over rings of 16-64
 elements take the byte transform to character orders e = 16-64 and to
-several packed rows.  Ring construction is checked the same way: the
+several packed rows; cases over Z6, Z10 and Z12 take it to orders with two
+prime factors.  Ring construction is checked the same way: the
 generator-based axiom check against the triple loop on corrupted tables,
 and the recurrence-built GF tables against polynomial arithmetic.
 """
@@ -262,6 +263,8 @@ BIG_RINGS = {
     "GF49": make_ring("GF", p=7, k=2, modulus=[1, 0, 1]),
     "GF64": make_ring("GF", p=2, k=6, modulus=[1, 1, 0, 0, 0, 0, 1]),
 }
+# character orders e = 6, 10 and 12, each with two prime factors
+COMPOSITE_RINGS = {f"Z{m}": make_ring("Zm", m=m) for m in (6, 10, 12)}
 
 
 @pytest.mark.parametrize(
@@ -295,13 +298,20 @@ BIG_RINGS = {
         ("F3", (4, 3), [(1, 2, 0, 1, 1, 0, 2), (0, 1, 1, 2, 0, 1, 1)]),
         ("F2", (3, 2, 2), [(1, 1, 0, 1, 0, 0, 1), (0, 1, 1, 0, 1, 0, 1)]),  # odd n
         ("F2", (1,), [(1,)]),  # n = 1: two rows of one 4-byte slot, copied slot by slot
+        ("Z6", (1, 1), [(1, 3)]),
+        ("Z6", (2, 1), [(1, 2, 3)]),
+        ("Z10", (1, 1), [(2, 5)]),
+        ("Z10", (2, 1), [(1, 4, 5), (0, 5, 0)]),  # odd n
+        ("Z12", (1, 1), [(3, 4)]),
+        ("Z12", (1, 1, 1), [(1, 6, 4), (0, 2, 3)]),  # odd n
     ],
 )
 def test_byte_transform_matches_pattern_oracle_on_big_rings(name, sizes, generators):
-    ring = {**RINGS, **BIG_RINGS}[name]
+    ring = {**RINGS, **BIG_RINGS, **COMPOSITE_RINGS}[name]
     levels = LevelStructure(sizes)
     code = span(ring, levels.n, generators)
     poly = byte_transform(code, levels)
+    assert list(poly) == sorted(poly)  # keys strictly increasing: a dict's keys are distinct
     assert _as_patterns(poly, ring.q, code.n) == pattern_byte_transform(code, default_character(ring))
     assert poly == byte_enumerator(dual_code(code), levels)
 
@@ -311,6 +321,7 @@ def test_byte_transform_matches_pattern_oracle_on_big_rings(name, sizes, generat
     [
         ("Z4", (0, 2, 0, 2), [(1, 2)]),
         ("Z16", tuple(2 * a % 16 for a in range(16)), [(1, 3)]),
+        ("Z6", tuple(2 * a % 6 for a in range(6)), [(1, 3)]),  # e = 6 with two primes
     ],
 )
 def test_non_generating_character_fails_as_the_oracle_does(name, exponents, generators):

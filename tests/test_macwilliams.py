@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from oracles import hadamard_check, substitute
+from pwenum import macwilliams
 from pwenum.codes import dual_code, dual_indices, span
 from pwenum.cyclotomic import CycInt
 from pwenum.enumerators import (
@@ -84,6 +85,31 @@ def test_byte_transform_of_zero_code_is_full_space():
     assert len(poly) == 8  # every pattern combination, coefficient one
     assert sum(poly.values()) == 8
     assert poly == byte_enumerator(dual_code(zero), levels)
+
+
+def test_byte_transform_checks_every_pattern(monkeypatch):
+    # the rows of <(1, 2, 0, 1)> repeat: a row's tallies depend on b1 + 2 b2 alone
+    code = span(F3, 4, [(1, 2, 0, 1)])
+    levels = LevelStructure((2, 2))
+    clean = byte_transform(code, levels)
+    assert list(clean) == sorted(clean) and clean == byte_enumerator(dual_code(code), levels)
+    tallies = macwilliams._yates_tallies
+    field, rows, period = tallies(code, default_character(F3))
+    repeated = next(r for r in range(1, len(rows)) if rows[r] in rows[:r])
+    slot_bits = 8 * 2 * F3.exponent * field
+    # the last pattern, the first slot of a row equal to an earlier one, the first pattern
+    for index in (F3.q**code.n - 1, repeated * period, 0):
+
+        def corrupted(code, chi, index=index):
+            field, rows, period = tallies(code, chi)
+            row, k = divmod(index, period)
+            at = k * slot_bits  # one count moves from field 0 to field 1: 1 - zeta_3 is no integer
+            rows[row] += (1 << (at + 8 * field)) - (1 << at)
+            return field, rows, period
+
+        monkeypatch.setattr(macwilliams, "_yates_tallies", corrupted)
+        with pytest.raises(IntegrityError, match="did not collapse to an integer"):
+            byte_transform(code, levels)
 
 
 def test_complete_transform_example():
