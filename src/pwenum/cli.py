@@ -15,7 +15,7 @@ import re
 import sys
 from functools import partial
 
-from .codes import LinearCode, check_ambient_cap, dual_code, enumeration_cap, level_split, span
+from .codes import check_ambient_cap, check_span, dual_code, enumeration_cap, level_split, span
 from .errors import CapExceededError, IntegrityError
 from .macwilliams import KINDS, TRANSFORM_KINDS, render, verify_identity
 from .posets import LevelStructure, Poset, chain, leveled, level_partition, poset_from_json_obj
@@ -114,16 +114,23 @@ NAMED_CODES = {
 }
 
 
-def parse_code_spec(text: str, ring: RingSpec, cap: int | None = None) -> LinearCode:
+def parse_code_spec(text: str, ring: RingSpec, cap: int | None = None) -> tuple[int, list]:
+    """The length and the checked generators of a named code, inline JSON or a file.
+
+    Everything span would refuse is refused here (see check_span), and
+    nothing is spanned, so a command can check its other inputs first.
+    """
     named = NAMED_CODES.get(text.strip().lower())
     if named:
-        return span(ring, *named, cap)
-    obj = _spec_json(text, "code")
-    if not isinstance(obj, dict) or "length" not in obj or "generators" not in obj:
-        raise ValueError("code description needs 'length' and 'generators' fields")
-    if not isinstance(obj["generators"], list):
-        raise ValueError(f"code generators must be a list of words, got {obj['generators']!r}")
-    return span(ring, obj["length"], obj["generators"], cap)
+        n, generators = named
+    else:
+        obj = _spec_json(text, "code")
+        if not isinstance(obj, dict) or "length" not in obj or "generators" not in obj:
+            raise ValueError("code description needs 'length' and 'generators' fields")
+        if not isinstance(obj["generators"], list):
+            raise ValueError(f"code generators must be a list of words, got {obj['generators']!r}")
+        n, generators = obj["length"], obj["generators"]
+    return n, check_span(ring, n, generators, cap)
 
 
 def parse_t_spec(text: str) -> tuple[int, ...]:
@@ -315,16 +322,17 @@ def _resolve_shape(args, n: int, cap: int):
 def cmd_enum(args) -> int:
     cap = _resolve_cap(args)
     ring = parse_ring_spec(args.ring)
-    code = parse_code_spec(args.code, ring, cap)
+    n, generators = parse_code_spec(args.code, ring, cap)
     kind = KINDS[args.kind]
     if args.via_transform and kind.transform is None:
         raise ValueError(f"the plain {args.kind} enumerator has no transform route")
-    shape, t = _resolve_shape(args, code.n, cap)
+    shape, t = _resolve_shape(args, n, cap)
+    if args.via_transform and not args.dual:
+        raise ValueError("--via-transform computes the dual enumerator; pass --dual")
+    if args.dual:  # the listed dual needs q^n <= cap; the transform is held to it too, so both refuse alike
+        check_ambient_cap(ring, n, cap)
+    code = span(ring, n, generators, cap)
     if args.via_transform:
-        if not args.dual:
-            raise ValueError("--via-transform computes the dual enumerator; pass --dual")
-        # the same bound as the direct route, so both refuse the same inputs
-        check_ambient_cap(ring, code.n, cap)
         counts = kind.transform(code, shape)
     elif args.dual:
         counts = kind.dual(code, shape, cap)
@@ -340,8 +348,9 @@ def cmd_enum(args) -> int:
 def cmd_dual(args) -> int:
     cap = _resolve_cap(args)
     ring = parse_ring_spec(args.ring)
-    code = parse_code_spec(args.code, ring, cap)
-    dual = dual_code(code, cap)
+    n, generators = parse_code_spec(args.code, ring, cap)
+    check_ambient_cap(ring, n, cap)
+    dual = dual_code(span(ring, n, generators, cap), cap)
     joiner = "" if all(len(name) == 1 for name in ring.names) else ","
     _emit(
         args,
@@ -359,9 +368,10 @@ def cmd_dual(args) -> int:
 def cmd_verify(args) -> int:
     cap = _resolve_cap(args)
     ring = parse_ring_spec(args.ring)
-    code = parse_code_spec(args.code, ring, cap)
-    levels, t = _resolve_shape(args, code.n, cap)
-    report = verify_identity(args.kind, code, levels, t=t, cap=cap)
+    n, generators = parse_code_spec(args.code, ring, cap)
+    levels, t = _resolve_shape(args, n, cap)
+    check_ambient_cap(ring, n, cap)  # the dual side works on R^n
+    report = verify_identity(args.kind, span(ring, n, generators, cap), levels, t=t, cap=cap)
 
     spell = partial(render, args.kind, q=ring.q, levels=levels)
 

@@ -104,12 +104,12 @@ def _check_word(ring, n, w):
     return w
 
 
-def span(ring: RingSpec, n: int, generators, cap: int | None = None) -> LinearCode:
-    """All R-linear combinations of the generators.
+def check_span(ring: RingSpec, n: int, generators, cap: int | None = None) -> list[tuple]:
+    """The generators as checked words, once all that span refuses is refused.
 
     The span has at most min(q^k, q^n) words for k generators, and that
     bound, not q^k alone, is held against the cap.  So is the length n, the
-    entries of one word.
+    entries of one word.  Nothing is spanned.
     """
     if cap is None:
         cap = enumeration_cap()
@@ -122,6 +122,12 @@ def span(ring: RingSpec, n: int, generators, cap: int | None = None) -> LinearCo
         raise CapExceededError(
             f"spanning {len(gens)} generators of length {n} over q={ring.q} exceeds cap {cap}"
         )
+    return gens
+
+
+def span(ring: RingSpec, n: int, generators, cap: int | None = None) -> LinearCode:
+    """All R-linear combinations of the generators, checked by check_span first."""
+    gens = check_span(ring, n, generators, cap)
     words, q = {(0,) * n}, ring.q
     for g in gens:
         words = _closure(ring, words, g)

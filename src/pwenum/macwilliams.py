@@ -10,10 +10,10 @@ raised as an IntegrityError, never rounded.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import compress, product
 from math import comb, prod
-from operator import lshift, mul
+from operator import itemgetter, lshift, mul
 from struct import Struct, unpack
 from typing import Callable, NamedTuple
 
@@ -50,18 +50,121 @@ class IdentityReport(NamedTuple):
 
 def _live_sums(values: list, weights: list, op=lshift) -> list:
     """For each b, the sum over a of op(values[a], weights[b][a]), skipping zero values."""
-    live = [a for a, v in enumerate(values) if v]
-    if len(live) < len(values):
+    if 0 in values:
+        live = [a for a, v in enumerate(values) if v]
         values = [values[a] for a in live]
         weights = [[w[a] for a in live] for w in weights]
     return [sum(map(op, values, w)) for w in weights]
 
 
-def _step_rows(rows: list, q: int, shifts: list, low: int, half: int) -> None:
+class _Split(NamedTuple):
+    """One coordinate's chi(ab) product, factored through an additive subgroup H.
+
+    As chi(b(t + h)) = chi(bt) chi(bh), value b of a step is the sum over the
+    cosets t + H of chi(bt) times the coset's sum against chi(b.) on H, and
+    that inner sum depends only on the class of b: the restriction of
+    chi(b.) to H.  Stage 1 sums each coset against each class's shifts
+    (inner) and folds; stage 2 sums, for each b of each class, the coset
+    results of its class against its shifts chi(bt) (outer).  The results
+    come class by class, and order puts them back in the order of b.  With
+    H = {0} there is no stage 1, one class and no reordering: stage 2 is the
+    dense product by the q x q matrix.
+
+    The whole-row operations of a step on L nonzero rows in M cosets are
+    counted with a row product as 1, one step of the C loop in
+    sum(map(lshift, ...)), and a fold as 4, four big-int operations in the
+    interpreter (two masks, a shift and an add).  Stage 1 takes L |classes|
+    products and |classes| folds per live coset, stage 2 q products per live
+    coset and q folds: L |classes| + M (q + 4 |classes|) + 4q in all,
+    against Lq + 4q for H = {0}.  The split is the cheaper one exactly when
+    L (q - |classes|) > M (q + 4 |classes|).
+    """
+
+    cosets: list | None  # an itemgetter of the values on each coset t + H; None if H = {0}
+    coset_of: tuple  # the index in cosets of each element's coset
+    inner: list  # inner[c]: the shifts of chi(bh), h in H, for every b of class c
+    outer: list  # outer[c][j]: the shifts of chi(bt), t over the coset representatives, for the j-th b of class c
+    order: Callable | None  # the results class by class -> the results by b; None if already so
+
+    def pays(self, live: int, cosets: int) -> bool:
+        """Whether a step on live nonzero rows in that many cosets counts fewer operations split."""
+        q, classes = len(self.coset_of), len(self.inner)
+        return bool(self.cosets) and live * (q - classes) > cosets * (q + 4 * classes)
+
+
+def _subgroup(add: tuple) -> list:
+    """An additive subgroup H with |H|^2 <= q, grown greedily in index order.
+
+    Each g in index order is added when the subgroup H + <g>, the union of
+    the cosets kg + H, still has |H|^2 <= q; its cosets are taken one by
+    one until kg falls in them, and a coset that would break the bound ends
+    the try.
+    """
+    q, group = len(add), [0]
+    for g in range(1, q):
+        grown, t = set(group), g
+        while t not in grown and (len(grown) + len(group)) ** 2 <= q:
+            grown.update(add[t][h] for h in group)
+            t = add[t][g]
+        if t in grown:
+            group = sorted(grown)
+    return group
+
+
+def _coset_split(add: tuple, shifts: list, group: list) -> _Split:
+    """The step through the sorted subgroup group; shifts[b][a] multiplies by chi(ab).
+
+    The cosets come in the order of their smallest elements, and the
+    classes in the order of their smallest b.
+    """
+    q = len(add)
+    if len(group) == 1:  # each element its own coset, one class
+        return _Split(None, tuple(range(q)), [(0,)], [shifts], None)
+    cosets, reps, coset_of = [], [], [None] * q
+    for t in range(q):
+        if coset_of[t] is None:
+            coset = [add[t][h] for h in group]
+            for a in coset:
+                coset_of[a] = len(reps)
+            cosets.append(itemgetter(*coset))
+            reps.append(t)
+    classes: dict[tuple, list] = {}  # the restriction of chi(b.) to H -> the b with it
+    for b, row in enumerate(shifts):
+        classes.setdefault(tuple(map(row.__getitem__, group)), []).append(b)
+    members = [b for bs in classes.values() for b in bs]
+    at_reps = itemgetter(*reps)
+    return _Split(
+        cosets,
+        tuple(coset_of),
+        list(classes),
+        [[at_reps(shifts[b]) for b in bs] for bs in classes.values()],
+        None if members == sorted(members) else itemgetter(*sorted(range(q), key=members.__getitem__)),
+    )
+
+
+def _ring_step(values: list, low: int, half: int, split: _Split) -> list:
+    """The q values of one coordinate line times the matrix chi(ab), by the two stages of split."""
+    if not split.cosets:  # H = {0}: stage 2 alone, one class, in order
+        return [(acc & low) + ((acc >> half) & low) for acc in _live_sums(values, split.outer[0])]
+    # each coset's sums are folded as they come, so that one coset's are held unfolded at a time
+    stage_1 = [
+        [(acc & low) + ((acc >> half) & low) for acc in _live_sums(coset(values), split.inner)]
+        for coset in split.cosets
+    ]
+    out = [
+        (acc & low) + ((acc >> half) & low)
+        for column, weights in zip(zip(*stage_1), split.outer)
+        for acc in _live_sums(column, weights)
+    ]
+    return split.order(out) if split.order else out
+
+
+def _step_rows(rows: list, q: int, step: Callable, low: int, half: int) -> None:
     """Apply chi(ab) in place along each of the k coordinates indexing q^k rows.
 
-    Each group of q rows one stride apart is combined whole; low masks the
-    lower half of every pattern in a row, for the fold of x^(e+j) onto x^j.
+    Each group of q rows one stride apart is combined whole by step; low
+    masks the lower half of every pattern in a row, for the fold of x^(e+j)
+    onto x^j.
     """
     stride = len(rows)
     while stride > 1:
@@ -69,9 +172,7 @@ def _step_rows(rows: list, q: int, shifts: list, low: int, half: int) -> None:
         for base in range(0, len(rows), q * stride):
             for first in range(base, base + stride):
                 group = rows[first : first + q * stride : stride]
-                rows[first : first + q * stride : stride] = [
-                    (acc & low) + ((acc >> half) & low) for acc in _live_sums(group, shifts)
-                ]
+                rows[first : first + q * stride : stride] = step(group, low, half)
 
 
 def _bias(slots: int, slot_bytes: int) -> int:
@@ -147,8 +248,16 @@ def _yates_tallies(code: LinearCode, chi: Character) -> tuple[int, list, int]:
     slot = 2 * half
     width, nrows = q ** (n // 2), q ** (n - n // 2)
     row_bytes = width * slot // 8
-    mul = ring.mul_table
-    shifts = [[chi.exponents[mul[b][a]] * 8 * field for a in range(q)] for b in range(q)]
+    scaled = [x * 8 * field for x in chi.exponents]
+    shifts = [itemgetter(*row)(scaled) for row in ring.mul_table]
+    subgroup = _subgroup(ring.add_table)
+    dense, split = _coset_split(ring.add_table, shifts, [0]), _coset_split(ring.add_table, shifts, subgroup)
+    step = partial(_ring_step, split=dense)
+    if split.pays(q, q // len(subgroup)):  # on a full line
+
+        def step(values, low, half):  # through H where that counts fewer operations than through {0}
+            live, cosets = q - values.count(0), len(set(compress(split.coset_of, values)))
+            return _ring_step(values, low, half, split if split.pays(live, cosets) else dense)
 
     def low(slots):  # the lower half of each of that many slots
         return int.from_bytes((b"\xff" * (half // 8) + bytes(half // 8)) * slots, "little")
@@ -160,9 +269,9 @@ def _yates_tallies(code: LinearCode, chi: Character) -> tuple[int, list, int]:
             marks[k] = bytearray(row_bytes)
         marks[k][r * slot // 8] = 1
     rows = [int.from_bytes(marks.pop(k), "little") if k in marks else 0 for k in range(nrows)]
-    _step_rows(rows, q, shifts, low(width), half)
+    _step_rows(rows, q, step, low(width), half)
     rows = _transpose(rows, row_bytes, slot // 8)
-    _step_rows(rows, q, shifts, low(nrows), half)
+    _step_rows(rows, q, step, low(nrows), half)
     return field, rows, nrows
 
 
@@ -187,9 +296,11 @@ def byte_transform(
         (1/|C|) sum over u in C of chi(<b, u>),
     the n-fold tensor power of the q x q matrix chi(ab) applied to the
     indicator of C.  Yates' algorithm applies that matrix one coordinate at a
-    time in the group ring Z[Z_e], where zeta_e is x: n q^(n+1) products of a
-    value by a power of x, and each value ends as the tally of the character
-    exponents <b, u> over the code.  The result is the nonzero
+    time in the group ring Z[Z_e], where zeta_e is x, and each value ends as
+    the tally of the character exponents <b, u> over the code.  Each line of
+    q values along a coordinate takes q^2 products of a value by a power of
+    x, or q (|H| + q/|H|) where a subgroup H of (R, +) splits the product
+    (see _Split): n q^(n-1) lines in all.  The result is the nonzero
     {lexicographic index of b: coefficient}, in increasing index order.
 
     A value is packed into a Python int as 2e byte-aligned count fields, so

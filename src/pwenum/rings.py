@@ -397,17 +397,21 @@ def default_character(ring: RingSpec) -> Character:
 
 
 def check_additive(ring: RingSpec, chi: Character) -> None:
-    """Raise unless the exponent map is an additive character of the ring."""
+    """Raise unless the exponent map is an additive character of the ring.
+
+    Additivity is checked as eps(a + g) = eps(a) + eps(g) for every a and
+    every additive generator g (see _generators), in O(q·|G|): the x with
+    eps(a + x) = eps(a) + eps(x) for all a form a set closed under +, and
+    holding the generators it is the whole ring.
+    """
     q, e = ring.q, ring.exponent
     eps = chi.exponents
     if len(eps) != q or eps[0] != 0 or any(not 0 <= x < e for x in eps):
         raise ValueError("exponent map is malformed")
     add = ring.add_table
-    for a in range(q):
-        row = add[a]
-        for b in range(q):
-            if (eps[a] + eps[b]) % e != eps[row[b]]:
-                raise ValueError("exponent map violates additivity")
+    for g in _generators(add, 0):
+        if itemgetter(*add[g])(eps) != tuple((x + eps[g]) % e for x in eps):
+            raise ValueError("exponent map violates additivity")
 
 
 def verify_generating_character(ring: RingSpec, chi: Character) -> bool:

@@ -128,6 +128,29 @@ def pattern_byte_transform(code, chi) -> dict[tuple, int]:
     return out
 
 
+def dense_line_step(values, shifts, low, half) -> list:
+    """One coordinate line of the byte transform times the q x q matrix chi(ab), pair by pair.
+
+    values[a] is the packed value at element a and shifts[b][a] the shift
+    that multiplies by chi(ab); each of the q sums is folded with low and
+    half as in the kernel.  This is the step as it ran before it was split
+    through a subgroup.
+    """
+    out = []
+    for row in shifts:
+        acc = 0
+        for value, shift in zip(values, row):
+            acc += value << shift
+        out.append((acc & low) + ((acc >> half) & low))
+    return out
+
+
+def exhaustive_is_additive(ring, exponents) -> bool:
+    """True iff eps(a + b) = eps(a) + eps(b) mod e for every pair (a, b)."""
+    e, add, rng = ring.exponent, ring.add_table, range(ring.q)
+    return all((exponents[a] + exponents[b]) % e == exponents[add[a][b]] for a in rng for b in rng)
+
+
 def exhaustive_ring_axioms(add, mul) -> bool:
     """True iff the tables form a commutative ring with identities at indices 0 and 1.
 

@@ -25,7 +25,7 @@ from pwenum.cli import (
     parse_ring_spec,
     run_fuzz,
 )
-from pwenum.codes import dual_indices, dual_weight_spectrum
+from pwenum.codes import dual_indices, dual_weight_spectrum, span
 from pwenum.enumerators import level_enumerator
 from pwenum.macwilliams import KINDS, render, verify_identity
 from pwenum.posets import chain, leveled
@@ -60,10 +60,10 @@ def test_parse_poset_spec():
 
 def test_parse_code_spec():
     ring = catalog_ring("F2")
-    code = parse_code_spec("C1", ring)
-    assert code.size == 2
+    assert span(ring, *parse_code_spec("C1", ring)).size == 2
     inline = parse_code_spec('{"length":4,"generators":[[1,0,1,0],[0,1,1,1]]}', ring)
-    assert inline.size == 4
+    assert inline == (4, [(1, 0, 1, 0), (0, 1, 1, 1)])
+    assert span(ring, *inline).size == 4
     with pytest.raises(ValueError):
         parse_code_spec("no-such-code", ring)
     with pytest.raises(ValueError):
@@ -361,6 +361,28 @@ def test_the_cap_is_checked_before_the_contraction(route, monkeypatch):
         _call(argv + ["--cap", "16"])
 
 
+@pytest.mark.parametrize("n, argv, message", [
+    # spanning this code took 25 s before its poset was refused
+    (400_000, ["enum", "--kind", "poset", "--poset", "chain:400000"],
+     "poset down-sets hold at least 80000200000 entries, over the cap 16777216"),
+    (20, ["enum", "--kind", "level", "--poset", "chain:20", "--cap", "100"],
+     "poset down-sets hold at least 210 entries, over the cap 100"),
+    (20, ["enum", "--kind", "level", "--poset", "leveled:10,10", "--dual", "--cap", "1000"],
+     "q^n = 2^20 exceeds cap 1000"),
+    (20, ["verify", "--kind", "byte", "--poset", "leveled:10,10", "--cap", "1000"],
+     "q^n = 2^20 exceeds cap 1000"),
+    (20, ["dual", "--cap", "1000"], "q^n = 2^20 exceeds cap 1000"),
+])
+def test_over_cap_inputs_are_refused_before_spanning(n, argv, message, monkeypatch):
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.delenv("PWE_CAP", raising=False)
+    monkeypatch.setattr("pwenum.cli.span", reached)
+    code = json.dumps({"length": n, "generators": [[1] * n]})
+    assert _call(argv + ["--ring", "F2", "--code", code]) == (3, "", f"resource cap exceeded: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["verify", "enum", "dual"])
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_a_non_positive_cap_is_an_input_error(command, cap):
@@ -494,7 +516,7 @@ def test_run_fuzz_records():
 def test_cli_reuses_library_enumerators(capsys):
     # the CLI result must equal the library call bit for bit
     ring = catalog_ring("F2")
-    code = parse_code_spec("c1", ring)
+    code = span(ring, *parse_code_spec("c1", ring))
     levels = parse_poset_spec("chain3")
     from pwenum.posets import level_partition
 

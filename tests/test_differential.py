@@ -5,11 +5,14 @@ and Z9), level sizes, generators and spotty thresholds t, with q^n kept
 small enough for the full-scan oracle.  Fixed cases over rings of 16-64
 elements take the byte transform to character orders e = 16-64 and to
 several packed rows; cases over Z6, Z10 and Z12 take it to orders with two
-prime factors.  Ring construction is checked the same way: the
-generator-based axiom check against the triple loop on corrupted tables,
-and the recurrence-built GF tables against polynomial arithmetic.
+prime factors.  The byte transform's step through an additive subgroup
+is checked against the dense q x q product on every ring of at most 64
+elements.  Ring construction is checked the same way: the generator-based
+axiom and additivity checks against the exhaustive loops, and the
+recurrence-built GF tables against polynomial arithmetic.
 """
 
+import random
 from itertools import product
 
 import pytest
@@ -20,6 +23,8 @@ from oracles import (
     cell_complete_totals,
     cell_complete_transform,
     convolution_gf_tables,
+    dense_line_step,
+    exhaustive_is_additive,
     exhaustive_ring_axioms,
     pattern_byte_transform,
     pattern_of,
@@ -35,6 +40,9 @@ from pwenum.enumerators import byte_enumerator, mspotty_enumerator, weight_spect
 from pwenum.errors import IntegrityError
 from pwenum.macwilliams import (
     KINDS,
+    _coset_split,
+    _ring_step,
+    _subgroup,
     byte_transform,
     complete_transform,
     krawtchouk_contraction,
@@ -46,6 +54,7 @@ from pwenum.posets import LevelStructure
 from pwenum.rings import (
     Character,
     RingSpec,
+    check_additive,
     default_character,
     make_ring,
     verify_generating_character,
@@ -322,6 +331,7 @@ def test_byte_transform_matches_pattern_oracle_on_big_rings(name, sizes, generat
         ("Z4", (0, 2, 0, 2), [(1, 2)]),
         ("Z16", tuple(2 * a % 16 for a in range(16)), [(1, 3)]),
         ("Z6", tuple(2 * a % 6 for a in range(6)), [(1, 3)]),  # e = 6 with two primes
+        ("Z64", tuple(2 * a % 64 for a in range(64)), [(1, 3)]),  # stepped through H = {0, 8, ..., 56}
     ],
 )
 def test_non_generating_character_fails_as_the_oracle_does(name, exponents, generators):
@@ -342,6 +352,136 @@ def test_byte_transform_refuses_a_non_additive_exponent_map():
     code = span(z4, 2, [(1, 2)])
     with pytest.raises(ValueError, match="additivity"):
         byte_transform(code, LevelStructure((1, 1)), Character(z4, (0, 1, 3, 2)))
+
+
+def _gf(p, k):
+    """GF(p^k) on the first monic modulus, low to high, that make_ring accepts."""
+    for tail in product(range(p), repeat=k):
+        try:
+            return make_ring("GF", p=p, k=k, modulus=[*tail, 1])
+        except ValueError:
+            pass
+    raise AssertionError(f"no irreducible modulus of degree {k} over GF({p})")
+
+
+# every ring of the catalog kinds with at most 64 elements
+SPLIT_RINGS = {
+    **{f"Z{m}": make_ring("Zm", m=m) for m in range(2, 65)},
+    **{
+        f"GF{p}^{k}": _gf(p, k)
+        for p in range(2, 65)
+        if all(p % d for d in range(2, p))
+        for k in range(1, 7)
+        if p**k <= 64
+    },
+    "F2u": make_ring("F2u"),
+    "F2v": make_ring("F2v"),
+}
+
+
+def _exponent_maps():
+    """(ring name, exponent map): each ring's catalog character, then non-generating maps."""
+    for name, ring in SPLIT_RINGS.items():
+        yield pytest.param(name, default_character(ring).exponents, id=name)
+    for m, d in product((16, 64), (2, 8, 32)):
+        yield pytest.param(f"Z{m}", tuple(d * a % m for a in range(m)), id=f"Z{m}-{d}a")
+    # the constant coefficient: additive, but not the trace
+    yield pytest.param("GF2^6", tuple(a & 1 for a in range(64)), id="GF2^6-constant-coefficient")
+
+
+def _shifts(ring, exponents, field):
+    return [[exponents[x] * 8 * field for x in row] for row in ring.mul_table]
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_RINGS))
+def test_the_subgroup_is_one_and_its_cosets_partition_the_ring(name):
+    ring = SPLIT_RINGS[name]
+    q, add = ring.q, ring.add_table
+    group = _subgroup(add)
+    assert group[0] == 0 and len(group) ** 2 <= q
+    assert {add[a][b] for a in group for b in group} == set(group)
+    split = _coset_split(add, _shifts(ring, default_character(ring).exponents, 1), group)
+    if len(group) == 1:
+        assert split.cosets is None and split.coset_of == tuple(range(q))
+        return
+    cosets = [coset(range(q)) for coset in split.cosets]
+    assert sorted(a for coset in cosets for a in coset) == list(range(q))
+    for i, coset in enumerate(cosets):
+        assert set(coset) == {add[coset[0]][h] for h in group}
+        assert all(split.coset_of[a] == i for a in coset)
+
+
+def test_the_split_pays_on_the_big_rings_and_on_no_ring_of_at_most_9_elements():
+    sizes = {}
+    for name, ring in SPLIT_RINGS.items():
+        group = _subgroup(ring.add_table)
+        split = _coset_split(ring.add_table, _shifts(ring, default_character(ring).exponents, 1), group)
+        if split.pays(ring.q, ring.q // len(group)):  # on a full line
+            sizes[name] = len(group)
+    assert not [name for name in sizes if SPLIT_RINGS[name].q <= 9]
+    big = ("Z16", "Z27", "Z32", "Z64", "GF7^2", "GF2^6")
+    assert [sizes.get(name) for name in big] == [4, 3, 4, 8, 7, 8]
+
+
+@pytest.mark.parametrize("name, exponents", list(_exponent_maps()))
+def test_the_split_step_matches_the_dense_oracle(name, exponents):
+    ring = SPLIT_RINGS[name]
+    q, e, add = ring.q, ring.exponent, ring.add_table
+    field, slots = 2, 3  # every count below 4: a field sums at most q e of them, under 2^16
+    half = 8 * field * e
+    low = int.from_bytes((b"\xff" * (half // 8) + bytes(half // 8)) * slots, "little")
+    shifts = _shifts(ring, exponents, field)
+    splits = [_coset_split(add, shifts, [0]), _coset_split(add, shifts, _subgroup(add))]
+    rng = random.Random(name)
+    for live in (q, q // 2, 1, 0):
+        values = [0] * q
+        for a in rng.sample(range(q), live):
+            counts = [rng.randrange(4) for _ in range(e)]
+            slot = sum(c << (8 * field * r) for r, c in enumerate(counts))
+            values[a] = sum(slot << (2 * half * k) for k in range(slots))
+        expected = dense_line_step(values, shifts, low, half)
+        for split in splits:
+            assert list(_ring_step(list(values), low, half, split)) == expected
+
+
+ADDITIVITY_RINGS = {name: SPLIT_RINGS[name] for name in ("Z6", "Z16", "Z64", "GF2^3", "GF2^6")}
+
+
+@st.composite
+def exponent_maps(draw):
+    """(ring, map): a random map, or an additive one, perhaps off at one element; eps(0) = 0."""
+    ring = ADDITIVITY_RINGS[draw(st.sampled_from(sorted(ADDITIVITY_RINGS)))]
+    q, e = ring.q, ring.exponent
+    if draw(st.booleans()):
+        return ring, (0, *draw(st.lists(st.integers(0, e - 1), min_size=q - 1, max_size=q - 1)))
+    if ring.kind == "Zm":
+        d = draw(st.integers(0, e - 1))
+        eps = [d * a % e for a in range(q)]
+    else:  # a weighted sum of the base-p digits of the index, mod p
+        p, k = ring.params["p"], ring.params["k"]
+        weights = draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k))
+        eps = [sum(w * (a // p**j % p) for j, w in enumerate(weights)) % p for a in range(q)]
+    if draw(st.booleans()):
+        eps[draw(st.integers(1, q - 1))] = draw(st.integers(0, e - 1))
+    return ring, tuple(eps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exponent_maps())
+def test_additivity_check_agrees_with_the_exhaustive_oracle(case):
+    ring, eps = case
+    if exhaustive_is_additive(ring, eps):
+        check_additive(ring, Character(ring, eps))
+    else:
+        with pytest.raises(ValueError, match="exponent map violates additivity"):
+            check_additive(ring, Character(ring, eps))
+
+
+def test_additivity_check_keeps_its_shape_checks():
+    z4 = make_ring("Zm", m=4)
+    for eps in ((1, 1, 1, 1), (0, 1, 2), (0, 1, 2, 4), (0, -1, 2, 3)):
+        with pytest.raises(ValueError, match="exponent map is malformed"):
+            check_additive(z4, Character(z4, eps))
 
 
 AXIOM_RINGS = {

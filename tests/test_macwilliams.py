@@ -87,29 +87,43 @@ def test_byte_transform_of_zero_code_is_full_space():
     assert poly == byte_enumerator(dual_code(zero), levels)
 
 
-def test_byte_transform_checks_every_pattern(monkeypatch):
-    # the rows of <(1, 2, 0, 1)> repeat: a row's tallies depend on b1 + 2 b2 alone
-    code = span(F3, 4, [(1, 2, 0, 1)])
-    levels = LevelStructure((2, 2))
+def _check_each_corrupted_pattern(monkeypatch, code, levels):
+    """A count moved from field 0 to field 1 fails the integrity check wherever it sits.
+
+    It moves at the last pattern, at the first slot of a final row equal to
+    an earlier one, and at the first pattern: 1 - zeta_e is no integer.
+    """
+    ring = code.ring
     clean = byte_transform(code, levels)
     assert list(clean) == sorted(clean) and clean == byte_enumerator(dual_code(code), levels)
     tallies = macwilliams._yates_tallies
-    field, rows, period = tallies(code, default_character(F3))
+    field, rows, period = tallies(code, default_character(ring))
     repeated = next(r for r in range(1, len(rows)) if rows[r] in rows[:r])
-    slot_bits = 8 * 2 * F3.exponent * field
-    # the last pattern, the first slot of a row equal to an earlier one, the first pattern
-    for index in (F3.q**code.n - 1, repeated * period, 0):
+    slot_bits = 8 * 2 * ring.exponent * field
+    for index in (ring.q**code.n - 1, repeated * period, 0):
 
         def corrupted(code, chi, index=index):
             field, rows, period = tallies(code, chi)
             row, k = divmod(index, period)
-            at = k * slot_bits  # one count moves from field 0 to field 1: 1 - zeta_3 is no integer
+            at = k * slot_bits
             rows[row] += (1 << (at + 8 * field)) - (1 << at)
             return field, rows, period
 
         monkeypatch.setattr(macwilliams, "_yates_tallies", corrupted)
         with pytest.raises(IntegrityError, match="did not collapse to an integer"):
             byte_transform(code, levels)
+
+
+def test_byte_transform_checks_every_pattern(monkeypatch):
+    # the rows of <(1, 2, 0, 1)> repeat: a row's tallies depend on b1 + 2 b2 alone
+    _check_each_corrupted_pattern(monkeypatch, span(F3, 4, [(1, 2, 0, 1)]), LevelStructure((2, 2)))
+
+
+def test_byte_transform_checks_every_pattern_after_a_split_step(monkeypatch):
+    # Z64 is stepped through H = {0, 8, ..., 56}; the final rows of <(2, 1)>
+    # repeat, since a row's tallies depend on 2 b1 alone
+    z64 = make_ring("Zm", m=64)
+    _check_each_corrupted_pattern(monkeypatch, span(z64, 2, [(2, 1)]), LevelStructure((1, 1)))
 
 
 def test_complete_transform_example():
