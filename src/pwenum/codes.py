@@ -73,9 +73,6 @@ class LinearCode:
     def __repr__(self):
         return f"LinearCode(n={self.n}, size={self.size}, over {self.ring!r})"
 
-    def to_json_obj(self) -> dict:
-        return {"length": self.n, "generators": [list(g) for g in self.generators]}
-
 
 def index_digits(q: int, n: int, indices) -> tuple:
     """The n base-q digits of each index, most significant first.
@@ -139,17 +136,6 @@ def _closure(ring, words, g) -> set:
     add, mul = ring.add_table, ring.mul_table
     scaled = [tuple(mul[r][x] for x in g) for r in range(ring.q)]
     return {tuple(add[a][b] for a, b in zip(w, sg)) for w in words for sg in scaled}
-
-
-def inner_product(ring: RingSpec, u, v) -> int:
-    """Coordinatewise product summed in the ring."""
-    if len(u) != len(v):
-        raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-    add, mul = ring.add_table, ring.mul_table
-    acc = 0
-    for a, b in zip(u, v):
-        acc = add[acc][mul[a][b]]
-    return acc
 
 
 def _greedy_generators(ring, words):

@@ -20,9 +20,8 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 from itertools import count, starmap
-from math import ceil
 
-from .codes import LinearCode, check_levels, index_digits, level_split
+from .codes import LinearCode, check_levels, index_digits
 from .posets import LevelStructure, Poset
 
 
@@ -126,27 +125,6 @@ def _check_t(levels: LevelStructure, t) -> tuple[int, ...]:
         if not 1 <= ti <= ni:
             raise ValueError(f"t entry {ti} outside 1..{ni}")
     return t
-
-
-def mspotty_weight(v, levels: LevelStructure, t) -> int:
-    """Sum over levels of ceil(level Hamming weight / t_i)."""
-    t = _check_t(levels, t)
-    parts = level_split(v, levels)
-    return sum(ceil((len(part) - part.count(0)) / ti) for part, ti in zip(parts, t))
-
-
-def mspotty_distance(u, v, levels: LevelStructure, t) -> int:
-    """Sum over levels of ceil(level Hamming distance / t_i); a metric."""
-    if not len(u) == len(v) == levels.n:
-        raise ValueError(
-            f"word lengths {len(u)} and {len(v)} do not match level structure size {levels.n}"
-        )
-    t = _check_t(levels, t)
-    dist = 0
-    for (lo, hi), ti in zip(levels.bounds(), t):
-        d = sum(1 for a, b in zip(u[lo - 1 : hi], v[lo - 1 : hi]) if a != b)
-        dist += ceil(d / ti)
-    return dist
 
 
 def mspotty_enumerator(code: LinearCode, levels: LevelStructure, t) -> dict[tuple, int]:

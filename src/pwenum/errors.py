@@ -8,8 +8,9 @@ class CapExceededError(Exception):
 class IntegrityError(Exception):
     """An exact-arithmetic postcondition failed.
 
-    Raised when a character-sum coefficient does not collapse to a rational
-    integer, or a division that must be exact leaves a remainder.  Both
-    signal a broken precondition (a non-generating character, a set that is
-    not actually a submodule) rather than a recoverable input problem.
+    Raised when a tally of character exponents does not have the shape that
+    the orthogonality of characters forces, or a division that must be exact
+    leaves a remainder.  Both signal a broken precondition (a non-generating
+    character, a set that is not actually a submodule) rather than a
+    recoverable input problem.
     """

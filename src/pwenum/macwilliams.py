@@ -3,9 +3,10 @@
 Each transform computes a dual-code enumerator from the primal code alone,
 through exact character sums; verify_identity() then compares the result
 against the same enumerator, or weight spectrum, computed on the dual.
-Intermediate coefficients are cyclotomic integers that must collapse to
-rational integers and divide exactly by the code size; any remainder is
-raised as an IntegrityError, never rounded.
+Every coefficient is checked in integers: a byte coefficient's tally of
+character exponents must have the shape that the orthogonality of
+characters forces, and a weight coefficient must divide exactly by the
+code size; any failure is raised as an IntegrityError, never rounded.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from struct import Struct, unpack
 from typing import Callable, NamedTuple
 
 from .codes import LinearCode, check_levels, dual_code, dual_indices, dual_weight_spectrum
-from .cyclotomic import CycInt
 from .enumerators import (
     _check_t,
     byte_enumerator,
@@ -276,7 +276,7 @@ def _yates_tallies(code: LinearCode, chi: Character) -> tuple[int, list, int]:
 
 
 class _Coefficients(dict):
-    """The coefficient of each tally met so far; a new tally is reduced and checked once."""
+    """The coefficient of each tally met so far; a new tally is checked once."""
 
     def __init__(self, e: int, field: int, code_size: int):
         super().__init__()
@@ -314,9 +314,8 @@ def byte_transform(
     The final rows hold the tallies in lexicographic order and are read one
     at a time, so no list or dict over R^n is built besides the result; a
     row equal, as an int, to one already read reuses its nonzero slots.
-    Each distinct tally is reduced modulo the e-th cyclotomic polynomial
-    once; it must be a rational integer that divides exactly by |C| and is
-    not negative, or IntegrityError is raised.
+    Each distinct tally is checked once against the orthogonality of
+    characters (see _byte_coefficient), or IntegrityError is raised.
     """
     check_levels(code, levels)
     ring = code.ring
@@ -341,18 +340,22 @@ def byte_transform(
 
 
 def _byte_coefficient(tally: bytes, e: int, field: int, code_size: int) -> int:
-    """(1/|C|) sum over r of tally[r] zeta_e^r, checked to be a nonnegative integer."""
-    value = CycInt(
-        e, [int.from_bytes(tally[r * field : (r + 1) * field], "little") for r in range(e)]
-    )
-    if not value.is_integer():
-        raise IntegrityError(f"character sum {value!r} did not collapse to an integer")
-    coeff, rem = divmod(value.coeffs[0], code_size)
-    if rem:
-        raise IntegrityError(f"coefficient {value.coeffs[0]} not divisible by |C| = {code_size}")
-    if coeff < 0:
-        raise IntegrityError(f"negative enumerator coefficient {coeff}")
-    return coeff
+    """(1/|C|) sum over r of tally[r] zeta_e^r, by the orthogonality of characters.
+
+    As chi is additive, u -> eps(<b, u>) is a homomorphism from C to Z_e, so
+    its image is a subgroup H = {0, g, 2g, ...} of Z_e, g | e, and it takes
+    each value in H exactly |C|/|H| times.  The tally must have that shape,
+    or IntegrityError is raised.  The sum is then |C|/|H| times the sum of
+    zeta_e^h over h in H: |C| when H = {0} and 0 otherwise.
+    """
+    counts = [int.from_bytes(tally[r * field : (r + 1) * field], "little") for r in range(e)]
+    g = next((r for r in range(1, e) if counts[r]), e)
+    if e % g or counts != ([counts[0]] + [0] * (g - 1)) * (e // g) or counts[0] * (e // g) != code_size:
+        raise IntegrityError(
+            f"character sum did not collapse to an integer by orthogonality: the exponent tally"
+            f" {counts} is not |C|/|H| on each element of a subgroup H of Z_{e}, |C| = {code_size}"
+        )
+    return int(g == e)
 
 
 def krawtchouk_level(n_j: int, l_j: int, p_j: int, q: int) -> int:

@@ -11,8 +11,6 @@ one off a hierarchical poset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CapExceededError
 
 
@@ -91,30 +89,16 @@ class Poset:
             raise ValueError(f"word length {len(v)} does not match poset size {self.n}")
         return len(self.ideal_closure(i + 1 for i, x in enumerate(v) if x))
 
-    def dual(self) -> Poset:
-        """Same positions with the order reversed."""
-        return Poset(self.n, tuple((b, a) for a, b in self.covers))
-
     def leq(self, a: int, b: int) -> bool:
         return a in self.down[b]
-
-    def _relation(self):
-        return tuple(sorted((a, b) for b in self.down for a in self.down[b]))
 
     def __eq__(self, other):
         if not isinstance(other, Poset):
             return NotImplemented
         return self.n == other.n and self.down == other.down
 
-    def __hash__(self):
-        return hash((self.n, self._relation()))
-
     def __repr__(self):
         return f"Poset(n={self.n}, covers={list(self.covers)})"
-
-
-def antichain(n: int) -> Poset:
-    return Poset(n)
 
 
 def chain(n: int) -> Poset:
@@ -129,10 +113,6 @@ def leveled(sizes) -> Poset:
     for (lo1, hi1), (lo2, hi2) in zip(bounds, bounds[1:]):
         covers.extend((a, b) for a in range(lo1, hi1 + 1) for b in range(lo2, hi2 + 1))
     return Poset(levels.n, covers)
-
-
-def from_covers(n: int, pairs) -> Poset:
-    return Poset(n, pairs)
 
 
 def _positive(value, what: str) -> int:
@@ -185,17 +165,33 @@ def poset_from_json_obj(obj: dict, n: int | None = None, cap: int | None = None)
     return Poset(size, [[_positive(x, "a cover position") for x in pair] for pair in covers], cap)
 
 
-@dataclass(frozen=True)
 class LevelStructure:
-    """Ordered partition of coordinates 1..n into contiguous blocks."""
+    """Ordered partition of coordinates 1..n into contiguous blocks; immutable."""
 
-    sizes: tuple[int, ...]
+    __slots__ = ("sizes",)
 
     def __init__(self, sizes):
         sizes = tuple(int(s) for s in sizes)
         if not sizes or any(s < 1 for s in sizes):
             raise ValueError(f"level sizes must be positive, got {sizes}")
         object.__setattr__(self, "sizes", sizes)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of a LevelStructure")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of a LevelStructure")
+
+    def __eq__(self, other):
+        if not isinstance(other, LevelStructure):
+            return NotImplemented
+        return self.sizes == other.sizes
+
+    def __hash__(self):
+        return hash(self.sizes)
+
+    def __repr__(self):
+        return f"LevelStructure(sizes={self.sizes})"
 
     @property
     def n(self) -> int:
@@ -213,20 +209,13 @@ class LevelStructure:
             start += s
         return out
 
-    def level_of(self, position: int) -> int:
-        """1-based level of a 1-based position."""
-        for i, (lo, hi) in enumerate(self.bounds(), start=1):
-            if lo <= position <= hi:
-                return i
-        raise ValueError(f"position {position} out of range 1..{self.n}")
-
 
 def level_partition(obj) -> LevelStructure:
     """Level sizes of a hierarchical poset (or pass a LevelStructure through).
 
     The levels are the height classes; the poset must relate every position
     of one level to every position of the next, and each level must occupy
-    a contiguous block of coordinates.
+    the contiguous block of coordinates right after the level below it.
     """
     if isinstance(obj, LevelStructure):
         return obj
@@ -245,9 +234,16 @@ def level_partition(obj) -> LevelStructure:
                         f"positions {a} and {b} sit in adjacent levels but are "
                         "incomparable; the poset is not hierarchical"
                     )
-    for block in levels:
+    start = 1
+    for level, block in enumerate(levels, start=1):
         if block[-1] - block[0] + 1 != len(block):
             raise ValueError(
                 f"level positions {block} are not a contiguous coordinate block"
             )
+        if block[0] != start:
+            raise ValueError(
+                f"level {level} holds positions {block[0]}..{block[-1]} but must start at "
+                f"position {start}: the levels are out of coordinate order"
+            )
+        start += len(block)
     return LevelStructure(len(block) for block in levels)

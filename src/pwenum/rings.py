@@ -24,10 +24,8 @@ under addition, so the check need only run on additive generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
-
-from .cyclotomic import CycInt, root_power
+from typing import NamedTuple
 
 MAX_RING_SIZE = 64
 
@@ -349,15 +347,11 @@ def ring_from_json_obj(obj: dict) -> RingSpec:
     return make_ring(obj.pop("kind"), **obj)
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(NamedTuple):
     """Additive character a -> zeta_e^{eps(a)}, e the additive exponent."""
 
     ring: RingSpec
     exponents: tuple[int, ...]
-
-    def value(self, a: int) -> CycInt:
-        return root_power(self.ring.exponent, self.exponents[a])
 
 
 def default_character(ring: RingSpec) -> Character:

@@ -1,17 +1,17 @@
 """Exact arithmetic in Z[zeta_e], the ring of e-th cyclotomic integers.
 
-Additive-character values and all character sums live here.  An element is
-an integer coordinate vector in the power basis {1, zeta, ..., zeta^(phi(e)-1)},
-reduced modulo the e-th cyclotomic polynomial.  Equality is coordinate
-equality, so sums that must cancel do cancel to a literal zero instead of
-to 1e-16.
+The oracles sum character values here, independently of the byte
+transform's integer check.  An element is an integer coordinate vector in
+the power basis {1, zeta, ..., zeta^(phi(e)-1)}, reduced modulo the e-th
+cyclotomic polynomial.  Equality is coordinate equality, so sums that must
+cancel do cancel to a literal zero instead of to 1e-16.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import IntegrityError
+from pwenum.errors import IntegrityError
 
 MAX_ORDER = 64
 
@@ -142,22 +142,11 @@ class CycInt:
             return self.order == other.order and self.coeffs == other.coeffs
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def __bool__(self):
-        return any(self.coeffs)
-
     def __repr__(self):
         return f"CycInt({self.order}, {list(self.coeffs)})"
 
     def is_integer(self) -> bool:
         return not any(self.coeffs[1:])
-
-    def as_integer(self) -> int:
-        if not self.is_integer():
-            raise IntegrityError(f"{self!r} is not a rational integer")
-        return self.coeffs[0]
 
     def divide_exact(self, m: int) -> CycInt:
         """Divide by a nonzero integer, requiring all coordinates to divide."""
@@ -176,3 +165,8 @@ def root_power(e: int, k: int) -> CycInt:
     """zeta_e raised to the k-th power, in canonical form."""
     k %= e
     return CycInt(e, [0] * k + [1])
+
+
+def character_value(chi, a: int) -> CycInt:
+    """chi(a) = zeta_e^eps(a), e the additive exponent of chi's ring."""
+    return root_power(chi.ring.exponent, chi.exponents[a])

@@ -10,8 +10,9 @@ from functools import cache
 from itertools import product
 from math import ceil, comb
 
-from pwenum.codes import dual_code, inner_product, level_split
-from pwenum.cyclotomic import CycInt
+from cyclotomic import CycInt, character_value
+from pwenum.codes import dual_code, level_split
+from pwenum.enumerators import _check_t
 from pwenum.errors import IntegrityError
 from pwenum.macwilliams import IdentityReport
 
@@ -33,6 +34,17 @@ def tuple_weight_spectrum(code, levels) -> Counter:
     return Counter(
         tuple(sum(1 for x in part if x) for part in level_split(u, levels)) for u in code.words
     )
+
+
+def inner_product(ring, u, v) -> int:
+    """Coordinatewise product summed in the ring."""
+    if len(u) != len(v):
+        raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
+    add, mul = ring.add_table, ring.mul_table
+    acc = 0
+    for a, b in zip(u, v):
+        acc = add[acc][mul[a][b]]
+    return acc
 
 
 def scan_dual_words(code) -> list[tuple]:
@@ -98,9 +110,8 @@ def pattern_byte_transform(code, chi) -> dict[tuple, int]:
     """Dual byte coefficients, one pattern at a time.
 
     For every b in R^n, tallies the exponents of chi(<b, u>) over the
-    codewords u, reduces the tally in Z[zeta_e] and divides it by |C|,
-    raising IntegrityError where the pattern's value is not a nonnegative
-    integer.  Returns {b: coefficient} with zero patterns left out.
+    codewords u and reads the tally by cyclotomic_coefficient.  Returns
+    {b: coefficient} with zero patterns left out.
     """
     ring = code.ring
     e = ring.exponent
@@ -115,17 +126,27 @@ def pattern_byte_transform(code, chi) -> dict[tuple, int]:
             for row, x in zip(rows, u):
                 acc = add[acc][row[x]]
             counts[eps[acc]] += 1
-        value = CycInt(e, counts)
-        if not value.is_integer():
-            raise IntegrityError(f"character sum {value!r} did not collapse to an integer")
-        coeff, rem = divmod(value.coeffs[0], code.size)
-        if rem:
-            raise IntegrityError(f"coefficient {value.coeffs[0]} not divisible by |C| = {code.size}")
-        if coeff < 0:
-            raise IntegrityError(f"negative enumerator coefficient {coeff}")
+        coeff = cyclotomic_coefficient(counts, code.size)
         if coeff:
             out[b] = coeff
     return out
+
+
+def cyclotomic_coefficient(counts, code_size) -> int:
+    """(1/|C|) sum over r of counts[r] zeta_e^r, e = len(counts), reduced modulo Phi_e.
+
+    Raises IntegrityError unless the sum is a rational integer that divides
+    exactly by |C| and is not negative.
+    """
+    value = CycInt(len(counts), counts)
+    if not value.is_integer():
+        raise IntegrityError(f"character sum {value!r} did not collapse to an integer")
+    coeff, rem = divmod(value.coeffs[0], code_size)
+    if rem:
+        raise IntegrityError(f"coefficient {value.coeffs[0]} not divisible by |C| = {code_size}")
+    if coeff < 0:
+        raise IntegrityError(f"negative enumerator coefficient {coeff}")
+    return coeff
 
 
 def dense_line_step(values, shifts, low, half) -> list:
@@ -362,13 +383,13 @@ def reference_json(poly: dict) -> list[dict]:
 def hadamard_check(ring, chi, code, f: dict, cap=None) -> IdentityReport:
     """Compare sum of f over the dual with the averaged transformed sum over C.
 
-    f maps words of R^n to integers or cyclotomic integers; missing words
-    count as zero.  The transformed function sums chi(<u, v>) f(v) over the
-    support of f, and its total over the code must divide exactly by |C|.
+    f maps words of R^n to integers; missing words count as zero.  The
+    transformed function sums chi(<u, v>) f(v) over the support of f, and
+    its total over the code must divide exactly by |C|.
     """
     e = ring.exponent
     zero = CycInt(e)
-    support = [(tuple(v), _as_cyc(e, val)) for v, val in f.items()]
+    support = [(tuple(v), int(val)) for v, val in f.items()]
 
     dual = set(dual_code(code, cap).words)
     lhs = zero
@@ -379,7 +400,7 @@ def hadamard_check(ring, chi, code, f: dict, cap=None) -> IdentityReport:
     total = zero
     for u in code.words:
         for v, val in support:
-            total = total + chi.value(inner_product(ring, u, v)) * val
+            total = total + character_value(chi, inner_product(ring, u, v)) * val
     rhs = total.divide_exact(code.size)
     return IdentityReport(
         kind="hadamard",
@@ -388,14 +409,6 @@ def hadamard_check(ring, chi, code, f: dict, cap=None) -> IdentityReport:
         rhs=rhs,
         instance={"ring": ring.to_json_obj(), "generators": [list(g) for g in code.generators]},
     )
-
-
-def _as_cyc(e, val):
-    if isinstance(val, CycInt):
-        if val.order != e:
-            raise ValueError(f"test function value has order {val.order}, ring has {e}")
-        return val
-    return CycInt(e, (int(val),))
 
 
 def enumerate_ideals(ring) -> list[frozenset[int]]:
@@ -465,6 +478,27 @@ def mu(s_level: int, pattern, u, levels) -> int:
     """
     parts = level_split(u, levels)
     return eta(s_level, pattern, s_level, parts[s_level - 1])
+
+
+def mspotty_weight(v, levels, t) -> int:
+    """The paper's m-spotty weight: the sum over levels of ceil(level Hamming weight / t_i)."""
+    t = _check_t(levels, t)
+    parts = level_split(v, levels)
+    return sum(ceil((len(part) - part.count(0)) / ti) for part, ti in zip(parts, t))
+
+
+def mspotty_distance(u, v, levels, t) -> int:
+    """Sum over levels of ceil(level Hamming distance / t_i); a metric."""
+    if not len(u) == len(v) == levels.n:
+        raise ValueError(
+            f"word lengths {len(u)} and {len(v)} do not match level structure size {levels.n}"
+        )
+    t = _check_t(levels, t)
+    dist = 0
+    for (lo, hi), ti in zip(levels.bounds(), t):
+        d = sum(1 for a, b in zip(u[lo - 1 : hi], v[lo - 1 : hi]) if a != b)
+        dist += ceil(d / ti)
+    return dist
 
 
 def collapse_to_x(spectrum: dict) -> dict[int, int]:

@@ -8,13 +8,20 @@ import random
 
 import pytest
 
-from oracles import character_ideal_sum, collapse_to_x, enumerate_ideals, hadamard_check
+from oracles import (
+    character_ideal_sum,
+    collapse_to_x,
+    enumerate_ideals,
+    hadamard_check,
+    inner_product,
+    mspotty_distance,
+)
 from pwenum.cli import catalog_ring, run_fuzz, run_paper_examples
-from pwenum.codes import dual_code, inner_product, span
-from pwenum.cyclotomic import CycInt
-from pwenum.enumerators import mspotty_distance, poset_weight_enumerator, weight_spectrum
-from pwenum.macwilliams import level_transform, render
-from pwenum.posets import LevelStructure, antichain
+from pwenum.codes import dual_code, span
+from pwenum.enumerators import poset_weight_enumerator, weight_spectrum
+from pwenum.errors import IntegrityError
+from pwenum.macwilliams import _byte_coefficient, level_transform, render
+from pwenum.posets import LevelStructure, Poset
 from pwenum.rings import default_character, verify_generating_character
 
 CATALOG_NAMES = ("F2", "F3", "F4", "Z4", "F2u", "F2v")
@@ -62,13 +69,13 @@ def test_criterion_3_classical_hamming_reduction():
         ],
     )
     assert code.size == 16
-    weights = poset_weight_enumerator(code, antichain(7))
+    weights = poset_weight_enumerator(code, Poset(7))
     assert render("poset", weights) == "1 + 7x^3 + 7x^4 + x^7"
 
     # independent oracle: brute-force dual enumeration over the 8-word dual
     dual = dual_code(code)
     assert dual.size == 8
-    dual_weights = poset_weight_enumerator(dual, antichain(7))
+    dual_weights = poset_weight_enumerator(dual, Poset(7))
     assert render("poset", dual_weights) == "1 + 7x^4"
 
     singles = LevelStructure((1,) * 7)
@@ -140,11 +147,11 @@ def test_criterion_7_integrity_suite(fuzz_results):
     for record in fuzz_results["instances"]:
         assert "error" not in record, record
         assert record["byte"] is True
-    # spot-check the exactness machinery itself
-    x = CycInt(4, (3, 0))
-    with pytest.raises(Exception):
-        x.divide_exact(2)
-    report(7, "all cyclotomic coefficients collapsed to integers with exact division")
+    # spot-check the exactness machinery itself: a Z4 tally that sums to the
+    # integer 0, though no homomorphism from a code of 6 words gives it
+    with pytest.raises(IntegrityError):
+        _byte_coefficient(bytes((2, 1, 2, 1)), 4, 1, 6)
+    report(7, "every byte tally passed the orthogonality check, every division was exact")
 
 
 def test_catalog_duality_spot_check():

@@ -311,6 +311,18 @@ def test_input_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_levels_out_of_coordinate_order_are_an_input_error(capsys):
+    # levels {3} < {1, 2}: each block is contiguous, but they come in the wrong
+    # order; this used to print the enumerator of leveled:1,2, whose level 1 is {1}
+    code = json.dumps({"length": 3, "generators": [[1, 0, 0], [0, 1, 1]]})
+    poset = json.dumps({"kind": "cover", "n": 3, "covers": [[3, 1], [3, 2]]})
+    assert main(["enum", "--kind", "level", "--ring", "F2", "--code", code, "--poset", poset]) == 2
+    assert capsys.readouterr() == ("", (
+        "input error: level 1 holds positions 3..3 but must start at position 1: "
+        "the levels are out of coordinate order\n"
+    ))
+
+
 def test_deeply_nested_json_is_an_input_error(capsys):
     deep = "[" * 100_000 + "]" * 100_000
     base = {"--ring": "F2", "--poset": "chain3", "--code": "C1"}

@@ -5,10 +5,12 @@ and Z9), level sizes, generators and spotty thresholds t, with q^n kept
 small enough for the full-scan oracle.  Fixed cases over rings of 16-64
 elements take the byte transform to character orders e = 16-64 and to
 several packed rows; cases over Z6, Z10 and Z12 take it to orders with two
-prime factors.  The byte transform's step through an additive subgroup
-is checked against the dense q x q product on every ring of at most 64
-elements.  Ring construction is checked the same way: the generator-based
-axiom and additivity checks against the exhaustive loops, and the
+prime factors.  Its integer check of each tally is checked against the
+reduction modulo the cyclotomic polynomial on random tallies.  The byte
+transform's step through an additive subgroup is checked against the
+dense q x q product on every ring of at most 64 elements.  Ring
+construction is checked the same way: the generator-based axiom and
+additivity checks against the exhaustive loops, and the
 recurrence-built GF tables against polynomial arithmetic.
 """
 
@@ -23,6 +25,7 @@ from oracles import (
     cell_complete_totals,
     cell_complete_transform,
     convolution_gf_tables,
+    cyclotomic_coefficient,
     dense_line_step,
     exhaustive_is_additive,
     exhaustive_ring_axioms,
@@ -40,6 +43,7 @@ from pwenum.enumerators import byte_enumerator, mspotty_enumerator, weight_spect
 from pwenum.errors import IntegrityError
 from pwenum.macwilliams import (
     KINDS,
+    _byte_coefficient,
     _coset_split,
     _ring_step,
     _subgroup,
@@ -352,6 +356,25 @@ def test_byte_transform_refuses_a_non_additive_exponent_map():
     code = span(z4, 2, [(1, 2)])
     with pytest.raises(ValueError, match="additivity"):
         byte_transform(code, LevelStructure((1, 1)), Character(z4, (0, 1, 3, 2)))
+
+
+@SETTINGS
+@given(st.data())
+def test_byte_coefficient_agrees_with_the_cyclotomic_reduction(data):
+    # a subgroup tally, |C|/|H| on each element of H, with up to three fields redrawn
+    e = data.draw(st.sampled_from((2, 3, 4, 6, 8, 9, 12, 16, 64)))
+    g = data.draw(st.sampled_from([d for d in range(1, e + 1) if e % d == 0]))
+    c = data.draw(st.integers(1, 20))
+    counts = ([c] + [0] * (g - 1)) * (e // g)
+    for r in data.draw(st.lists(st.integers(0, e - 1), max_size=3)):
+        counts[r] = data.draw(st.integers(0, 2 * c))
+    size = data.draw(st.sampled_from((c * e // g, max(1, sum(counts)), c)))
+    tally = b"".join(x.to_bytes(2, "little") for x in counts)
+    try:
+        coeff = _byte_coefficient(tally, e, 2, size)
+    except IntegrityError:
+        return
+    assert coeff == cyclotomic_coefficient(counts, size)
 
 
 def _gf(p, k):

@@ -3,10 +3,10 @@ from itertools import product
 
 import pytest
 
+from cyclotomic import CycInt, character_value
 from oracles import hadamard_check, substitute
 from pwenum import macwilliams
 from pwenum.codes import dual_code, dual_indices, span
-from pwenum.cyclotomic import CycInt
 from pwenum.enumerators import (
     byte_enumerator,
     complete_level_enumerator,
@@ -65,7 +65,7 @@ def test_krawtchouk_matches_character_sum():
                         acc = 0
                         for a, b in zip(u, v):
                             acc = ring.add_table[acc][ring.mul_table[a][b]]
-                        total = total + chi.value(acc)
+                        total = total + character_value(chi, acc)
                     assert total == krawtchouk_level(n, l, p, ring.q)
 
 
@@ -124,6 +124,35 @@ def test_byte_transform_checks_every_pattern_after_a_split_step(monkeypatch):
     # repeat, since a row's tallies depend on 2 b1 alone
     z64 = make_ring("Zm", m=64)
     _check_each_corrupted_pattern(monkeypatch, span(z64, 2, [(2, 1)]), LevelStructure((1, 1)))
+
+
+def _tally(counts, field=2):
+    return b"".join(c.to_bytes(field, "little") for c in counts)
+
+
+@pytest.mark.parametrize("e", (2, 3, 4, 6, 64))
+def test_byte_coefficient_of_each_subgroup_tally(e):
+    size = 3 * e
+    assert macwilliams._byte_coefficient(_tally([size] + [0] * (e - 1)), e, 2, size) == 1
+    for g in range(1, e):  # H = {0, g, 2g, ...}, |C|/|H| = size g / e on each element
+        if e % g == 0:
+            counts = ([size * g // e] + [0] * (g - 1)) * (e // g)
+            assert macwilliams._byte_coefficient(_tally(counts), e, 2, size) == 0
+
+
+@pytest.mark.parametrize(
+    "counts, size",
+    [
+        ((0, 0, 0, 0), 6),  # reduces to 0, but the zero word alone puts a count at 0
+        ((2, 1, 2, 1), 6),  # 2 + zeta - 2 - zeta = 0 in Z[zeta_4], but not constant on Z4
+        ((3, 0, 3, 0), 4),  # constant on {0, 2}, but sums to 6
+        ((1, 0, 0, 0, 1, 0), 2),  # {0, 4} is no subgroup of Z6
+        ((0, 1, 1, 1), 3),
+    ],
+)
+def test_byte_coefficient_refuses_a_tally_no_homomorphism_gives(counts, size):
+    with pytest.raises(IntegrityError, match="did not collapse to an integer"):
+        macwilliams._byte_coefficient(_tally(counts), len(counts), 2, size)
 
 
 def test_complete_transform_example():
@@ -299,13 +328,3 @@ def test_hadamard_random_functions():
         }
         report = hadamard_check(F3, chi, code, f)
         assert report.equal
-
-
-def test_hadamard_accepts_cyclotomic_values():
-    chi = default_character(F2)
-    code = span(F2, 2, [(1, 1)])
-    f = {(1, 0): CycInt(2, (0, 1)), (0, 1): 2}
-    report = hadamard_check(F2, chi, code, f)
-    assert report.equal
-    with pytest.raises(ValueError):
-        hadamard_check(F2, chi, code, {(1, 0): CycInt(4, (1,))})
