@@ -236,14 +236,10 @@ def level_partition(obj) -> LevelStructure:
                     )
     start = 1
     for level, block in enumerate(levels, start=1):
-        if block[-1] - block[0] + 1 != len(block):
+        if block != list(range(start, start + len(block))):
             raise ValueError(
-                f"level positions {block} are not a contiguous coordinate block"
-            )
-        if block[0] != start:
-            raise ValueError(
-                f"level {level} holds positions {block[0]}..{block[-1]} but must start at "
-                f"position {start}: the levels are out of coordinate order"
+                f"level {level} holds positions {block} but must be the contiguous "
+                f"coordinate block starting at position {start}"
             )
         start += len(block)
     return LevelStructure(len(block) for block in levels)

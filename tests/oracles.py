@@ -383,13 +383,13 @@ def reference_json(poly: dict) -> list[dict]:
 def hadamard_check(ring, chi, code, f: dict, cap=None) -> IdentityReport:
     """Compare sum of f over the dual with the averaged transformed sum over C.
 
-    f maps words of R^n to integers; missing words count as zero.  The
-    transformed function sums chi(<u, v>) f(v) over the support of f, and
-    its total over the code must divide exactly by |C|.
+    f maps words of R^n to integers or cyclotomic integers; missing words
+    count as zero.  The transformed function sums chi(<u, v>) f(v) over the
+    support of f, and its total over the code must divide exactly by |C|.
     """
     e = ring.exponent
     zero = CycInt(e)
-    support = [(tuple(v), int(val)) for v, val in f.items()]
+    support = [(tuple(v), _as_cyc(e, val)) for v, val in f.items()]
 
     dual = set(dual_code(code, cap).words)
     lhs = zero
@@ -409,6 +409,14 @@ def hadamard_check(ring, chi, code, f: dict, cap=None) -> IdentityReport:
         rhs=rhs,
         instance={"ring": ring.to_json_obj(), "generators": [list(g) for g in code.generators]},
     )
+
+
+def _as_cyc(e, val):
+    if isinstance(val, CycInt):
+        if val.order != e:
+            raise ValueError(f"test function value has order {val.order}, ring has {e}")
+        return val
+    return CycInt(e, (int(val),))
 
 
 def enumerate_ideals(ring) -> list[frozenset[int]]:

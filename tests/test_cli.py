@@ -318,8 +318,8 @@ def test_levels_out_of_coordinate_order_are_an_input_error(capsys):
     poset = json.dumps({"kind": "cover", "n": 3, "covers": [[3, 1], [3, 2]]})
     assert main(["enum", "--kind", "level", "--ring", "F2", "--code", code, "--poset", poset]) == 2
     assert capsys.readouterr() == ("", (
-        "input error: level 1 holds positions 3..3 but must start at position 1: "
-        "the levels are out of coordinate order\n"
+        "input error: level 1 holds positions [3] but must be the contiguous "
+        "coordinate block starting at position 1\n"
     ))
 
 

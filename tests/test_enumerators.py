@@ -215,6 +215,24 @@ def test_mspotty_distance_matches_weight_of_difference():
             assert mspotty_distance(u, v, levels, t) == mspotty_weight(diff, levels, t)
 
 
+def test_mspotty_metric_axioms():
+    rng = random.Random(33)
+    levels = LevelStructure((2, 1, 3))
+    t = (2, 1, 2)
+    for ring in CATALOG:
+        for _ in range(500):
+            u, v, w = (
+                tuple(rng.randrange(ring.q) for _ in range(6)) for _ in range(3)
+            )
+            duv = mspotty_distance(u, v, levels, t)
+            assert duv >= 0
+            assert (duv == 0) == (u == v)
+            assert duv == mspotty_distance(v, u, levels, t)
+            assert duv <= mspotty_distance(u, w, levels, t) + mspotty_distance(
+                w, v, levels, t
+            )
+
+
 def test_mspotty_enumerator_example():
     poly = mspotty_enumerator(dual_code(EX_CODE), EX_LEVELS, (2, 1, 1))
     assert render("mspotty", poly) == "1 + z_1z_2 + z_1z_2z_3 + z_1z_3"

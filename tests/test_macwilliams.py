@@ -328,3 +328,13 @@ def test_hadamard_random_functions():
         }
         report = hadamard_check(F3, chi, code, f)
         assert report.equal
+
+
+def test_hadamard_accepts_cyclotomic_values():
+    chi = default_character(F2)
+    code = span(F2, 2, [(1, 1)])
+    f = {(1, 0): CycInt(2, (0, 1)), (0, 1): 2}
+    report = hadamard_check(F2, chi, code, f)
+    assert report.equal
+    with pytest.raises(ValueError):
+        hadamard_check(F2, chi, code, {(1, 0): CycInt(4, (1,))})
