@@ -8,7 +8,8 @@ by that statistic:
     complete  the tuple of per-level weights     z_{S:w} for each level S
     level     the tuple of per-level weights     z_S^w, weights in the exponents
     mspotty   that tuple folded to ceil(w / t_S) z_S^(folded weight)
-    poset     the poset weight                   x^w
+    poset     the poset weight                   x^w; on a hierarchical poset,
+              folded from the per-level weights
 
 The counts sum to the code size.  The *_terms functions list a dict's
 terms in print order, each variable spelled as a (text, JSON) pair; see
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import count, starmap
+from itertools import accumulate, count, starmap
 
 from .codes import LinearCode, check_levels, index_digits
 from .posets import LevelStructure, Poset
@@ -27,8 +28,6 @@ from .posets import LevelStructure, Poset
 
 def poset_weight_enumerator(code: LinearCode, poset: Poset) -> dict[int, int]:
     """Count codewords by their poset weight: sum over codewords of x^(poset weight)."""
-    if poset.n != code.n:
-        raise ValueError(f"poset size {poset.n} does not match code length {code.n}")
     return Counter(map(poset.weight, code.words))
 
 
@@ -107,6 +106,20 @@ def spotty_spectrum(spectrum: dict, t) -> dict[tuple, int]:
     return out
 
 
+def poset_spectrum(spectrum: dict, levels: LevelStructure) -> dict[int, int]:
+    """Per-level weights folded to the weight of the hierarchical poset on these levels.
+
+    The ideal a support generates holds every level below its top nonzero
+    level j and the support in level j (Brualdi, Graves & Lawrence 1995):
+    n_1 + ... + n_(j-1) + w_j, larger than that sum for any lower level.
+    """
+    below = (0, *accumulate(levels.sizes))
+    out: Counter = Counter()
+    for l, n in spectrum.items():
+        out[max((b + w for b, w in zip(below, l) if w), default=0)] += n
+    return out
+
+
 def complete_level_enumerator(code: LinearCode, levels: LevelStructure) -> dict[tuple, int]:
     """sum over codewords of prod_i z_{i:w(level-i block)}: the weight spectrum."""
     return weight_spectrum(code, levels)
@@ -118,6 +131,8 @@ def level_enumerator(code: LinearCode, levels: LevelStructure) -> dict[tuple, in
 
 
 def _check_t(levels: LevelStructure, t) -> tuple[int, ...]:
+    if t is None:
+        raise ValueError("the mspotty kind needs t, one threshold per level")
     t = tuple(int(x) for x in t)
     if len(t) != levels.count:
         raise ValueError(f"t has {len(t)} entries for {levels.count} levels")

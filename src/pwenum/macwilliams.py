@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 from itertools import compress, product
-from math import comb, prod
+from math import prod
 from operator import itemgetter, lshift, mul
 from struct import Struct, unpack
 from typing import Callable, NamedTuple
@@ -25,6 +25,7 @@ from .enumerators import (
     byte_terms,
     complete_terms,
     plain_terms,
+    poset_spectrum,
     poset_terms,
     poset_weight_enumerator,
     spotty_spectrum,
@@ -32,7 +33,7 @@ from .enumerators import (
 )
 from .errors import IntegrityError
 from .posets import LevelStructure
-from .rings import Character, check_additive, default_character
+from .rings import Character, default_character
 
 
 class IdentityReport(NamedTuple):
@@ -287,9 +288,7 @@ class _Coefficients(dict):
         return coeff
 
 
-def byte_transform(
-    code: LinearCode, levels: LevelStructure, chi: Character | None = None
-) -> dict[int, int]:
+def byte_transform(code: LinearCode, levels: LevelStructure) -> dict[int, int]:
     """Dual byte enumerator from the primal code, by Yates' algorithm.
 
     The coefficient of z_{1:b1}...z_{s:bs}, with b the concatenated pattern, is
@@ -318,13 +317,8 @@ def byte_transform(
     characters (see _byte_coefficient), or IntegrityError is raised.
     """
     check_levels(code, levels)
-    ring = code.ring
-    if chi is None:
-        chi = default_character(ring)
-    else:
-        check_additive(ring, chi)  # Yates' factoring needs chi(a + b) = chi(a) chi(b)
-    e = ring.exponent
-    field, rows, period = _yates_tallies(code, chi)
+    e = code.ring.exponent
+    field, rows, period = _yates_tallies(code, default_character(code.ring))
     row_bytes = period * 2 * e * field
     tallies = Struct(f"{e * field}s{e * field}x" * period)  # a row's tallies, without their zero fields
     coeffs = _Coefficients(e, field, code.size)
@@ -358,29 +352,22 @@ def _byte_coefficient(tally: bytes, e: int, field: int, code_size: int) -> int:
     return int(g == e)
 
 
-def krawtchouk_level(n_j: int, l_j: int, p_j: int, q: int) -> int:
-    """Alternating binomial sum weighting one level of the weight transform.
-
-    sum over a of (-1)^a (q-1)^(p_j - a) C(l_j, a) C(n_j - l_j, p_j - a),
-    with C(l, a) = 0 whenever a > l.
-    """
-    if q < 2:
-        raise ValueError(f"ring size must be at least 2, got {q}")
-    if not (0 <= l_j <= n_j and 0 <= p_j <= n_j):
-        raise ValueError(f"weights l={l_j}, p={p_j} outside 0..{n_j}")
-    total = 0
-    for a in range(p_j + 1):
-        total += (-1) ** a * (q - 1) ** (p_j - a) * comb(l_j, a) * comb(n_j - l_j, p_j - a)
-    return total
-
-
 @lru_cache(maxsize=256)
 def _krawtchouk_columns(n_j: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """Column p holds krawtchouk_level(n_j, l, p, q) for l = 0..n_j."""
-    return tuple(
-        tuple(krawtchouk_level(n_j, l, p, q) for l in range(n_j + 1))
-        for p in range(n_j + 1)
-    )
+    """Column p holds K_p(l) = sum over a of (-1)^a (q-1)^(p-a) C(l, a) C(n_j - l, p - a), l = 0..n_j.
+
+    The columns follow the three-term recurrence in p (MacWilliams & Sloane, ch. 5)
+        (p+1) K_(p+1)(l) = ((n_j - p)(q-1) + p - q l) K_p(l) - (q-1)(n_j - p + 1) K_(p-1)(l)
+    from K_0 = 1 and K_(-1) = 0; a division by p+1 that is not exact raises IntegrityError.
+    """
+    columns = [(0,) * (n_j + 1), (1,) * (n_j + 1)]  # K_(-1), K_0
+    for p in range(n_j):
+        lead, lag = (n_j - p) * (q - 1) + p, (q - 1) * (n_j - p + 1)
+        sums = [(lead - q * l) * k - lag * k_1 for l, (k, k_1) in enumerate(zip(columns[-1], columns[-2]))]
+        if any(s % (p + 1) for s in sums):
+            raise IntegrityError(f"a Krawtchouk value K_{p + 1}(l) at n = {n_j}, q = {q} is not an integer")
+        columns.append(tuple(s // (p + 1) for s in sums))
+    return tuple(columns[1:])
 
 
 def krawtchouk_contraction(
@@ -389,7 +376,7 @@ def krawtchouk_contraction(
     """Per-level weight spectrum of the dual, from the code's.
 
     The dual's count at weights p is (1/|C|) sum over spectrum entries A_l of
-        A_l prod_j krawtchouk_level(n_j, l_j, p_j, q).
+        A_l prod_j K_(p_j)(l_j), with level j's Krawtchouk values (_krawtchouk_columns).
     The product factors by level, so the spectrum is contracted with one
     Krawtchouk matrix per level in turn, on packed rows as in the byte
     transform.  The rows are indexed by the leading l_j, and each packs the
@@ -475,7 +462,8 @@ class Kind(NamedTuple):
     """How one enumerator kind is computed and printed.
 
     Every route returns the kind's count dict.  shape is a LevelStructure,
-    or for the poset kind (levels False) the poset itself.
+    or for the poset kind (levels False) the poset as read: the
+    LevelStructure of a hierarchical poset, or a Poset given by covers.
     """
 
     direct: Callable  # (code, shape) -> counts of the code's words
@@ -498,6 +486,20 @@ _WEIGHT_ROUTES = {
     "dual": lambda code, levels, cap: dual_weight_spectrum(code, levels, cap),
     "transform": _weight_transform,
 }
+
+
+def _poset_route(spectrum: Callable, listed: Callable) -> Callable:
+    """A poset kind route: on a LevelStructure, the weight spectrum route folded by poset_spectrum,
+    with no word decoded or listed; on a Poset given by covers, the poset weight of each listed word."""
+
+    def route(code, shape, *cap):
+        if isinstance(shape, LevelStructure):
+            return poset_spectrum(spectrum(code, shape, *cap), shape)
+        return poset_weight_enumerator(listed(code, *cap), shape)
+
+    return route
+
+
 KINDS = {
     "byte": Kind(
         direct=lambda code, levels: byte_enumerator(code, levels),
@@ -514,8 +516,8 @@ KINDS = {
         fold=lambda spectrum, levels, t: spotty_spectrum(spectrum, _check_t(levels, t)),
     ),
     "poset": Kind(
-        direct=lambda code, poset: poset_weight_enumerator(code, poset),
-        dual=lambda code, poset, cap: poset_weight_enumerator(dual_code(code, cap), poset),
+        direct=_poset_route(_WEIGHT_ROUTES["direct"], lambda code: code),
+        dual=_poset_route(_WEIGHT_ROUTES["dual"], lambda code, cap: dual_code(code, cap)),
         transform=None,
         terms=poset_terms,
         levels=False,

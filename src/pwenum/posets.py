@@ -1,12 +1,14 @@
 """Partial orders on coordinate positions 1..n, and level structures.
 
-Positions are 1-based to match codeword coordinates.  A poset stores its
-declared cover pairs plus the full down-set of every position, so ideal
-closures and position weights reduce to set unions and cardinalities.
+Positions are 1-based to match codeword coordinates.  A Poset, given by
+cover pairs, stores the full down-set of every position, so ideal closures
+and position weights reduce to set unions and cardinalities.
 
-A LevelStructure is just an ordered partition of the coordinates into
-contiguous blocks; it carries no order by itself.  level_partition() reads
-one off a hierarchical poset.
+A LevelStructure is an ordered partition of the coordinates into
+contiguous blocks.  It stands for the hierarchical poset on them, every
+position of a level below all of the next (the antichain is one level, the
+chain n levels of 1), which is never built; level_partition() reads the
+sizes off a hierarchical Poset given by covers.
 """
 
 from __future__ import annotations
@@ -27,20 +29,18 @@ class Poset:
     down-sets built so far hold more than cap entries in total.
     """
 
-    __slots__ = ("n", "covers", "down")
+    __slots__ = ("n", "down")
 
     def __init__(self, n: int, covers=(), cap: int | None = None):
         if n < 1:
             raise ValueError(f"poset size must be positive, got {n}")
         _hold(n, cap)  # each position's down-set holds at least itself
-        covers = tuple((int(a), int(b)) for a, b in covers)
+        below = {p: set() for p in range(1, n + 1)}
         for a, b in covers:
             if not (1 <= a <= n and 1 <= b <= n):
                 raise ValueError(f"cover pair ({a}, {b}) out of range 1..{n}")
             if a == b:
                 raise ValueError(f"cover pair ({a}, {a}) relates a position to itself")
-        below = {p: set() for p in range(1, n + 1)}
-        for a, b in covers:
             below[b].add(a)
         down: dict[int, frozenset[int]] = {}
         total = 0
@@ -71,7 +71,6 @@ class Poset:
                     state[node] = 2
                     stack.pop()
         self.n = n
-        self.covers = covers
         self.down = down
 
     def ideal_closure(self, positions) -> frozenset[int]:
@@ -92,28 +91,6 @@ class Poset:
     def leq(self, a: int, b: int) -> bool:
         return a in self.down[b]
 
-    def __eq__(self, other):
-        if not isinstance(other, Poset):
-            return NotImplemented
-        return self.n == other.n and self.down == other.down
-
-    def __repr__(self):
-        return f"Poset(n={self.n}, covers={list(self.covers)})"
-
-
-def chain(n: int) -> Poset:
-    return Poset(n, tuple((i, i + 1) for i in range(1, n)))
-
-
-def leveled(sizes) -> Poset:
-    """Hierarchical poset: every position of a level below all of the next."""
-    levels = LevelStructure(sizes)
-    covers = []
-    bounds = levels.bounds()
-    for (lo1, hi1), (lo2, hi2) in zip(bounds, bounds[1:]):
-        covers.extend((a, b) for a in range(lo1, hi1 + 1) for b in range(lo2, hi2 + 1))
-    return Poset(levels.n, covers)
-
 
 def _positive(value, what: str) -> int:
     """A positive int from decoded JSON; bools, floats and text are refused by name."""
@@ -122,13 +99,16 @@ def _positive(value, what: str) -> int:
     return value
 
 
-def poset_from_json_obj(obj: dict, n: int | None = None, cap: int | None = None) -> Poset:
-    """Build from a JSON description such as {"kind": "chain", "n": 3}.
+def poset_from_json_obj(
+    obj: dict, n: int | None = None, cap: int | None = None
+) -> Poset | LevelStructure:
+    """Read a JSON description such as {"kind": "chain", "n": 3}.
 
-    The declared size is checked against n, when given, before anything is
-    built, and the total down-set size against cap: by its closed form for
-    the antichain, chain and leveled kinds, and as the down-sets are built
-    for the cover kind.
+    The hierarchical kinds, antichain, chain and leveled, give their
+    LevelStructure; only the cover kind builds a Poset.  The declared size
+    is checked against n, when given, before anything is built, and the
+    total size of the down-sets against cap: by its closed form for the
+    hierarchical kinds, and as the down-sets are built for the cover kind.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("poset description must be an object with a 'kind' field")
@@ -146,17 +126,18 @@ def poset_from_json_obj(obj: dict, n: int | None = None, cap: int | None = None)
     if n is not None and size != n:
         raise ValueError(f"poset size {size} does not match code length {n}")
     if kind == "antichain":
-        return Poset(size, cap=cap)
+        _hold(size, cap)
+        return LevelStructure((size,))
     if kind == "chain":
         _hold(size * (size + 1) // 2, cap)
-        return chain(size)
+        return LevelStructure((1,) * size)
     if kind == "leveled":
         total = below = 0
         for s in sizes:  # a position's down-set: itself and every lower level
             total += s * (below + 1)
             below += s
         _hold(total, cap)
-        return leveled(sizes)
+        return LevelStructure(sizes)
     covers = obj.get("covers")
     if not isinstance(covers, list) or not all(
         isinstance(pair, list) and len(pair) == 2 for pair in covers
@@ -200,14 +181,6 @@ class LevelStructure:
     @property
     def count(self) -> int:
         return len(self.sizes)
-
-    def bounds(self) -> list[tuple[int, int]]:
-        """1-based inclusive (first, last) position per level."""
-        out, start = [], 1
-        for s in self.sizes:
-            out.append((start, start + s - 1))
-            start += s
-        return out
 
 
 def level_partition(obj) -> LevelStructure:

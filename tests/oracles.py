@@ -7,7 +7,7 @@ the fast kernel it checks.
 
 from collections import Counter
 from functools import cache
-from itertools import product
+from itertools import accumulate, product
 from math import ceil, comb
 
 from cyclotomic import CycInt, character_value
@@ -15,6 +15,7 @@ from pwenum.codes import dual_code, level_split
 from pwenum.enumerators import _check_t
 from pwenum.errors import IntegrityError
 from pwenum.macwilliams import IdentityReport
+from pwenum.posets import Poset
 
 
 def span_words(ring, n, generators) -> list[tuple]:
@@ -34,6 +35,23 @@ def tuple_weight_spectrum(code, levels) -> Counter:
     return Counter(
         tuple(sum(1 for x in part if x) for part in level_split(u, levels)) for u in code.words
     )
+
+
+def level_bounds(sizes) -> list[tuple[int, int]]:
+    """1-based inclusive (first, last) position of each level."""
+    return [(end - size + 1, end) for size, end in zip(sizes, accumulate(sizes))]
+
+
+def hierarchical_poset(sizes) -> Poset:
+    """The hierarchical poset on these level sizes, given by its covers: each level below all of the next."""
+    bounds = level_bounds(sizes)
+    covers = [
+        (a, b)
+        for (lo, hi), (up_lo, up_hi) in zip(bounds, bounds[1:])
+        for a in range(lo, hi + 1)
+        for b in range(up_lo, up_hi + 1)
+    ]
+    return Poset(sum(sizes), covers)
 
 
 def inner_product(ring, u, v) -> int:
@@ -295,7 +313,7 @@ def substitute(counts, rule: str, t=None, q=None, levels=None) -> dict:
             raise ValueError(f"key {key!r} is a {found}; rule {rule} expects a {source.__name__}")
         if rule == "byte->complete":
             pattern = pattern_of(key, q, levels.n)
-            new = tuple(sum(1 for x in pattern[lo - 1 : hi] if x) for lo, hi in levels.bounds())
+            new = tuple(sum(1 for x in pattern[lo - 1 : hi] if x) for lo, hi in level_bounds(levels.sizes))
         elif rule == "complete->level":
             new = key
         else:
@@ -320,7 +338,7 @@ def reference_poly(kind: str, counts: dict, q=None, levels=None) -> dict[tuple, 
     for key, coeff in counts.items():
         if kind == "byte":
             pattern = pattern_of(key, q, levels.n)
-            bounds = enumerate(levels.bounds(), start=1)
+            bounds = enumerate(level_bounds(levels.sizes), start=1)
             mono = [((s, "byte", tuple(pattern[lo - 1 : hi])), 1) for s, (lo, hi) in bounds]
         elif kind == "complete":
             mono = [((s, "weight", (w,)), 1) for s, w in enumerate(key, start=1)]
@@ -503,7 +521,7 @@ def mspotty_distance(u, v, levels, t) -> int:
         )
     t = _check_t(levels, t)
     dist = 0
-    for (lo, hi), ti in zip(levels.bounds(), t):
+    for (lo, hi), ti in zip(level_bounds(levels.sizes), t):
         d = sum(1 for a, b in zip(u[lo - 1 : hi], v[lo - 1 : hi]) if a != b)
         dist += ceil(d / ti)
     return dist

@@ -28,7 +28,7 @@ from pwenum.cli import (
 from pwenum.codes import dual_indices, dual_weight_spectrum, span
 from pwenum.enumerators import level_enumerator
 from pwenum.macwilliams import KINDS, render, verify_identity
-from pwenum.posets import chain, leveled
+from pwenum.posets import LevelStructure
 from pwenum.rings import RING_KINDS
 
 
@@ -47,15 +47,32 @@ def test_parse_ring_spec_from_file(tmp_path):
     assert parse_ring_spec(str(path)).kind == "F2u"
 
 
-def test_parse_poset_spec():
-    assert parse_poset_spec("chain3") == chain(3)
-    assert parse_poset_spec("chain:3") == chain(3)
-    assert parse_poset_spec("leveled:2,1,1") == leveled((2, 1, 1))
-    assert parse_poset_spec('{"kind":"chain","n":3}') == chain(3)
-    with pytest.raises(ValueError):
-        parse_poset_spec("antichain:0")
-    with pytest.raises(ValueError):
-        parse_poset_spec("mystery:3")
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        ("chain3", (1, 1, 1)),
+        ("chain:3", (1, 1, 1)),
+        ("antichain:4", (4,)),
+        ("leveled:2,1,1", (2, 1, 1)),
+        ('{"kind":"chain","n":3}', (1, 1, 1)),
+        ('{"kind":"antichain","n":4}', (4,)),
+        ('{"kind":"leveled","levels":[2,1,1]}', (2, 1, 1)),
+        ("antichain:0", "must be a positive integer, got 0"),
+        ("mystery:3", "cannot interpret poset spec 'mystery:3'"),
+        # an empty size used to be dropped, so that these read as leveled:2,1,1
+        ("leveled:2,,1,1", "cannot interpret poset spec 'leveled:2,,1,1'"),
+        ("leveled:,2,1,1", "cannot interpret poset spec 'leveled:,2,1,1'"),
+    ],
+)
+def test_parse_poset_spec(spec, expected):
+    # a hierarchical poset is read as its level sizes: no Poset is built
+    if isinstance(expected, tuple):
+        assert parse_poset_spec(spec) == LevelStructure(expected)
+        return
+    with pytest.raises(ValueError, match=expected):
+        parse_poset_spec(spec)
+    rc, out, err = _call(["enum", "--kind", "level", "--ring", "F2", "--code", "ex51", "--poset", spec])
+    assert (rc, out) == (2, "") and err.startswith("input error: ") and expected in err
 
 
 def test_parse_code_spec():
@@ -900,6 +917,7 @@ ZERO_24 = ("--ring", "F2", "--poset", "antichain:24", "--code", _zero_code(24))
         ("verify", "--kind", "level"),
         ("verify", "--kind", "mspotty", "--t", "5"),
         ("enum", "--kind", "complete", "--dual"),
+        ("enum", "--kind", "poset", "--dual"),  # ended in MemoryError while the dual was listed
     ],
 )
 def test_the_whole_ambient_space_as_a_dual_is_counted_not_listed(argv):
@@ -909,7 +927,9 @@ def test_the_whole_ambient_space_as_a_dual_is_counted_not_listed(argv):
     if argv[0] == "verify":
         assert done.stdout == f"{argv[2]}: EQUAL\n"
     else:
-        terms = (f"{comb(24, p) if 0 < p < 24 else ''}z_{{1:{p}}}" for p in range(25))
+        var = {"complete": lambda p: f"z_{{1:{p}}}", "poset": lambda p: f"x^{p}" if p > 1 else "x" * p}
+        spell = var[argv[2]]
+        terms = (f"{comb(24, p) if 0 < p < 24 or not spell(p) else ''}{spell(p)}" for p in range(25))
         assert done.stdout == " + ".join(terms) + "\n"
     refused = _run_cli(*argv, *ZERO_24, "--cap", "1000000", preexec_fn=_limit_memory)
     assert (refused.returncode, refused.stdout) == (3, "")

@@ -29,6 +29,7 @@ from oracles import (
     dense_line_step,
     exhaustive_is_additive,
     exhaustive_ring_axioms,
+    hierarchical_poset,
     pattern_byte_transform,
     pattern_of,
     reference_json,
@@ -39,7 +40,12 @@ from oracles import (
     tuple_weight_spectrum,
 )
 from pwenum.codes import dual_code, dual_indices, dual_weight_spectrum, span
-from pwenum.enumerators import byte_enumerator, mspotty_enumerator, weight_spectrum
+from pwenum.enumerators import (
+    byte_enumerator,
+    mspotty_enumerator,
+    poset_weight_enumerator,
+    weight_spectrum,
+)
 from pwenum.errors import IntegrityError
 from pwenum.macwilliams import (
     KINDS,
@@ -166,6 +172,21 @@ def test_dual_weight_spectrum_matches_listing_and_scan_oracles(instance):
     spectrum = dual_weight_spectrum(code, levels)
     assert spectrum == weight_spectrum(dual_code(code), levels)
     assert spectrum == _level_weights(scan_dual_words(code), levels)
+
+
+@SETTINGS
+@given(instances(), st.sampled_from(["leveled", "chain", "antichain"]))
+@example(_fixed("Z4", (3,), []), "chain")  # k = 0: the dual is all of R^n
+@example(_fixed("F2u", (1, 2), [(1, 2, 3)]), "leveled")
+@example(_fixed("GF9", (2, 1), [(1, 5, 7)]), "antichain")
+def test_the_poset_kind_folds_the_level_spectrum_on_a_hierarchical_poset(instance, shape):
+    # on its LevelStructure, the fold of the per-level weights; given by covers, each word closed
+    _, levels, code, _ = instance
+    sizes = {"leveled": levels.sizes, "chain": (1,) * levels.n, "antichain": (levels.n,)}[shape]
+    poset, entry = hierarchical_poset(sizes), KINDS["poset"]
+    assert entry.direct(code, LevelStructure(sizes)) == poset_weight_enumerator(code, poset)
+    dual = poset_weight_enumerator(dual_code(code), poset)
+    assert entry.dual(code, LevelStructure(sizes), None) == dual == entry.dual(code, poset, None)
 
 
 @SETTINGS
@@ -338,24 +359,18 @@ def test_byte_transform_matches_pattern_oracle_on_big_rings(name, sizes, generat
         ("Z64", tuple(2 * a % 64 for a in range(64)), [(1, 3)]),  # stepped through H = {0, 8, ..., 56}
     ],
 )
-def test_non_generating_character_fails_as_the_oracle_does(name, exponents, generators):
+def test_non_generating_character_fails_as_the_oracle_does(name, exponents, generators, monkeypatch):
     ring = make_ring("Zm", m=int(name[1:]))
     chi = Character(ring, exponents)
     assert not verify_generating_character(ring, chi)
+    monkeypatch.setattr("pwenum.macwilliams.default_character", lambda ring: chi)
     code = span(ring, 2, generators)
     levels = LevelStructure((1, 1))
     # an additive character sums to |C| or 0 over C, so every division is exact
     # and the failure shows as extra patterns next to the dual's indicator
-    poly = byte_transform(code, levels, chi)
+    poly = byte_transform(code, levels)
     assert _as_patterns(poly, ring.q, 2) == pattern_byte_transform(code, chi)
     assert poly != dict.fromkeys(dual_indices(code), 1)
-
-
-def test_byte_transform_refuses_a_non_additive_exponent_map():
-    z4 = make_ring("Zm", m=4)
-    code = span(z4, 2, [(1, 2)])
-    with pytest.raises(ValueError, match="additivity"):
-        byte_transform(code, LevelStructure((1, 1)), Character(z4, (0, 1, 3, 2)))
 
 
 @SETTINGS

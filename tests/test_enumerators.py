@@ -5,6 +5,7 @@ import pytest
 from oracles import (
     collapse_to_x,
     eta,
+    hierarchical_poset,
     mspotty_distance,
     mspotty_weight,
     mu,
@@ -22,7 +23,7 @@ from pwenum.enumerators import (
     weight_spectrum,
 )
 from pwenum.macwilliams import render
-from pwenum.posets import LevelStructure, Poset, chain
+from pwenum.posets import LevelStructure, Poset
 from pwenum.rings import make_ring
 
 F2 = make_ring("Zm", m=2)
@@ -71,7 +72,7 @@ def test_reference_json_shape():
 def test_chain_poset_enumerators():
     c1 = span(F2, 3, [(0, 0, 1)])
     c2 = span(F2, 3, [(1, 1, 1)])
-    p = chain(3)
+    p = hierarchical_poset((1, 1, 1))  # the chain 1 < 2 < 3
     w1 = poset_weight_enumerator(c1, p)
     w2 = poset_weight_enumerator(c2, p)
     assert w1 == x_poly([(0, 1), (3, 1)])
@@ -96,7 +97,7 @@ def test_antichain_poset_enumerator_is_hamming():
 
 
 def test_chain_poset_weight_is_last_nonzero_index():
-    p = chain(5)
+    p = hierarchical_poset((1,) * 5)
     code = span(F2, 5, [(1, 0, 1, 0, 1), (0, 1, 1, 0, 0)])
     for w in code.words:
         expected = max((i + 1 for i, x in enumerate(w) if x), default=0)
@@ -293,4 +294,4 @@ def test_enumerators_reject_mismatched_levels():
     with pytest.raises(ValueError):
         byte_enumerator(EX_CODE, LevelStructure((2, 1)))
     with pytest.raises(ValueError):
-        poset_weight_enumerator(EX_CODE, chain(3))
+        poset_weight_enumerator(EX_CODE, hierarchical_poset((1, 1, 1)))

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from cyclotomic import CycInt, character_value
-from oracles import hadamard_check, substitute
+from oracles import _krawtchouk, hadamard_check, substitute
 from pwenum import macwilliams
 from pwenum.codes import dual_code, dual_indices, span
 from pwenum.enumerators import (
@@ -16,7 +16,6 @@ from pwenum.errors import IntegrityError
 from pwenum.macwilliams import (
     byte_transform,
     complete_transform,
-    krawtchouk_level,
     level_transform,
     mspotty_transform,
     render,
@@ -36,15 +35,18 @@ EX_LEVELS = LevelStructure((2, 1, 1))
 
 
 def test_krawtchouk_values():
-    assert krawtchouk_level(2, 0, 1, 2) == 2
-    assert krawtchouk_level(2, 1, 1, 2) == 0
+    assert _krawtchouk(2, 0, 1, 2) == 2
+    assert _krawtchouk(2, 1, 1, 2) == 0
     for n in range(4):
         for l in range(n + 1):
-            assert krawtchouk_level(n, l, 0, 5) == 1
-    with pytest.raises(ValueError):
-        krawtchouk_level(2, 3, 1, 2)
-    with pytest.raises(ValueError):
-        krawtchouk_level(2, 0, 1, 1)
+            assert _krawtchouk(n, l, 0, 5) == 1
+
+
+def test_krawtchouk_columns_by_the_recurrence_match_the_binomial_sums():
+    # column p of the table holds K_p(l) for l = 0..n
+    for n, q in ((0, 2), (1, 2), (5, 3), (12, 4), (30, 64), (128, 2)):
+        expected = tuple(tuple(_krawtchouk(n, l, p, q) for l in range(n + 1)) for p in range(n + 1))
+        assert macwilliams._krawtchouk_columns(n, q) == expected
 
 
 def test_krawtchouk_matches_character_sum():
@@ -66,7 +68,7 @@ def test_krawtchouk_matches_character_sum():
                         for a, b in zip(u, v):
                             acc = ring.add_table[acc][ring.mul_table[a][b]]
                         total = total + character_value(chi, acc)
-                    assert total == krawtchouk_level(n, l, p, ring.q)
+                    assert total == _krawtchouk(n, l, p, ring.q)
 
 
 def test_byte_transform_reproduces_dual_enumerator():
@@ -286,14 +288,18 @@ def test_verify_identity_reports():
     assert report.instance["t"] == [2, 1, 1]
     with pytest.raises(ValueError):
         verify_identity("poset", EX_CODE, EX_LEVELS)
+    # it used to raise TypeError: 'NoneType' object is not iterable
+    with pytest.raises(ValueError, match="the mspotty kind needs t"):
+        verify_identity("mspotty", EX_CODE, EX_LEVELS)
 
 
-def test_wrong_character_breaks_the_identity():
+def test_wrong_character_breaks_the_identity(monkeypatch):
     chi = Character(Z4, (0, 2, 0, 2))  # additive but not generating
+    monkeypatch.setattr(macwilliams, "default_character", lambda ring: chi)
     code = span(Z4, 2, [(1, 2)])
     levels = LevelStructure((1, 1))
     try:
-        assert byte_transform(code, levels, chi) != dict.fromkeys(dual_indices(code), 1)
+        assert byte_transform(code, levels) != dict.fromkeys(dual_indices(code), 1)
     except IntegrityError:
         pass  # equally acceptable: the division check caught it first
 

@@ -2,19 +2,13 @@ import random
 
 import pytest
 
+from oracles import hierarchical_poset, level_bounds
 from pwenum.errors import CapExceededError
-from pwenum.posets import (
-    LevelStructure,
-    Poset,
-    chain,
-    level_partition,
-    leveled,
-    poset_from_json_obj,
-)
+from pwenum.posets import LevelStructure, Poset, level_partition, poset_from_json_obj
 
 
 def test_chain_closure_and_weight():
-    p = chain(3)
+    p = Poset(3, [(1, 2), (2, 3)])
     assert p.ideal_closure({3}) == {1, 2, 3}
     assert p.weight((0, 0, 1)) == 3
     assert p.weight((1, 1, 0)) == 2
@@ -32,7 +26,7 @@ def test_antichain_is_hamming():
 
 def test_leveled_poset_matches_picture():
     # three levels {1,2} < {3} < {4,5,6}
-    p = leveled((2, 1, 3))
+    p = hierarchical_poset((2, 1, 3))
     assert p.ideal_closure({5}) == {1, 2, 3, 5}
     assert p.ideal_closure({3}) == {1, 2, 3}
     assert not p.leq(1, 2)
@@ -55,7 +49,7 @@ def test_cover_poset_and_cycle_rejection():
 
 def test_weight_length_mismatch():
     with pytest.raises(ValueError):
-        chain(3).weight((1, 0))
+        Poset(3, [(1, 2), (2, 3)]).weight((1, 0))
 
 
 def test_closure_operator_laws_on_random_posets():
@@ -81,7 +75,7 @@ def test_leveled_weight_formula():
     # weight = all lower levels plus the support met in the top occupied level
     rng = random.Random(9)
     sizes = (2, 1, 3)
-    p = leveled(sizes)
+    p = hierarchical_poset(sizes)
     level_of = (None, 1, 1, 2, 3, 3, 3)  # by 1-based position
     for _ in range(50):
         v = tuple(rng.randint(0, 1) for _ in range(6))
@@ -100,7 +94,7 @@ def test_level_structure_validation():
         LevelStructure((2, 0))
     lv = LevelStructure((2, 1, 3))
     assert lv.n == 6 and lv.count == 3
-    assert lv.bounds() == [(1, 2), (3, 3), (4, 6)]
+    assert level_bounds(lv.sizes) == [(1, 2), (3, 3), (4, 6)]
     assert lv == LevelStructure([2, 1, 3]) != LevelStructure((2, 1))
     assert hash(lv) == hash(LevelStructure([2, 1, 3]))
     with pytest.raises(AttributeError):
@@ -108,9 +102,9 @@ def test_level_structure_validation():
 
 
 def test_level_partition():
-    assert level_partition(leveled((2, 1, 3))).sizes == (2, 1, 3)
-    assert level_partition(leveled((2, 1, 1))).sizes == (2, 1, 1)
-    assert level_partition(chain(3)).sizes == (1, 1, 1)
+    assert level_partition(hierarchical_poset((2, 1, 3))).sizes == (2, 1, 3)
+    assert level_partition(hierarchical_poset((2, 1, 1))).sizes == (2, 1, 1)
+    assert level_partition(Poset(3, [(1, 2), (2, 3)])).sizes == (1, 1, 1)
     assert level_partition(Poset(4)).sizes == (4,)
     passthrough = LevelStructure((3, 2))
     assert level_partition(passthrough) is passthrough
@@ -131,12 +125,14 @@ def test_level_partition_rejects_non_contiguous_levels():
 
 
 def test_poset_from_json_obj():
-    assert poset_from_json_obj({"kind": "chain", "n": 3}) == chain(3)
-    assert poset_from_json_obj({"kind": "leveled", "levels": [2, 1, 1]}) == leveled((2, 1, 1))
+    # the hierarchical kinds are read as their level sizes; only covers build a Poset
+    assert poset_from_json_obj({"kind": "antichain", "n": 3}) == LevelStructure((3,))
+    assert poset_from_json_obj({"kind": "chain", "n": 3}) == LevelStructure((1, 1, 1))
+    assert poset_from_json_obj({"kind": "leveled", "levels": [2, 1, 1]}) == LevelStructure((2, 1, 1))
     cover = poset_from_json_obj(
         {"kind": "cover", "n": 6, "covers": [[1, 3], [2, 3], [3, 4], [3, 5], [3, 6]]}
     )
-    assert cover == leveled((2, 1, 3))
+    assert isinstance(cover, Poset) and cover.down == hierarchical_poset((2, 1, 3)).down
     with pytest.raises(ValueError):
         poset_from_json_obj({"kind": "spiral", "n": 3})
 
@@ -151,7 +147,7 @@ def test_poset_from_json_obj_checks_the_size_before_building():
     ):
         with pytest.raises(ValueError, match="poset size .* does not match code length 3"):
             poset_from_json_obj(obj, n=3)
-    assert poset_from_json_obj({"kind": "chain", "n": 3}, n=3) == chain(3)
+    assert poset_from_json_obj({"kind": "chain", "n": 3}, n=3) == LevelStructure((1, 1, 1))
 
 
 @pytest.mark.parametrize(
@@ -164,7 +160,9 @@ def test_poset_from_json_obj_checks_the_size_before_building():
     ],
 )
 def test_poset_down_sets_are_held_against_the_cap(obj, entries):
-    poset = poset_from_json_obj(obj, cap=entries)
+    # a hierarchical kind builds no down-set, but is held to those of its poset given by covers
+    shape = poset_from_json_obj(obj, cap=entries)
+    poset = shape if isinstance(shape, Poset) else hierarchical_poset(shape.sizes)
     assert sum(len(d) for d in poset.down.values()) == entries
     with pytest.raises(CapExceededError, match=f"over the cap {entries - 1}"):
         poset_from_json_obj(obj, cap=entries - 1)
