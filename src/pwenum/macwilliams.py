@@ -11,10 +11,10 @@ code size; any failure is raised as an IntegrityError, never rounded.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
-from itertools import compress, product
+from functools import lru_cache
+from itertools import chain, compress, product, repeat
 from math import prod
-from operator import itemgetter, lshift, mul
+from operator import add, itemgetter, lshift, mul
 from struct import Struct, unpack
 from typing import Callable, NamedTuple
 
@@ -58,6 +58,39 @@ def _live_sums(values: list, weights: list, op=lshift) -> list:
     return [sum(map(op, values, w)) for w in weights]
 
 
+def _column_sums(columns: list, weights: list, height: int):
+    """For each row w of weights in turn, the rows of the column sum over a of columns[a] << w[a].
+
+    A column of height 1 is its one value, and such columns are summed as
+    one line (_live_sums): a chain's two map objects a column would outweigh
+    its one shift-add.  Taller columns are lists of rows; all-zero ones are
+    skipped, and each output column is one lazy chain of whole-column maps,
+    a zero shift adding its column as it is.  The result is one iterable
+    over the rows of every output column in turn, to be read once.
+    """
+    if height == 1:
+        return _live_sums(columns, weights)
+    if not all(map(any, columns)):
+        live = list(compress(range(len(columns)), map(any, columns)))
+        if not live:
+            return repeat(0, height * len(weights))
+        columns = list(map(columns.__getitem__, live))
+        weights = [list(map(w.__getitem__, live)) for w in weights]
+    sums = []
+    for w in weights:
+        acc = None
+        for column, shift in zip(columns, w):
+            term = map(lshift, column, repeat(shift)) if shift else column
+            acc = term if acc is None else map(add, acc, term)
+        sums.append(acc)
+    return chain.from_iterable(sums)
+
+
+def _fold(sums, low: int, half: int) -> list:
+    """The packed values of sums, each with field e+j folded onto field j: x^e = 1."""
+    return [(acc & low) + ((acc >> half) & low) for acc in sums]
+
+
 class _Split(NamedTuple):
     """One coordinate's chi(ab) product, factored through an additive subgroup H.
 
@@ -71,13 +104,13 @@ class _Split(NamedTuple):
     H = {0} there is no stage 1, one class and no reordering: stage 2 is the
     dense product by the q x q matrix.
 
-    The whole-row operations of a step on L nonzero rows in M cosets are
-    counted with a row product as 1, one step of the C loop in
-    sum(map(lshift, ...)), and a fold as 4, four big-int operations in the
-    interpreter (two masks, a shift and an add).  Stage 1 takes L |classes|
-    products and |classes| folds per live coset, stage 2 q products per live
-    coset and q folds: L |classes| + M (q + 4 |classes|) + 4q in all,
-    against Lq + 4q for H = {0}.  The split is the cheaper one exactly when
+    A pass on L nonzero columns in M cosets is counted per row of its
+    columns, with a shift-add of two rows as 1, one step of a chain of maps,
+    and a fold as 4, four big-int operations in the interpreter (two masks,
+    a shift and an add).  Stage 1 takes L |classes| shift-adds and |classes|
+    folds per live coset, stage 2 q shift-adds per live coset and q folds:
+    L |classes| + M (q + 4 |classes|) + 4q in all, against Lq + 4q for
+    H = {0}.  The split is the cheaper one exactly when
     L (q - |classes|) > M (q + 4 |classes|).
     """
 
@@ -88,7 +121,7 @@ class _Split(NamedTuple):
     order: Callable | None  # the results class by class -> the results by b; None if already so
 
     def pays(self, live: int, cosets: int) -> bool:
-        """Whether a step on live nonzero rows in that many cosets counts fewer operations split."""
+        """Whether a pass on live nonzero columns in that many cosets counts fewer operations split."""
         q, classes = len(self.coset_of), len(self.inner)
         return bool(self.cosets) and live * (q - classes) > cosets * (q + 4 * classes)
 
@@ -103,6 +136,8 @@ def _subgroup(add: tuple) -> list:
     """
     q, group = len(add), [0]
     for g in range(1, q):
+        if (2 * len(group)) ** 2 > q:  # H + <g> would be at least twice H
+            break
         grown, t = set(group), g
         while t not in grown and (len(grown) + len(group)) ** 2 <= q:
             grown.update(add[t][h] for h in group)
@@ -130,8 +165,8 @@ def _coset_split(add: tuple, shifts: list, group: list) -> _Split:
             cosets.append(itemgetter(*coset))
             reps.append(t)
     classes: dict[tuple, list] = {}  # the restriction of chi(b.) to H -> the b with it
-    for b, row in enumerate(shifts):
-        classes.setdefault(tuple(map(row.__getitem__, group)), []).append(b)
+    for b, on_group in enumerate(map(itemgetter(*group), shifts)):
+        classes.setdefault(on_group, []).append(b)
     members = [b for bs in classes.values() for b in bs]
     at_reps = itemgetter(*reps)
     return _Split(
@@ -143,37 +178,55 @@ def _coset_split(add: tuple, shifts: list, group: list) -> _Split:
     )
 
 
-def _ring_step(values: list, low: int, half: int, split: _Split) -> list:
-    """The q values of one coordinate line times the matrix chi(ab), by the two stages of split."""
-    if not split.cosets:  # H = {0}: stage 2 alone, one class, in order
-        return [(acc & low) + ((acc >> half) & low) for acc in _live_sums(values, split.outer[0])]
-    # each coset's sums are folded as they come, so that one coset's are held unfolded at a time
-    stage_1 = [
-        [(acc & low) + ((acc >> half) & low) for acc in _live_sums(coset(values), split.inner)]
-        for coset in split.cosets
-    ]
-    out = [
-        (acc & low) + ((acc >> half) & low)
-        for column, weights in zip(zip(*stage_1), split.outer)
-        for acc in _live_sums(column, weights)
-    ]
-    return split.order(out) if split.order else out
+def _ring_step(columns: list, height: int, low: int, half: int, split: _Split) -> list:
+    """One coordinate pass: the q columns times the matrix chi(ab), by the two stages of split.
 
-
-def _step_rows(rows: list, q: int, step: Callable, low: int, half: int) -> None:
-    """Apply chi(ab) in place along each of the k coordinates indexing q^k rows.
-
-    Each group of q rows one stride apart is combined whole by step; low
-    masks the lower half of every pattern in a row, for the fold of x^(e+j)
-    onto x^j.
+    Column a holds the rows whose stepped digit is a, height rows each (a
+    column of height 1 is its one row), and row i of output column b is the
+    sum over a of row i of column a times chi(ab).  Returns the rows of the output columns b = 0, ..., q-1 in
+    turn.  Each stage is folded once over all its rows: stage 1's sums
+    before stage 2 reads them, and stage 2's.  Once stage 1 has read the
+    list columns it empties it, so that a split pass holds two sets of rows
+    at a time, as a dense one does: its input and stage 1's sums, then those
+    sums and its output.
     """
-    stride = len(rows)
+    if not split.cosets:  # H = {0}: stage 2 alone, one class, in order
+        return _fold(_column_sums(columns, split.outer[0], height), low, half)
+    classes = len(split.inner)
+    inner = chain.from_iterable(_column_sums(coset(columns), split.inner, height) for coset in split.cosets)
+    inner = _fold(inner, low, half)
+    columns.clear()
+    if height > 1:
+        inner = list(zip(*[iter(inner)] * height))  # coset t's column of class c at t classes + c
+    out = chain.from_iterable(_column_sums(inner[c::classes], w, height) for c, w in enumerate(split.outer))
+    out = _fold(out, low, half)
+    if split.order:  # the columns come class by class
+        out = list(chain.from_iterable(split.order(list(zip(*[iter(out)] * height)))))
+    return out
+
+
+def _step_rows(rows: list, q: int, dense: _Split, split: _Split, low: int, half: int) -> list:
+    """Apply chi(ab) along each of the k coordinates indexing q^k rows, one pass a coordinate.
+
+    A pass reads the last digit of the row index: column a is rows[a::q],
+    the rows whose last digit is a, in the order of the other digits (a
+    column of one row is that row).  It goes through split where that counts
+    fewer operations on its nonzero columns than dense (_Split.pays), and
+    its output columns b = 0, ..., q-1 come in turn, which moves the stepped
+    digit to the front; after k passes the rows are back in lexicographic
+    order.  low masks the lower half of every pattern in a row, for the fold
+    of x^(e+j) onto x^j.  The list rows is emptied: each pass lets its input
+    go once read, so that the old and the new rows are the most it holds.
+    """
+    height, stride = len(rows) // q, len(rows)
     while stride > 1:
         stride //= q
-        for base in range(0, len(rows), q * stride):
-            for first in range(base, base + stride):
-                group = rows[first : first + q * stride : stride]
-                rows[first : first + q * stride : stride] = step(group, low, half)
+        columns = rows.copy() if height == 1 else [rows[a::q] for a in range(q)]
+        rows.clear()
+        live = list(map(any if height > 1 else bool, columns))
+        cosets = len(set(compress(split.coset_of, live)))
+        rows = _ring_step(columns, height, low, half, split if split.pays(sum(live), cosets) else dense)
+    return rows
 
 
 def _bias(slots: int, slot_bytes: int) -> int:
@@ -194,9 +247,12 @@ def _transpose(rows: list, row_bytes: int, slot_bytes: int, cut: int = 1, signed
     """The slot matrix transposed, as new rows of cut columns each.
 
     Slot c of row r becomes slot r of column c.  When each new row is one
-    column and there are no more columns than rows, each column is gathered
-    by one strided copy per byte of a slot, or by one copy per slot when a
-    slot has more bytes than there are rows.  Otherwise each row is
+    column, the columns are gathered either whole, the slots of one
+    Struct.iter_unpack of all the rows joined once a column, or, when there
+    are no more columns than rows, by one strided copy per unit of a slot,
+    the widest of 1, 2, 4 and 8 bytes that divides it.  A strided copy costs
+    about as much as making 16 slot objects, so slots go whole where there
+    are fewer than 16 rows per unit of a slot.  Otherwise each row is
     scattered by one strided copy per byte of a slot, and the result is cut
     into new rows.  Signed slots cross as their value plus half their range,
     so that none borrows from the next.
@@ -204,14 +260,18 @@ def _transpose(rows: list, row_bytes: int, slot_bytes: int, cut: int = 1, signed
     nrows, ncols, s = len(rows), row_bytes // slot_bytes, slot_bytes
     data = _serialize(rows, row_bytes, _bias(ncols, s) if signed else 0)
     column = nrows * s
-    if cut == 1 and ncols <= nrows:
-        col, new = bytearray(column), []
-        for c in range(0, row_bytes, s):
-            if s <= nrows:
-                for k in range(s):
-                    col[k::s] = data[c + k :: row_bytes]
-            else:
-                col = b"".join(data[at : at + s] for at in range(c, len(data), row_bytes))
+    unit = min(s & -s, 8)
+    if cut == 1 and nrows < 16 * (s // unit):
+        columns = zip(*Struct(f"{s}s" * ncols).iter_unpack(data))
+        del data
+        new = [int.from_bytes(b"".join(col), "little") for col in columns]
+    elif cut == 1 and ncols <= nrows:
+        code, col, new = {1: "B", 2: "H", 4: "I", 8: "Q"}[unit], bytearray(column), []
+        src, dst = memoryview(data).cast(code), memoryview(col).cast(code)
+        units, stride = s // unit, row_bytes // unit
+        for c in range(0, stride, units):
+            for k in range(units):
+                dst[k::units] = src[c + k :: stride]
             new.append(int.from_bytes(col, "little"))
     else:
         out = bytearray(len(data))
@@ -238,9 +298,11 @@ def _yates_tallies(code: LinearCode, chi: Character) -> tuple[int, list, int]:
 
     The steps follow Bailey's four-step order.  The last ceil(n/2)
     coordinates index a list of rows, each packing the patterns of the first
-    floor(n/2); those trailing coordinates are stepped between rows, the
-    slot matrix is transposed once, and the leading coordinates are stepped
-    between the new rows.
+    floor(n/2); those trailing coordinates are stepped between rows, one
+    pass over all rows each (_step_rows), the slot matrix is transposed
+    once, and the leading coordinates are stepped between the new rows.  A
+    pass or the transpose holds two sets of rows at a time, each of at most
+    q^n 2e field bytes.
     """
     ring = code.ring
     q, e, n = ring.q, ring.exponent, code.n
@@ -253,12 +315,6 @@ def _yates_tallies(code: LinearCode, chi: Character) -> tuple[int, list, int]:
     shifts = [itemgetter(*row)(scaled) for row in ring.mul_table]
     subgroup = _subgroup(ring.add_table)
     dense, split = _coset_split(ring.add_table, shifts, [0]), _coset_split(ring.add_table, shifts, subgroup)
-    step = partial(_ring_step, split=dense)
-    if split.pays(q, q // len(subgroup)):  # on a full line
-
-        def step(values, low, half):  # through H where that counts fewer operations than through {0}
-            live, cosets = q - values.count(0), len(set(compress(split.coset_of, values)))
-            return _ring_step(values, low, half, split if split.pays(live, cosets) else dense)
 
     def low(slots):  # the lower half of each of that many slots
         return int.from_bytes((b"\xff" * (half // 8) + bytes(half // 8)) * slots, "little")
@@ -270,9 +326,9 @@ def _yates_tallies(code: LinearCode, chi: Character) -> tuple[int, list, int]:
             marks[k] = bytearray(row_bytes)
         marks[k][r * slot // 8] = 1
     rows = [int.from_bytes(marks.pop(k), "little") if k in marks else 0 for k in range(nrows)]
-    _step_rows(rows, q, step, low(width), half)
+    rows = _step_rows(rows, q, dense, split, low(width), half)
     rows = _transpose(rows, row_bytes, slot // 8)
-    _step_rows(rows, q, step, low(nrows), half)
+    rows = _step_rows(rows, q, dense, split, low(nrows), half)
     return field, rows, nrows
 
 
@@ -296,11 +352,9 @@ def byte_transform(code: LinearCode, levels: LevelStructure) -> dict[int, int]:
     the n-fold tensor power of the q x q matrix chi(ab) applied to the
     indicator of C.  Yates' algorithm applies that matrix one coordinate at a
     time in the group ring Z[Z_e], where zeta_e is x, and each value ends as
-    the tally of the character exponents <b, u> over the code.  Each line of
-    q values along a coordinate takes q^2 products of a value by a power of
-    x, or q (|H| + q/|H|) where a subgroup H of (R, +) splits the product
-    (see _Split): n q^(n-1) lines in all.  The result is the nonzero
-    {lexicographic index of b: coefficient}, in increasing index order.
+    the tally of the character exponents <b, u> over the code.  The result
+    is the nonzero {lexicographic index of b: coefficient}, in increasing
+    index order.
 
     A value is packed into a Python int as 2e byte-aligned count fields, so
     multiplying by x^r is a left shift by r fields; after each coordinate
@@ -308,7 +362,14 @@ def byte_transform(code: LinearCode, levels: LevelStructure) -> dict[int, int]:
     patterns of some coordinates and a list of rows is indexed by the
     others, so a coordinate step combines whole rows.  Every coordinate is
     stepped between rows (see _yates_tallies): half of them, then one
-    transpose of the slot matrix, then the other half.
+    transpose of the slot matrix, then the other half.  Each coordinate is
+    one pass over all the rows (_step_rows): the q strided columns of rows
+    that differ in that coordinate are multiplied by the q x q matrix
+    chi(ab) in whole-column shift-adds, q^2 of them, or q (|H| + q/|H|)
+    where a subgroup H of (R, +) splits the product (see _Split), less the
+    ones on all-zero columns.  A pass thus reads the q^n 2e field bytes of
+    the rows q times, or |H| + q/|H| times, and holds the old and the new
+    rows.
 
     The final rows hold the tallies in lexicographic order and are read one
     at a time, so no list or dict over R^n is built besides the result; a

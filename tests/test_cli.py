@@ -907,6 +907,15 @@ def test_byte_rendering_builds_variables_only_for_blocks_that_occur(argv, terms)
     ]}
 
 
+def test_a_byte_verify_of_2_to_the_24_patterns_fits_in_1_gib():
+    # the Yates rows of GF(64)^4 take 64 MiB; each coordinate pass holds its old and new rows
+    ring = json.dumps({"kind": "GF", "p": 2, "k": 6, "modulus": [1, 1, 0, 0, 0, 0, 1]})
+    code = json.dumps({"length": 4, "generators": [[1, 2, 3, 4]]})
+    done = _run_cli("verify", "--kind", "byte", "--ring", ring, "--poset", "antichain:4", "--code", code,
+                    preexec_fn=_limit_memory)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "byte: EQUAL\n", "")
+
+
 ZERO_24 = ("--ring", "F2", "--poset", "antichain:24", "--code", _zero_code(24))
 
 

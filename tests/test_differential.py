@@ -15,6 +15,7 @@ recurrence-built GF tables against polynomial arithmetic.
 """
 
 import random
+from functools import partial
 from itertools import product
 
 import pytest
@@ -470,16 +471,32 @@ def test_the_split_step_matches_the_dense_oracle(name, exponents):
     low = int.from_bytes((b"\xff" * (half // 8) + bytes(half // 8)) * slots, "little")
     shifts = _shifts(ring, exponents, field)
     splits = [_coset_split(add, shifts, [0]), _coset_split(add, shifts, _subgroup(add))]
+    oracle = partial(dense_line_step, shifts=shifts, low=low, half=half)
     rng = random.Random(name)
-    for live in (q, q // 2, 1, 0):
-        values = [0] * q
-        for a in rng.sample(range(q), live):
-            counts = [rng.randrange(4) for _ in range(e)]
-            slot = sum(c << (8 * field * r) for r, c in enumerate(counts))
-            values[a] = sum(slot << (2 * half * k) for k in range(slots))
-        expected = dense_line_step(values, shifts, low, half)
-        for split in splits:
-            assert list(_ring_step(list(values), low, half, split)) == expected
+
+    def value():  # a packed value, zero one time in four
+        if rng.randrange(4) == 0:
+            return 0
+        counts = [rng.randrange(4) for _ in range(e)]
+        slot = sum(c << (8 * field * r) for r, c in enumerate(counts))
+        return sum(slot << (2 * half * k) for k in range(slots))
+
+    # nonzero columns: all, half, one, and none, when the whole pass is zero; of the q + 1
+    # lines of the tallest columns three may be nonzero, as the oracle takes q^2 steps a line
+    for height in (1, 2, q + 1):
+        rows = rng.sample(range(height), min(height, 3))
+        for live in (q, q // 2, 1, 0):
+            columns = [[0] * height for _ in range(q)]
+            for a in rng.sample(range(q), live):
+                while not any(columns[a]):
+                    for i in rows:
+                        columns[a][i] = value()
+            # row i of output column b is value b of line i, the rows i of every column
+            lines = [oracle(list(line)) if any(line) else [0] * q for line in zip(*columns)]
+            expected = [line[b] for b in range(q) for line in lines]
+            fed = [column[0] for column in columns] if height == 1 else columns  # one row: the column is that row
+            for split in splits:  # a split step empties the list it reads
+                assert _ring_step(list(fed), height, low, half, split) == expected
 
 
 ADDITIVITY_RINGS = {name: SPLIT_RINGS[name] for name in ("Z6", "Z16", "Z64", "GF2^3", "GF2^6")}
