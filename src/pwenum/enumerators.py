@@ -19,16 +19,29 @@ macwilliams.render.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
-from itertools import accumulate, count, starmap
+from functools import cache, reduce
+from itertools import accumulate, compress, count, starmap
+from operator import or_
 
 from .codes import LinearCode, check_levels, index_digits
 from .posets import LevelStructure, Poset
 
 
 def poset_weight_enumerator(code: LinearCode, poset: Poset) -> dict[int, int]:
-    """Count codewords by their poset weight: sum over codewords of x^(poset weight)."""
-    return Counter(map(poset.weight, code.words))
+    """Count codewords by their poset weight, the size of the ideal their support generates.
+
+    Each distinct half of a word index (_per_block) has its support closed
+    once, by OR-ing the down-set masks of its positions; a word's weight is
+    the bit count of its two halves' masks OR-ed together.
+    """
+    n = len(poset.down)
+    if code.n != n:
+        raise ValueError(f"poset size {n} does not match code length {code.n}")
+    cut = n // 2  # a Poset has n >= 2: every order on fewer positions is a LevelStructure
+    halves = (poset.down[:cut], poset.down[cut:])
+    closure = lambda level, block: reduce(or_, compress(halves[level - 1], block), 0)
+    closed = _per_block(code.ring.q, LevelStructure((cut, n - cut)), code.indices, closure)
+    return Counter((a | b).bit_count() for a, b in closed)
 
 
 def byte_enumerator(code: LinearCode, levels: LevelStructure) -> dict[int, int]:

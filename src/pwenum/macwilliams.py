@@ -523,8 +523,9 @@ class Kind(NamedTuple):
     """How one enumerator kind is computed and printed.
 
     Every route returns the kind's count dict.  shape is a LevelStructure,
-    or for the poset kind (levels False) the poset as read: the
-    LevelStructure of a hierarchical poset, or a Poset given by covers.
+    or for the poset kind (levels False) the poset as read by
+    poset_from_json_obj: a LevelStructure when the poset is hierarchical with
+    its levels in coordinate order, else a Poset of down-set bitmasks.
     """
 
     direct: Callable  # (code, shape) -> counts of the code's words
@@ -551,7 +552,7 @@ _WEIGHT_ROUTES = {
 
 def _poset_route(spectrum: Callable, listed: Callable) -> Callable:
     """A poset kind route: on a LevelStructure, the weight spectrum route folded by poset_spectrum,
-    with no word decoded or listed; on a Poset given by covers, the poset weight of each listed word."""
+    with no word listed; on a Poset, the listed word indices weighed half by half by their masks."""
 
     def route(code, shape, *cap):
         if isinstance(shape, LevelStructure):

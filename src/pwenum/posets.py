@@ -1,95 +1,36 @@
-"""Partial orders on coordinate positions 1..n, and level structures.
+"""Partial orders on coordinate positions 1..n, read as level structures where they can be.
 
-Positions are 1-based to match codeword coordinates.  A Poset, given by
-cover pairs, stores the full down-set of every position, so ideal closures
-and position weights reduce to set unions and cardinalities.
-
-A LevelStructure is an ordered partition of the coordinates into
-contiguous blocks.  It stands for the hierarchical poset on them, every
-position of a level below all of the next (the antichain is one level, the
-chain n levels of 1), which is never built; level_partition() reads the
-sizes off a hierarchical Poset given by covers.
+Positions are 1-based to match codeword coordinates.  A LevelStructure is
+an ordered partition of the coordinates into contiguous blocks.  It stands
+for the hierarchical poset on them, every position of a level below all of
+the next (the antichain is one level, the chain n levels of 1), which is
+never built.  A cover poset that is hierarchical with its levels in
+coordinate order is read as its LevelStructure; any other is a Poset.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from typing import NamedTuple
+
 from .errors import CapExceededError
 
 
-def _hold(total: int, cap: int | None) -> None:
-    """Refuse a poset whose down-sets hold at least total > cap entries."""
+def _hold(total: int, cap: int | None, unit: str = "entries") -> None:
+    """Refuse a poset whose down-sets hold at least total > cap entries (or bits)."""
     if cap is not None and total > cap:
-        raise CapExceededError(f"poset down-sets hold at least {total} entries, over the cap {cap}")
+        raise CapExceededError(f"poset down-sets hold at least {total} {unit}, over the cap {cap}")
 
 
-class Poset:
-    """Partial order over positions 1..n given by cover pairs (lower, upper).
+class Poset(NamedTuple):
+    """An order on positions 1..n, given by cover pairs, that no LevelStructure stands for.
 
-    With a cap, construction stops with CapExceededError as soon as the
-    down-sets built so far hold more than cap entries in total.
+    down[p - 1] is the down-set of position p as a bitmask: the r-th position
+    in a topological order owns bit r, so masks take n(n+1)/2 bits in all.
     """
 
-    __slots__ = ("n", "down")
-
-    def __init__(self, n: int, covers=(), cap: int | None = None):
-        if n < 1:
-            raise ValueError(f"poset size must be positive, got {n}")
-        _hold(n, cap)  # each position's down-set holds at least itself
-        below = {p: set() for p in range(1, n + 1)}
-        for a, b in covers:
-            if not (1 <= a <= n and 1 <= b <= n):
-                raise ValueError(f"cover pair ({a}, {b}) out of range 1..{n}")
-            if a == b:
-                raise ValueError(f"cover pair ({a}, {a}) relates a position to itself")
-            below[b].add(a)
-        down: dict[int, frozenset[int]] = {}
-        total = 0
-        state = dict.fromkeys(range(1, n + 1), 0)  # 0 new, 1 active, 2 done
-        for root in range(1, n + 1):
-            if state[root]:
-                continue
-            stack = [(root, iter(below[root]))]
-            state[root] = 1
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for child in it:
-                    if state[child] == 1:
-                        raise ValueError("cover relation contains a cycle")
-                    if state[child] == 0:
-                        state[child] = 1
-                        stack.append((child, iter(below[child])))
-                        advanced = True
-                        break
-                if not advanced:
-                    acc = {node}
-                    for child in below[node]:
-                        acc |= down[child]
-                    down[node] = frozenset(acc)
-                    total += len(acc)
-                    _hold(total, cap)
-                    state[node] = 2
-                    stack.pop()
-        self.n = n
-        self.down = down
-
-    def ideal_closure(self, positions) -> frozenset[int]:
-        """Smallest ideal containing the given positions (union of down-sets)."""
-        out: set[int] = set()
-        for p in positions:
-            if not 1 <= p <= self.n:
-                raise ValueError(f"position {p} out of range 1..{self.n}")
-            out |= self.down[p]
-        return frozenset(out)
-
-    def weight(self, v) -> int:
-        """Size of the smallest ideal containing the support of v."""
-        if len(v) != self.n:
-            raise ValueError(f"word length {len(v)} does not match poset size {self.n}")
-        return len(self.ideal_closure(i + 1 for i, x in enumerate(v) if x))
-
-    def leq(self, a: int, b: int) -> bool:
-        return a in self.down[b]
+    down: tuple
+    reason: str  # why the order is no LevelStructure, as the level kinds report it
 
 
 def _positive(value, what: str) -> int:
@@ -104,11 +45,11 @@ def poset_from_json_obj(
 ) -> Poset | LevelStructure:
     """Read a JSON description such as {"kind": "chain", "n": 3}.
 
-    The hierarchical kinds, antichain, chain and leveled, give their
-    LevelStructure; only the cover kind builds a Poset.  The declared size
-    is checked against n, when given, before anything is built, and the
-    total size of the down-sets against cap: by its closed form for the
-    hierarchical kinds, and as the down-sets are built for the cover kind.
+    The antichain, chain and leveled kinds, and a cover poset that is
+    hierarchical with its levels in coordinate order, give a LevelStructure;
+    any other cover poset a Poset.  The size is checked against n, when
+    given, before anything is built; then the down-sets against cap, by
+    their closed form, or by the n(n+1)/2 bits a Poset's masks take.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("poset description must be an object with a 'kind' field")
@@ -126,24 +67,92 @@ def poset_from_json_obj(
     if n is not None and size != n:
         raise ValueError(f"poset size {size} does not match code length {n}")
     if kind == "antichain":
-        _hold(size, cap)
-        return LevelStructure((size,))
+        return _leveled((size,), cap)
     if kind == "chain":
         _hold(size * (size + 1) // 2, cap)
         return LevelStructure((1,) * size)
     if kind == "leveled":
-        total = below = 0
-        for s in sizes:  # a position's down-set: itself and every lower level
-            total += s * (below + 1)
-            below += s
-        _hold(total, cap)
-        return LevelStructure(sizes)
+        return _leveled(sizes, cap)
     covers = obj.get("covers")
     if not isinstance(covers, list) or not all(
         isinstance(pair, list) and len(pair) == 2 for pair in covers
     ):
         raise ValueError("poset covers must be a list of [lower, upper] pairs")
-    return Poset(size, [[_positive(x, "a cover position") for x in pair] for pair in covers], cap)
+    return _read_covers(size, [[_positive(x, "a cover position") for x in pair] for pair in covers], cap)
+
+
+def _leveled(sizes, cap: int | None) -> LevelStructure:
+    """These level sizes, once the down-sets of their hierarchical poset are held against cap."""
+    total = below = 0
+    for s in sizes:  # a position's down-set: itself and every lower level
+        total += s * (below + 1)
+        below += s
+    _hold(total, cap)
+    return LevelStructure(sizes)
+
+
+def _read_covers(n: int, covers, cap: int | None) -> Poset | LevelStructure:
+    """The order on positions 1..n that these (lower, upper) pairs generate.
+
+    One pass in topological order gives each position its height and finds
+    any cycle.  Positions of adjacent heights are comparable only through a
+    given pair (a position between them would have a height between
+    theirs), so the pairs alone decide whether the height classes are
+    levels in coordinate order.  Only if not are down-set masks built.
+    """
+    _hold(n, cap)  # each position's down-set holds at least itself
+    above: dict[int, set] = {}
+    for a, b in covers:
+        if not (1 <= a <= n and 1 <= b <= n):
+            raise ValueError(f"cover pair ({a}, {b}) out of range 1..{n}")
+        if a == b:
+            raise ValueError(f"cover pair ({a}, {a}) relates a position to itself")
+        above.setdefault(a, set()).add(b)
+    waiting = Counter(b for bs in above.values() for b in bs)  # pairs from below not yet passed
+    order = [p for p in range(1, n + 1) if p not in waiting]
+    height = [0] * (n + 1)
+    for p in order:  # grows as positions become minimal among those left
+        for b in above.get(p, ()):
+            height[b] = max(height[b], height[p] + 1)
+            waiting[b] -= 1
+            if not waiting[b]:
+                order.append(b)
+    if len(order) < n:
+        raise ValueError("cover relation contains a cycle")
+    levels = [[] for _ in range(max(height) + 1)]
+    for p in range(1, n + 1):
+        levels[height[p]].append(p)
+    reason = _not_leveled(levels, above)
+    if not reason:
+        return _leveled([len(level) for level in levels], cap)
+    _hold(n * (n + 1) // 2, cap, "bits")
+    down = [0] * (n + 1)
+    for rank, p in enumerate(order):
+        down[p] |= 1 << rank
+        for b in above.get(p, ()):
+            down[b] |= down[p]
+    return Poset(tuple(down[1:]), reason)
+
+
+def _not_leveled(levels: list, above: dict) -> str:
+    """Why these height classes are no LevelStructure, or "" if they are; one look-up per given pair."""
+    for lower, upper in zip(levels, levels[1:]):
+        for a in lower:
+            for b in upper:
+                if b not in above.get(a, ()):
+                    return (
+                        f"positions {a} and {b} sit in adjacent levels but are "
+                        "incomparable; the poset is not hierarchical"
+                    )
+    start = 1
+    for level, block in enumerate(levels, start=1):
+        if block != list(range(start, start + len(block))):
+            return (
+                f"level {level} holds positions {block} but must be the contiguous "
+                f"coordinate block starting at position {start}"
+            )
+        start += len(block)
+    return ""
 
 
 class LevelStructure:
@@ -182,37 +191,3 @@ class LevelStructure:
     def count(self) -> int:
         return len(self.sizes)
 
-
-def level_partition(obj) -> LevelStructure:
-    """Level sizes of a hierarchical poset (or pass a LevelStructure through).
-
-    The levels are the height classes; the poset must relate every position
-    of one level to every position of the next, and each level must occupy
-    the contiguous block of coordinates right after the level below it.
-    """
-    if isinstance(obj, LevelStructure):
-        return obj
-    poset: Poset = obj
-    heights = {}
-    for p in sorted(range(1, poset.n + 1), key=lambda x: len(poset.down[x])):
-        strictly_below = poset.down[p] - {p}
-        heights[p] = 1 + max((heights[x] for x in strictly_below), default=-1)
-    top = max(heights.values())
-    levels = [sorted(p for p, h in heights.items() if h == i) for i in range(top + 1)]
-    for lower, upper in zip(levels, levels[1:]):
-        for a in lower:
-            for b in upper:
-                if not poset.leq(a, b):
-                    raise ValueError(
-                        f"positions {a} and {b} sit in adjacent levels but are "
-                        "incomparable; the poset is not hierarchical"
-                    )
-    start = 1
-    for level, block in enumerate(levels, start=1):
-        if block != list(range(start, start + len(block))):
-            raise ValueError(
-                f"level {level} holds positions {block} but must be the contiguous "
-                f"coordinate block starting at position {start}"
-            )
-        start += len(block)
-    return LevelStructure(len(block) for block in levels)

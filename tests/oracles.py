@@ -15,7 +15,6 @@ from pwenum.codes import dual_code, level_split
 from pwenum.enumerators import _check_t
 from pwenum.errors import IntegrityError
 from pwenum.macwilliams import IdentityReport
-from pwenum.posets import Poset
 
 
 def span_words(ring, n, generators) -> list[tuple]:
@@ -42,16 +41,55 @@ def level_bounds(sizes) -> list[tuple[int, int]]:
     return [(end - size + 1, end) for size, end in zip(sizes, accumulate(sizes))]
 
 
-def hierarchical_poset(sizes) -> Poset:
-    """The hierarchical poset on these level sizes, given by its covers: each level below all of the next."""
+def hierarchical_poset(sizes) -> list[tuple[int, int]]:
+    """The covers of the hierarchical poset on these level sizes: each level below all of the next."""
     bounds = level_bounds(sizes)
-    covers = [
+    return [
         (a, b)
         for (lo, hi), (up_lo, up_hi) in zip(bounds, bounds[1:])
         for a in range(lo, hi + 1)
         for b in range(up_lo, up_hi + 1)
     ]
-    return Poset(sum(sizes), covers)
+
+
+def cover_ideal(covers, support) -> set[int]:
+    """The smallest ideal containing the support: a search down the given (lower, upper) pairs."""
+    below = {}
+    for a, b in covers:
+        below.setdefault(b, set()).add(a)
+    ideal, stack = set(support), list(support)
+    while stack:
+        for a in below.get(stack.pop(), ()):
+            if a not in ideal:
+                ideal.add(a)
+                stack.append(a)
+    return ideal
+
+
+def cover_poset_enumerator(words, covers) -> Counter:
+    """The words counted by the size of the ideal their support generates under the covers."""
+    return Counter(len(cover_ideal(covers, [i + 1 for i, x in enumerate(w) if x])) for w in words)
+
+
+def cover_level_sizes(n, covers):
+    """The level sizes of the order the covers generate, or None where there are none.
+
+    The levels are the height classes, read off the down-sets; the order has
+    level sizes when every position of one level lies below every position
+    of the next, and each level is the block of coordinates right after the
+    level below it.  The covers must be acyclic.
+    """
+    down = {p: cover_ideal(covers, [p]) for p in range(1, n + 1)}
+    height = {}
+    for p in sorted(down, key=lambda p: len(down[p])):
+        height[p] = max((height[x] + 1 for x in down[p] - {p}), default=0)
+    levels = [sorted(p for p in height if height[p] == h) for h in range(max(height.values()) + 1)]
+    for lower, upper in zip(levels, levels[1:]):
+        if any(a not in down[b] for a in lower for b in upper):
+            return None
+    if [p for level in levels for p in level] != list(range(1, n + 1)):
+        return None
+    return tuple(map(len, levels))
 
 
 def inner_product(ring, u, v) -> int:

@@ -18,9 +18,9 @@ from oracles import (
 )
 from pwenum.cli import catalog_ring, run_fuzz, run_paper_examples
 from pwenum.codes import dual_code, span
-from pwenum.enumerators import poset_weight_enumerator, weight_spectrum
-from pwenum.macwilliams import level_transform, render
-from pwenum.posets import LevelStructure, Poset
+from pwenum.enumerators import weight_spectrum
+from pwenum.macwilliams import KINDS, level_transform, render
+from pwenum.posets import LevelStructure
 from pwenum.rings import default_character, verify_generating_character
 
 CATALOG_NAMES = ("F2", "F3", "F4", "Z4", "F2u", "F2v")
@@ -68,13 +68,14 @@ def test_criterion_3_classical_hamming_reduction():
         ],
     )
     assert code.size == 16
-    weights = poset_weight_enumerator(code, Poset(7))
+    antichain = LevelStructure((7,))
+    weights = KINDS["poset"].direct(code, antichain)
     assert render("poset", weights) == "1 + 7x^3 + 7x^4 + x^7"
 
     # independent oracle: brute-force dual enumeration over the 8-word dual
     dual = dual_code(code)
     assert dual.size == 8
-    dual_weights = poset_weight_enumerator(dual, Poset(7))
+    dual_weights = KINDS["poset"].direct(dual, antichain)
     assert render("poset", dual_weights) == "1 + 7x^4"
 
     singles = LevelStructure((1,) * 7)

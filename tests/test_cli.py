@@ -5,6 +5,7 @@ import resource
 import string
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from math import comb
@@ -546,10 +547,7 @@ def test_cli_reuses_library_enumerators(capsys):
     # the CLI result must equal the library call bit for bit
     ring = catalog_ring("F2")
     code = span(ring, *parse_code_spec("c1", ring))
-    levels = parse_poset_spec("chain3")
-    from pwenum.posets import level_partition
-
-    expected = render("level", level_enumerator(code, level_partition(levels)))
+    expected = render("level", level_enumerator(code, parse_poset_spec("chain3")))
     main(["enum", "--kind", "level", "--ring", "F2", "--poset", "chain3", "--code", "c1"])
     assert capsys.readouterr().out.strip() == expected
 
@@ -862,6 +860,37 @@ def test_oversized_posets_are_refused_before_they_are_built(tmp_path, poset, cod
                     "--code", code, "--cap", "1000000", preexec_fn=_limit_memory)
     assert done.returncode == rc, done.stderr[-2000:]
     assert done.stdout == "" and message in done.stderr and len(done.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "kind, n, shape, rc",
+    [
+        ("level", 5792, "chain", 0),
+        ("poset", 5792, "chain", 0),
+        ("poset", 5792, "pair", 0),
+        ("poset", 5793, "pair", 3),
+        ("level", 5793, "pair", 3),
+    ],
+)
+def test_cover_posets_inside_the_default_cap_fit_in_1_gib(tmp_path, kind, n, shape, rc):
+    # 5,792 is the longest chain the default cap 2^24 allows; given by covers, it is read as its
+    # levels.  A single pair leaves a Poset whose masks take n(n+1)/2 bits: 16,776,528 at 5,792,
+    # and past the cap at 5,793, where both kinds refuse it before a mask is built
+    pairs = [[i, i + 1] for i in range(1, n)] if shape == "chain" else [[1, 2]]
+    path = tmp_path / "covers.json"
+    path.write_text(json.dumps({"kind": "cover", "n": n, "covers": pairs}))
+    start = time.perf_counter()
+    done = _run_cli("enum", "--kind", kind, "--ring", "F2", "--poset", str(path),
+                    "--code", _zero_code(n), preexec_fn=_limit_memory)
+    seconds = time.perf_counter() - start
+    assert done.returncode == rc, done.stderr[-2000:]
+    if rc == 0:
+        assert (done.stdout, done.stderr) == ("1\n", "")
+    else:
+        assert (done.stdout, done.stderr) == ("", (
+            "resource cap exceeded: poset down-sets hold at least 16782321 bits, over the cap 16777216\n"
+        ))
+        assert seconds < 1
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,8 @@ from oracles import (
     cell_complete_totals,
     cell_complete_transform,
     convolution_gf_tables,
+    cover_level_sizes,
+    cover_poset_enumerator,
     cyclotomic_coefficient,
     dense_line_step,
     exhaustive_is_additive,
@@ -44,7 +46,6 @@ from pwenum.codes import dual_code, dual_indices, dual_weight_spectrum, span
 from pwenum.enumerators import (
     byte_enumerator,
     mspotty_enumerator,
-    poset_weight_enumerator,
     weight_spectrum,
 )
 from pwenum.errors import IntegrityError
@@ -61,7 +62,7 @@ from pwenum.macwilliams import (
     render,
     verify_identity,
 )
-from pwenum.posets import LevelStructure
+from pwenum.posets import LevelStructure, Poset, poset_from_json_obj
 from pwenum.rings import (
     Character,
     RingSpec,
@@ -88,9 +89,9 @@ SETTINGS = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def instances(draw):
+def instances(draw, names=tuple(sorted(RINGS))):
     """(ring, levels, code, t) with q^n <= AMBIENT_LIMIT and 1-3 levels of size 1-3."""
-    ring = RINGS[draw(st.sampled_from(sorted(RINGS)))]
+    ring = RINGS[draw(st.sampled_from(names))]
     budget = 1
     while ring.q ** (budget + 1) <= AMBIENT_LIMIT:
         budget += 1
@@ -181,13 +182,59 @@ def test_dual_weight_spectrum_matches_listing_and_scan_oracles(instance):
 @example(_fixed("F2u", (1, 2), [(1, 2, 3)]), "leveled")
 @example(_fixed("GF9", (2, 1), [(1, 5, 7)]), "antichain")
 def test_the_poset_kind_folds_the_level_spectrum_on_a_hierarchical_poset(instance, shape):
-    # on its LevelStructure, the fold of the per-level weights; given by covers, each word closed
+    # given by covers, a hierarchy is read as its LevelStructure and folds the per-level weights
     _, levels, code, _ = instance
     sizes = {"leveled": levels.sizes, "chain": (1,) * levels.n, "antichain": (levels.n,)}[shape]
-    poset, entry = hierarchical_poset(sizes), KINDS["poset"]
-    assert entry.direct(code, LevelStructure(sizes)) == poset_weight_enumerator(code, poset)
-    dual = poset_weight_enumerator(dual_code(code), poset)
-    assert entry.dual(code, LevelStructure(sizes), None) == dual == entry.dual(code, poset, None)
+    covers, entry = hierarchical_poset(sizes), KINDS["poset"]
+    assert _cover_poset(levels.n, covers) == LevelStructure(sizes)
+    assert entry.direct(code, LevelStructure(sizes)) == cover_poset_enumerator(code.words, covers)
+    dual = cover_poset_enumerator(dual_code(code).words, covers)
+    assert entry.dual(code, LevelStructure(sizes), None) == dual
+
+
+def _cover_poset(n, covers):
+    return poset_from_json_obj({"kind": "cover", "n": n, "covers": [list(pair) for pair in covers]})
+
+
+@st.composite
+def cover_posets(draw, n):
+    """Acyclic covers on 1..n: a hierarchy, the same on permuted positions, or that with pairs moved.
+
+    The hierarchy's levels are cut from a permutation of the positions, so a
+    permuted one mostly has its levels out of coordinate order.  A dropped
+    pair breaks the hierarchy; an added pair, always up the permutation,
+    keeps it when it skips a level and breaks it inside one.
+    """
+    mode = draw(st.sampled_from(["hierarchical", "permuted", "perturbed"]))
+    order = list(range(1, n + 1))
+    if mode != "hierarchical":
+        order = draw(st.permutations(order))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    sizes = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+    covers = {(order[a - 1], order[b - 1]) for a, b in hierarchical_poset(sizes)}
+    if mode == "perturbed":
+        covers -= draw(st.sets(st.sampled_from(sorted(covers)))) if covers else set()
+        rank = st.integers(0, n - 1)
+        for i, j in draw(st.lists(st.tuples(rank, rank).filter(lambda p: p[0] != p[1]), max_size=n)):
+            covers.add((order[min(i, j)], order[max(i, j)]))
+    return sorted(covers)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_the_poset_kind_matches_the_cover_oracle_on_random_cover_posets(name, data):
+    # a LevelStructure exactly when the old reading of the hierarchy accepted the order
+    _, _, code, _ = data.draw(instances((name,)))
+    covers = data.draw(cover_posets(code.n))
+    shape, sizes = _cover_poset(code.n, covers), cover_level_sizes(code.n, covers)
+    if sizes is None:
+        assert isinstance(shape, Poset)
+    else:
+        assert shape == LevelStructure(sizes)
+    entry = KINDS["poset"]
+    assert entry.direct(code, shape) == cover_poset_enumerator(code.words, covers)
+    assert entry.dual(code, shape, None) == cover_poset_enumerator(scan_dual_words(code), covers)
 
 
 @SETTINGS

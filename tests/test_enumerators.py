@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 
 from oracles import (
     collapse_to_x,
+    cover_poset_enumerator,
     eta,
     hierarchical_poset,
     mspotty_distance,
@@ -22,8 +24,8 @@ from pwenum.enumerators import (
     poset_weight_enumerator,
     weight_spectrum,
 )
-from pwenum.macwilliams import render
-from pwenum.posets import LevelStructure, Poset
+from pwenum.macwilliams import KINDS, render
+from pwenum.posets import LevelStructure, Poset, poset_from_json_obj
 from pwenum.rings import make_ring
 
 F2 = make_ring("Zm", m=2)
@@ -72,14 +74,13 @@ def test_reference_json_shape():
 def test_chain_poset_enumerators():
     c1 = span(F2, 3, [(0, 0, 1)])
     c2 = span(F2, 3, [(1, 1, 1)])
-    p = hierarchical_poset((1, 1, 1))  # the chain 1 < 2 < 3
-    w1 = poset_weight_enumerator(c1, p)
-    w2 = poset_weight_enumerator(c2, p)
-    assert w1 == x_poly([(0, 1), (3, 1)])
+    chain, covers = LevelStructure((1, 1, 1)), hierarchical_poset((1, 1, 1))  # 1 < 2 < 3
+    enum = KINDS["poset"].direct
+    w1, w2 = enum(c1, chain), enum(c2, chain)
+    assert w1 == x_poly([(0, 1), (3, 1)]) == cover_poset_enumerator(c1.words, covers)
     assert w1 == w2
-    d1 = poset_weight_enumerator(dual_code(c1), p)
-    d2 = poset_weight_enumerator(dual_code(c2), p)
-    assert d1 == x_poly([(0, 1), (1, 1), (2, 2)])
+    d1, d2 = enum(dual_code(c1), chain), enum(dual_code(c2), chain)
+    assert d1 == x_poly([(0, 1), (1, 1), (2, 2)]) == cover_poset_enumerator(dual_code(c1).words, covers)
     assert d2 == x_poly([(0, 1), (2, 1), (3, 2)])
     assert d1 != d2  # no MacWilliams identity for the plain poset enumerator
 
@@ -89,7 +90,7 @@ def test_antichain_poset_enumerator_is_hamming():
     for ring in CATALOG:
         gens = [tuple(rng.randrange(ring.q) for _ in range(4)) for _ in range(2)]
         code = span(ring, 4, gens)
-        poly = poset_weight_enumerator(code, Poset(4))
+        poly = KINDS["poset"].direct(code, LevelStructure((4,)))
         counts = {}
         for w in code.words:
             counts[sum(1 for x in w if x)] = counts.get(sum(1 for x in w if x), 0) + 1
@@ -97,12 +98,15 @@ def test_antichain_poset_enumerator_is_hamming():
 
 
 def test_chain_poset_weight_is_last_nonzero_index():
-    p = hierarchical_poset((1,) * 5)
     code = span(F2, 5, [(1, 0, 1, 0, 1), (0, 1, 1, 0, 0)])
-    for w in code.words:
-        expected = max((i + 1 for i, x in enumerate(w) if x), default=0)
-        assert p.weight(w) == expected
-    assert sum(poset_weight_enumerator(code, p).values()) == code.size
+    expected = Counter(max((i + 1 for i, x in enumerate(w) if x), default=0) for w in code.words)
+    assert KINDS["poset"].direct(code, LevelStructure((1,) * 5)) == expected
+    assert cover_poset_enumerator(code.words, hierarchical_poset((1,) * 5)) == expected
+    # with position 5 taken off the chain, the masks weigh each word half by half
+    off_chain = poset_from_json_obj({"kind": "cover", "n": 5, "covers": [[1, 2], [2, 3], [3, 4]]})
+    assert isinstance(off_chain, Poset)
+    expected = Counter(max((i + 1 for i, x in enumerate(w[:4]) if x), default=0) + w[4] for w in code.words)
+    assert poset_weight_enumerator(code, off_chain) == expected
 
 
 def test_eta():
@@ -285,7 +289,7 @@ def test_substitute_kind_mismatch():
 def test_collapse_to_x_reduces_to_hamming():
     singles = LevelStructure((1,) * 4)
     poly = collapse_to_x(level_enumerator(EX_CODE, singles))
-    assert poly == poset_weight_enumerator(EX_CODE, Poset(4))
+    assert poly == KINDS["poset"].direct(EX_CODE, LevelStructure((4,)))
     with pytest.raises(ValueError):
         collapse_to_x(byte_enumerator(EX_CODE, EX_LEVELS))
 
@@ -294,4 +298,6 @@ def test_enumerators_reject_mismatched_levels():
     with pytest.raises(ValueError):
         byte_enumerator(EX_CODE, LevelStructure((2, 1)))
     with pytest.raises(ValueError):
-        poset_weight_enumerator(EX_CODE, hierarchical_poset((1, 1, 1)))
+        KINDS["poset"].direct(EX_CODE, LevelStructure((1, 1, 1)))
+    with pytest.raises(ValueError, match="poset size 3 does not match code length 4"):
+        poset_weight_enumerator(EX_CODE, poset_from_json_obj({"kind": "cover", "n": 3, "covers": [[2, 1]]}))

@@ -1,81 +1,132 @@
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 
-from oracles import hierarchical_poset, level_bounds
+from oracles import cover_ideal, cover_level_sizes, hierarchical_poset, level_bounds
+from pwenum.codes import span
+from pwenum.enumerators import poset_weight_enumerator
 from pwenum.errors import CapExceededError
-from pwenum.posets import LevelStructure, Poset, level_partition, poset_from_json_obj
+from pwenum.macwilliams import KINDS
+from pwenum.posets import LevelStructure, Poset, poset_from_json_obj
+from pwenum.rings import make_ring
+
+F2 = make_ring("Zm", m=2)
+
+
+def _cover(n, covers=()):
+    return poset_from_json_obj({"kind": "cover", "n": n, "covers": [list(pair) for pair in covers]})
+
+
+def _weight(shape, word) -> int:
+    """The poset weight of one F2 word, read off the poset kind on the code it spans: {0: 1, w: 1}."""
+    return max(KINDS["poset"].direct(span(F2, len(word), [word]), shape))
+
+
+def _word(n, support) -> tuple:
+    return tuple(int(i + 1 in support) for i in range(n))
 
 
 def test_chain_closure_and_weight():
-    p = Poset(3, [(1, 2), (2, 3)])
-    assert p.ideal_closure({3}) == {1, 2, 3}
-    assert p.weight((0, 0, 1)) == 3
-    assert p.weight((1, 1, 0)) == 2
-    assert p.weight((0, 0, 0)) == 0
+    p = _cover(3, [(1, 2), (2, 3)])
+    assert p == LevelStructure((1, 1, 1))
+    assert _weight(p, (0, 0, 1)) == 3
+    assert _weight(p, (1, 1, 0)) == 2
+    assert _weight(p, (0, 0, 0)) == 0
+    # the same chain with a position beside it is no level structure: its masks close {3}
+    q = _cover(4, [(1, 2), (2, 3)])
+    assert isinstance(q, Poset)
+    assert _weight(q, (0, 0, 1, 0)) == 3 and _weight(q, (1, 1, 0, 1)) == 3
 
 
 def test_antichain_is_hamming():
-    p = Poset(4)
-    assert p.ideal_closure({2, 4}) == {2, 4}
+    p = _cover(4)
+    assert p == LevelStructure((4,))
+    assert _weight(p, (0, 1, 0, 1)) == 2
     rng = random.Random(1)
     for _ in range(20):
         v = tuple(rng.randint(0, 1) for _ in range(4))
-        assert p.weight(v) == sum(v)
+        assert _weight(p, v) == sum(v)
 
 
 def test_leveled_poset_matches_picture():
     # three levels {1,2} < {3} < {4,5,6}
-    p = hierarchical_poset((2, 1, 3))
-    assert p.ideal_closure({5}) == {1, 2, 3, 5}
-    assert p.ideal_closure({3}) == {1, 2, 3}
-    assert not p.leq(1, 2)
-    assert p.leq(1, 6) and p.leq(3, 4)
+    p = _cover(6, hierarchical_poset((2, 1, 3)))
+    assert p == LevelStructure((2, 1, 3))
+    assert _weight(p, _word(6, {5})) == 4  # {1, 2, 3, 5}
+    assert _weight(p, _word(6, {3})) == 3  # {1, 2, 3}
+    assert _weight(p, _word(6, {2})) == 1  # 1 and 2 are incomparable
+    assert _weight(p, _word(6, {6})) == 4  # 1 <= 6 and 3 <= 6, 4 is not
 
 
 def test_cover_poset_and_cycle_rejection():
-    p = Poset(4, [(1, 2), (2, 3)])
-    assert p.leq(1, 3)  # transitive closure
-    assert not p.leq(1, 4)
-    with pytest.raises(ValueError):
-        Poset(3, [(1, 2), (2, 3), (3, 1)])
-    with pytest.raises(ValueError):
-        Poset(2, [(1, 1)])
-    with pytest.raises(ValueError):
-        Poset(2, [(1, 5)])
-    with pytest.raises(ValueError):
-        Poset(0)
+    p = _cover(4, [(1, 2), (2, 3)])
+    assert _weight(p, _word(4, {3})) == 3  # 1 <= 3 by transitivity
+    assert _weight(p, _word(4, {4})) == 1  # 1 and 4 are incomparable
+    for n, covers in ((3, [(1, 2), (2, 3), (3, 1)]), (2, [(1, 2), (2, 1)])):
+        with pytest.raises(ValueError, match="contains a cycle"):
+            _cover(n, covers)
+    with pytest.raises(ValueError, match="relates a position to itself"):
+        _cover(2, [(1, 1)])
+    with pytest.raises(ValueError, match="out of range"):
+        _cover(2, [(1, 5)])
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        _cover(0)
 
 
 def test_weight_length_mismatch():
-    with pytest.raises(ValueError):
-        Poset(3, [(1, 2), (2, 3)]).weight((1, 0))
+    p = _cover(3, [(1, 2)])
+    assert isinstance(p, Poset)
+    with pytest.raises(ValueError, match="poset size 3 does not match code length 2"):
+        poset_weight_enumerator(span(F2, 2, [(1, 0)]), p)
+
+
+def _random_covers(rng, n):
+    pairs = set()
+    for _ in range(rng.randint(0, 2 * n)):
+        a, b = rng.sample(range(1, n + 1), 2)
+        pairs.add((min(a, b), max(a, b)))  # edges point up, so acyclic
+    return sorted(pairs)
 
 
 def test_closure_operator_laws_on_random_posets():
+    # the closure of a support is the OR of its positions' masks; position p is in it iff its mask is
     rng = random.Random(7)
-    for _ in range(30):
+    posets = 0
+    for _ in range(60):
         n = rng.randint(2, 10)
-        pairs = set()
-        for _ in range(rng.randint(0, 2 * n)):
-            a, b = rng.sample(range(1, n + 1), 2)
-            pairs.add((min(a, b), max(a, b)))  # edges point up, so acyclic
-        p = Poset(n, pairs)
-        subset = frozenset(rng.sample(range(1, n + 1), rng.randint(0, n)))
-        closed = p.ideal_closure(subset)
-        assert subset <= closed  # extensive
-        assert p.ideal_closure(closed) == closed  # idempotent
-        bigger = subset | {rng.randint(1, n)}
-        assert p.ideal_closure(bigger) >= closed  # monotone
-        v = tuple(1 if i + 1 in subset else 0 for i in range(n))
-        assert p.weight(v) >= sum(v)  # poset weight dominates Hamming
+        covers = _random_covers(rng, n)
+        p = _cover(n, covers)
+        if isinstance(p, LevelStructure):
+            assert p.sizes == cover_level_sizes(n, covers)
+            continue
+        posets += 1
+        assert cover_level_sizes(n, covers) is None
+        assert sum(mask.bit_length() for mask in p.down) == n * (n + 1) // 2
+
+        def closed(positions):
+            return reduce(or_, (p.down[q - 1] for q in positions), 0)
+
+        def members(mask):
+            return {q for q in range(1, n + 1) if p.down[q - 1] | mask == mask}
+
+        subset = set(rng.sample(range(1, n + 1), rng.randint(0, n)))
+        mask = closed(subset)
+        assert members(mask) == cover_ideal(covers, subset)
+        assert subset <= members(mask)  # extensive
+        assert closed(members(mask)) == mask  # idempotent
+        bigger = closed(subset | {rng.randint(1, n)})
+        assert bigger | mask == bigger  # monotone
+        assert _weight(p, _word(n, subset)) == mask.bit_count() >= len(subset)  # dominates Hamming
+    assert posets >= 20
 
 
 def test_leveled_weight_formula():
     # weight = all lower levels plus the support met in the top occupied level
     rng = random.Random(9)
     sizes = (2, 1, 3)
-    p = hierarchical_poset(sizes)
+    p = _cover(6, hierarchical_poset(sizes))
     level_of = (None, 1, 1, 2, 3, 3, 3)  # by 1-based position
     for _ in range(50):
         v = tuple(rng.randint(0, 1) for _ in range(6))
@@ -84,7 +135,7 @@ def test_leveled_weight_formula():
         if support:
             top = max(level_of[pos] for pos in support)
             expected = sum(sizes[: top - 1]) + sum(1 for pos in support if level_of[pos] == top)
-        assert p.weight(v) == expected
+        assert _weight(p, v) == expected
 
 
 def test_level_structure_validation():
@@ -101,38 +152,42 @@ def test_level_structure_validation():
         lv.sizes = (6,)
 
 
-def test_level_partition():
-    assert level_partition(hierarchical_poset((2, 1, 3))).sizes == (2, 1, 3)
-    assert level_partition(hierarchical_poset((2, 1, 1))).sizes == (2, 1, 1)
-    assert level_partition(Poset(3, [(1, 2), (2, 3)])).sizes == (1, 1, 1)
-    assert level_partition(Poset(4)).sizes == (4,)
-    passthrough = LevelStructure((3, 2))
-    assert level_partition(passthrough) is passthrough
+def test_a_hierarchical_cover_poset_is_read_as_its_level_sizes():
+    assert _cover(6, hierarchical_poset((2, 1, 3))) == LevelStructure((2, 1, 3))
+    assert _cover(4, hierarchical_poset((2, 1, 1))) == LevelStructure((2, 1, 1))
+    assert _cover(3, [(1, 2), (2, 3)]) == LevelStructure((1, 1, 1))
+    assert _cover(4) == LevelStructure((4,))
+    # a pair implied by others and a repeated pair change nothing
+    assert _cover(3, [(1, 2), (2, 3), (1, 3), (1, 2)]) == LevelStructure((1, 1, 1))
 
 
-def test_level_partition_rejects_non_hierarchical():
+def test_a_non_hierarchical_cover_poset_carries_its_reason():
     # a vee: 1 < 3, 2 < 3 but with an extra incomparable bottom element 4
-    p = Poset(4, [(1, 3), (2, 3)])
-    with pytest.raises(ValueError, match="not hierarchical"):
-        level_partition(p)
+    p = _cover(4, [(1, 3), (2, 3)])
+    assert isinstance(p, Poset)
+    assert p.reason == (
+        "positions 4 and 3 sit in adjacent levels but are incomparable; the poset is not hierarchical"
+    )
 
 
-def test_level_partition_rejects_non_contiguous_levels():
+def test_a_cover_poset_with_levels_out_of_coordinate_order_carries_its_reason():
     # hierarchy {1,3} < {2} has scattered bottom positions
-    p = Poset(3, [(1, 2), (3, 2)])
-    with pytest.raises(ValueError, match="contiguous"):
-        level_partition(p)
+    p = _cover(3, [(1, 2), (3, 2)])
+    assert isinstance(p, Poset)
+    assert p.reason == (
+        "level 1 holds positions [1, 3] but must be the contiguous coordinate block starting at position 1"
+    )
 
 
 def test_poset_from_json_obj():
-    # the hierarchical kinds are read as their level sizes; only covers build a Poset
+    # the hierarchical kinds are read as their level sizes; so is a hierarchical cover poset
     assert poset_from_json_obj({"kind": "antichain", "n": 3}) == LevelStructure((3,))
     assert poset_from_json_obj({"kind": "chain", "n": 3}) == LevelStructure((1, 1, 1))
     assert poset_from_json_obj({"kind": "leveled", "levels": [2, 1, 1]}) == LevelStructure((2, 1, 1))
     cover = poset_from_json_obj(
         {"kind": "cover", "n": 6, "covers": [[1, 3], [2, 3], [3, 4], [3, 5], [3, 6]]}
     )
-    assert isinstance(cover, Poset) and cover.down == hierarchical_poset((2, 1, 3)).down
+    assert cover == LevelStructure((2, 1, 3))
     with pytest.raises(ValueError):
         poset_from_json_obj({"kind": "spiral", "n": 3})
 
@@ -151,21 +206,27 @@ def test_poset_from_json_obj_checks_the_size_before_building():
 
 
 @pytest.mark.parametrize(
-    "obj, entries",
+    "obj, held",
     [
         ({"kind": "antichain", "n": 4}, 4),
         ({"kind": "chain", "n": 4}, 10),
         ({"kind": "leveled", "levels": [2, 1, 3]}, 2 + 3 + 3 * 4),
         ({"kind": "cover", "n": 4, "covers": [[1, 2], [2, 3], [3, 4]]}, 10),
+        ({"kind": "cover", "n": 4, "covers": [[1, 2]]}, 10),
+        ({"kind": "cover", "n": 3, "covers": [[3, 1], [3, 2]]}, 6),
     ],
 )
-def test_poset_down_sets_are_held_against_the_cap(obj, entries):
-    # a hierarchical kind builds no down-set, but is held to those of its poset given by covers
-    shape = poset_from_json_obj(obj, cap=entries)
-    poset = shape if isinstance(shape, Poset) else hierarchical_poset(shape.sizes)
-    assert sum(len(d) for d in poset.down.values()) == entries
-    with pytest.raises(CapExceededError, match=f"over the cap {entries - 1}"):
-        poset_from_json_obj(obj, cap=entries - 1)
+def test_poset_down_sets_are_held_against_the_cap(obj, held):
+    # a level structure is held to the down-sets of its hierarchical poset, a Poset to its masks' bits
+    shape = poset_from_json_obj(obj, cap=held)
+    if isinstance(shape, Poset):
+        unit = "bits"
+        assert sum(mask.bit_length() for mask in shape.down) == held
+    else:
+        unit, covers = "entries", hierarchical_poset(shape.sizes)
+        assert sum(len(cover_ideal(covers, [p])) for p in range(1, shape.n + 1)) == held
+    with pytest.raises(CapExceededError, match=f"at least {held} {unit}, over the cap {held - 1}"):
+        poset_from_json_obj(obj, cap=held - 1)
 
 
 @pytest.mark.parametrize(
