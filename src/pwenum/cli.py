@@ -16,6 +16,7 @@ import sys
 from functools import partial
 
 from .codes import check_ambient_cap, check_span, dual_code, enumeration_cap, level_split, span
+from .enumerators import _check_t
 from .errors import CapExceededError, IntegrityError
 from .macwilliams import KINDS, TRANSFORM_KINDS, render, verify_identity
 from .posets import LevelStructure, Poset, poset_from_json_obj
@@ -331,6 +332,7 @@ def cmd_enum(args) -> int:
         raise ValueError("--via-transform computes the dual enumerator; pass --dual")
     if args.dual:  # the listed dual needs q^n <= cap; the transform is held to it too, so both refuse alike
         check_ambient_cap(ring, n, cap)
+    t = _check_t(shape, t) if kind.fold else t  # refused before any word is spanned
     code = span(ring, n, generators, cap)
     if args.via_transform:
         counts = kind.transform(code, shape)
@@ -371,6 +373,7 @@ def cmd_verify(args) -> int:
     n, generators = parse_code_spec(args.code, ring, cap)
     levels, t = _resolve_shape(args, n, cap)
     check_ambient_cap(ring, n, cap)  # the dual side works on R^n
+    t = _check_t(levels, t) if KINDS[args.kind].fold else t  # refused before any word is spanned
     report = verify_identity(args.kind, span(ring, n, generators, cap), levels, t=t, cap=cap)
 
     spell = partial(render, args.kind, q=ring.q, levels=levels)

@@ -233,7 +233,7 @@ def _half_weight_counts(ring, columns, places, k) -> dict[tuple, dict[int, int]]
 
 def dual_weight_spectrum(
     code: LinearCode, levels: LevelStructure, cap: int | None = None
-) -> dict[tuple, int]:
+) -> dict[int, int]:
     """Count the dual's words by their per-level Hamming weights, listing none.
 
     The cut of dual_indices: a word (a, b), cut after floor(n/2) coordinates,
@@ -242,19 +242,15 @@ def dual_weight_spectrum(
     trellis, cut once), and each left syndrome s is joined with the right
     count of -s.  That is the right count of s itself, since b -> -b maps
     the halves of syndrome s onto those of -s and keeps every weight, so no
-    syndrome is negated.  A weight vector is one mixed-radix int, digit j
-    holding level j's weight in radix n_j + 1, so joining two counts adds
-    their keys as ints.  The cost is about 2 q^(ceil(n/2) + 1) syndrome
-    steps plus one multiply-add per joined pair of weight keys.
+    syndrome is negated.  Counts are keyed by weight key (weight_spectrum),
+    so joining two counts adds their keys, and the joined keys are the
+    result.  The cost is about 2 q^(ceil(n/2) + 1) syndrome steps plus one
+    multiply-add per joined pair of weight keys.
     """
     check_ambient_cap(code.ring, code.n, cap)
     check_levels(code, levels)
     ring, n, half = code.ring, code.n, code.n // 2
-    radices, places, place = [], [], 1  # radices[j]: the place of level j's digit
-    for size in levels.sizes:
-        radices.append(place)
-        places += [place] * size
-        place *= size + 1
+    places = [r for r, size in zip(levels.places, levels.sizes) for _ in range(size)]
     k = len(code.generators)
     columns = [tuple(g[i] for g in code.generators) for i in range(n)]
     right = _half_weight_counts(ring, columns[half:], places[half:], k)
@@ -265,8 +261,7 @@ def dual_weight_spectrum(
             for a, ca in left.items():
                 for b, cb in counts.items():
                     joined[a + b] = joined.get(a + b, 0) + ca * cb
-    digits = [[key // r % (size + 1) for key in joined] for r, size in zip(radices, levels.sizes)]
-    return dict(zip(zip(*digits), joined.values()))
+    return joined
 
 
 def check_levels(code: LinearCode, levels: LevelStructure) -> None:

@@ -2,14 +2,15 @@
 
 Each codeword contributes one monomial to each enumerator, fixed by one
 statistic of the word, so an enumerator is held as a dict of counts keyed
-by that statistic:
+by that statistic; a weight key sums w_S R_S over the level weights w_S
+(LevelStructure.places), and is split into digits only to be printed:
 
     byte      the word's lexicographic index     z_{S:pattern} for each level S
-    complete  the tuple of per-level weights     z_{S:w} for each level S
-    level     the tuple of per-level weights     z_S^w, weights in the exponents
-    mspotty   that tuple folded to ceil(w / t_S) z_S^(folded weight)
+    complete  the word's weight key              z_{S:w} for each level S
+    level     the word's weight key              z_S^w, weights in the exponents
+    mspotty   that key, digits w to ceil(w/t_S)  z_S^(folded weight)
     poset     the poset weight                   x^w; on a hierarchical poset,
-              folded from the per-level weights
+              folded from the weight key
 
 The counts sum to the code size.  The *_terms functions list a dict's
 terms in print order, each variable spelled as a (text, JSON) pair; see
@@ -21,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache, reduce
 from itertools import accumulate, compress, count, starmap
-from operator import or_
+from operator import add, or_
 
 from .codes import LinearCode, check_levels, index_digits
 from .posets import LevelStructure, Poset
@@ -41,7 +42,7 @@ def poset_weight_enumerator(code: LinearCode, poset: Poset) -> dict[int, int]:
     halves = (poset.down[:cut], poset.down[cut:])
     closure = lambda level, block: reduce(or_, compress(halves[level - 1], block), 0)
     closed = _per_block(code.ring.q, LevelStructure((cut, n - cut)), code.indices, closure)
-    return Counter((a | b).bit_count() for a, b in closed)
+    return Counter(map(int.bit_count, map(or_, *closed)))
 
 
 def byte_enumerator(code: LinearCode, levels: LevelStructure) -> dict[int, int]:
@@ -53,7 +54,7 @@ def byte_enumerator(code: LinearCode, levels: LevelStructure) -> dict[int, int]:
 def byte_terms(counts: dict, q: int, levels: LevelStructure) -> list:
     """The terms z_{1:beta_1}...z_{s:beta_s} of these {pattern index: count}, by index."""
     order = sorted(counts)
-    return list(zip(map(counts.__getitem__, order), _per_block(q, levels, order, _block_var)))
+    return list(zip(map(counts.__getitem__, order), zip(*_per_block(q, levels, order, _block_var))))
 
 
 def _block_var(level: int, pattern: tuple) -> tuple:
@@ -62,8 +63,8 @@ def _block_var(level: int, pattern: tuple) -> tuple:
     return f"z_{{{level}:{joined}}}", {"level": level, "kind": "byte", "pattern": list(pattern)}
 
 
-def _per_block(q: int, levels: LevelStructure, indices, value) -> zip:
-    """For each index, the tuple of value(S, beta_S) over the levels S.
+def _per_block(q: int, levels: LevelStructure, indices, value) -> list:
+    """For each level S, the column of value(S, beta_S) over the indices, as an iterator.
 
     The word of index i = sum of u_j q^(n-1-j) has the level-S block beta_S of
     index i // q^after % q^n_S, with `after` coordinates past level S.  Each
@@ -78,29 +79,38 @@ def _per_block(q: int, levels: LevelStructure, indices, value) -> zip:
         distinct = dict.fromkeys(blocks)
         values = dict(zip(distinct, (value(level, b) for b in index_digits(q, n_s, distinct))))
         columns.append(map(values.__getitem__, blocks))
-    return zip(*columns)
+    return columns
 
 
-def weight_spectrum(code: LinearCode, levels: LevelStructure) -> dict[tuple, int]:
-    """Count codewords by their tuple of per-level Hamming weights, read from the indices."""
+def weight_spectrum(code: LinearCode, levels: LevelStructure) -> dict[int, int]:
+    """Count codewords by weight key: the columns of level-S block weights times R_S, added as maps."""
     check_levels(code, levels)
-    return Counter(_per_block(code.ring.q, levels, code.indices, lambda _, b: len(b) - b.count(0)))
+    places = levels.places
+    weigh = lambda s, b: (len(b) - b.count(0)) * places[s - 1]
+    columns = _per_block(code.ring.q, levels, code.indices, weigh)
+    return Counter(reduce(lambda keys, column: map(add, keys, column), columns))
 
 
-def complete_terms(spectrum: dict, q=None, levels=None) -> list:
-    """The terms z_{1:w_1}...z_{s:w_s} of this spectrum, by weight tuple."""
+def _weights(levels: LevelStructure, keys) -> list:
+    """Each weight key with its weight tuple (w_1, ..., w_s)."""
+    digits = tuple(zip(levels.places, levels.sizes))
+    return [(key, tuple(key // r % (n + 1) for r, n in digits)) for key in keys]
+
+
+def complete_terms(spectrum: dict, q, levels: LevelStructure) -> list:
+    """The terms z_{1:w_1}...z_{s:w_s} of this spectrum, by weight key: by weight tuple."""
     var = cache(lambda s, w: (f"z_{{{s}:{w}}}", {"level": s, "kind": "weight", "w": w}))
-    return [(spectrum[l], tuple(map(var, count(1), l))) for l in sorted(spectrum)]
+    return [(spectrum[k], tuple(map(var, count(1), l))) for k, l in _weights(levels, sorted(spectrum))]
 
 
-def plain_terms(spectrum: dict, q=None, levels=None) -> list:
+def plain_terms(spectrum: dict, q, levels: LevelStructure) -> list:
     """The terms z_1^(l_1)...z_s^(l_s) of this spectrum, zero exponents left out.
 
     Terms sort by their (level, exponent) pairs: 1 + z_1 + z_1z_2 + z_1^2 + z_2^2.
     """
     var = cache(lambda s, e: (f"z_{s}^{e}" if e > 1 else f"z_{s}", {"level": s, "kind": "plain", "exp": e}))
-    keyed = sorted((tuple((s, e) for s, e in enumerate(l, 1) if e), c) for l, c in spectrum.items())
-    return [(c, tuple(starmap(var, pairs))) for pairs, c in keyed]
+    keyed = sorted((tuple((s, e) for s, e in enumerate(l, 1) if e), k) for k, l in _weights(levels, spectrum))
+    return [(spectrum[k], tuple(starmap(var, pairs))) for pairs, k in keyed]
 
 
 def poset_terms(counts: dict, q=None, levels=None) -> list:
@@ -111,34 +121,44 @@ def poset_terms(counts: dict, q=None, levels=None) -> list:
     ]
 
 
-def spotty_spectrum(spectrum: dict, t) -> dict[tuple, int]:
-    """Per-level weights w_i folded to ceil(w_i / t_i), counts of equal keys summed."""
-    out: Counter = Counter()
-    for l, n in spectrum.items():
-        out[tuple(-(-w // ti) for w, ti in zip(l, t))] += n
+def spotty_spectrum(spectrum: dict, levels: LevelStructure, t) -> dict[int, int]:
+    """Each digit w_j of the weight keys folded to ceil(w_j / t_j) <= n_j, in place; equal keys summed."""
+    keys = list(spectrum)
+    for r, n, ti in zip(levels.places, levels.sizes, t):
+        if ti > 1:
+            drop = [(w + -w // ti) * r for w in range(n + 1)]  # -w // t is -ceil(w / t)
+            keys = [key - drop[key // r % (n + 1)] for key in keys]
+    out: dict[int, int] = {}
+    for key, c in zip(keys, spectrum.values()):
+        out[key] = out.get(key, 0) + c
     return out
 
 
 def poset_spectrum(spectrum: dict, levels: LevelStructure) -> dict[int, int]:
-    """Per-level weights folded to the weight of the hierarchical poset on these levels.
+    """Weight keys folded to the weight of the hierarchical poset on these levels.
 
     The ideal a support generates holds every level below its top nonzero
     level j and the support in level j (Brualdi, Graves & Lawrence 1995):
-    n_1 + ... + n_(j-1) + w_j, larger than that sum for any lower level.
+    n_1 + ... + n_(j-1) + w_j, larger than that sum for any lower level: w_j
+    is the key's least significant nonzero digit.
     """
-    below = (0, *accumulate(levels.sizes))
+    below = list(zip(accumulate(levels.sizes[:-1], initial=0), levels.sizes))[::-1]
     out: Counter = Counter()
-    for l, n in spectrum.items():
-        out[max((b + w for b, w in zip(below, l) if w), default=0)] += n
+    for key, c in spectrum.items():
+        for b, n in below:  # a key of no nonzero digit ends at level 1, b = w = 0
+            key, w = divmod(key, n + 1)
+            if w:
+                break
+        out[b + w] += c
     return out
 
 
-def complete_level_enumerator(code: LinearCode, levels: LevelStructure) -> dict[tuple, int]:
+def complete_level_enumerator(code: LinearCode, levels: LevelStructure) -> dict[int, int]:
     """sum over codewords of prod_i z_{i:w(level-i block)}: the weight spectrum."""
     return weight_spectrum(code, levels)
 
 
-def level_enumerator(code: LinearCode, levels: LevelStructure) -> dict[tuple, int]:
+def level_enumerator(code: LinearCode, levels: LevelStructure) -> dict[int, int]:
     """sum over codewords of prod_i z_i^(w(level-i block)): the weight spectrum."""
     return weight_spectrum(code, levels)
 
@@ -155,6 +175,6 @@ def _check_t(levels: LevelStructure, t) -> tuple[int, ...]:
     return t
 
 
-def mspotty_enumerator(code: LinearCode, levels: LevelStructure, t) -> dict[tuple, int]:
+def mspotty_enumerator(code: LinearCode, levels: LevelStructure, t) -> dict[int, int]:
     """sum over codewords of prod_i z_i^(ceil(w(level-i block)/t_i)): the folded spectrum."""
-    return spotty_spectrum(weight_spectrum(code, levels), _check_t(levels, t))
+    return spotty_spectrum(weight_spectrum(code, levels), levels, _check_t(levels, t))

@@ -12,7 +12,7 @@ code size; any failure is raised as an IntegrityError, never rounded.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, compress, product, repeat
+from itertools import chain, compress, repeat
 from math import prod
 from operator import add, itemgetter, lshift, mul
 from struct import Struct, unpack
@@ -39,7 +39,7 @@ from .rings import Character, default_character
 class IdentityReport(NamedTuple):
     """Outcome of one identity check: transform output (lhs) vs direct computation (rhs).
 
-    The sides are the two compared count dicts; render spells them.
+    The sides are the two compared count dicts, by weight key for the weight kinds; render spells them.
     """
 
     kind: str
@@ -433,44 +433,41 @@ def _krawtchouk_columns(n_j: int, q: int) -> tuple[tuple[int, ...], ...]:
 
 def krawtchouk_contraction(
     spectrum: dict, levels: LevelStructure, q: int, code_size: int
-) -> dict[tuple, int]:
-    """Per-level weight spectrum of the dual, from the code's.
+) -> dict[int, int]:
+    """Per-level weight spectrum of the dual, from the code's, both keyed by weight key.
 
     The dual's count at weights p is (1/|C|) sum over spectrum entries A_l of
         A_l prod_j K_(p_j)(l_j), with level j's Krawtchouk values (_krawtchouk_columns).
     The product factors by level, so the spectrum is contracted with one
     Krawtchouk matrix per level in turn, on packed rows as in the byte
-    transform.  The rows are indexed by the leading l_j, and each packs the
-    other cells in mixed radix, one signed field per cell.  Level j sets row
-    p_j to the sum of the nonzero rows, each times its Krawtchouk entry; one
-    transpose then moves p_j to the end of the key and cuts the state into
-    the rows of l_{j+1}.  After step j the cells read
-    (l_{j+1}, ..., l_s, p_1, ..., p_j); the last level is read in place.  The
-    absolute values in a row of a Krawtchouk matrix sum to at most q^n_j, so
-    no cell exceeds |C| q^n in absolute value: a field holds that and a
-    sign, in 1, 2, 4, 8, ... bytes.
+    transform: rows indexed by l_1 pack the other cells in mixed radix, one
+    signed field per cell, so a weight key is its cell's index.  Level j sets
+    row p_j to the sum of the nonzero rows, each times its Krawtchouk entry;
+    one transpose then moves p_j to the end of the index and cuts the state
+    into the rows of l_{j+1}.  After step j the cells read (l_{j+1}, ...,
+    l_s, p_1, ..., p_j); the last level is read in place, cell p_s P + k
+    holding key k (n_s + 1) + p_s.  The absolute values in a row of a
+    Krawtchouk matrix sum to at most q^n_j, so no cell exceeds |C| q^n in
+    absolute value: a field holds that and a sign, in 1, 2, 4, 8, ... bytes.
 
-    Every count must be a positive int, or ValueError is raised.  Every
-    result must divide exactly by |C| and not be negative, or IntegrityError
-    is raised; zero results are left out.
+    Every key must be a weight key and every count a positive int, or
+    ValueError is raised.  Every result must divide exactly by |C| and not
+    be negative, or IntegrityError is raised; zero results are left out.
     """
     sizes = levels.sizes
-    places = [prod(n + 1 for n in sizes[j + 1 :]) for j in range(len(sizes))]  # in a cell's index
-    cells = {}
-    for l, count in spectrum.items():
-        l = tuple(l)
-        if len(l) != len(sizes) or any(not 0 <= w <= n for w, n in zip(l, sizes)):
-            raise ValueError(f"spectrum key {l} inconsistent with levels {sizes}")
+    cells = prod(n + 1 for n in sizes)
+    for key, count in spectrum.items():
+        if type(key) is not int or not 0 <= key < cells:
+            raise ValueError(f"spectrum key {key!r} is no weight key of levels {sizes}")
         if type(count) is not int or count < 1:
-            raise ValueError(f"spectrum count {count!r} at {l} is not a positive integer")
-        cells[sum(map(mul, l, places))] = count
+            raise ValueError(f"spectrum count {count!r} at {key} is not a positive integer")
     if code_size < 1 or code_size != sum(spectrum.values()):
         raise ValueError(f"spectrum sums to {sum(spectrum.values())}, but |C| = {code_size}")
     field = 1 << ((code_size * q**levels.n).bit_length() // 8).bit_length()
-    data = bytearray(field * places[0] * (sizes[0] + 1))
-    for at, count in cells.items():
-        data[at * field : (at + 1) * field] = count.to_bytes(field, "little")
-    row_bytes = field * places[0]
+    data = bytearray(field * cells)
+    for key, count in spectrum.items():
+        data[key * field : (key + 1) * field] = count.to_bytes(field, "little")
+    row_bytes = field * cells // (sizes[0] + 1)
     rows = [int.from_bytes(data[i : i + row_bytes], "little") for i in range(0, len(data), row_bytes)]
     for n_j, n_next in zip(sizes, sizes[1:] + (0,)):
         rows = _live_sums(rows, _krawtchouk_columns(n_j, q), mul)
@@ -485,38 +482,38 @@ def krawtchouk_contraction(
         values = unpack(f"<{len(data) // field}{'bhiq'[field.bit_length() - 1]}", data)
     else:
         values = [int.from_bytes(data[i : i + field], "little", signed=True) for i in range(0, len(data), field)]
-    keys = product(range(sizes[-1] + 1), product(*(range(n + 1) for n in sizes[:-1])))
+    keys = chain.from_iterable(range(p_s, cells, sizes[-1] + 1) for p_s in range(sizes[-1] + 1))
     out = {}
-    for (p_s, prefix), total in zip(compress(keys, values), filter(None, values)):
+    for key, total in zip(compress(keys, values), filter(None, values)):
         coeff, rem = divmod(total, code_size)
         if rem:
             raise IntegrityError(f"coefficient {total} not divisible by |C| = {code_size}")
         if coeff < 0:
             raise IntegrityError(f"negative enumerator coefficient {coeff}")
-        out[prefix + (p_s,)] = coeff
+        out[key] = coeff
     return out
 
 
 def complete_transform(
     spectrum: dict, levels: LevelStructure, q: int, code_size: int
-) -> dict[tuple, int]:
+) -> dict[int, int]:
     """Dual complete enumerator from the per-level weight spectrum of the code."""
     return krawtchouk_contraction(spectrum, levels, q, code_size)
 
 
 def level_transform(
     spectrum: dict, levels: LevelStructure, q: int, code_size: int
-) -> dict[tuple, int]:
+) -> dict[int, int]:
     """Dual plain-level enumerator: the dual spectrum, read as exponents z_j^p_j."""
     return krawtchouk_contraction(spectrum, levels, q, code_size)
 
 
 def mspotty_transform(
     spectrum: dict, levels: LevelStructure, t, q: int, code_size: int
-) -> dict[tuple, int]:
+) -> dict[int, int]:
     """Dual spotty enumerator: the dual spectrum folded to z_j^ceil(p_j/t_j)."""
     dual_spectrum = krawtchouk_contraction(spectrum, levels, q, code_size)
-    return spotty_spectrum(dual_spectrum, _check_t(levels, t))
+    return spotty_spectrum(dual_spectrum, levels, _check_t(levels, t))
 
 
 class Kind(NamedTuple):
@@ -575,7 +572,7 @@ KINDS = {
     "mspotty": Kind(
         **_WEIGHT_ROUTES,
         terms=plain_terms,
-        fold=lambda spectrum, levels, t: spotty_spectrum(spectrum, _check_t(levels, t)),
+        fold=lambda spectrum, levels, t: spotty_spectrum(spectrum, levels, _check_t(levels, t)),
     ),
     "poset": Kind(
         direct=_poset_route(_WEIGHT_ROUTES["direct"], lambda code: code),
@@ -591,9 +588,9 @@ TRANSFORM_KINDS = tuple(kind for kind, entry in KINDS.items() if entry.transform
 def render(kind: str, counts: dict, q: int | None = None, levels=None, json: bool = False):
     """The enumerator of this kind with these counts, as text or as a list of JSON terms.
 
-    Only the byte kind reads q and the levels.  A term prints as its
-    coefficient, left out when it is 1 and the term has a variable, then its
-    variables; the zero enumerator prints as 0.
+    Only the byte kind reads q, and every kind but poset the levels.  A term
+    prints as its coefficient, left out when it is 1 and the term has a
+    variable, then its variables; the zero enumerator prints as 0.
     """
     terms = KINDS[kind].terms(counts, q, levels)
     if json:

@@ -11,6 +11,7 @@ coordinate order is read as its LevelStructure; any other is a Poset.
 from __future__ import annotations
 
 from collections import Counter
+from math import prod
 from typing import NamedTuple
 
 from .errors import CapExceededError
@@ -191,3 +192,7 @@ class LevelStructure:
     def count(self) -> int:
         return len(self.sizes)
 
+    @property
+    def places(self) -> tuple[int, ...]:
+        """R_j = prod over i > j of (n_i + 1): a weight key sums w_j R_j, level 1 most significant."""
+        return tuple(prod(n + 1 for n in self.sizes[j + 1 :]) for j in range(self.count))

@@ -2,13 +2,15 @@
 
 They are kept here, outside the package, as differential-test oracles:
 each one is the direct reading of its definition and shares no logic with
-the fast kernel it checks.
+the fast kernel it checks.  The oracles key a per-level weight spectrum by
+the weight tuple; weight_key, keyed and unkeyed translate to and from the
+library's weight keys.
 """
 
 from collections import Counter
 from functools import cache
 from itertools import accumulate, product
-from math import ceil, comb
+from math import ceil, comb, prod
 
 from cyclotomic import CycInt, character_value
 from pwenum.codes import dual_code, level_split
@@ -27,6 +29,28 @@ def span_words(ring, n, generators) -> list[tuple]:
             word = tuple(add[a][mul[c][x]] for a, x in zip(word, g))
         words.add(word)
     return sorted(words)
+
+
+def weight_key(sizes, weights) -> int:
+    """The weight key of a weight tuple: the sum of w_j times the product of n_i + 1 over i > j."""
+    assert len(weights) == len(sizes) and all(0 <= w <= n for w, n in zip(weights, sizes))
+    return sum(w * prod(n + 1 for n in sizes[j + 1 :]) for j, w in enumerate(weights))
+
+
+def weight_tuples(sizes) -> dict[int, tuple]:
+    """Every weight tuple of these level sizes, by its weight key."""
+    return {weight_key(sizes, w): w for w in product(*(range(n + 1) for n in sizes))}
+
+
+def keyed(sizes, counts: dict) -> dict[int, int]:
+    """A spectrum keyed by weight tuple, keyed by weight key instead."""
+    return {weight_key(sizes, l): c for l, c in counts.items()}
+
+
+def unkeyed(sizes, counts: dict) -> dict[tuple, int]:
+    """A spectrum keyed by weight key, keyed by weight tuple instead; a key of no tuple raises KeyError."""
+    tuples = weight_tuples(sizes)
+    return {tuples[key]: c for key, c in counts.items()}
 
 
 def tuple_weight_spectrum(code, levels) -> Counter:

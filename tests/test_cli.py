@@ -264,7 +264,7 @@ def test_a_differing_byte_identity_prints_both_polynomials(monkeypatch, capsys):
 def test_a_differing_spectrum_prints_both_polynomials(kind, t, monkeypatch, capsys):
     def doubled_zero_word(code, levels, cap=None):
         spectrum = dual_weight_spectrum(code, levels, cap)
-        spectrum[(0,) * levels.count] += 1
+        spectrum[0] += 1  # the weight key of the zero word
         return spectrum
 
     monkeypatch.setattr("pwenum.macwilliams.dual_weight_spectrum", doubled_zero_word)
@@ -389,6 +389,31 @@ def test_the_cap_is_checked_before_the_contraction(route, monkeypatch):
     # under the cap the route calls the module global, which a tracer may rebind
     with pytest.raises(_Reached):
         _call(argv + ["--cap", "16"])
+
+
+@pytest.mark.parametrize("route", [
+    ["verify"],
+    ["enum"],
+    ["enum", "--dual"],
+    ["enum", "--dual", "--via-transform"],
+])
+@pytest.mark.parametrize("t, message", [
+    ("2" + ",1" * 17, "t entry 2 outside 1..1"),
+    ("1" * 17, "t has 1 entries for 18 levels"),
+    ("0" + ",1" * 17, "t entry 0 outside 1..1"),
+])
+def test_a_malformed_t_is_refused_before_any_word_is_spanned(route, t, message, monkeypatch):
+    # the fold used to check t after both routes had run: 1.1-1.4 s on this code
+    argv = route + ["--kind", "mspotty", "--ring", "F2", "--poset", "chain:18", "--t", t]
+    argv += ["--code", '{"length":18,"generators":[]}']
+    refused = (2, "", f"input error: {message}\n")
+    assert _call(argv) == refused
+
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr("pwenum.cli.span", reached)
+    assert _call(argv) == refused
 
 
 @pytest.mark.parametrize("n, argv, message", [
@@ -547,7 +572,8 @@ def test_cli_reuses_library_enumerators(capsys):
     # the CLI result must equal the library call bit for bit
     ring = catalog_ring("F2")
     code = span(ring, *parse_code_spec("c1", ring))
-    expected = render("level", level_enumerator(code, parse_poset_spec("chain3")))
+    chain = parse_poset_spec("chain3")
+    expected = render("level", level_enumerator(code, chain), levels=chain)
     main(["enum", "--kind", "level", "--ring", "F2", "--poset", "chain3", "--code", "c1"])
     assert capsys.readouterr().out.strip() == expected
 

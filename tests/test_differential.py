@@ -15,6 +15,7 @@ recurrence-built GF tables against polynomial arithmetic.
 """
 
 import random
+from collections import Counter
 from functools import partial
 from itertools import product
 
@@ -26,6 +27,7 @@ from oracles import (
     cell_complete_totals,
     cell_complete_transform,
     convolution_gf_tables,
+    cover_ideal,
     cover_level_sizes,
     cover_poset_enumerator,
     cyclotomic_coefficient,
@@ -33,6 +35,8 @@ from oracles import (
     exhaustive_is_additive,
     exhaustive_ring_axioms,
     hierarchical_poset,
+    keyed,
+    level_bounds,
     pattern_byte_transform,
     pattern_of,
     reference_json,
@@ -40,12 +44,16 @@ from oracles import (
     reference_text,
     scan_dual_words,
     span_words,
+    substitute,
     tuple_weight_spectrum,
+    unkeyed,
 )
 from pwenum.codes import dual_code, dual_indices, dual_weight_spectrum, span
 from pwenum.enumerators import (
     byte_enumerator,
     mspotty_enumerator,
+    poset_spectrum,
+    spotty_spectrum,
     weight_spectrum,
 )
 from pwenum.errors import IntegrityError
@@ -144,7 +152,7 @@ def test_index_storage_matches_span_and_spectrum_oracles(instance):
     assert code.indices == tuple(sum(x * p for x, p in zip(w, places)) for w in words)
     assert code.words == tuple(words)
     for held in (code, dual_code(code)):
-        assert weight_spectrum(held, levels) == tuple_weight_spectrum(held, levels)
+        assert weight_spectrum(held, levels) == keyed(levels.sizes, tuple_weight_spectrum(held, levels))
 
 
 def _level_weights(words, levels) -> dict[tuple, int]:
@@ -173,7 +181,7 @@ def test_dual_weight_spectrum_matches_listing_and_scan_oracles(instance):
     _, levels, code, _ = instance
     spectrum = dual_weight_spectrum(code, levels)
     assert spectrum == weight_spectrum(dual_code(code), levels)
-    assert spectrum == _level_weights(scan_dual_words(code), levels)
+    assert spectrum == keyed(levels.sizes, _level_weights(scan_dual_words(code), levels))
 
 
 @SETTINGS
@@ -245,8 +253,8 @@ def test_complete_transform_matches_cell_oracle(instance):
     for primal in (code, dual):
         spectrum = weight_spectrum(primal, levels)
         poly = complete_transform(spectrum, levels, ring.q, primal.size)
-        expected = cell_complete_transform(spectrum, levels.sizes, ring.q, primal.size)
-        assert poly == expected
+        expected = cell_complete_transform(unkeyed(levels.sizes, spectrum), levels.sizes, ring.q, primal.size)
+        assert poly == keyed(levels.sizes, expected)
     # t reaches the transform only through the spotty substitution
     spectrum = weight_spectrum(code, levels)
     spotty = mspotty_transform(spectrum, levels, t, ring.q, code.size)
@@ -255,7 +263,7 @@ def test_complete_transform_matches_cell_oracle(instance):
 
 @st.composite
 def arbitrary_spectra(draw):
-    """(spectrum, levels, q): in-range keys with counts up to 2^45, mostly no code's spectrum.
+    """(spectrum, levels, q): in-range weight tuples with counts up to 2^45, mostly no code's spectrum.
 
     The counts take the packed fields of the contraction across byte
     boundaries.  A lone key at weight 0 divides exactly and stays nonnegative;
@@ -271,7 +279,8 @@ def arbitrary_spectra(draw):
 def _scaled_spectrum(name, sizes, generators, factor):
     """A real code's spectrum with every count times factor: it divides exactly."""
     ring, levels, code, _ = _fixed(name, sizes, generators)
-    return {l: c * factor for l, c in weight_spectrum(code, levels).items()}, levels, ring.q
+    scaled = {key: c * factor for key, c in weight_spectrum(code, levels).items()}
+    return unkeyed(levels.sizes, scaled), levels, ring.q
 
 
 @SETTINGS
@@ -285,12 +294,41 @@ def test_contraction_checks_match_the_raw_cell_totals(case):
     spectrum, levels, q = case
     size = sum(spectrum.values())
     totals = cell_complete_totals(spectrum, levels.sizes, q)
+    spectrum = keyed(levels.sizes, spectrum)
     if any(total % size or total < 0 for total in totals.values()):
         with pytest.raises(IntegrityError):
             krawtchouk_contraction(spectrum, levels, q, size)
     else:
         expected = {p: total // size for p, total in totals.items() if total}
-        assert krawtchouk_contraction(spectrum, levels, q, size) == expected
+        assert krawtchouk_contraction(spectrum, levels, q, size) == keyed(levels.sizes, expected)
+
+
+@st.composite
+def fold_cases(draw):
+    """(spectrum, levels, t): weight tuples, zero and full digits likely, often the first and last keys."""
+    levels = LevelStructure(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)))
+    digits = [st.one_of(st.just(0), st.just(n), st.integers(0, n)) for n in levels.sizes]
+    spectrum = draw(st.dictionaries(st.tuples(*digits), st.integers(1, 10**6), max_size=8))
+    for ends in draw(st.sets(st.sampled_from([(0,) * levels.count, levels.sizes]))):
+        spectrum.setdefault(ends, 1)  # the weight keys 0 and prod(n_j + 1) - 1
+    return spectrum, levels, tuple(draw(st.integers(1, n)) for n in levels.sizes)
+
+
+@SETTINGS
+@given(fold_cases())
+@example(({(0, 0): 1, (2, 3): 2}, LevelStructure((2, 3)), (2, 3)))
+@example(({(0, 0, 0): 1, (4, 0, 0): 2, (0, 0, 1): 3}, LevelStructure((4, 2, 1)), (3, 2, 1)))
+@example(({(5,): 4}, LevelStructure((5,)), (2,)))
+def test_the_folds_match_their_oracles_on_random_spectra(case):
+    # the poset weight of a word with these level weights: its support's ideal under the covers
+    spectrum, levels, t = case
+    sizes = levels.sizes
+    spotty = keyed(sizes, substitute(spectrum, "complete->mspotty", t))
+    assert spotty_spectrum(keyed(sizes, spectrum), levels, t) == spotty
+    covers, bounds, poset = hierarchical_poset(sizes), level_bounds(sizes), Counter()
+    for l, c in spectrum.items():
+        poset[len(cover_ideal(covers, [lo + i for (lo, _), w in zip(bounds, l) for i in range(w)]))] += c
+    assert poset_spectrum(keyed(sizes, spectrum), levels) == poset
 
 
 def _as_patterns(counts, q, n) -> dict[tuple, int]:
@@ -310,7 +348,10 @@ def test_byte_transform_matches_pattern_oracle(instance):
 
 @st.composite
 def count_dicts(draw):
-    """(kind, counts, q, levels): positive counts on keys of one kind, q up to 64."""
+    """(kind, counts, q, levels): positive counts on keys of one kind, q up to 64.
+
+    A weight kind's keys are weight tuples here, for the reference renderer.
+    """
     kind = draw(st.sampled_from(sorted(KINDS)))
     q = draw(st.sampled_from([2, 3, 4, 9, 10, 11, 16, 64]))
     levels = LevelStructure(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
@@ -333,6 +374,8 @@ def test_render_matches_the_reference_renderer(case):
     # the polynomial type's order and spelling: (level, kind, data) variables, sorted monomials
     kind, counts, q, levels = case
     poly = reference_poly(kind, counts, q, levels)
+    if kind in ("complete", "level", "mspotty"):
+        counts = keyed(levels.sizes, counts)
     assert render(kind, counts, q, levels) == reference_text(poly)
     assert render(kind, counts, q, levels, json=True) == reference_json(poly)
 

@@ -8,12 +8,14 @@ from oracles import (
     cover_poset_enumerator,
     eta,
     hierarchical_poset,
+    keyed,
     mspotty_distance,
     mspotty_weight,
     mu,
     reference_json,
     reference_text,
     substitute,
+    unkeyed,
 )
 from pwenum.codes import dual_code, span
 from pwenum.enumerators import (
@@ -148,26 +150,27 @@ def test_byte_enumerator_examples():
 
 
 def test_weight_spectrum_example():
+    # levels (2, 1, 1): the weight key of (w_1, w_2, w_3) is 4 w_1 + 2 w_2 + w_3
     assert weight_spectrum(EX_CODE, EX_LEVELS) == {
-        (0, 0, 0): 1,
-        (1, 1, 0): 1,
-        (1, 1, 1): 1,
-        (2, 0, 1): 1,
+        0: 1,  # (0, 0, 0)
+        6: 1,  # (1, 1, 0)
+        7: 1,  # (1, 1, 1)
+        9: 1,  # (2, 0, 1)
     }
     zero = span(F2, 4, [])
-    assert weight_spectrum(zero, EX_LEVELS) == {(0, 0, 0): 1}
+    assert weight_spectrum(zero, EX_LEVELS) == {0: 1}
     full = span(F2, 2, [(1, 0), (0, 1)])
-    assert weight_spectrum(full, LevelStructure((2,))) == {(0,): 1, (1,): 2, (2,): 1}
+    assert weight_spectrum(full, LevelStructure((2,))) == {0: 1, 1: 2, 2: 1}
 
 
 def test_complete_level_enumerator_examples():
     poly = complete_level_enumerator(EX_CODE, EX_LEVELS)
-    assert render("complete", poly) == (
+    assert render("complete", poly, levels=EX_LEVELS) == (
         "z_{1:0}z_{2:0}z_{3:0} + z_{1:1}z_{2:1}z_{3:0} + "
         "z_{1:1}z_{2:1}z_{3:1} + z_{1:2}z_{2:0}z_{3:1}"
     )
     dual = complete_level_enumerator(dual_code(EX_CODE), EX_LEVELS)
-    assert render("complete", dual) == (
+    assert render("complete", dual, levels=EX_LEVELS) == (
         "z_{1:0}z_{2:0}z_{3:0} + z_{1:1}z_{2:0}z_{3:1} + "
         "z_{1:1}z_{2:1}z_{3:1} + z_{1:2}z_{2:1}z_{3:0}"
     )
@@ -176,11 +179,12 @@ def test_complete_level_enumerator_examples():
 def test_level_enumerator_examples():
     singles = LevelStructure((1, 1, 1))
     c1 = span(F2, 3, [(0, 0, 1)])
-    assert render("level", level_enumerator(c1, singles)) == "1 + z_3"
-    assert render("level", level_enumerator(dual_code(c1), singles)) == "1 + z_1 + z_1z_2 + z_2"
+    assert render("level", level_enumerator(c1, singles), levels=singles) == "1 + z_3"
+    dual = level_enumerator(dual_code(c1), singles)
+    assert render("level", dual, levels=singles) == "1 + z_1 + z_1z_2 + z_2"
     c2 = span(F2, 3, [(1, 1, 1)])
     assert (
-        render("level", level_enumerator(dual_code(c2), singles))
+        render("level", level_enumerator(dual_code(c2), singles), levels=singles)
         == "1 + z_1z_2 + z_1z_3 + z_2z_3"
     )
 
@@ -240,9 +244,9 @@ def test_mspotty_metric_axioms():
 
 def test_mspotty_enumerator_example():
     poly = mspotty_enumerator(dual_code(EX_CODE), EX_LEVELS, (2, 1, 1))
-    assert render("mspotty", poly) == "1 + z_1z_2 + z_1z_2z_3 + z_1z_3"
+    assert render("mspotty", poly, levels=EX_LEVELS) == "1 + z_1z_2 + z_1z_2z_3 + z_1z_3"
     zero = span(F2, 4, [])
-    assert mspotty_enumerator(zero, EX_LEVELS, (2, 1, 1)) == {(0, 0, 0): 1}
+    assert mspotty_enumerator(zero, EX_LEVELS, (2, 1, 1)) == {0: 1}
 
 
 def test_mspotty_enumerator_unit_thresholds_equals_level_enumerator():
@@ -267,9 +271,10 @@ def test_substitution_chains():
             t = tuple(rng.randint(1, s) for s in sizes)
             byte = byte_enumerator(code, levels)
             complete = complete_level_enumerator(code, levels)
-            assert substitute(byte, "byte->complete", q=ring.q, levels=levels) == complete
-            assert substitute(complete, "complete->level") == level_enumerator(code, levels)
-            assert substitute(complete, "complete->mspotty", t) == mspotty_enumerator(
+            tuples = unkeyed(sizes, complete)
+            assert keyed(sizes, substitute(byte, "byte->complete", q=ring.q, levels=levels)) == complete
+            assert keyed(sizes, substitute(tuples, "complete->level")) == level_enumerator(code, levels)
+            assert keyed(sizes, substitute(tuples, "complete->mspotty", t)) == mspotty_enumerator(
                 code, levels, t
             )
             assert sum(byte.values()) == code.size
@@ -277,7 +282,7 @@ def test_substitution_chains():
 
 
 def test_substitute_kind_mismatch():
-    complete = complete_level_enumerator(EX_CODE, EX_LEVELS)
+    complete = unkeyed(EX_LEVELS.sizes, complete_level_enumerator(EX_CODE, EX_LEVELS))
     with pytest.raises(ValueError):
         substitute(complete, "byte->complete")
     with pytest.raises(ValueError):
@@ -288,7 +293,7 @@ def test_substitute_kind_mismatch():
 
 def test_collapse_to_x_reduces_to_hamming():
     singles = LevelStructure((1,) * 4)
-    poly = collapse_to_x(level_enumerator(EX_CODE, singles))
+    poly = collapse_to_x(unkeyed(singles.sizes, level_enumerator(EX_CODE, singles)))
     assert poly == KINDS["poset"].direct(EX_CODE, LevelStructure((4,)))
     with pytest.raises(ValueError):
         collapse_to_x(byte_enumerator(EX_CODE, EX_LEVELS))

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from cyclotomic import CycInt, character_value
-from oracles import _krawtchouk, hadamard_check, substitute
+from oracles import _krawtchouk, hadamard_check, keyed, substitute
 from pwenum import macwilliams
 from pwenum.codes import dual_code, dual_indices, span
 from pwenum.enumerators import (
@@ -165,19 +165,21 @@ def test_complete_transform_example():
 
 def test_complete_transform_of_zero_code():
     levels = LevelStructure((2,))
-    poly = complete_transform({(0,): 1}, levels, 3, 1)
+    poly = complete_transform({0: 1}, levels, 3, 1)
     # dual of the zero code is the full space: binomial counts times (q-1)^p
-    assert render("complete", poly) == "z_{1:0} + 4z_{1:1} + 4z_{1:2}"
+    assert render("complete", poly, levels=levels) == "z_{1:0} + 4z_{1:1} + 4z_{1:2}"
 
 
 def test_complete_transform_validates_spectrum():
+    # levels (2, 1, 1) have the weight keys 0..11; weights (5, 0, 0) would be key 20
+    for key in (20, 12, -1, (0, 0, 0), True):
+        with pytest.raises(ValueError, match="is no weight key"):
+            complete_transform({key: 1}, EX_LEVELS, 2, 1)
     with pytest.raises(ValueError):
-        complete_transform({(5, 0, 0): 1}, EX_LEVELS, 2, 1)
-    with pytest.raises(ValueError):
-        complete_transform({(0, 0, 0): 1}, EX_LEVELS, 2, 2)
+        complete_transform({0: 1}, EX_LEVELS, 2, 2)
     # no code has these spectra, though each sums to |C| = 1; the first used to
-    # contract to {(0,): 1, (1,): 4, (2,): 3}
-    for spectrum in ({(0,): 2, (1,): -1}, {(0,): 1, (1,): 0}, {(0,): True}, {(0,): 1.0}):
+    # contract to {0: 1, 1: 4, 2: 3}
+    for spectrum in ({0: 2, 1: -1}, {0: 1, 1: 0}, {0: True}, {0: 1.0}):
         with pytest.raises(ValueError, match="is not a positive integer"):
             complete_transform(spectrum, LevelStructure((2,)), 2, 1)
 
@@ -185,22 +187,23 @@ def test_complete_transform_validates_spectrum():
 def test_level_transform_examples():
     spectrum = weight_spectrum(EX_CODE, EX_LEVELS)
     poly = level_transform(spectrum, EX_LEVELS, F2.q, EX_CODE.size)
-    assert render("level", poly) == "1 + z_1z_2z_3 + z_1z_3 + z_1^2z_2"
+    assert render("level", poly, levels=EX_LEVELS) == "1 + z_1z_2z_3 + z_1z_3 + z_1^2z_2"
     singles = LevelStructure((1, 1, 1))
     c1 = span(F2, 3, [(0, 0, 1)])
     w = level_transform(weight_spectrum(c1, singles), singles, 2, c1.size)
-    assert render("level", w) == "1 + z_1 + z_1z_2 + z_2"
+    assert render("level", w, levels=singles) == "1 + z_1 + z_1z_2 + z_2"
     c2 = span(F2, 3, [(1, 1, 1)])
     w2 = level_transform(weight_spectrum(c2, singles), singles, 2, c2.size)
-    assert render("level", w2) == "1 + z_1z_2 + z_1z_3 + z_2z_3"
+    assert render("level", w2, levels=singles) == "1 + z_1z_2 + z_1z_3 + z_2z_3"
     zero = span(F2, 1, [])
-    assert render("level", level_transform({(0,): 1}, LevelStructure((1,)), 2, 1)) == "1 + z_1"
+    one = LevelStructure((1,))
+    assert render("level", level_transform({0: 1}, one, 2, 1), levels=one) == "1 + z_1"
 
 
 def test_mspotty_transform_example():
     spectrum = weight_spectrum(EX_CODE, EX_LEVELS)
     poly = mspotty_transform(spectrum, EX_LEVELS, (2, 1, 1), F2.q, EX_CODE.size)
-    assert render("mspotty", poly) == "1 + z_1z_2 + z_1z_2z_3 + z_1z_3"
+    assert render("mspotty", poly, levels=EX_LEVELS) == "1 + z_1z_2 + z_1z_2z_3 + z_1z_3"
     unit = mspotty_transform(spectrum, EX_LEVELS, (1, 1, 1), F2.q, EX_CODE.size)
     assert unit == level_transform(spectrum, EX_LEVELS, F2.q, EX_CODE.size)
     with pytest.raises(ValueError):
@@ -215,6 +218,7 @@ def test_transform_self_consistency():
         gens = [tuple(rng.randrange(ring.q) for _ in range(levels.n)) for _ in range(2)]
         code = span(ring, levels.n, gens)
         via_byte = substitute(byte_transform(code, levels), "byte->complete", q=ring.q, levels=levels)
+        via_byte = keyed(sizes, via_byte)
         direct = complete_transform(
             weight_spectrum(code, levels), levels, ring.q, code.size
         )
