@@ -11,8 +11,8 @@ codewords.  Words are decoded to tuples of element indices only when read.
 from __future__ import annotations
 
 import os
-from functools import reduce
-from operator import getitem
+from itertools import repeat
+from operator import add, getitem, mul
 
 from .errors import CapExceededError
 from .posets import LevelStructure
@@ -125,17 +125,20 @@ def check_span(ring: RingSpec, n: int, generators, cap: int | None = None) -> li
 def span(ring: RingSpec, n: int, generators, cap: int | None = None) -> LinearCode:
     """All R-linear combinations of the generators, checked by check_span first."""
     gens = check_span(ring, n, generators, cap)
-    words, q = {(0,) * n}, ring.q
+    words = {(0,) * n}
     for g in gens:
         words = _closure(ring, words, g)
-    return LinearCode(ring, n, gens, sorted(reduce(lambda i, x: i * q + x, w, 0) for w in words))
+    indices = [0] * len(words)
+    for column in zip(*words):  # Horner's rule on every word at once
+        indices = list(map(add, map(mul, indices, repeat(ring.q)), column))
+    return LinearCode(ring, n, gens, sorted(indices))
 
 
 def _closure(ring, words, g) -> set:
-    """Every word w + r g, for w in words and r in R."""
+    """Every word w + r g, for w in words and r in R; w + r g maps w through r g's rows of the addition table."""
     add, mul = ring.add_table, ring.mul_table
-    scaled = [tuple(mul[r][x] for x in g) for r in range(ring.q)]
-    return {tuple(add[a][b] for a, b in zip(w, sg)) for w in words for sg in scaled}
+    steps = [list(map(add.__getitem__, rg)) for rg in {tuple(mul[r][x] for x in g) for r in range(ring.q)}]
+    return {tuple(map(getitem, rows, w)) for w in words for rows in steps}
 
 
 def _greedy_generators(ring, words):

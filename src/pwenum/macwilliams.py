@@ -332,18 +332,6 @@ def _yates_tallies(code: LinearCode, chi: Character) -> tuple[int, list, int]:
     return field, rows, nrows
 
 
-class _Coefficients(dict):
-    """The coefficient of each tally met so far; a new tally is checked once."""
-
-    def __init__(self, e: int, field: int, code_size: int):
-        super().__init__()
-        self.e, self.field, self.code_size = e, field, code_size
-
-    def __missing__(self, tally: bytes) -> int:
-        coeff = self[tally] = _byte_coefficient(tally, self.e, self.field, self.code_size)
-        return coeff
-
-
 def byte_transform(code: LinearCode, levels: LevelStructure) -> dict[int, int]:
     """Dual byte enumerator from the primal code, by Yates' algorithm.
 
@@ -369,28 +357,52 @@ def byte_transform(code: LinearCode, levels: LevelStructure) -> dict[int, int]:
     where a subgroup H of (R, +) splits the product (see _Split), less the
     ones on all-zero columns.  A pass thus reads the q^n 2e field bytes of
     the rows q times, or |H| + q/|H| times, and holds the old and the new
-    rows.
-
-    The final rows hold the tallies in lexicographic order and are read one
-    at a time, so no list or dict over R^n is built besides the result; a
-    row equal, as an int, to one already read reuses its nonzero slots.
-    Each distinct tally is checked once against the orthogonality of
-    characters (see _byte_coefficient), or IntegrityError is raised.
+    rows.  The final rows are checked and read whole (_read_tallies).
     """
     check_levels(code, levels)
-    e = code.ring.exponent
-    field, rows, period = _yates_tallies(code, default_character(code.ring))
-    row_bytes = period * 2 * e * field
-    tallies = Struct(f"{e * field}s{e * field}x" * period)  # a row's tallies, without their zero fields
-    coeffs = _Coefficients(e, field, code.size)
-    read: dict[int, tuple] = {}  # row -> the slots k of its nonzero coefficients, and those coefficients
+    return _read_tallies(*_yates_tallies(code, default_character(code.ring)), code.ring.exponent, code.size)
+
+
+def _read_tallies(field: int, rows: list, period: int, e: int, code_size: int) -> dict[int, int]:
+    """{r P + k: 1} for each slot k of each final row r that holds the tally of coefficient 1; P = period.
+
+    By orthogonality (see _byte_coefficient) a slot holds a tally T_g, g | e
+    and (e/g) | |C|: |C| g/e on the count fields of the multiples of g, 0 on
+    the rest; T_e is coefficient 1, the others 0.  By Lamport's lane test, a
+    slot of x = row ^ T_g (repeated) is nonzero exactly when its top bit is
+    set in ((x & rest) + rest) | x, rest being the other bits.  T_e goes
+    first, its equal slots read off their top bytes, then g = 1, 2, ... until
+    every slot has matched; a slot matching none raises IntegrityError.
+    """
+    slot = 2 * e * field  # bytes
+    top = _bias(period, slot)  # the top bit of each slot
+    lanes = top >> (8 * slot - 1)  # the low bit of each slot
+    rest = top - lanes  # the other bits of each slot
+    unit, *others = [
+        lanes * (code_size * g // e) * sum(1 << 8 * field * r for r in range(0, e, g))
+        for g in (e, *range(1, e))
+        if e % g == 0 and code_size * g % e == 0
+    ]
+    read: dict[int, tuple] = {}  # a row read before -> the slots k of its coefficient-1 patterns
     out = {}
     for start, row in zip(range(0, period * len(rows), period), rows):
-        if row not in read:
-            values = tuple(map(coeffs.__getitem__, tallies.unpack(row.to_bytes(row_bytes, "little"))))
-            read[row] = tuple(compress(range(period), values)), tuple(filter(None, values))
-        slots, values = read[row]
-        out.update(zip(map(start.__add__, slots), values))
+        slots = read.get(row)
+        if slots is None:
+            x = row ^ unit
+            left = (((x & rest) + rest) | x) & top  # the top bits of the slots that match no form so far
+            ones = (top ^ left).to_bytes(slot * period, "little")[slot - 1 :: slot]
+            for tally in others:
+                if not left:
+                    break
+                x = row ^ tally
+                left &= ((x & rest) + rest) | x
+            if left:
+                k = (left & -left).bit_length() // (8 * slot) - 1
+                tally = row.to_bytes(slot * period, "little")[k * slot : (k + 1) * slot]
+                _byte_coefficient(tally, e, field, code_size)
+                raise IntegrityError(f"the zero fields of an exponent tally hold {tally[e * field :].hex()}")
+            slots = read[row] = tuple(compress(range(period), ones))
+        out.update(zip(map(start.__add__, slots), repeat(1)))
     return out
 
 

@@ -6,7 +6,8 @@ small enough for the full-scan oracle.  Fixed cases over rings of 16-64
 elements take the byte transform to character orders e = 16-64 and to
 several packed rows; cases over Z6, Z10 and Z12 take it to orders with two
 prime factors.  Its integer check of each tally is checked against the
-reduction modulo the cyclotomic polynomial on random tallies.  The byte
+reduction modulo the cyclotomic polynomial on random tallies, and its
+whole-row read of the final rows against that check slot by slot.  The byte
 transform's step through an additive subgroup is checked against the
 dense q x q product on every ring of at most 64 elements.  Ring
 construction is checked the same way: the generator-based axiom and
@@ -61,6 +62,7 @@ from pwenum.macwilliams import (
     KINDS,
     _byte_coefficient,
     _coset_split,
+    _read_tallies,
     _ring_step,
     _subgroup,
     byte_transform,
@@ -481,6 +483,78 @@ def test_byte_coefficient_agrees_with_the_cyclotomic_reduction(data):
     except IntegrityError:
         return
     assert coeff == cyclotomic_coefficient(counts, size)
+
+
+@st.composite
+def final_rows(draw):
+    """(rows, period, e, field, |C|): slots of valid tallies T_g, at most one of them corrupted.
+
+    A slot is 2e fields of field bytes: T_g has |C| g/e on the count fields
+    of the multiples of g and 0 on the others and on the e zero fields.  The
+    corruption moves a count between count fields, changes one, or sets a
+    byte of a zero field; it may land on another valid tally.
+    """
+    e = draw(st.sampled_from((2, 3, 4, 8, 9, 16, 27, 64)))
+    field = draw(st.integers(1, 3))
+    size = draw(st.integers(1, (256**field - 1) // e)) * draw(st.sampled_from((1, e)))
+    forms = [g for g in range(1, e + 1) if e % g == 0 and size * g % e == 0]
+    period, nrows = draw(st.integers(1, 9)), draw(st.integers(1, 4))
+    slots = []
+    for _ in range(period * nrows):
+        g = draw(st.sampled_from(forms))
+        slots.append([size * g // e if r % g == 0 else 0 for r in range(e)] + [0] * e)
+    counts = slots[draw(st.integers(0, len(slots) - 1))]
+    how = draw(st.sampled_from(("none", "move", "change", "pad")))
+    if how == "move":
+        src = draw(st.sampled_from([r for r in range(e) if counts[r]]))
+        moved = draw(st.integers(1, counts[src]))
+        counts[src] -= moved
+        counts[draw(st.sampled_from([r for r in range(e) if r != src]))] += moved
+    elif how == "change":  # to any value, or by one bit
+        r = draw(st.integers(0, e - 1))
+        flip = st.integers(0, 8 * field - 1).map(lambda b: counts[r] ^ 1 << b)
+        counts[r] = draw(st.one_of(flip, st.integers(0, 256**field - 1).filter(lambda c: c != counts[r])))
+    elif how == "pad":  # a byte of a zero field; its value goes in whole, carries and all
+        counts[draw(st.integers(e, 2 * e - 1))] = draw(st.integers(1, 255)) << 8 * draw(st.integers(0, field - 1))
+    data = b"".join(c.to_bytes(field, "little") for slot in slots for c in slot)
+    row_bytes = period * 2 * e * field
+    rows = [int.from_bytes(data[i : i + row_bytes], "little") for i in range(0, len(data), row_bytes)]
+    return rows, period, e, field, size
+
+
+@settings(max_examples=300, deadline=None)
+@given(final_rows())
+@example(([4 | 0x80 << 8 * 31], 1, 2, 8, 4))  # T_2 in fields of 8 bytes but for the top bit of the slot
+@example(([int.from_bytes(bytes([4, 0, 0, 0x80]), "little")], 1, 2, 1, 4))  # likewise in fields of 1 byte
+@example(([int.from_bytes(bytes([2, 2, 0, 0, 4, 0, 0, 0]), "little")], 2, 2, 1, 4))  # T_1 then T_2
+@example(([5], 1, 2, 1, 4))  # T_2 but for the lowest bit of the slot
+def test_the_whole_row_read_agrees_with_the_check_of_each_slot(case):
+    rows, period, e, field, size = case
+    slot = 2 * e * field
+    expected, refusal = [], None
+    for r, row in enumerate(rows):
+        data = row.to_bytes(period * slot, "little")
+        for k in range(period):
+            tally = data[k * slot : (k + 1) * slot]
+            try:
+                coeff = _byte_coefficient(tally, e, field, size)
+            except IntegrityError as error:
+                refusal = str(error)
+                break
+            if any(tally[e * field :]):
+                refusal = "zero fields"
+                break
+            if coeff:
+                expected.append(r * period + k)
+        if refusal:
+            break
+    if refusal:
+        with pytest.raises(IntegrityError) as error:
+            _read_tallies(field, rows, period, e, size)
+        assert refusal in str(error.value)
+    else:
+        out = _read_tallies(field, rows, period, e, size)
+        assert list(out) == expected and set(out.values()) <= {1}
 
 
 def _gf(p, k):
