@@ -13,13 +13,13 @@ Every ring carries a catalog additive character whose kernel contains no
 nonzero ideal; that property is re-verified on construction because all the
 dual-code identities downstream depend on it.
 
-Every construction builds its tables in O(q^2) and checks every ring axiom
-on them exactly in O(q^2·|G|), |G| the size of a generating set of one
-operation (1-6 at q <= 64).  Two closure arguments make that enough.  For
-Light's associativity test, the elements g with (x∘g)∘y = x∘(g∘y) for all
-x, y form a closed sub-magma, so the test need only run on generators.  For
-distributivity, the b with a(b+c) = ab + ac for all a, c form a set closed
-under addition, so the check need only run on additive generators.
+Every construction builds its tables in O(q^2), a whole row at a time, and
+checks every ring axiom on them exactly in |A| + 2·min(|A|, |M|) passes of
+q^2 lookups, A and M generating sets of + and · (3 passes at Z64, 6 at
+GF(49), 10 at GF(64)).  Closure arguments make that enough: the elements that
+pass Light's associativity test, or the distributive law, against all the
+others form a set closed under one operation, so the test need only run on
+that operation's generators (see _verify_tables).
 """
 
 from __future__ import annotations
@@ -120,19 +120,39 @@ def _is_associative(table, gens):
     return True
 
 
-def _verify_tables(ring):
-    """Exact check of the commutative ring axioms in O(q^2·|G|) table lookups.
+def _distributes(add, mul, left, right):
+    """a(b+c) = ab + ac for every a in left, every b in right and all c."""
+    times = [(mul[a], itemgetter(*mul[a])) for a in left]  # row x of + -> (x + ac for c in R)
+    for b in right:
+        plus_b = itemgetter(*add[b])  # row a of · -> (a(b+c) for c in R)
+        for row, times_a in times:
+            if plus_b(row) != times_a(add[row[b]]):
+                return False
+    return True
 
-    The identities and commutativity are read off whole rows and columns.
-    Associativity uses Light's test on a generating set G of each operation
-    (see _generators): the elements g with (x∘g)∘y = x∘(g∘y) for all x, y
-    form a closed sub-magma that holds the identity, so if it holds G it is
-    the whole ring.  Distributivity is a(g+c) = ag + ac for every a, c and
-    every additive generator g, checked once addition is known to be
-    associative: the b with a(b+c) = ab + ac for all a, c form a set closed
-    under +, so a subgroup of the finite additive group, and holding the
-    additive generators it is the whole ring.  Right distributivity follows
-    from commutativity.
+
+def _verify_tables(ring):
+    """Exact check of the commutative ring axioms in |A| + 2·min(|A|, |M|) passes of q^2 lookups.
+
+    The identities and commutativity are read off whole rows and columns;
+    right distributivity follows from left by commutativity.  A and M are
+    generating sets of + and · (see _generators).  Associativity of + is
+    Light's test on A: the g with (x+g)+y = x+(g+y) for all x, y form a
+    closed sub-magma that holds 0, so if it holds A it is the whole ring.
+    The rest runs on the smaller of A and M.
+
+    Additive route, |A| <= |M|.  Distributivity first, a(g+c) = ag + ac for
+    every a, c and every g in A: as + is associative, the b with
+    a(b+c) = ab + ac for all a, c are closed under +, so they form a subgroup
+    of the finite additive group, and holding A it is the whole ring.  Then
+    Light's test of · on A: as · distributes on both sides, the g with
+    (xg)y = x(gy) for all x, y are closed under +; they hold 0, so holding A
+    they are the whole ring.
+
+    Multiplicative route, |M| < |A|.  Light's test of · on M first, as for +.
+    Then a(b+c) = ab + ac for every a in M and all b, c: as · is associative,
+    the a that satisfy it are closed under ·; they hold 1, so holding M they
+    are the whole ring.
     """
     q, add, mul = ring.q, ring.add_table, ring.mul_table
     rng = range(q)
@@ -146,15 +166,17 @@ def _verify_tables(ring):
     add_gens = _generators(add, 0)
     if not _is_associative(add, add_gens):
         raise ValueError("addition is not associative")
-    if not _is_associative(mul, _generators(mul, 1)):
-        raise ValueError("multiplication is not associative")
-    # row_getters[a]: row x of the addition table -> (x + ac for c in R)
-    row_getters = [itemgetter(*row) for row in mul]
-    for g in add_gens:
-        plus_g = itemgetter(*add[g])  # row a -> (a(g+c) for c in R)
-        for row, times_a in zip(mul, row_getters):
-            if plus_g(row) != times_a(add[row[g]]):
-                raise ValueError("multiplication does not distribute")
+    mul_gens = _generators(mul, 1)
+    if len(add_gens) <= len(mul_gens):
+        if not _distributes(add, mul, rng, add_gens):
+            raise ValueError("multiplication does not distribute")
+        if not _is_associative(mul, add_gens):
+            raise ValueError("multiplication is not associative")
+    else:
+        if not _is_associative(mul, mul_gens):
+            raise ValueError("multiplication is not associative")
+        if not _distributes(add, mul, mul_gens, rng):
+            raise ValueError("multiplication does not distribute")
     e = ring.exponent
     if ring.q % e != 0:
         raise ValueError("additive exponent does not divide the ring size")
@@ -207,10 +229,11 @@ def _gf_name(coeffs):
 def _make_zm(m):
     if m < 2:
         raise ValueError(f"modulus must be at least 2, got {m}")
-    # C-level slices: row a of + is range(m) rotated by a, of * every a-th of range(m) * a
-    row = tuple(range(m))
-    add = tuple(row[a:] + row[:a] for a in range(m))
-    mul = ((0,) * m,) + tuple((row * a)[::a] for a in range(1, m))
+    # C-level slices: row a of + is range(m) rotated by a, of * every a-th of range(m) * a;
+    # bytes hold every index as m <= MAX_RING_SIZE < 256
+    row = bytes(range(m))
+    add = [row[a:] + row[:a] for a in range(m)]
+    mul = [bytes(m)] + [(row * a)[::a] for a in range(1, m)]
     names = tuple(str(a) for a in range(m))
     return RingSpec("Zm", m, add, mul, names, {"m": m})
 
@@ -241,38 +264,30 @@ def _make_gf(p, k, modulus):
 
     powers = [p**j for j in range(k)]
     polys = [[i // pj % p for pj in powers] for i in range(q)]
-    # each b > 0 is b - p^j plus the monomial x^j, j its lowest nonzero digit;
-    # b - p^j < b, so every row fills in index order with one lookup per entry
+    # each a > 0 is prev = a - p^j plus the monomial x^j, j its lowest nonzero
+    # digit; prev < a, so the rows of both tables build in index order
     steps = []
-    for b in range(1, q):
-        j = next(j for j, c in enumerate(polys[b]) if c)
-        steps.append((j, b - powers[j]))
+    for a in range(1, q):
+        j = next(j for j, c in enumerate(polys[a]) if c)
+        steps.append((j, a - powers[j]))
     # bump[j][x]: x with its digit j raised by one, mod p
     bump = [
         [x - (p - 1) * pj if polys[x][j] == p - 1 else x + pj for x in range(q)]
         for j, pj in enumerate(powers)
     ]
-    add = []
-    for a in range(q):
-        row = [a]
-        for j, prev in steps:
-            row.append(bump[j][row[prev]])
-        add.append(tuple(row))
+    # row a = prev + x^j of + is row prev with digit j of each entry raised
+    add = [tuple(range(q))]
+    for j, prev in steps:
+        add.append(itemgetter(*add[prev])(bump[j]))
     # a·x shifts the digits of a up by one and folds the top one back in
     # through x^k = -(modulus_0 + ... + modulus_{k-1} x^{k-1})
     top = powers[-1]
     folded = [sum(-c * m % p * pj for m, pj in zip(modulus, powers)) for c in range(p)]
     times_x = [add[a % top * p][folded[a // top]] for a in range(q)]
-    monomial_multiples = [list(range(q))]  # [j][a] = a·x^j
-    for _ in range(k - 1):
-        monomial_multiples.append([times_x[a] for a in monomial_multiples[-1]])
-    mul = []
-    for a in range(q):
-        a_xj = [col[a] for col in monomial_multiples]
-        row = [0]
-        for j, prev in steps:
-            row.append(add[row[prev]][a_xj[j]])
-        mul.append(tuple(row))
+    # row a of · is x times row a/p when j > 0 (p | a), else row a - 1 plus b in each column b
+    mul = [(0,) * q]
+    for a, (j, prev) in enumerate(steps, 1):
+        mul.append(itemgetter(*mul[a // p])(times_x) if j else [row[u] for row, u in zip(add, mul[prev])])
     names = tuple(_gf_name(polys[a]) for a in range(q))
     return RingSpec("GF", q, tuple(add), tuple(mul), names, {"p": p, "k": k, "modulus": modulus})
 

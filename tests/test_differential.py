@@ -10,9 +10,10 @@ reduction modulo the cyclotomic polynomial on random tallies, and its
 whole-row read of the final rows against that check slot by slot.  The byte
 transform's step through an additive subgroup is checked against the
 dense q x q product on every ring of at most 64 elements.  Ring
-construction is checked the same way: the generator-based axiom and
-additivity checks against the exhaustive loops, and the
-recurrence-built GF tables against polynomial arithmetic.
+construction is checked the same way: the generator-based axiom check,
+on both its additive and its multiplicative route, and the additivity
+check against the exhaustive loops, and the recurrence-built GF tables
+against polynomial arithmetic.
 """
 
 import random
@@ -769,8 +770,32 @@ def _edited(table, *edits):
     return rows
 
 
-Z4 = RINGS["Z4"]
+def _coset_swapped(ring, y, z):
+    """The multiplication of a field relabelled by the involution that swaps y·x^i and z·x^i.
+
+    x is index 2, and y and z lie in different cosets of the powers of x,
+    neither of them the powers themselves.  The relabelling commutes with
+    multiplication by x, so each power of x multiplies as before and
+    distributes; the monoid stays associative, but y and z need not
+    distribute.
+    """
+    mul = ring.mul_table
+    powers = [1]
+    while mul[powers[-1]][2] != 1:
+        powers.append(mul[powers[-1]][2])
+    sigma = list(range(ring.q))
+    for power in powers:
+        u, v = mul[y][power], mul[z][power]
+        sigma[u], sigma[v] = v, u
+    return [[sigma[mul[sigma[a]][sigma[b]]] for b in range(ring.q)] for a in range(ring.q)]
+
+
+Z4, GF8 = RINGS["Z4"], RINGS["GF8"]
 Z16, GF64 = BIG_RINGS["Z16"], BIG_RINGS["GF64"]
+# GF(16) over x^4 + x^3 + x^2 + x + 1, where x has order 5: its multiplicative
+# generators (0, x, x + 1) are fewer than its additive ones (1, x, x^2, x^3),
+# and x + 1 is not among the additive ones
+GF16_X5 = make_ring("GF", p=2, k=4, modulus=[1, 1, 1, 1, 1])
 XOR8 = [[a ^ b for b in range(8)] for a in range(8)]
 
 
@@ -803,12 +828,45 @@ XOR8 = [[a ^ b for b in range(8)] for a in range(8)]
         # the additive group of Z4 with the multiplicative monoid of GF(4):
         # with a = index 2, a(1+1) = a·a = index 3, but a·1 + a·1 = 2 + 2 = 0 in Z4
         (Z4, Z4.add_table, RINGS["F4"].mul_table, "multiplication does not distribute"),
+        # the multiplicative route, fewer multiplicative generators than additive
+        # ones: (x+1)^2 set to 0 in GF(8) and GF(64), whose multiplicative
+        # generators stay 0 and x; associativity is checked before distributivity
+        (GF8, GF8.add_table, _edited(GF8.mul_table, (3, 3, 0)), "multiplication is not associative"),
+        (GF64, GF64.add_table, _edited(GF64.mul_table, (3, 3, 0)), "multiplication is not associative"),
+        # an associative monoid on which the additive generators distribute
+        # and the multiplicative generator x + 1 does not
+        (GF16_X5, GF16_X5.add_table, _coset_swapped(GF16_X5, 3, 5), "multiplication does not distribute"),
     ],
 )
 def test_each_axiom_message_is_reached(ring, add, mul, message):
     assert not exhaustive_ring_axioms(add, mul)
     with pytest.raises(ValueError, match=message):
         RingSpec(ring.kind, len(add), add, mul, ring.names[: len(add)], ring.params)
+
+
+# each catalog ring but F2, which has no cell away from indices 0 and 1,
+# and rings of 8-16 elements on both routes of the check
+SYMMETRIC_EDIT_RINGS = {
+    **{name: RINGS[name] for name in ("F3", "F4", "Z4", "F2u", "F2v", "Z8", "Z9", "GF8", "GF9")},
+    "Z16": Z16,
+    "GF16": GF16_X5,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_EDIT_RINGS))
+def test_a_symmetric_edit_away_from_0_and_1_is_refused_exactly_when_the_oracle_refuses_it(name):
+    ring = SYMMETRIC_EDIT_RINGS[name]
+    q = ring.q
+    rng = random.Random(f"symmetric-edit/{name}")
+    verdicts = set()
+    for _ in range(40):
+        tables = [ring.add_table, ring.mul_table]
+        which, a, b, value = rng.randrange(2), rng.randrange(2, q), rng.randrange(2, q), rng.randrange(q)
+        tables[which] = _edited(tables[which], (a, b, value), (b, a, value))
+        expected = exhaustive_ring_axioms(*tables)
+        assert (_rebuild(ring, *tables) is not None) == expected, (which, a, b, value)
+        verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_axiom_check_on_every_commutative_unital_algebra_over_f2_cubed():
