@@ -9,9 +9,10 @@ supported:
     F2u   F2[u]/(u^2), elements {0, 1, u, 1+u}
     F2v   F2[v]/(v^2 - v), elements {0, 1, v, 1+v}
 
-Every ring carries a catalog additive character whose kernel contains no
-nonzero ideal; that property is re-verified on construction because all the
-dual-code identities downstream depend on it.
+The last three are all Z_p[x]/(f), built by one table builder.  Every ring
+has a catalog additive character, one rule for every kind, whose kernel
+contains no nonzero ideal; default_character checks that on every call,
+because all the dual-code identities downstream depend on it.
 
 Every construction builds its tables in O(q^2), a whole row at a time, and
 checks every ring axiom on them exactly in |A| + 2·min(|A|, |M|) passes of
@@ -195,35 +196,10 @@ def _is_prime(p):
     return all(p % d for d in range(2, int(p**0.5) + 1))
 
 
-def _gf_is_irreducible(modulus, p, k):
-    """Trial division by every monic polynomial of degree 1..k//2."""
-    from itertools import product as iproduct
-
-    for d in range(1, k // 2 + 1):
-        for tail in iproduct(range(p), repeat=d):
-            den = list(tail) + [1]
-            rem = list(modulus)
-            for i in range(len(rem) - 1, d - 1, -1):
-                c = rem[i] % p
-                if c:
-                    for j in range(d + 1):
-                        rem[i - d + j] = (rem[i - d + j] - c * den[j]) % p
-            if not any(c % p for c in rem[:d]):
-                return False
-    return True
-
-
-def _gf_name(coeffs):
-    parts = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        else:
-            var = "a" if i == 1 else f"a^{i}"
-            parts.append(var if c == 1 else f"{c}{var}")
-    return "+".join(parts) if parts else "0"
+def _poly_name(coeffs, var):
+    powers = ["", var] + [f"{var}^{i}" for i in range(2, len(coeffs))]
+    terms = [(str(c) if c > 1 or i == 0 else "") + powers[i] for i, c in enumerate(coeffs) if c]
+    return "+".join(terms) or "0"
 
 
 def _make_zm(m):
@@ -238,30 +214,13 @@ def _make_zm(m):
     return RingSpec("Zm", m, add, mul, names, {"m": m})
 
 
-def _make_gf(p, k, modulus):
-    if p < 2:
-        raise ValueError(f"{p} is not prime")
-    if k < 1:
-        raise ValueError("extension degree must be positive")
-    # the size cap comes before primality, whose trial division costs
-    # sqrt(p); as p >= 2, a k at the cap's bit length already passes the cap
-    q = p**k if k < MAX_RING_SIZE.bit_length() else MAX_RING_SIZE + 1
-    if q > MAX_RING_SIZE:
-        raise ValueError(f"ring size {p}^{k} exceeds the cap {MAX_RING_SIZE}")
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if not isinstance(modulus, (list, tuple)) or len(modulus) != k + 1:
-        raise ValueError(f"modulus must be a list of {k + 1} coefficients, low to high")
-    for c in modulus:
-        _check_int_param("modulus coefficient", c)
-    lead = modulus[-1] % p
-    if lead == 0:
-        raise ValueError("modulus leading coefficient vanishes mod p")
-    inv_lead = pow(lead, p - 2, p) if lead != 1 else 1
-    modulus = [c * inv_lead % p for c in modulus]
-    if not _gf_is_irreducible(modulus, p, k):
-        raise ValueError("modulus is reducible over GF(p)")
+def _poly_tables(p, k, modulus, var):
+    """The + and · tables of Z_p[x]/(modulus), modulus monic of degree k, and names in var.
 
+    Index a < p^k is the polynomial whose coefficient of x^j is the base-p
+    digit j of a.
+    """
+    q = p**k
     powers = [p**j for j in range(k)]
     polys = [[i // pj % p for pj in powers] for i in range(q)]
     # each a > 0 is prev = a - p^j plus the monomial x^j, j its lowest nonzero
@@ -288,25 +247,39 @@ def _make_gf(p, k, modulus):
     mul = [(0,) * q]
     for a, (j, prev) in enumerate(steps, 1):
         mul.append(itemgetter(*mul[a // p])(times_x) if j else [row[u] for row, u in zip(add, mul[prev])])
-    names = tuple(_gf_name(polys[a]) for a in range(q))
-    return RingSpec("GF", q, tuple(add), tuple(mul), names, {"p": p, "k": k, "modulus": modulus})
+    return add, mul, tuple(_poly_name(poly, var) for poly in polys)
 
 
-def _make_f2_ext(square_of_gen, tag, gen_name):
-    # elements a + b*g encoded as index a + 2b; g^2 is 0 (F2u) or g (F2v)
-    def mul_pair(x, y):
-        a, b = x & 1, x >> 1
-        c, d = y & 1, y >> 1
-        const = a * c
-        lin = a * d + b * c
-        if square_of_gen:  # g^2 = g
-            lin += b * d
-        return (const % 2) | ((lin % 2) << 1)
+def _make_gf(p, k, modulus):
+    """GF(p^k) as Z_p[a]/(modulus), refused unless no nonzero row of · holds a 0 past column 0.
 
-    add = tuple(tuple(a ^ b for b in range(4)) for a in range(4))
-    mul = tuple(tuple(mul_pair(a, b) for b in range(4)) for a in range(4))
-    names = ("0", "1", gen_name, f"1+{gen_name}")
-    return RingSpec(tag, 4, add, mul, names, {})
+    A finite commutative ring is a field exactly when it has no zero divisors.
+    A field's one nonzero ideal is itself, so every nonzero additive map on
+    it, the catalog character's top digit among them, is generating.
+    """
+    if p < 2:
+        raise ValueError(f"{p} is not prime")
+    if k < 1:
+        raise ValueError("extension degree must be positive")
+    # the size cap comes before primality, whose trial division costs
+    # sqrt(p); as p >= 2, a k at the cap's bit length already passes the cap
+    q = p**k if k < MAX_RING_SIZE.bit_length() else MAX_RING_SIZE + 1
+    if q > MAX_RING_SIZE:
+        raise ValueError(f"ring size {p}^{k} exceeds the cap {MAX_RING_SIZE}")
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if not isinstance(modulus, (list, tuple)) or len(modulus) != k + 1:
+        raise ValueError(f"modulus must be a list of {k + 1} coefficients, low to high")
+    for c in modulus:
+        _check_int_param("modulus coefficient", c)
+    lead = modulus[-1] % p
+    if lead == 0:
+        raise ValueError("modulus leading coefficient vanishes mod p")
+    modulus = [c * pow(lead, -1, p) % p for c in modulus]
+    add, mul, names = _poly_tables(p, k, modulus, "a")
+    if any(0 in row[1:] for row in mul[1:]):
+        raise ValueError("modulus is reducible over GF(p)")
+    return RingSpec("GF", q, add, mul, names, {"p": p, "k": k, "modulus": modulus})
 
 
 def make_ring(kind: str, **params) -> RingSpec:
@@ -327,12 +300,10 @@ def make_ring(kind: str, **params) -> RingSpec:
         modulus = params.pop("modulus", None)
         _reject_extra(params)
         return _make_gf(p, k, modulus)
-    if kind == "F2u":
+    if kind in ("F2u", "F2v"):  # F2[u]/(u^2) and F2[v]/(v^2 + v)
         _reject_extra(params)
-        return _make_f2_ext(False, "F2u", "u")
-    if kind == "F2v":
-        _reject_extra(params)
-        return _make_f2_ext(True, "F2v", "v")
+        modulus = [0, 0, 1] if kind == "F2u" else [0, 1, 1]
+        return RingSpec(kind, 4, *_poly_tables(2, 2, modulus, kind[-1]), {})
     raise ValueError(f"unknown ring kind {kind!r}; expected one of {RING_KINDS}")
 
 
@@ -370,36 +341,16 @@ class Character(NamedTuple):
 
 
 def default_character(ring: RingSpec) -> Character:
-    """The catalog character of a ring, verified to be generating.
+    """The catalog character eps(a) = a // (q/e), verified to be generating.
 
-    Zm maps a to zeta_m^a; GF(p^k) maps a to zeta_p^{Tr(a)} via the absolute
-    trace; the two four-element extensions of F2 read off the coefficient of
-    the generator.
+    It is eps(a) = a on Z_m and GF(p), where the character is one-to-one.
+    Elsewhere eps(a) is the top base-p digit, the coefficient of x^(k-1): a
+    nonzero additive map, so generating on GF(p^k), whose one nonzero ideal
+    is itself, and (0, 0, 1, 1) on F2u and F2v, whose kernel {0, 1} holds
+    none of the nonzero ideals {0, u}, {0, v}, {0, 1+v} and R.
     """
-    q = ring.q
-    if ring.kind == "Zm":
-        eps = tuple(range(q))
-    elif ring.kind == "GF":
-        p, k = ring.params["p"], ring.params["k"]
-        mul = ring.mul_table
-        eps = []
-        for a in range(q):
-            term, tr = a, a
-            for _ in range(k - 1):
-                nxt = term
-                for _ in range(p - 1):
-                    nxt = mul[nxt][term]
-                term = nxt
-                tr = ring.add_table[tr][term]
-            if tr >= p:
-                raise ValueError("trace landed outside the prime subfield")
-            eps.append(tr)
-        eps = tuple(eps)
-    elif ring.kind in ("F2u", "F2v"):
-        eps = (0, 0, 1, 1)
-    else:
-        raise ValueError(f"no catalog character for ring kind {ring.kind!r}")
-    chi = Character(ring, eps)
+    step = ring.q // ring.exponent
+    chi = Character(ring, tuple(a // step for a in range(ring.q)))
     if not verify_generating_character(ring, chi):
         raise ValueError("catalog character failed the generating test")
     return chi

@@ -339,6 +339,22 @@ def convolution_gf_tables(p, k, modulus) -> tuple[tuple, tuple]:
     return add, tuple(mul_rows)
 
 
+def gf_is_irreducible(modulus, p, k) -> bool:
+    """Trial division of a monic modulus of degree k by every monic polynomial of degree 1..k//2."""
+    for d in range(1, k // 2 + 1):
+        for tail in product(range(p), repeat=d):
+            den = list(tail) + [1]
+            rem = list(modulus)
+            for i in range(len(rem) - 1, d - 1, -1):
+                c = rem[i] % p
+                if c:
+                    for j in range(d + 1):
+                        rem[i - d + j] = (rem[i - d + j] - c * den[j]) % p
+            if not any(c % p for c in rem[:d]):
+                return False
+    return True
+
+
 def pattern_of(index, q, n) -> list[int]:
     """The pattern with this lexicographic index, index = sum of b_i q^(n-1-i)."""
     digits = []

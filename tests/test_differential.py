@@ -11,9 +11,10 @@ whole-row read of the final rows against that check slot by slot.  The byte
 transform's step through an additive subgroup is checked against the
 dense q x q product on every ring of at most 64 elements.  Ring
 construction is checked the same way: the generator-based axiom check,
-on both its additive and its multiplicative route, and the additivity
-check against the exhaustive loops, and the recurrence-built GF tables
-against polynomial arithmetic.
+on both its additive and its multiplicative route and past the first check
+of each, and the additivity check against the exhaustive loops, the
+recurrence-built GF tables against polynomial arithmetic, and the field
+check of GF(p^k) against trial division of the modulus.
 """
 
 import random
@@ -36,6 +37,7 @@ from oracles import (
     dense_line_step,
     exhaustive_is_additive,
     exhaustive_ring_axioms,
+    gf_is_irreducible,
     hierarchical_poset,
     keyed,
     level_bounds,
@@ -584,12 +586,16 @@ SPLIT_RINGS = {
 
 
 def _exponent_maps():
-    """(ring name, exponent map): each ring's catalog character, then non-generating maps."""
+    """(ring name, exponent map): each ring's catalog character, then other additive maps.
+
+    The maps d·a on Z16 and Z64 are not generating; the constant coefficient
+    on GF(2^6) is, as is every nonzero additive map on a field.
+    """
     for name, ring in SPLIT_RINGS.items():
         yield pytest.param(name, default_character(ring).exponents, id=name)
     for m, d in product((16, 64), (2, 8, 32)):
         yield pytest.param(f"Z{m}", tuple(d * a % m for a in range(m)), id=f"Z{m}-{d}a")
-    # the constant coefficient: additive, but not the trace
+    # the constant coefficient: additive and generating, but not the catalog's top digit
     yield pytest.param("GF2^6", tuple(a & 1 for a in range(64)), id="GF2^6-constant-coefficient")
 
 
@@ -746,19 +752,20 @@ def test_axiom_check_agrees_with_the_exhaustive_oracle(case):
     assert (_rebuild(ring, add, mul) is not None) == exhaustive_ring_axioms(add, mul)
 
 
-def _bilinear_mul(q, basis_product):
-    """Multiplication on F2^k (index bits = coordinates) extended bilinearly."""
-    bits = q.bit_length() - 1
+def _bilinear_mul(p, basis_product):
+    """Multiplication on F_p^k (base-p digits of the index = coordinates) extended bilinearly."""
+    k = len(basis_product)
+    digits = [[a // p**i % p for i in range(k)] for a in range(p**k)]
     rows = []
-    for a in range(q):
+    for x in digits:
         row = []
-        for b in range(q):
-            acc = 0
-            for i in range(bits):
-                for j in range(bits):
-                    if a >> i & 1 and b >> j & 1:
-                        acc ^= basis_product[i][j]
-            row.append(acc)
+        for y in digits:
+            coords = [0] * k
+            for i, j in product(range(k), repeat=2):
+                if x[i] and y[j]:
+                    for t, z in enumerate(digits[basis_product[i][j]]):
+                        coords[t] += x[i] * y[j] * z
+            row.append(sum(c % p * p**t for t, c in enumerate(coords)))
         rows.append(row)
     return rows
 
@@ -768,6 +775,22 @@ def _edited(table, *edits):
     for a, b, value in edits:
         rows[a][b] = value
     return rows
+
+
+def _relabelled(mul, sigma):
+    """The multiplication a·b = sigma(sigma^-1(a) sigma^-1(b)): the monoid carried over by sigma."""
+    inverse = [0] * len(sigma)
+    for a, s in enumerate(sigma):
+        inverse[s] = a
+    return [[sigma[mul[inverse[a]][inverse[b]]] for b in range(len(mul))] for a in range(len(mul))]
+
+
+def _powers_of_x(mul):
+    """1, x, x^2, ... up to the last power before 1, x being index 2 of a field of characteristic 2."""
+    powers = [1]
+    while mul[powers[-1]][2] != 1:
+        powers.append(mul[powers[-1]][2])
+    return powers
 
 
 def _coset_swapped(ring, y, z):
@@ -780,14 +803,11 @@ def _coset_swapped(ring, y, z):
     distribute.
     """
     mul = ring.mul_table
-    powers = [1]
-    while mul[powers[-1]][2] != 1:
-        powers.append(mul[powers[-1]][2])
     sigma = list(range(ring.q))
-    for power in powers:
+    for power in _powers_of_x(mul):
         u, v = mul[y][power], mul[z][power]
         sigma[u], sigma[v] = v, u
-    return [[sigma[mul[sigma[a]][sigma[b]]] for b in range(ring.q)] for a in range(ring.q)]
+    return _relabelled(mul, sigma)
 
 
 Z4, GF8 = RINGS["Z4"], RINGS["GF8"]
@@ -822,7 +842,7 @@ XOR8 = [[a ^ b for b in range(8)] for a in range(8)]
         (
             RINGS["GF8"],
             XOR8,
-            _bilinear_mul(8, [[1, 2, 4], [2, 0, 1], [4, 1, 0]]),
+            _bilinear_mul(2, [[1, 2, 4], [2, 0, 1], [4, 1, 0]]),
             "multiplication is not associative",
         ),
         # the additive group of Z4 with the multiplicative monoid of GF(4):
@@ -874,11 +894,53 @@ def test_axiom_check_on_every_commutative_unital_algebra_over_f2_cubed():
     # among them F2[u,v]/(u^2, uv, v^2), GF(8) and non-associative ones
     verdicts = set()
     for uu, uv, vv in product(range(8), repeat=3):
-        mul = _bilinear_mul(8, [[1, 2, 4], [2, uu, uv], [4, uv, vv]])
+        mul = _bilinear_mul(2, [[1, 2, 4], [2, uu, uv], [4, uv, vv]])
         expected = exhaustive_ring_axioms(XOR8, mul)
         assert (_rebuild(RINGS["GF8"], XOR8, mul) is not None) == expected
         verdicts.add(expected)
     assert verdicts == {True, False}
+
+
+# x^3 + 2x + 1, whose + is that of F3^3; x^6 + x^3 + 1, where x has order 9
+GF27 = make_ring("GF", p=3, k=3, modulus=[1, 2, 0, 1])
+GF64_X9 = make_ring("GF", p=2, k=6, modulus=[1, 0, 0, 1, 0, 0, 1])
+
+
+@st.composite
+def unital_tables(draw):
+    """(ring, add, mul): a ring's + with a commutative · that fixes 0 and has 1 as identity.
+
+    Each family passes the first check on one route of the axiom check, and
+    may fail the check after it:
+    - a bilinear product on F3^3 distributes and need not associate: the
+      additive route, where Light's test of · runs second;
+    - a field's · relabelled by a permutation that fixes 0 and 1 associates
+      and need not distribute: the multiplicative route;
+    - a field's · relabelled by _coset_swapped associates, and the powers
+      of x, which hold the additive generators, still distribute: only the
+      multiplicative generators can find the fault.
+    """
+    family = draw(st.integers(0, 2))
+    if family == 0:
+        uu, uv, vv = draw(st.lists(st.integers(0, 26), min_size=3, max_size=3))
+        return GF27, GF27.add_table, _bilinear_mul(3, [[1, 3, 9], [3, uu, uv], [9, uv, vv]])
+    if family == 1:
+        ring = draw(st.sampled_from([GF8, GF16_X5, GF64_X9]))
+        sigma = [0, 1, *draw(st.permutations(range(2, ring.q)))]
+        return ring, ring.add_table, _relabelled(ring.mul_table, sigma)
+    ring = draw(st.sampled_from([GF16_X5, GF64_X9]))
+    powers = _powers_of_x(ring.mul_table)
+    y = draw(st.sampled_from([a for a in range(2, ring.q) if a not in powers]))
+    coset = {ring.mul_table[y][power] for power in powers}
+    z = draw(st.sampled_from([a for a in range(2, ring.q) if a not in powers and a not in coset]))
+    return ring, ring.add_table, _coset_swapped(ring, y, z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unital_tables())
+def test_axiom_check_past_the_first_check_of_each_route_agrees_with_the_oracle(case):
+    ring, add, mul = case
+    assert (_rebuild(ring, add, mul) is not None) == exhaustive_ring_axioms(add, mul)
 
 
 @pytest.mark.parametrize(
@@ -898,3 +960,31 @@ def test_axiom_check_on_every_commutative_unital_algebra_over_f2_cubed():
 def test_gf_tables_match_polynomial_arithmetic(p, k, modulus):
     ring = make_ring("GF", p=p, k=k, modulus=modulus)
     assert (ring.add_table, ring.mul_table) == convolution_gf_tables(p, k, modulus)
+
+
+def _gf_refusal(p, k, modulus):
+    """The message make_ring("GF", ...) should refuse these parameters with, or None, by trial division."""
+    if not all(p % d for d in range(2, p)):
+        return f"{p} is not prime"
+    lead = modulus[-1] % p
+    if lead == 0:
+        return "modulus leading coefficient vanishes mod p"
+    monic = [c * pow(lead, -1, p) % p for c in modulus]
+    return None if gf_is_irreducible(monic, p, k) else "modulus is reducible over GF(p)"
+
+
+@pytest.mark.parametrize("p, k", [(p, k) for p in range(2, 9) for k in range(1, 7) if p**k <= 64])
+def test_the_field_check_matches_trial_division_on_every_modulus(p, k):
+    verdicts = set()
+    for modulus in product(range(p), repeat=k + 1):
+        expected = _gf_refusal(p, k, modulus)
+        verdicts.add(expected)
+        if expected is None:
+            ring = make_ring("GF", p=p, k=k, modulus=list(modulus))
+            assert ring.q == p**k and ring.params["modulus"][-1] == 1
+        else:
+            with pytest.raises(ValueError) as error:
+                make_ring("GF", p=p, k=k, modulus=list(modulus))
+            assert str(error.value) == expected, modulus
+    if all(p % d for d in range(2, p)):  # a prime: both verdicts, and refusals of reducible moduli past degree 1
+        assert None in verdicts and (k == 1) == ("modulus is reducible over GF(p)" not in verdicts)

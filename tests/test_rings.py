@@ -1,10 +1,11 @@
 import random
 import time
+from itertools import product
 
 import pytest
 
 from cyclotomic import CycInt, character_value
-from oracles import character_ideal_sum, enumerate_ideals
+from oracles import character_ideal_sum, enumerate_ideals, gf_is_irreducible
 from pwenum.rings import (
     Character,
     RingSpec,
@@ -40,6 +41,8 @@ def test_zm_tables_are_modular_arithmetic():
 def test_f2v_construction():
     assert F2V.q == 4 and F2V.exponent == 2
     assert F2V.names == ("0", "1", "v", "1+v")
+    assert F2V.add_table == ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+    assert F2V.mul_table == ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 2, 0), (0, 3, 0, 3))
     v = 2
     assert F2V.mul_table[v][v] == v  # v^2 = v
     assert F2V.add_table[1][v] == 3
@@ -49,7 +52,9 @@ def test_f2u_nilpotent_generator():
     u = 2
     assert F2U.mul_table[u][u] == 0  # u^2 = 0
     assert F2U.exponent == 2
-    assert F2U.names[3] == "1+u"
+    assert F2U.names == ("0", "1", "u", "1+u")
+    assert F2U.add_table == ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+    assert F2U.mul_table == ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 0, 2), (0, 3, 2, 1))
 
 
 def test_gf4_field_structure():
@@ -77,7 +82,7 @@ def test_gf_names_are_polynomials():
 def test_gf_degenerate_extension():
     f3 = make_ring("GF", p=3, k=1, modulus=[0, 1])
     assert f3.q == 3 and f3.exponent == 3
-    assert default_character(f3).exponents == (0, 1, 2)  # trace is the identity
+    assert default_character(f3).exponents == (0, 1, 2)  # a one-digit index is its own top digit
 
 
 def test_construction_errors():
@@ -159,20 +164,33 @@ def test_ring_from_json_obj():
         ring_from_json_obj({"m": 4})
 
 
+PRIMES = [p for p in range(2, 65) if all(p % d for d in range(2, p))]
+
+
+def _every_field():
+    """GF(p^k) under every monic irreducible modulus, by trial division, for every p^k <= 64."""
+    for p, k in ((p, k) for p in PRIMES for k in range(1, 7) if p**k <= 64):
+        for tail in product(range(p), repeat=k):
+            if gf_is_irreducible([*tail, 1], p, k):
+                yield make_ring("GF", p=p, k=k, modulus=[*tail, 1])
+
+
 def test_default_characters_are_generating():
-    for ring in CATALOG + (
-        make_ring("Zm", m=6),
-        make_ring("Zm", m=8),
-        make_ring("GF", p=3, k=2, modulus=[1, 0, 1]),
-        make_ring("GF", p=2, k=3, modulus=[1, 1, 0, 1]),
-    ):
+    fields = list(_every_field())
+    # GF(p) under each modulus x + c, then 1 + 2 + 3 + 6 + 9 moduli of GF(2^k),
+    # 3 + 8 of GF(3^k), 10 of GF(25) and 21 of GF(49)
+    assert len(fields) == sum(PRIMES) + 63
+    rings = [make_ring("Zm", m=m) for m in range(2, 65)] + [F2U, F2V, *fields]
+    for ring in rings:
         chi = default_character(ring)
         assert verify_generating_character(ring, chi)
-        e = ring.exponent
-        for a in range(ring.q):
-            for b in range(ring.q):
-                lhs = chi.exponents[ring.add_table[a][b]]
-                assert lhs == (chi.exponents[a] + chi.exponents[b]) % e
+        eps, e = chi.exponents, ring.exponent
+        for a, row in enumerate(ring.add_table):
+            assert [eps[b] for b in row] == [(eps[a] + x) % e for x in eps]
+    # the top base-p digit, not the trace: on GF(9) the trace of a constant c is 2c
+    assert default_character(F4).exponents == (0, 0, 1, 1)
+    gf9 = make_ring("GF", p=3, k=2, modulus=[1, 0, 1])
+    assert default_character(gf9).exponents == (0, 0, 0, 1, 1, 1, 2, 2, 2)
 
 
 def test_default_character_values():
