@@ -18,7 +18,7 @@ from functools import partial
 from .codes import check_ambient_cap, check_span, dual_code, enumeration_cap, level_split, span
 from .enumerators import _check_t
 from .errors import CapExceededError, IntegrityError
-from .macwilliams import KINDS, TRANSFORM_KINDS, render, verify_identity
+from .macwilliams import KINDS, TRANSFORM_KINDS, count, render, verify_identity
 from .posets import LevelStructure, Poset, poset_from_json_obj
 # default_character is not called here; perfbench's set-up probe reaches it as cli.default_character
 from .rings import RingSpec, default_character, ring_from_json_obj
@@ -193,14 +193,8 @@ def run_paper_examples():
     codes = {name: span(f2, *NAMED_CODES[name]) for name in ("c1", "c2", "ex51")}
     found = []
     for name, kind, code, route, fixture in PAPER_CHECKS:
-        entry, code = KINDS[kind], codes[code]
-        shape = LevelStructure((2, 1, 1) if entry.levels else (1, 1, 1))
-        if route == "transform":
-            counts = entry.transform(code, shape)
-        else:
-            counts = entry.dual(code, shape, None) if route == "dual" else entry.direct(code, shape)
-        if entry.fold:
-            counts = entry.fold(counts, shape, (2, 1, 1))
+        shape = LevelStructure((2, 1, 1) if KINDS[kind].levels else (1, 1, 1))
+        counts = count(kind, route, codes[code], shape, (2, 1, 1))
         text = render(kind, counts, f2.q, shape)
         ok = sorted(text.split(" + ")) == sorted(FIXTURES[fixture].split(" + "))
         checks.append((name, ok, f"expected {FIXTURES[fixture]!r}, got {text!r}"))
@@ -324,24 +318,16 @@ def cmd_enum(args) -> int:
     cap = _resolve_cap(args)
     ring = parse_ring_spec(args.ring)
     n, generators = parse_code_spec(args.code, ring, cap)
-    kind = KINDS[args.kind]
-    if args.via_transform and kind.transform is None:
+    route = "transform" if args.via_transform else "dual" if args.dual else "code"
+    if route not in KINDS[args.kind].routes:
         raise ValueError(f"the plain {args.kind} enumerator has no transform route")
     shape, t = _resolve_shape(args, n, cap)
     if args.via_transform and not args.dual:
         raise ValueError("--via-transform computes the dual enumerator; pass --dual")
     if args.dual:  # the listed dual needs q^n <= cap; the transform is held to it too, so both refuse alike
         check_ambient_cap(ring, n, cap)
-    t = _check_t(shape, t) if kind.fold else t  # refused before any word is spanned
-    code = span(ring, n, generators, cap)
-    if args.via_transform:
-        counts = kind.transform(code, shape)
-    elif args.dual:
-        counts = kind.dual(code, shape, cap)
-    else:
-        counts = kind.direct(code, shape)
-    if kind.fold:
-        counts = kind.fold(counts, shape, t)
+    t = _check_t(shape, t) if KINDS[args.kind].fold else t  # refused before any word is spanned
+    counts = count(args.kind, route, span(ring, n, generators, cap), shape, t, cap)
     spell = partial(render, args.kind, counts, ring.q, shape)
     _emit(args, spell, lambda: {"kind": args.kind, "enumerator": spell(json=True)})
     return 0

@@ -166,10 +166,12 @@ def level_enumerator(code: LinearCode, levels: LevelStructure) -> dict[int, int]
 def _check_t(levels: LevelStructure, t) -> tuple[int, ...]:
     if t is None:
         raise ValueError("the mspotty kind needs t, one threshold per level")
-    t = tuple(int(x) for x in t)
+    t = tuple(t)
     if len(t) != levels.count:
         raise ValueError(f"t has {len(t)} entries for {levels.count} levels")
     for ti, ni in zip(t, levels.sizes):
+        if isinstance(ti, bool) or not isinstance(ti, int):
+            raise ValueError(f"t entry {ti!r} is not an integer")
         if not 1 <= ti <= ni:
             raise ValueError(f"t entry {ti} outside 1..{ni}")
     return t

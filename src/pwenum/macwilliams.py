@@ -111,7 +111,9 @@ class _Split(NamedTuple):
     folds per live coset, stage 2 q shift-adds per live coset and q folds:
     L |classes| + M (q + 4 |classes|) + 4q in all, against Lq + 4q for
     H = {0}.  The split is the cheaper one exactly when
-    L (q - |classes|) > M (q + 4 |classes|).
+    L (q - |classes|) > M (q + 4 |classes|).  As L <= M |H|, a pass pays
+    split only if a full line, all q columns in all q/|H| cosets, does, so
+    the choice is made once per ring, on a full line (pays).
     """
 
     cosets: list | None  # an itemgetter of the values on each coset t + H; None if H = {0}
@@ -120,10 +122,10 @@ class _Split(NamedTuple):
     outer: list  # outer[c][j]: the shifts of chi(bt), t over the coset representatives, for the j-th b of class c
     order: Callable | None  # the results class by class -> the results by b; None if already so
 
-    def pays(self, live: int, cosets: int) -> bool:
-        """Whether a pass on live nonzero columns in that many cosets counts fewer operations split."""
+    def pays(self) -> bool:
+        """Whether a full line, all q columns nonzero, counts fewer operations split than dense."""
         q, classes = len(self.coset_of), len(self.inner)
-        return bool(self.cosets) and live * (q - classes) > cosets * (q + 4 * classes)
+        return bool(self.cosets) and q * (q - classes) > len(self.cosets) * (q + 4 * classes)
 
 
 def _subgroup(add: tuple) -> list:
@@ -205,14 +207,13 @@ def _ring_step(columns: list, height: int, low: int, half: int, split: _Split) -
     return out
 
 
-def _step_rows(rows: list, q: int, dense: _Split, split: _Split, low: int, half: int) -> list:
+def _step_rows(rows: list, q: int, split: _Split, low: int, half: int) -> list:
     """Apply chi(ab) along each of the k coordinates indexing q^k rows, one pass a coordinate.
 
     A pass reads the last digit of the row index: column a is rows[a::q],
     the rows whose last digit is a, in the order of the other digits (a
-    column of one row is that row).  It goes through split where that counts
-    fewer operations on its nonzero columns than dense (_Split.pays), and
-    its output columns b = 0, ..., q-1 come in turn, which moves the stepped
+    column of one row is that row).  Every pass goes through split, and its
+    output columns b = 0, ..., q-1 come in turn, which moves the stepped
     digit to the front; after k passes the rows are back in lexicographic
     order.  low masks the lower half of every pattern in a row, for the fold
     of x^(e+j) onto x^j.  The list rows is emptied: each pass lets its input
@@ -223,9 +224,7 @@ def _step_rows(rows: list, q: int, dense: _Split, split: _Split, low: int, half:
         stride //= q
         columns = rows.copy() if height == 1 else [rows[a::q] for a in range(q)]
         rows.clear()
-        live = list(map(any if height > 1 else bool, columns))
-        cosets = len(set(compress(split.coset_of, live)))
-        rows = _ring_step(columns, height, low, half, split if split.pays(sum(live), cosets) else dense)
+        rows = _ring_step(columns, height, low, half, split)
     return rows
 
 
@@ -313,8 +312,9 @@ def _yates_tallies(code: LinearCode, chi: Character) -> tuple[int, list, int]:
     row_bytes = width * slot // 8
     scaled = [x * 8 * field for x in chi.exponents]
     shifts = [itemgetter(*row)(scaled) for row in ring.mul_table]
-    subgroup = _subgroup(ring.add_table)
-    dense, split = _coset_split(ring.add_table, shifts, [0]), _coset_split(ring.add_table, shifts, subgroup)
+    split = _coset_split(ring.add_table, shifts, _subgroup(ring.add_table))
+    if not split.pays():  # then no pass pays split: the dense product by the q x q matrix
+        split = _coset_split(ring.add_table, shifts, [0])
 
     def low(slots):  # the lower half of each of that many slots
         return int.from_bytes((b"\xff" * (half // 8) + bytes(half // 8)) * slots, "little")
@@ -326,9 +326,9 @@ def _yates_tallies(code: LinearCode, chi: Character) -> tuple[int, list, int]:
             marks[k] = bytearray(row_bytes)
         marks[k][r * slot // 8] = 1
     rows = [int.from_bytes(marks.pop(k), "little") if k in marks else 0 for k in range(nrows)]
-    rows = _step_rows(rows, q, dense, split, low(width), half)
+    rows = _step_rows(rows, q, split, low(width), half)
     rows = _transpose(rows, row_bytes, slot // 8)
-    rows = _step_rows(rows, q, dense, split, low(nrows), half)
+    rows = _step_rows(rows, q, split, low(nrows), half)
     return field, rows, nrows
 
 
@@ -531,31 +531,29 @@ def mspotty_transform(
 class Kind(NamedTuple):
     """How one enumerator kind is computed and printed.
 
-    Every route returns the kind's count dict.  shape is a LevelStructure,
-    or for the poset kind (levels False) the poset as read by
-    poset_from_json_obj: a LevelStructure when the poset is hierarchical with
-    its levels in coordinate order, else a Poset of down-set bitmasks.
+    Each route takes (code, shape, cap) to the kind's count dict: "code" for
+    the code's words, "dual" for the dual's, listed or counted, "transform"
+    for the dual's by the identity, from the code alone; the poset kind has
+    no transform.  count() runs a route and the fold.  shape is a
+    LevelStructure, or for the poset kind (levels False) the poset as read
+    by poset_from_json_obj: a LevelStructure when the poset is hierarchical
+    with its levels in coordinate order, else a Poset of down-set bitmasks.
     """
 
-    direct: Callable  # (code, shape) -> counts of the code's words
-    dual: Callable  # (code, shape, cap) -> counts of the dual's words, listed as indices or counted
-    transform: Callable | None  # (code, levels) -> counts of the dual's words, by the identity
+    routes: dict  # route name -> (code, shape, cap) -> counts
     terms: Callable  # (counts, q, levels) -> the terms in print order; see render
     fold: Callable | None = None  # (counts, levels, t) -> counts under the thresholds t
     levels: bool = True
 
 
-def _weight_transform(code, levels):
-    """The dual's per-level weight spectrum, contracted from the code's."""
-    return krawtchouk_contraction(weight_spectrum(code, levels), levels, code.ring.q, code.size)
-
-
 # The routes call the kernels through their module globals, so that a tracer
 # that rebinds those names (perfbench/spans.py) sees each call.
 _WEIGHT_ROUTES = {
-    "direct": lambda code, levels: weight_spectrum(code, levels),
+    "code": lambda code, levels, cap: weight_spectrum(code, levels),
     "dual": lambda code, levels, cap: dual_weight_spectrum(code, levels, cap),
-    "transform": _weight_transform,
+    "transform": lambda code, levels, cap: krawtchouk_contraction(
+        weight_spectrum(code, levels), levels, code.ring.q, code.size
+    ),
 }
 
 
@@ -563,38 +561,45 @@ def _poset_route(spectrum: Callable, listed: Callable) -> Callable:
     """A poset kind route: on a LevelStructure, the weight spectrum route folded by poset_spectrum,
     with no word listed; on a Poset, the listed word indices weighed half by half by their masks."""
 
-    def route(code, shape, *cap):
+    def route(code, shape, cap):
         if isinstance(shape, LevelStructure):
-            return poset_spectrum(spectrum(code, shape, *cap), shape)
-        return poset_weight_enumerator(listed(code, *cap), shape)
+            return poset_spectrum(spectrum(code, shape, cap), shape)
+        return poset_weight_enumerator(listed(code, cap), shape)
 
     return route
 
 
 KINDS = {
     "byte": Kind(
-        direct=lambda code, levels: byte_enumerator(code, levels),
-        # each dual word is its own byte monomial
-        dual=lambda code, levels, cap: dict.fromkeys(dual_indices(code, cap), 1),
-        transform=lambda code, levels: byte_transform(code, levels),
-        terms=byte_terms,
+        {
+            "code": lambda code, levels, cap: byte_enumerator(code, levels),
+            "dual": lambda code, levels, cap: dict.fromkeys(dual_indices(code, cap), 1),  # a monomial a word
+            "transform": lambda code, levels, cap: byte_transform(code, levels),
+        },
+        byte_terms,
     ),
-    "complete": Kind(**_WEIGHT_ROUTES, terms=complete_terms),
-    "level": Kind(**_WEIGHT_ROUTES, terms=plain_terms),
+    "complete": Kind(_WEIGHT_ROUTES, complete_terms),
+    "level": Kind(_WEIGHT_ROUTES, plain_terms),
     "mspotty": Kind(
-        **_WEIGHT_ROUTES,
-        terms=plain_terms,
-        fold=lambda spectrum, levels, t: spotty_spectrum(spectrum, levels, _check_t(levels, t)),
+        _WEIGHT_ROUTES, plain_terms, lambda counts, levels, t: spotty_spectrum(counts, levels, _check_t(levels, t))
     ),
     "poset": Kind(
-        direct=_poset_route(_WEIGHT_ROUTES["direct"], lambda code: code),
-        dual=_poset_route(_WEIGHT_ROUTES["dual"], lambda code, cap: dual_code(code, cap)),
-        transform=None,
-        terms=poset_terms,
+        {
+            "code": _poset_route(_WEIGHT_ROUTES["code"], lambda code, cap: code),
+            "dual": _poset_route(_WEIGHT_ROUTES["dual"], lambda code, cap: dual_code(code, cap)),
+        },
+        poset_terms,
         levels=False,
     ),
 }
-TRANSFORM_KINDS = tuple(kind for kind, entry in KINDS.items() if entry.transform)
+TRANSFORM_KINDS = tuple(kind for kind, entry in KINDS.items() if "transform" in entry.routes)
+
+
+def count(kind: str, route: str, code: LinearCode, shape, t=None, cap: int | None = None) -> dict:
+    """The counts of this kind by the named route of KINDS, folded by t where the kind folds."""
+    entry = KINDS[kind]
+    counts = entry.routes[route](code, shape, cap)
+    return entry.fold(counts, shape, t) if entry.fold else counts
 
 
 def render(kind: str, counts: dict, q: int | None = None, levels=None, json: bool = False):
@@ -612,32 +617,26 @@ def render(kind: str, counts: dict, q: int | None = None, levels=None, json: boo
 
 
 def verify_identity(
-    kind: str,
-    code: LinearCode,
-    levels: LevelStructure,
-    t=None,
-    cap: int | None = None,
+    kind: str, code: LinearCode, levels: LevelStructure, t=None, cap: int | None = None
 ) -> IdentityReport:
     """Check one transform against a direct computation on the dual.
 
-    lhs is the transform computed from the primal code; rhs is the same
-    enumerator computed on the dual by the kind's dual route, which lists
-    the dual's word indices (byte) or counts its per-level weight spectrum
-    without listing it.  Both sides are count dicts, compared before
-    anything is rendered.  t is read, checked and recorded only by the kinds
-    that fold by it.
+    lhs is the kind's "transform" route, computed from the primal code; rhs
+    is the same enumerator computed on the dual by its "dual" route, which
+    lists the dual's word indices (byte) or counts its per-level weight
+    spectrum without listing it.  Both sides are count dicts, compared
+    before anything is rendered.  t is read, checked and recorded only by
+    the kinds that fold by it.
     """
     if kind not in TRANSFORM_KINDS:
         raise ValueError(f"unknown identity kind {kind!r}; expected {TRANSFORM_KINDS}")
-    entry = KINDS[kind]
-    rhs = entry.dual(code, levels, cap)
-    lhs = entry.transform(code, levels)
+    rhs = count(kind, "dual", code, levels, t, cap)
+    lhs = count(kind, "transform", code, levels, t, cap)
     instance = {
         "ring": code.ring.to_json_obj(),
         "levels": list(levels.sizes),
         "generators": [list(g) for g in code.generators],
     }
-    if entry.fold:
-        lhs, rhs = entry.fold(lhs, levels, t), entry.fold(rhs, levels, t)
-        instance["t"] = list(t)
+    if KINDS[kind].fold:
+        instance["t"] = list(_check_t(levels, t))
     return IdentityReport(kind, lhs == rhs, lhs, rhs, instance)

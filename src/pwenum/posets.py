@@ -162,7 +162,10 @@ class LevelStructure:
     __slots__ = ("sizes",)
 
     def __init__(self, sizes):
-        sizes = tuple(int(s) for s in sizes)
+        sizes = tuple(sizes)
+        for s in sizes:
+            if isinstance(s, bool) or not isinstance(s, int):
+                raise ValueError(f"a level size must be an integer, got {s!r}")
         if not sizes or any(s < 1 for s in sizes):
             raise ValueError(f"level sizes must be positive, got {sizes}")
         object.__setattr__(self, "sizes", sizes)

@@ -20,7 +20,7 @@ from oracles import (
 from pwenum.cli import catalog_ring, run_fuzz, run_paper_examples
 from pwenum.codes import dual_code, span
 from pwenum.enumerators import weight_spectrum
-from pwenum.macwilliams import KINDS, level_transform, render
+from pwenum.macwilliams import count, level_transform, render
 from pwenum.posets import LevelStructure
 from pwenum.rings import default_character, verify_generating_character
 
@@ -70,13 +70,13 @@ def test_criterion_3_classical_hamming_reduction():
     )
     assert code.size == 16
     antichain = LevelStructure((7,))
-    weights = KINDS["poset"].direct(code, antichain)
+    weights = count("poset", "code", code, antichain)
     assert render("poset", weights) == "1 + 7x^3 + 7x^4 + x^7"
 
     # independent oracle: brute-force dual enumeration over the 8-word dual
     dual = dual_code(code)
     assert dual.size == 8
-    dual_weights = KINDS["poset"].direct(dual, antichain)
+    dual_weights = count("poset", "code", dual, antichain)
     assert render("poset", dual_weights) == "1 + 7x^4"
 
     singles = LevelStructure((1,) * 7)

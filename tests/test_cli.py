@@ -310,7 +310,7 @@ def test_kinds_that_do_not_fold_ignore_t(kind, poset, t):
     # and --t 9 passed unchecked with one entry for three levels
     base = ["--kind", kind, "--ring", "F2", "--code", "ex51", "--poset", poset]
     runs = [["enum", *base], ["enum", "--dual", *base]]
-    if KINDS[kind].transform:
+    if "transform" in KINDS[kind].routes:
         runs.append(["verify", *base])
     for argv in runs:
         plain = _call(argv)

@@ -70,6 +70,7 @@ from pwenum.macwilliams import (
     _subgroup,
     byte_transform,
     complete_transform,
+    count,
     krawtchouk_contraction,
     mspotty_transform,
     render,
@@ -198,11 +199,11 @@ def test_the_poset_kind_folds_the_level_spectrum_on_a_hierarchical_poset(instanc
     # given by covers, a hierarchy is read as its LevelStructure and folds the per-level weights
     _, levels, code, _ = instance
     sizes = {"leveled": levels.sizes, "chain": (1,) * levels.n, "antichain": (levels.n,)}[shape]
-    covers, entry = hierarchical_poset(sizes), KINDS["poset"]
+    covers = hierarchical_poset(sizes)
     assert _cover_poset(levels.n, covers) == LevelStructure(sizes)
-    assert entry.direct(code, LevelStructure(sizes)) == cover_poset_enumerator(code.words, covers)
+    assert count("poset", "code", code, LevelStructure(sizes)) == cover_poset_enumerator(code.words, covers)
     dual = cover_poset_enumerator(dual_code(code).words, covers)
-    assert entry.dual(code, LevelStructure(sizes), None) == dual
+    assert count("poset", "dual", code, LevelStructure(sizes)) == dual
 
 
 def _cover_poset(n, covers):
@@ -245,9 +246,8 @@ def test_the_poset_kind_matches_the_cover_oracle_on_random_cover_posets(name, da
         assert isinstance(shape, Poset)
     else:
         assert shape == LevelStructure(sizes)
-    entry = KINDS["poset"]
-    assert entry.direct(code, shape) == cover_poset_enumerator(code.words, covers)
-    assert entry.dual(code, shape, None) == cover_poset_enumerator(scan_dual_words(code), covers)
+    assert count("poset", "code", code, shape) == cover_poset_enumerator(code.words, covers)
+    assert count("poset", "dual", code, shape) == cover_poset_enumerator(scan_dual_words(code), covers)
 
 
 @SETTINGS
@@ -626,7 +626,7 @@ def test_the_split_pays_on_the_big_rings_and_on_no_ring_of_at_most_9_elements():
     for name, ring in SPLIT_RINGS.items():
         group = _subgroup(ring.add_table)
         split = _coset_split(ring.add_table, _shifts(ring, default_character(ring).exponents, 1), group)
-        if split.pays(ring.q, ring.q // len(group)):  # on a full line
+        if split.pays():  # on a full line
             sizes[name] = len(group)
     assert not [name for name in sizes if SPLIT_RINGS[name].q <= 9]
     big = ("Z16", "Z27", "Z32", "Z64", "GF7^2", "GF2^6")

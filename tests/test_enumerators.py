@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -26,7 +27,7 @@ from pwenum.enumerators import (
     poset_weight_enumerator,
     weight_spectrum,
 )
-from pwenum.macwilliams import KINDS, render
+from pwenum.macwilliams import count, render
 from pwenum.posets import LevelStructure, Poset, poset_from_json_obj
 from pwenum.rings import make_ring
 
@@ -77,7 +78,7 @@ def test_chain_poset_enumerators():
     c1 = span(F2, 3, [(0, 0, 1)])
     c2 = span(F2, 3, [(1, 1, 1)])
     chain, covers = LevelStructure((1, 1, 1)), hierarchical_poset((1, 1, 1))  # 1 < 2 < 3
-    enum = KINDS["poset"].direct
+    enum = partial(count, "poset", "code")
     w1, w2 = enum(c1, chain), enum(c2, chain)
     assert w1 == x_poly([(0, 1), (3, 1)]) == cover_poset_enumerator(c1.words, covers)
     assert w1 == w2
@@ -92,7 +93,7 @@ def test_antichain_poset_enumerator_is_hamming():
     for ring in CATALOG:
         gens = [tuple(rng.randrange(ring.q) for _ in range(4)) for _ in range(2)]
         code = span(ring, 4, gens)
-        poly = KINDS["poset"].direct(code, LevelStructure((4,)))
+        poly = count("poset", "code", code, LevelStructure((4,)))
         counts = {}
         for w in code.words:
             counts[sum(1 for x in w if x)] = counts.get(sum(1 for x in w if x), 0) + 1
@@ -102,7 +103,7 @@ def test_antichain_poset_enumerator_is_hamming():
 def test_chain_poset_weight_is_last_nonzero_index():
     code = span(F2, 5, [(1, 0, 1, 0, 1), (0, 1, 1, 0, 0)])
     expected = Counter(max((i + 1 for i, x in enumerate(w) if x), default=0) for w in code.words)
-    assert KINDS["poset"].direct(code, LevelStructure((1,) * 5)) == expected
+    assert count("poset", "code", code, LevelStructure((1,) * 5)) == expected
     assert cover_poset_enumerator(code.words, hierarchical_poset((1,) * 5)) == expected
     # with position 5 taken off the chain, the masks weigh each word half by half
     off_chain = poset_from_json_obj({"kind": "cover", "n": 5, "covers": [[1, 2], [2, 3], [3, 4]]})
@@ -294,7 +295,7 @@ def test_substitute_kind_mismatch():
 def test_collapse_to_x_reduces_to_hamming():
     singles = LevelStructure((1,) * 4)
     poly = collapse_to_x(unkeyed(singles.sizes, level_enumerator(EX_CODE, singles)))
-    assert poly == KINDS["poset"].direct(EX_CODE, LevelStructure((4,)))
+    assert poly == count("poset", "code", EX_CODE, LevelStructure((4,)))
     with pytest.raises(ValueError):
         collapse_to_x(byte_enumerator(EX_CODE, EX_LEVELS))
 
@@ -303,6 +304,6 @@ def test_enumerators_reject_mismatched_levels():
     with pytest.raises(ValueError):
         byte_enumerator(EX_CODE, LevelStructure((2, 1)))
     with pytest.raises(ValueError):
-        KINDS["poset"].direct(EX_CODE, LevelStructure((1, 1, 1)))
+        count("poset", "code", EX_CODE, LevelStructure((1, 1, 1)))
     with pytest.raises(ValueError, match="poset size 3 does not match code length 4"):
         poset_weight_enumerator(EX_CODE, poset_from_json_obj({"kind": "cover", "n": 3, "covers": [[2, 1]]}))

@@ -297,6 +297,15 @@ def test_verify_identity_reports():
         verify_identity("mspotty", EX_CODE, EX_LEVELS)
 
 
+@pytest.mark.parametrize("t, entry", [((1.9, 1, 1.2), "1.9"), ((True, 1, 1), "True"), ((2, "1", 1), "'1'")])
+def test_verify_identity_refuses_a_t_entry_that_is_no_int(t, entry):
+    # such an entry used to pass through int(): (1.9, 1, 1.2) folded as (1, 1, 1), EQUAL, and the
+    # report recorded the unchecked t
+    with pytest.raises(ValueError, match=f"t entry {entry} is not an integer"):
+        verify_identity("mspotty", EX_CODE, EX_LEVELS, t=t)
+    assert verify_identity("mspotty", EX_CODE, EX_LEVELS, t=[2, 1, 1]).instance["t"] == [2, 1, 1]
+
+
 def test_wrong_character_breaks_the_identity(monkeypatch):
     chi = Character(Z4, (0, 2, 0, 2))  # additive but not generating
     monkeypatch.setattr(macwilliams, "default_character", lambda ring: chi)

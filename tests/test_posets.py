@@ -8,7 +8,7 @@ from oracles import cover_ideal, cover_level_sizes, hierarchical_poset, level_bo
 from pwenum.codes import span
 from pwenum.enumerators import poset_weight_enumerator
 from pwenum.errors import CapExceededError
-from pwenum.macwilliams import KINDS
+from pwenum.macwilliams import count
 from pwenum.posets import LevelStructure, Poset, poset_from_json_obj
 from pwenum.rings import make_ring
 
@@ -21,7 +21,7 @@ def _cover(n, covers=()):
 
 def _weight(shape, word) -> int:
     """The poset weight of one F2 word, read off the poset kind on the code it spans: {0: 1, w: 1}."""
-    return max(KINDS["poset"].direct(span(F2, len(word), [word]), shape))
+    return max(count("poset", "code", span(F2, len(word), [word]), shape))
 
 
 def _word(n, support) -> tuple:
@@ -143,6 +143,10 @@ def test_level_structure_validation():
         LevelStructure(())
     with pytest.raises(ValueError):
         LevelStructure((2, 0))
+    # sizes used to pass through int(): (2.7, 1) and ("2", "1") read as (2, 1), (True, 2) as (1, 2)
+    for sizes, entry in (((2.7, 1), "2.7"), (("2", "1"), "'2'"), ((True, 2), "True"), ((2, 1.0), "1.0")):
+        with pytest.raises(ValueError, match=f"a level size must be an integer, got {entry}"):
+            LevelStructure(sizes)
     lv = LevelStructure((2, 1, 3))
     assert lv.n == 6 and lv.count == 3
     assert level_bounds(lv.sizes) == [(1, 2), (3, 3), (4, 6)]
