@@ -289,45 +289,47 @@ def _transpose(rows: list, row_bytes: int, slot_bytes: int, cut: int = 1, signed
 def _yates_tallies(code: LinearCode, chi: Character) -> tuple[int, list, int]:
     """Tally of the exponents of chi(<b, u>) over u in C, for every b in R^n.
 
-    Returns the field width in bytes, the final rows and the period
-    P = q^ceil(n/2).  Each tally is e count fields followed by e zero fields;
-    row r packs the tallies of the P patterns with lexicographic index
-    r * P + k, at slot k, so the rows read in order are the patterns in
-    lexicographic order.
+    Returns the field width in bits, b = |C|.bit_length(), the final rows
+    and the period P = q^ceil(n/2).  Each tally is e count fields followed
+    by e zero fields, 2e b bits, and zero bits pad its slot to whole bytes:
+    no count exceeds |C| < 2^b, and a shift by fewer than e fields keeps a
+    value in its 2e fields, so no bit reaches the padding.  Row r packs the
+    tallies of the P patterns with lexicographic index r * P + k, at slot
+    k, so the rows read in order are the patterns in lexicographic order.
 
     The steps follow Bailey's four-step order.  The last ceil(n/2)
     coordinates index a list of rows, each packing the patterns of the first
     floor(n/2); those trailing coordinates are stepped between rows, one
     pass over all rows each (_step_rows), the slot matrix is transposed
     once, and the leading coordinates are stepped between the new rows.  A
-    pass or the transpose holds two sets of rows at a time, each of at most
-    q^n 2e field bytes.
+    pass or the transpose holds two sets of rows at a time, each of
+    q^n ceil(2e b / 8) bytes.
     """
     ring = code.ring
     q, e, n = ring.q, ring.exponent, code.n
-    field = -(-code.size.bit_length() // 8)  # a count field holds up to |C|
-    half = 8 * field * e
-    slot = 2 * half
+    field = code.size.bit_length()  # a count field holds up to |C|
+    half = field * e
+    slot = -(-2 * half // 8)  # bytes
     width, nrows = q ** (n // 2), q ** (n - n // 2)
-    row_bytes = width * slot // 8
-    scaled = [x * 8 * field for x in chi.exponents]
+    row_bytes = width * slot
+    scaled = [x * field for x in chi.exponents]
     shifts = [itemgetter(*row)(scaled) for row in ring.mul_table]
     split = _coset_split(ring.add_table, shifts, _subgroup(ring.add_table))
     if not split.pays():  # then no pass pays split: the dense product by the q x q matrix
         split = _coset_split(ring.add_table, shifts, [0])
 
-    def low(slots):  # the lower half of each of that many slots
-        return int.from_bytes((b"\xff" * (half // 8) + bytes(half // 8)) * slots, "little")
+    def low(slots):  # the low e fields of each of that many slots
+        return int.from_bytes(((1 << half) - 1).to_bytes(slot, "little") * slots, "little")
 
     marks: dict[int, bytearray] = {}  # the indicator of C, by row
     for index in code.indices:
         r, k = divmod(index, nrows)
         if k not in marks:
             marks[k] = bytearray(row_bytes)
-        marks[k][r * slot // 8] = 1
+        marks[k][r * slot] = 1
     rows = [int.from_bytes(marks.pop(k), "little") if k in marks else 0 for k in range(nrows)]
     rows = _step_rows(rows, q, split, low(width), half)
-    rows = _transpose(rows, row_bytes, slot // 8)
+    rows = _transpose(rows, row_bytes, slot)
     rows = _step_rows(rows, q, split, low(nrows), half)
     return field, rows, nrows
 
@@ -344,20 +346,21 @@ def byte_transform(code: LinearCode, levels: LevelStructure) -> dict[int, int]:
     is the nonzero {lexicographic index of b: coefficient}, in increasing
     index order.
 
-    A value is packed into a Python int as 2e byte-aligned count fields, so
-    multiplying by x^r is a left shift by r fields; after each coordinate
-    one mask-and-add folds field e+j back onto field j.  Row ints pack the
-    patterns of some coordinates and a list of rows is indexed by the
-    others, so a coordinate step combines whole rows.  Every coordinate is
-    stepped between rows (see _yates_tallies): half of them, then one
-    transpose of the slot matrix, then the other half.  Each coordinate is
-    one pass over all the rows (_step_rows): the q strided columns of rows
-    that differ in that coordinate are multiplied by the q x q matrix
-    chi(ab) in whole-column shift-adds, q^2 of them, or q (|H| + q/|H|)
-    where a subgroup H of (R, +) splits the product (see _Split), less the
-    ones on all-zero columns.  A pass thus reads the q^n 2e field bytes of
-    the rows q times, or |H| + q/|H| times, and holds the old and the new
-    rows.  The final rows are checked and read whole (_read_tallies).
+    A value is packed into a Python int as 2e count fields of
+    |C|.bit_length() bits, in a slot of whole bytes, so multiplying by x^r
+    is a left shift by r fields; after each coordinate one mask-and-add
+    folds field e+j back onto field j.  Row ints pack the patterns of some
+    coordinates and a list of rows is indexed by the others, so a coordinate
+    step combines whole rows.  Every coordinate is stepped between rows (see
+    _yates_tallies): half of them, then one transpose of the slot matrix,
+    then the other half.  Each coordinate is one pass over all the rows
+    (_step_rows): the q strided columns of rows that differ in that
+    coordinate are multiplied by the q x q matrix chi(ab) in whole-column
+    shift-adds, q^2 of them, or q (|H| + q/|H|) where a subgroup H of (R, +)
+    splits the product (see _Split), less the ones on all-zero columns.  A
+    pass thus reads the q^n slot bytes of the rows q times, or |H| + q/|H|
+    times, and holds the old and the new rows.  The final rows are checked
+    and read whole (_read_tallies).
     """
     check_levels(code, levels)
     return _read_tallies(*_yates_tallies(code, default_character(code.ring)), code.ring.exponent, code.size)
@@ -366,20 +369,22 @@ def byte_transform(code: LinearCode, levels: LevelStructure) -> dict[int, int]:
 def _read_tallies(field: int, rows: list, period: int, e: int, code_size: int) -> dict[int, int]:
     """{r P + k: 1} for each slot k of each final row r that holds the tally of coefficient 1; P = period.
 
-    By orthogonality (see _byte_coefficient) a slot holds a tally T_g, g | e
-    and (e/g) | |C|: |C| g/e on the count fields of the multiples of g, 0 on
-    the rest; T_e is coefficient 1, the others 0.  By Lamport's lane test, a
-    slot of x = row ^ T_g (repeated) is nonzero exactly when its top bit is
-    set in ((x & rest) + rest) | x, rest being the other bits.  T_e goes
-    first, its equal slots read off their top bytes, then g = 1, 2, ... until
-    every slot has matched; a slot matching none raises IntegrityError.
+    A slot is 2e fields of field bits, padded to whole bytes.  By
+    orthogonality (see _byte_coefficient) it holds a tally T_g, g | e and
+    (e/g) | |C|: |C| g/e on the count fields of the multiples of g, 0 on the
+    rest, on the zero fields and on the padding; T_e is coefficient 1, the
+    others 0.  By Lamport's lane test, a slot of x = row ^ T_g (repeated) is
+    nonzero exactly when its top bit is set in ((x & rest) + rest) | x, rest
+    being the other bits.  T_e goes first, its equal slots read off their
+    top bytes, then g = 1, 2, ... until every slot has matched; a slot
+    matching none raises IntegrityError.
     """
-    slot = 2 * e * field  # bytes
+    slot = -(-2 * e * field // 8)  # bytes
     top = _bias(period, slot)  # the top bit of each slot
     lanes = top >> (8 * slot - 1)  # the low bit of each slot
     rest = top - lanes  # the other bits of each slot
     unit, *others = [
-        lanes * (code_size * g // e) * sum(1 << 8 * field * r for r in range(0, e, g))
+        lanes * (code_size * g // e) * sum(1 << field * r for r in range(0, e, g))
         for g in (e, *range(1, e))
         if e % g == 0 and code_size * g % e == 0
     ]
@@ -398,24 +403,25 @@ def _read_tallies(field: int, rows: list, period: int, e: int, code_size: int) -
                 left &= ((x & rest) + rest) | x
             if left:
                 k = (left & -left).bit_length() // (8 * slot) - 1
-                tally = row.to_bytes(slot * period, "little")[k * slot : (k + 1) * slot]
+                tally = row >> (8 * slot * k) & ((1 << 8 * slot) - 1)
                 _byte_coefficient(tally, e, field, code_size)
-                raise IntegrityError(f"the zero fields of an exponent tally hold {tally[e * field :].hex()}")
+                raise IntegrityError(f"the zero fields and padding of a tally hold {tally >> e * field:#x}")
             slots = read[row] = tuple(compress(range(period), ones))
         out.update(zip(map(start.__add__, slots), repeat(1)))
     return out
 
 
-def _byte_coefficient(tally: bytes, e: int, field: int, code_size: int) -> int:
+def _byte_coefficient(tally: int, e: int, field: int, code_size: int) -> int:
     """(1/|C|) sum over r of tally[r] zeta_e^r, by the orthogonality of characters.
 
-    As chi is additive, u -> eps(<b, u>) is a homomorphism from C to Z_e, so
+    Count r of the tally is its field of field bits at bit r * field.  As
+    chi is additive, u -> eps(<b, u>) is a homomorphism from C to Z_e, so
     its image is a subgroup H = {0, g, 2g, ...} of Z_e, g | e, and it takes
     each value in H exactly |C|/|H| times.  The tally must have that shape,
     or IntegrityError is raised.  The sum is then |C|/|H| times the sum of
     zeta_e^h over h in H: |C| when H = {0} and 0 otherwise.
     """
-    counts = [int.from_bytes(tally[r * field : (r + 1) * field], "little") for r in range(e)]
+    counts = [tally >> (r * field) & ((1 << field) - 1) for r in range(e)]
     g = next((r for r in range(1, e) if counts[r]), e)
     if e % g or counts != ([counts[0]] + [0] * (g - 1)) * (e // g) or counts[0] * (e // g) != code_size:
         raise IntegrityError(
@@ -626,10 +632,11 @@ def verify_identity(
     lists the dual's word indices (byte) or counts its per-level weight
     spectrum without listing it.  Both sides are count dicts, compared
     before anything is rendered.  t is read, checked and recorded only by
-    the kinds that fold by it.
+    the kinds that fold by it, and read once, before either route runs.
     """
     if kind not in TRANSFORM_KINDS:
         raise ValueError(f"unknown identity kind {kind!r}; expected {TRANSFORM_KINDS}")
+    t = _check_t(levels, t) if KINDS[kind].fold else t
     rhs = count(kind, "dual", code, levels, t, cap)
     lhs = count(kind, "transform", code, levels, t, cap)
     instance = {
@@ -638,5 +645,5 @@ def verify_identity(
         "generators": [list(g) for g in code.generators],
     }
     if KINDS[kind].fold:
-        instance["t"] = list(_check_t(levels, t))
+        instance["t"] = list(t)
     return IdentityReport(kind, lhs == rhs, lhs, rhs, instance)

@@ -68,6 +68,7 @@ from pwenum.macwilliams import (
     _read_tallies,
     _ring_step,
     _subgroup,
+    _yates_tallies,
     byte_transform,
     complete_transform,
     count,
@@ -447,6 +448,59 @@ def test_byte_transform_matches_pattern_oracle_on_big_rings(name, sizes, generat
 
 
 @pytest.mark.parametrize(
+    "m, sizes, generators, size",
+    [
+        # |C| a power of two: the count |C| needs b = |C|.bit_length() bits, one more than |C| - 1;
+        # a slot is 2e fields of b bits, padded to whole bytes where 8 does not divide 2e b
+        (2, (2, 2), [], 1),  # b = 1: 4 bits in 1 byte
+        (2, (2, 2), [(1, 1, 0, 1)], 2),  # b = 2: 8 bits
+        (2, (2, 2), [(1, 1, 0, 1), (0, 1, 1, 1)], 4),  # b = 3: 12 bits in 2 bytes
+        (2, (3, 3), [(1, 0, 0, 0, 1, 1), (0, 1, 0, 1, 0, 1), (0, 0, 1, 1, 1, 0), (0, 0, 0, 1, 1, 1)], 16),  # 20 in 3
+        (4, (1, 2), [(2, 0, 2)], 2),
+        (4, (1, 2), [(1, 2, 3)], 4),
+        (4, (1, 2), [(1, 0, 3), (0, 1, 1)], 16),
+        (8, (1, 1), [(4, 4)], 2),
+        (8, (1, 2), [(1, 2, 3)], 8),
+        (16, (1, 1), [(8, 8)], 2),
+        (16, (1, 1), [(1, 3)], 16),
+        (32, (1, 1), [(16, 16)], 2),
+        (32, (1, 1), [(1, 3), (0, 2)], 512),  # b = 10
+        (64, (1, 1), [], 1),
+        (64, (1, 1), [(32, 32)], 2),
+        (64, (1, 1), [(1, 17)], 64),
+        (64, (1, 1), [(1, 0), (0, 16)], 256),  # b = 9
+        (64, (1, 1), [(1, 0), (0, 1)], 4096),  # the whole space: b = 13
+        # |C| no power of two, on e = 3, 9 and 27
+        (3, (1, 2), [(1, 2, 1)], 3),  # b = 2: 12 bits in 2 bytes
+        (3, (2, 2), [(1, 0, 1, 2), (0, 1, 2, 2)], 9),  # b = 4: 24 bits
+        (3, (2, 2), [(1, 0, 0, 1), (0, 1, 0, 2), (0, 0, 1, 1)], 27),  # b = 5: 30 bits in 4 bytes
+        (9, (1, 2), [(3, 3, 6)], 3),  # b = 2: 36 bits in 5 bytes
+        (9, (1, 2), [(1, 3, 6)], 9),  # b = 4: 72 bits
+        (9, (1, 2), [(1, 0, 3), (0, 3, 3)], 27),  # b = 5: 90 bits in 12 bytes
+        (27, (1, 1), [], 1),
+        (27, (1, 1), [(9, 9)], 3),  # b = 2: 108 bits in 14 bytes
+        (27, (1, 1), [(1, 5)], 27),  # b = 5: 270 bits in 34 bytes
+        (27, (1, 1), [(3, 0), (0, 9)], 27),
+    ],
+)
+def test_byte_transform_at_the_field_width_boundaries(m, sizes, generators, size):
+    levels = LevelStructure(sizes)
+    ring = make_ring("Zm", m=m)
+    code = span(ring, levels.n, generators)
+    assert code.size == size
+    dual = byte_enumerator(dual_code(code), levels)
+    assert byte_transform(code, levels) == dual
+    # each slot, field by field, is the true tally, its zero fields and padding 0: the whole-row read
+    # compares a slot with its forms, and a count |C| one bit too wide for its field would carry into
+    # field 1 alike in both
+    field, rows, period = _yates_tallies(code, default_character(ring))
+    e, slot = ring.exponent, -(-2 * ring.exponent * field // 8)
+    tallies = [row >> 8 * slot * k & ((1 << 8 * slot) - 1) for row in rows for k in range(period)]
+    assert not any(tally >> e * field for tally in tallies)
+    assert [_byte_coefficient(tally, e, field, size) for tally in tallies] == [int(i in dual) for i in range(m**levels.n)]
+
+
+@pytest.mark.parametrize(
     "name, exponents, generators",
     [
         ("Z4", (0, 2, 0, 2), [(1, 2)]),
@@ -480,9 +534,10 @@ def test_byte_coefficient_agrees_with_the_cyclotomic_reduction(data):
     for r in data.draw(st.lists(st.integers(0, e - 1), max_size=3)):
         counts[r] = data.draw(st.integers(0, 2 * c))
     size = data.draw(st.sampled_from((c * e // g, max(1, sum(counts)), c)))
-    tally = b"".join(x.to_bytes(2, "little") for x in counts)
+    field = data.draw(st.integers((2 * c).bit_length(), 24))  # bits; every count fits
+    tally = sum(x << r * field for r, x in enumerate(counts))
     try:
-        coeff = _byte_coefficient(tally, e, 2, size)
+        coeff = _byte_coefficient(tally, e, field, size)
     except IntegrityError:
         return
     assert coeff == cyclotomic_coefficient(counts, size)
@@ -492,22 +547,26 @@ def test_byte_coefficient_agrees_with_the_cyclotomic_reduction(data):
 def final_rows(draw):
     """(rows, period, e, field, |C|): slots of valid tallies T_g, at most one of them corrupted.
 
-    A slot is 2e fields of field bytes: T_g has |C| g/e on the count fields
-    of the multiples of g and 0 on the others and on the e zero fields.  The
-    corruption moves a count between count fields, changes one, or sets a
-    byte of a zero field; it may land on another valid tally.
+    A slot is 2e fields of field bits, padded with zero bits to whole bytes:
+    T_g has |C| g/e on the count fields of the multiples of g and 0 on the
+    others, on the e zero fields and on the padding.  The corruption moves a
+    count between count fields, changes one, sets a zero field or sets a
+    padding bit; it may land on another valid tally.
     """
     e = draw(st.sampled_from((2, 3, 4, 8, 9, 16, 27, 64)))
-    field = draw(st.integers(1, 3))
-    size = draw(st.integers(1, (256**field - 1) // e)) * draw(st.sampled_from((1, e)))
+    field = draw(st.integers(1, 24))
+    top = 2**field - 1  # the largest count a field holds
+    size = draw(st.integers(1, max(1, top // e))) * draw(st.sampled_from((1, e) if e <= top else (1,)))
     forms = [g for g in range(1, e + 1) if e % g == 0 and size * g % e == 0]
     period, nrows = draw(st.integers(1, 9)), draw(st.integers(1, 4))
     slots = []
     for _ in range(period * nrows):
         g = draw(st.sampled_from(forms))
         slots.append([size * g // e if r % g == 0 else 0 for r in range(e)] + [0] * e)
-    counts = slots[draw(st.integers(0, len(slots) - 1))]
-    how = draw(st.sampled_from(("none", "move", "change", "pad")))
+    at = draw(st.integers(0, len(slots) - 1))
+    counts, slot = slots[at], -(-2 * e * field // 8)  # bytes
+    padded = 8 * slot > 2 * e * field
+    how = draw(st.sampled_from(("none", "move", "change", "zero") + ("pad",) * padded))
     if how == "move":
         src = draw(st.sampled_from([r for r in range(e) if counts[r]]))
         moved = draw(st.integers(1, counts[src]))
@@ -515,36 +574,40 @@ def final_rows(draw):
         counts[draw(st.sampled_from([r for r in range(e) if r != src]))] += moved
     elif how == "change":  # to any value, or by one bit
         r = draw(st.integers(0, e - 1))
-        flip = st.integers(0, 8 * field - 1).map(lambda b: counts[r] ^ 1 << b)
-        counts[r] = draw(st.one_of(flip, st.integers(0, 256**field - 1).filter(lambda c: c != counts[r])))
-    elif how == "pad":  # a byte of a zero field; its value goes in whole, carries and all
-        counts[draw(st.integers(e, 2 * e - 1))] = draw(st.integers(1, 255)) << 8 * draw(st.integers(0, field - 1))
-    data = b"".join(c.to_bytes(field, "little") for slot in slots for c in slot)
-    row_bytes = period * 2 * e * field
-    rows = [int.from_bytes(data[i : i + row_bytes], "little") for i in range(0, len(data), row_bytes)]
+        flip = st.integers(0, field - 1).map(lambda b: counts[r] ^ 1 << b)
+        counts[r] = draw(st.one_of(flip, st.integers(0, top).filter(lambda c: c != counts[r])))
+    elif how == "zero":  # a zero field, to any value it holds
+        counts[draw(st.integers(e, 2 * e - 1))] = draw(st.integers(1, top))
+    packed = [sum(c << field * r for r, c in enumerate(counts)) for counts in slots]
+    if how == "pad":  # one bit past the 2e fields
+        packed[at] |= 1 << draw(st.integers(2 * e * field, 8 * slot - 1))
+    chunks = (packed[i : i + period] for i in range(0, len(packed), period))
+    rows = [sum(v << 8 * slot * k for k, v in enumerate(chunk)) for chunk in chunks]
     return rows, period, e, field, size
 
 
 @settings(max_examples=300, deadline=None)
 @given(final_rows())
-@example(([4 | 0x80 << 8 * 31], 1, 2, 8, 4))  # T_2 in fields of 8 bytes but for the top bit of the slot
-@example(([int.from_bytes(bytes([4, 0, 0, 0x80]), "little")], 1, 2, 1, 4))  # likewise in fields of 1 byte
-@example(([int.from_bytes(bytes([2, 2, 0, 0, 4, 0, 0, 0]), "little")], 2, 2, 1, 4))  # T_1 then T_2
-@example(([5], 1, 2, 1, 4))  # T_2 but for the lowest bit of the slot
+@example(([4 | 0x80 << 8 * 31], 1, 2, 64, 4))  # T_2 in fields of 64 bits but for the top bit of the slot
+@example(([int.from_bytes(bytes([4, 0, 0, 0x80]), "little")], 1, 2, 8, 4))  # likewise in fields of 8 bits
+@example(([int.from_bytes(bytes([2, 2, 0, 0, 4, 0, 0, 0]), "little")], 2, 2, 8, 4))  # T_1 then T_2
+@example(([5], 1, 2, 8, 4))  # T_2 but for the lowest bit of the slot
+@example(([4 | 1 << 15], 1, 2, 3, 4))  # T_2 in fields of 3 bits, 12 of 16 bits, but for the top padding bit
+@example(([4 | 1 << 12], 1, 2, 3, 4))  # likewise, but for the lowest padding bit
+@example(([2 | 2 << 3 | 4 << 16], 2, 2, 3, 4))  # T_1 then T_2 in fields of 3 bits
 def test_the_whole_row_read_agrees_with_the_check_of_each_slot(case):
     rows, period, e, field, size = case
-    slot = 2 * e * field
+    slot = -(-2 * e * field // 8)  # bytes
     expected, refusal = [], None
     for r, row in enumerate(rows):
-        data = row.to_bytes(period * slot, "little")
         for k in range(period):
-            tally = data[k * slot : (k + 1) * slot]
+            tally = row >> 8 * slot * k & ((1 << 8 * slot) - 1)
             try:
                 coeff = _byte_coefficient(tally, e, field, size)
             except IntegrityError as error:
                 refusal = str(error)
                 break
-            if any(tally[e * field :]):
+            if tally >> e * field:  # a zero field or a padding bit
                 refusal = "zero fields"
                 break
             if coeff:
@@ -599,8 +662,8 @@ def _exponent_maps():
     yield pytest.param("GF2^6", tuple(a & 1 for a in range(64)), id="GF2^6-constant-coefficient")
 
 
-def _shifts(ring, exponents, field):
-    return [[exponents[x] * 8 * field for x in row] for row in ring.mul_table]
+def _shifts(ring, exponents, field):  # field in bits
+    return [[exponents[x] * field for x in row] for row in ring.mul_table]
 
 
 @pytest.mark.parametrize("name", sorted(SPLIT_RINGS))
@@ -610,7 +673,7 @@ def test_the_subgroup_is_one_and_its_cosets_partition_the_ring(name):
     group = _subgroup(add)
     assert group[0] == 0 and len(group) ** 2 <= q
     assert {add[a][b] for a in group for b in group} == set(group)
-    split = _coset_split(add, _shifts(ring, default_character(ring).exponents, 1), group)
+    split = _coset_split(add, _shifts(ring, default_character(ring).exponents, 8), group)
     if len(group) == 1:
         assert split.cosets is None and split.coset_of == tuple(range(q))
         return
@@ -625,7 +688,7 @@ def test_the_split_pays_on_the_big_rings_and_on_no_ring_of_at_most_9_elements():
     sizes = {}
     for name, ring in SPLIT_RINGS.items():
         group = _subgroup(ring.add_table)
-        split = _coset_split(ring.add_table, _shifts(ring, default_character(ring).exponents, 1), group)
+        split = _coset_split(ring.add_table, _shifts(ring, default_character(ring).exponents, 8), group)
         if split.pays():  # on a full line
             sizes[name] = len(group)
     assert not [name for name in sizes if SPLIT_RINGS[name].q <= 9]
@@ -637,9 +700,9 @@ def test_the_split_pays_on_the_big_rings_and_on_no_ring_of_at_most_9_elements():
 def test_the_split_step_matches_the_dense_oracle(name, exponents):
     ring = SPLIT_RINGS[name]
     q, e, add = ring.q, ring.exponent, ring.add_table
-    field, slots = 2, 3  # every count below 4: a field sums at most q e of them, under 2^16
-    half = 8 * field * e
-    low = int.from_bytes((b"\xff" * (half // 8) + bytes(half // 8)) * slots, "little")
+    field, slots = 14, 3  # every count below 4: a field sums at most q e of them, under 2^14
+    half, slot = field * e, -(-2 * field * e // 8)  # bits; bytes, as the kernel pads a slot
+    low = int.from_bytes(((1 << half) - 1).to_bytes(slot, "little") * slots, "little")
     shifts = _shifts(ring, exponents, field)
     splits = [_coset_split(add, shifts, [0]), _coset_split(add, shifts, _subgroup(add))]
     oracle = partial(dense_line_step, shifts=shifts, low=low, half=half)
@@ -649,8 +712,8 @@ def test_the_split_step_matches_the_dense_oracle(name, exponents):
         if rng.randrange(4) == 0:
             return 0
         counts = [rng.randrange(4) for _ in range(e)]
-        slot = sum(c << (8 * field * r) for r, c in enumerate(counts))
-        return sum(slot << (2 * half * k) for k in range(slots))
+        packed = sum(c << (field * r) for r, c in enumerate(counts))
+        return sum(packed << (8 * slot * k) for k in range(slots))
 
     # nonzero columns: all, half, one, and none, when the whole pass is zero; of the q + 1
     # lines of the tallest columns three may be nonzero, as the oracle takes q^2 steps a line

@@ -101,14 +101,14 @@ def _check_each_corrupted_pattern(monkeypatch, code, levels):
     tallies = macwilliams._yates_tallies
     field, rows, period = tallies(code, default_character(ring))
     repeated = next(r for r in range(1, len(rows)) if rows[r] in rows[:r])
-    slot_bits = 8 * 2 * ring.exponent * field
+    slot_bits = 8 * -(-2 * ring.exponent * field // 8)  # 2e fields of field bits, padded to whole bytes
     for index in (ring.q**code.n - 1, repeated * period, 0):
 
         def corrupted(code, chi, index=index):
             field, rows, period = tallies(code, chi)
             row, k = divmod(index, period)
             at = k * slot_bits
-            rows[row] += (1 << (at + 8 * field)) - (1 << at)
+            rows[row] += (1 << (at + field)) - (1 << at)
             return field, rows, period
 
         monkeypatch.setattr(macwilliams, "_yates_tallies", corrupted)
@@ -128,18 +128,18 @@ def test_byte_transform_checks_every_pattern_after_a_split_step(monkeypatch):
     _check_each_corrupted_pattern(monkeypatch, span(z64, 2, [(2, 1)]), LevelStructure((1, 1)))
 
 
-def _tally(counts, field=2):
-    return b"".join(c.to_bytes(field, "little") for c in counts)
+def _tally(counts, field=9):  # fields of 9 bits: no field starts on a byte but the first
+    return sum(c << field * r for r, c in enumerate(counts))
 
 
 @pytest.mark.parametrize("e", (2, 3, 4, 6, 64))
 def test_byte_coefficient_of_each_subgroup_tally(e):
     size = 3 * e
-    assert macwilliams._byte_coefficient(_tally([size] + [0] * (e - 1)), e, 2, size) == 1
+    assert macwilliams._byte_coefficient(_tally([size] + [0] * (e - 1)), e, 9, size) == 1
     for g in range(1, e):  # H = {0, g, 2g, ...}, |C|/|H| = size g / e on each element
         if e % g == 0:
             counts = ([size * g // e] + [0] * (g - 1)) * (e // g)
-            assert macwilliams._byte_coefficient(_tally(counts), e, 2, size) == 0
+            assert macwilliams._byte_coefficient(_tally(counts), e, 9, size) == 0
 
 
 @pytest.mark.parametrize(
@@ -154,7 +154,7 @@ def test_byte_coefficient_of_each_subgroup_tally(e):
 )
 def test_byte_coefficient_refuses_a_tally_no_homomorphism_gives(counts, size):
     with pytest.raises(IntegrityError, match="did not collapse to an integer"):
-        macwilliams._byte_coefficient(_tally(counts), len(counts), 2, size)
+        macwilliams._byte_coefficient(_tally(counts), len(counts), 9, size)
 
 
 def test_complete_transform_example():
@@ -304,6 +304,14 @@ def test_verify_identity_refuses_a_t_entry_that_is_no_int(t, entry):
     with pytest.raises(ValueError, match=f"t entry {entry} is not an integer"):
         verify_identity("mspotty", EX_CODE, EX_LEVELS, t=t)
     assert verify_identity("mspotty", EX_CODE, EX_LEVELS, t=[2, 1, 1]).instance["t"] == [2, 1, 1]
+
+
+def test_verify_identity_reads_a_one_shot_t_once():
+    # the fold of the dual side used to use up the iterator, and the transform side's fold
+    # then refused it: "t has 0 entries for 3 levels"
+    report = verify_identity("mspotty", EX_CODE, EX_LEVELS, t=iter((2, 1, 1)))
+    assert report.equal and report.instance["t"] == [2, 1, 1]
+    assert report == verify_identity("mspotty", EX_CODE, EX_LEVELS, t=(2, 1, 1))
 
 
 def test_wrong_character_breaks_the_identity(monkeypatch):
