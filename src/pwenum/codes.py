@@ -92,6 +92,8 @@ def index_digits(q: int, n: int, indices) -> tuple:
 
 
 def _check_word(ring, n, w):
+    if not isinstance(w, (list, tuple)):
+        raise ValueError(f"word {w!r} is not a list of element indices")
     w = tuple(w)
     if len(w) != n:
         raise ValueError(f"word length {len(w)} does not match code length {n}")

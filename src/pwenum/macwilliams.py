@@ -11,7 +11,7 @@ code size; any failure is raised as an IntegrityError, never rounded.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, compress, repeat
 from math import prod
 from operator import add, itemgetter, lshift, mul
@@ -49,38 +49,36 @@ class IdentityReport(NamedTuple):
     instance: dict
 
 
-def _live_sums(values: list, weights: list, op=lshift) -> list:
-    """For each b, the sum over a of op(values[a], weights[b][a]), skipping zero values."""
-    if 0 in values:
-        live = [a for a, v in enumerate(values) if v]
-        values = [values[a] for a in live]
-        weights = [[w[a] for a in live] for w in weights]
-    return [sum(map(op, values, w)) for w in weights]
+def _column_sums(columns: list, weights: list, height: int, op=lshift):
+    """For each row w of weights in turn, the rows of the column sum over a of op(columns[a], w[a]).
 
-
-def _column_sums(columns: list, weights: list, height: int):
-    """For each row w of weights in turn, the rows of the column sum over a of columns[a] << w[a].
-
-    A column of height 1 is its one value, and such columns are summed as
-    one line (_live_sums): a chain's two map objects a column would outweigh
-    its one shift-add.  Taller columns are lists of rows; all-zero ones are
+    op is lshift, a weight being a shift in bits, or mul.  A column of
+    height 1 is its one value, and such columns are summed as one line, the
+    zero ones left out: a chain's two map objects a column would outweigh
+    its one op-add.  Taller columns are lists of rows; all-zero ones are
     skipped, and each output column is one lazy chain of whole-column maps,
-    a zero shift adding its column as it is.  The result is one iterable
-    over the rows of every output column in turn, to be read once.
+    a weight that leaves a row as it is (a zero shift, a factor 1) adding
+    its column as it is.  The result is one iterable over the rows of every
+    output column in turn, to be read once.
     """
     if height == 1:
-        return _live_sums(columns, weights)
+        if 0 in columns:
+            live = [a for a, v in enumerate(columns) if v]
+            columns = [columns[a] for a in live]
+            weights = [[w[a] for a in live] for w in weights]
+        return [sum(map(op, columns, w)) for w in weights]
     if not all(map(any, columns)):
         live = list(compress(range(len(columns)), map(any, columns)))
         if not live:
             return repeat(0, height * len(weights))
         columns = list(map(columns.__getitem__, live))
         weights = [list(map(w.__getitem__, live)) for w in weights]
+    unit = int(op is mul)  # the weight that leaves a row as it is
     sums = []
     for w in weights:
         acc = None
-        for column, shift in zip(columns, w):
-            term = map(lshift, column, repeat(shift)) if shift else column
+        for column, x in zip(columns, w):
+            term = column if x == unit else map(op, column, repeat(x))
             acc = term if acc is None else map(add, acc, term)
         sums.append(acc)
     return chain.from_iterable(sums)
@@ -207,24 +205,23 @@ def _ring_step(columns: list, height: int, low: int, half: int, split: _Split) -
     return out
 
 
-def _step_rows(rows: list, q: int, split: _Split, low: int, half: int) -> list:
-    """Apply chi(ab) along each of the k coordinates indexing q^k rows, one pass a coordinate.
+def _step_rows(rows: list, steps: list) -> list:
+    """Step the digits of the row index, the last first; steps holds one (radix, step) a digit.
 
-    A pass reads the last digit of the row index: column a is rows[a::q],
-    the rows whose last digit is a, in the order of the other digits (a
-    column of one row is that row).  Every pass goes through split, and its
-    output columns b = 0, ..., q-1 come in turn, which moves the stepped
-    digit to the front; after k passes the rows are back in lexicographic
-    order.  low masks the lower half of every pattern in a row, for the fold
-    of x^(e+j) onto x^j.  The list rows is emptied: each pass lets its input
-    go once read, so that the old and the new rows are the most it holds.
+    A pass on a digit of radix m reads the last digit of the row index:
+    column a is rows[a::m], the rows whose last digit is a, in the order of
+    the other digits (a column of one row is that row).  step(columns,
+    height) returns the list of the rows of its output columns b = 0, ...,
+    m-1 in turn, which moves the stepped digit to the front; after a pass a
+    digit the rows are back in lexicographic order.  The list rows is
+    emptied: each pass lets its input go once read, so that the old and the
+    new rows are the most it holds.
     """
-    height, stride = len(rows) // q, len(rows)
-    while stride > 1:
-        stride //= q
-        columns = rows.copy() if height == 1 else [rows[a::q] for a in range(q)]
+    for radix, step in steps:
+        height = len(rows) // radix
+        columns = rows.copy() if height == 1 else [rows[a::radix] for a in range(radix)]
         rows.clear()
-        rows = _ring_step(columns, height, low, half, split)
+        rows = step(columns, height)
     return rows
 
 
@@ -242,46 +239,34 @@ def _serialize(rows: list, row_bytes: int, bias: int = 0) -> bytearray:
     return data
 
 
-def _transpose(rows: list, row_bytes: int, slot_bytes: int, cut: int = 1, signed: bool = False) -> list:
-    """The slot matrix transposed, as new rows of cut columns each.
+def _transpose(rows: list, row_bytes: int, slot_bytes: int, signed: bool = False) -> list:
+    """The slot matrix transposed: slot c of row r becomes slot r of new row c.
 
-    Slot c of row r becomes slot r of column c.  When each new row is one
-    column, the columns are gathered either whole, the slots of one
-    Struct.iter_unpack of all the rows joined once a column, or, when there
-    are no more columns than rows, by one strided copy per unit of a slot,
-    the widest of 1, 2, 4 and 8 bytes that divides it.  A strided copy costs
-    about as much as making 16 slot objects, so slots go whole where there
-    are fewer than 16 rows per unit of a slot.  Otherwise each row is
-    scattered by one strided copy per byte of a slot, and the result is cut
-    into new rows.  Signed slots cross as their value plus half their range,
-    so that none borrows from the next.
+    The new rows are gathered either whole, the slots of one
+    Struct.iter_unpack of all the rows joined once a new row, or by one
+    strided copy per unit of a slot, the widest of 1, 2, 4 and 8 bytes that
+    divides it.  A strided copy costs about as much as making 16 slot
+    objects, so slots go whole where there are fewer than 16 rows per unit
+    of a slot.  Signed slots cross as their value plus half their range, so
+    that none borrows from the next.
     """
     nrows, ncols, s = len(rows), row_bytes // slot_bytes, slot_bytes
     data = _serialize(rows, row_bytes, _bias(ncols, s) if signed else 0)
-    column = nrows * s
     unit = min(s & -s, 8)
-    if cut == 1 and nrows < 16 * (s // unit):
+    if nrows < 16 * (s // unit):
         columns = zip(*Struct(f"{s}s" * ncols).iter_unpack(data))
         del data
         new = [int.from_bytes(b"".join(col), "little") for col in columns]
-    elif cut == 1 and ncols <= nrows:
-        code, col, new = {1: "B", 2: "H", 4: "I", 8: "Q"}[unit], bytearray(column), []
+    else:
+        code, col, new = {1: "B", 2: "H", 4: "I", 8: "Q"}[unit], bytearray(nrows * s), []
         src, dst = memoryview(data).cast(code), memoryview(col).cast(code)
         units, stride = s // unit, row_bytes // unit
         for c in range(0, stride, units):
             for k in range(units):
                 dst[k::units] = src[c + k :: stride]
             new.append(int.from_bytes(col, "little"))
-    else:
-        out = bytearray(len(data))
-        for to, at in zip(range(0, column, s), range(0, len(data), row_bytes)):
-            for k in range(s):
-                out[to + k :: column] = data[at + k : at + row_bytes : s]
-        del data
-        view, new_bytes = memoryview(out), cut * column
-        new = [int.from_bytes(view[i : i + new_bytes], "little") for i in range(0, len(out), new_bytes)]
     if signed:
-        bias = _bias(cut * nrows, s)
+        bias = _bias(nrows, s)
         new = [row - bias for row in new]
     return new
 
@@ -318,8 +303,9 @@ def _yates_tallies(code: LinearCode, chi: Character) -> tuple[int, list, int]:
     if not split.pays():  # then no pass pays split: the dense product by the q x q matrix
         split = _coset_split(ring.add_table, shifts, [0])
 
-    def low(slots):  # the low e fields of each of that many slots
-        return int.from_bytes(((1 << half) - 1).to_bytes(slot, "little") * slots, "little")
+    def steps(slots: int, digits: int) -> list:  # passes on rows of that many slots
+        low = int.from_bytes(((1 << half) - 1).to_bytes(slot, "little") * slots, "little")  # their low e fields
+        return [(q, partial(_ring_step, low=low, half=half, split=split))] * digits
 
     marks: dict[int, bytearray] = {}  # the indicator of C, by row
     for index in code.indices:
@@ -328,9 +314,9 @@ def _yates_tallies(code: LinearCode, chi: Character) -> tuple[int, list, int]:
             marks[k] = bytearray(row_bytes)
         marks[k][r * slot] = 1
     rows = [int.from_bytes(marks.pop(k), "little") if k in marks else 0 for k in range(nrows)]
-    rows = _step_rows(rows, q, split, low(width), half)
+    rows = _step_rows(rows, steps(width, n - n // 2))
     rows = _transpose(rows, row_bytes, slot)
-    rows = _step_rows(rows, q, split, low(nrows), half)
+    rows = _step_rows(rows, steps(nrows, n // 2))
     return field, rows, nrows
 
 
@@ -457,14 +443,15 @@ def krawtchouk_contraction(
     The dual's count at weights p is (1/|C|) sum over spectrum entries A_l of
         A_l prod_j K_(p_j)(l_j), with level j's Krawtchouk values (_krawtchouk_columns).
     The product factors by level, so the spectrum is contracted with one
-    Krawtchouk matrix per level in turn, on packed rows as in the byte
-    transform: rows indexed by l_1 pack the other cells in mixed radix, one
-    signed field per cell, so a weight key is its cell's index.  Level j sets
-    row p_j to the sum of the nonzero rows, each times its Krawtchouk entry;
-    one transpose then moves p_j to the end of the index and cuts the state
-    into the rows of l_{j+1}.  After step j the cells read (l_{j+1}, ...,
-    l_s, p_1, ..., p_j); the last level is read in place, cell p_s P + k
-    holding key k (n_s + 1) + p_s.  The absolute values in a row of a
+    Krawtchouk matrix per level, by the byte transform's kernel in its
+    four-step order (see _yates_tallies).  Each cell is one signed field;
+    the first floor(s/2) levels index the W slots of a row and the others
+    the P rows, so each count is added straight into its row.  The trailing
+    levels are stepped between the rows, each pass a multiply-add of whole
+    columns by the level's matrix (_step_rows, _column_sums with mul), the
+    slot matrix is transposed once, and the leading levels are stepped
+    between the new rows.  Row r, slot k then holds weight key r P + k, so
+    the keys are read in order.  The absolute values in a row of a
     Krawtchouk matrix sum to at most q^n_j, so no cell exceeds |C| q^n in
     absolute value: a field holds that and a sign, in 1, 2, 4, 8, ... bytes.
 
@@ -482,27 +469,30 @@ def krawtchouk_contraction(
     if code_size < 1 or code_size != sum(spectrum.values()):
         raise ValueError(f"spectrum sums to {sum(spectrum.values())}, but |C| = {code_size}")
     field = 1 << ((code_size * q**levels.n).bit_length() // 8).bit_length()
-    data = bytearray(field * cells)
+    lead = len(sizes) // 2
+    width = prod(n + 1 for n in sizes[:lead])  # W, the slots of a row
+    nrows = cells // width  # P, the rows
+    rows = [0] * nrows
     for key, count in spectrum.items():
-        data[key * field : (key + 1) * field] = count.to_bytes(field, "little")
-    row_bytes = field * cells // (sizes[0] + 1)
-    rows = [int.from_bytes(data[i : i + row_bytes], "little") for i in range(0, len(data), row_bytes)]
-    for n_j, n_next in zip(sizes, sizes[1:] + (0,)):
-        rows = _live_sums(rows, _krawtchouk_columns(n_j, q), mul)
-        if n_next:
-            cut = row_bytes // field // (n_next + 1)
-            rows = _transpose(rows, row_bytes, field, cut, signed=True)
-            row_bytes = field * cut * (n_j + 1)
+        k, r = divmod(key, nrows)
+        rows[r] += count << 8 * field * k
 
-    bias = _bias(row_bytes // field, field)  # + bias, then ^ bias: each field its two's complement
-    data = b"".join(((row + bias) ^ bias).to_bytes(row_bytes, "little") for row in rows)
+    def steps(part: tuple) -> list:  # the last level first, each a multiply-add by its Krawtchouk matrix
+        matrices = [_krawtchouk_columns(n, q) for n in reversed(part)]
+        return [(len(m), lambda columns, height, m=m: list(_column_sums(columns, m, height, mul))) for m in matrices]
+
+    rows = _step_rows(rows, steps(sizes[lead:]))
+    rows = _transpose(rows, field * width, field, signed=True)
+    rows = _step_rows(rows, steps(sizes[:lead]))
+
+    bias = _bias(nrows, field)  # + bias, then ^ bias: each field its two's complement
+    data = b"".join(((row + bias) ^ bias).to_bytes(field * nrows, "little") for row in rows)
     if field <= 8:  # struct's codes for 1, 2, 4 and 8 bytes
         values = unpack(f"<{len(data) // field}{'bhiq'[field.bit_length() - 1]}", data)
     else:
         values = [int.from_bytes(data[i : i + field], "little", signed=True) for i in range(0, len(data), field)]
-    keys = chain.from_iterable(range(p_s, cells, sizes[-1] + 1) for p_s in range(sizes[-1] + 1))
     out = {}
-    for key, total in zip(compress(keys, values), filter(None, values)):
+    for key, total in zip(compress(range(cells), values), filter(None, values)):
         coeff, rem = divmod(total, code_size)
         if rem:
             raise IntegrityError(f"coefficient {total} not divisible by |C| = {code_size}")

@@ -62,7 +62,7 @@ def poset_from_json_obj(
         sizes = [_positive(s, "a level size") for s in sizes]
         size = sum(sizes)
     elif kind in ("antichain", "chain", "cover"):
-        size = _positive(obj.get("n"), f"the size n of a {kind} poset")
+        size = _positive(obj.get("n"), f"the size n of {'an' if kind == 'antichain' else 'a'} {kind} poset")
     else:
         raise ValueError(f"unknown poset kind {kind!r}")
     if n is not None and size != n:

@@ -58,7 +58,7 @@ def test_parse_ring_spec_from_file(tmp_path):
         ('{"kind":"chain","n":3}', (1, 1, 1)),
         ('{"kind":"antichain","n":4}', (4,)),
         ('{"kind":"leveled","levels":[2,1,1]}', (2, 1, 1)),
-        ("antichain:0", "must be a positive integer, got 0"),
+        ("antichain:0", "the size n of an antichain poset must be a positive integer, got 0"),
         ("mystery:3", "cannot interpret poset spec 'mystery:3'"),
         # an empty size used to be dropped, so that these read as leveled:2,1,1
         ("leveled:2,,1,1", "cannot interpret poset spec 'leveled:2,,1,1'"),
@@ -315,6 +315,14 @@ def test_kinds_that_do_not_fold_ignore_t(kind, poset, t):
     for argv in runs:
         plain = _call(argv)
         assert plain[0] == 0 and _call([*argv, "--t", t]) == plain
+
+
+def test_a_generator_that_is_not_a_list_is_named():
+    # these once failed with Python's own text, or read an object's keys as the word
+    for generators, word in [("[1,1]", "1"), ("[null]", "None"), ('[{"a":1},[1,1]]', "{'a': 1}")]:
+        argv = ["verify", "--kind", "complete", "--ring", "F2", "--poset", "leveled:1,1",
+                "--code", f'{{"length":2,"generators":{generators}}}']
+        assert _call(argv) == (2, "", f"input error: word {word} is not a list of element indices\n")
 
 
 def test_input_errors_exit_2(capsys):

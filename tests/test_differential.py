@@ -273,10 +273,16 @@ def arbitrary_spectra(draw):
 
     The counts take the packed fields of the contraction across byte
     boundaries.  A lone key at weight 0 divides exactly and stays nonnegative;
-    a lone key elsewhere divides exactly but turns negative.
+    a lone key elsewhere divides exactly but turns negative.  The shapes are
+    the contraction's as the benchmark runs them: 1 to 7 levels, with at
+    most 3^7 cells.
     """
     q = draw(st.sampled_from([2, 3, 4, 9, 64]))
-    levels = LevelStructure(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
+    count, room, sizes = draw(st.integers(1, 7)), 3**7, []
+    for left in range(count - 1, -1, -1):  # room for at least 2 cells a level still to draw
+        sizes.append(draw(st.integers(1, min(6, room // 2**left - 1))))
+        room //= sizes[-1] + 1
+    levels = LevelStructure(sizes)
     key = st.tuples(*(st.integers(0, size) for size in levels.sizes))
     spectrum = draw(st.dictionaries(key, st.integers(1, 2**45), min_size=1, max_size=6))
     return spectrum, levels, q
@@ -294,6 +300,12 @@ def _scaled_spectrum(name, sizes, generators, factor):
 @example(({(0, 0): 2**45}, LevelStructure((6, 6)), 64))  # 2^45 * 64^12: 16-byte fields
 @example(({(0,): 3}, LevelStructure((1,)), 64))  # 3 * 63 = 189 needs a byte past the sign
 @example(({(0, 0): 9}, LevelStructure((1, 1)), 64))  # 9 * 63^2 = 35721 likewise
+# 7 levels of 2: 27 slots over 81 rows, 4-byte fields, the strided signed transpose
+@example(_scaled_spectrum(
+    "F2", (2,) * 7, [tuple(map(int, w)) for w in ("10001101011001", "01000111100101", "00101010110110", "00011110001111")], 1
+))
+# 49 slots over 16 rows, 8-byte fields: the strided signed transpose with more columns than rows
+@example(_scaled_spectrum("F3", (6, 6, 3, 3), [(1, 0) + (1, 2) * 8, (0, 1) + (2, 0, 1) * 5 + (1,)], 1))
 @example(_scaled_spectrum("F3", (2, 1), [(1, 2, 0)], 2**40))
 @example(_scaled_spectrum("F4", (1, 2, 1), [(1, 0, 2, 3), (0, 1, 1, 1)], 3**20))
 def test_contraction_checks_match_the_raw_cell_totals(case):
