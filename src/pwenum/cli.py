@@ -15,7 +15,7 @@ import re
 import sys
 from functools import partial
 
-from .codes import check_ambient_cap, check_span, dual_code, enumeration_cap, level_split, span
+from .codes import LinearCode, check_ambient_cap, dual_code, enumeration_cap, level_split, span
 from .enumerators import _check_t
 from .errors import CapExceededError, IntegrityError
 from .macwilliams import KINDS, TRANSFORM_KINDS, count, render, verify_identity
@@ -115,12 +115,8 @@ NAMED_CODES = {
 }
 
 
-def parse_code_spec(text: str, ring: RingSpec, cap: int | None = None) -> tuple[int, list]:
-    """The length and the checked generators of a named code, inline JSON or a file.
-
-    Everything span would refuse is refused here (see check_span), and
-    nothing is spanned, so a command can check its other inputs first.
-    """
+def parse_code_spec(text: str, ring: RingSpec, cap: int | None = None) -> LinearCode:
+    """The code of a named code, inline JSON or a file: checked by span, with no word listed."""
     named = NAMED_CODES.get(text.strip().lower())
     if named:
         n, generators = named
@@ -131,7 +127,7 @@ def parse_code_spec(text: str, ring: RingSpec, cap: int | None = None) -> tuple[
         if not isinstance(obj["generators"], list):
             raise ValueError(f"code generators must be a list of words, got {obj['generators']!r}")
         n, generators = obj["length"], obj["generators"]
-    return n, check_span(ring, n, generators, cap)
+    return span(ring, n, generators, cap)
 
 
 def parse_t_spec(text: str) -> tuple[int, ...]:
@@ -317,17 +313,17 @@ def _resolve_shape(args, n: int, cap: int):
 def cmd_enum(args) -> int:
     cap = _resolve_cap(args)
     ring = parse_ring_spec(args.ring)
-    n, generators = parse_code_spec(args.code, ring, cap)
+    code = parse_code_spec(args.code, ring, cap)
     route = "transform" if args.via_transform else "dual" if args.dual else "code"
     if route not in KINDS[args.kind].routes:
         raise ValueError(f"the plain {args.kind} enumerator has no transform route")
-    shape, t = _resolve_shape(args, n, cap)
+    shape, t = _resolve_shape(args, code.n, cap)
     if args.via_transform and not args.dual:
         raise ValueError("--via-transform computes the dual enumerator; pass --dual")
     if args.dual:  # the listed dual needs q^n <= cap; the transform is held to it too, so both refuse alike
-        check_ambient_cap(ring, n, cap)
-    t = _check_t(shape, t) if KINDS[args.kind].fold else t  # refused before any word is spanned
-    counts = count(args.kind, route, span(ring, n, generators, cap), shape, t, cap)
+        check_ambient_cap(ring, code.n, cap)
+    t = _check_t(shape, t) if KINDS[args.kind].fold else t  # refused before any route runs
+    counts = count(args.kind, route, code, shape, t, cap)
     spell = partial(render, args.kind, counts, ring.q, shape)
     _emit(args, spell, lambda: {"kind": args.kind, "enumerator": spell(json=True)})
     return 0
@@ -336,9 +332,7 @@ def cmd_enum(args) -> int:
 def cmd_dual(args) -> int:
     cap = _resolve_cap(args)
     ring = parse_ring_spec(args.ring)
-    n, generators = parse_code_spec(args.code, ring, cap)
-    check_ambient_cap(ring, n, cap)
-    dual = dual_code(span(ring, n, generators, cap), cap)
+    dual = dual_code(parse_code_spec(args.code, ring, cap), cap)
     joiner = "" if all(len(name) == 1 for name in ring.names) else ","
     _emit(
         args,
@@ -356,11 +350,10 @@ def cmd_dual(args) -> int:
 def cmd_verify(args) -> int:
     cap = _resolve_cap(args)
     ring = parse_ring_spec(args.ring)
-    n, generators = parse_code_spec(args.code, ring, cap)
-    levels, t = _resolve_shape(args, n, cap)
-    check_ambient_cap(ring, n, cap)  # the dual side works on R^n
-    t = _check_t(levels, t) if KINDS[args.kind].fold else t  # refused before any word is spanned
-    report = verify_identity(args.kind, span(ring, n, generators, cap), levels, t=t, cap=cap)
+    code = parse_code_spec(args.code, ring, cap)
+    levels, t = _resolve_shape(args, code.n, cap)
+    check_ambient_cap(ring, code.n, cap)  # the dual side works on R^n; ahead of verify_identity's check of t
+    report = verify_identity(args.kind, code, levels, t=t, cap=cap)
 
     spell = partial(render, args.kind, q=ring.q, levels=levels)
 

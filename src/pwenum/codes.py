@@ -1,11 +1,11 @@
-"""Linear codes over a RingSpec, held as the sorted indices of their words.
+"""Linear codes over a RingSpec, held as generators and the sorted indices of their words.
 
 Word u of R^n has the lexicographic index sum of u_i q^(n-1-i), so the
 indices sort as the words do.  Codes are built by spanning generators or,
 for the dual, by a split-syndrome search over the ambient space, which
 lists the dual's indices and also counts its weight spectrum without
 listing it; all are exact and capped so a typo cannot demand 4^30
-codewords.  Words are decoded to tuples of element indices only when read.
+codewords.  A span's words are listed, and any words decoded, only when read.
 """
 
 from __future__ import annotations
@@ -36,19 +36,32 @@ def enumeration_cap() -> int:
 
 
 class LinearCode:
-    """A submodule of R^n with its generator list and the sorted indices of its words.
+    """A submodule of R^n: its generator list and the sorted indices of its words.
 
-    With generators=None the indices must already form a submodule; a small
-    generating subset of its words is then picked greedily when first read.
+    Either is computed from the other on first read and kept: span gives the
+    generators, and _closure lists their words; dual_code gives the indices,
+    of which a small generating subset is picked greedily.
     """
 
-    __slots__ = ("ring", "n", "_generators", "indices")
+    __slots__ = ("ring", "n", "_generators", "_indices")
 
-    def __init__(self, ring: RingSpec, n: int, generators, indices):
+    def __init__(self, ring: RingSpec, n: int, generators, indices=None):
         self.ring = ring
         self.n = n
         self._generators = None if generators is None else tuple(tuple(g) for g in generators)
-        self.indices = tuple(indices)
+        self._indices = None if indices is None else tuple(indices)
+
+    @property
+    def indices(self) -> tuple:
+        if self._indices is None:
+            words = {(0,) * self.n}
+            for g in self._generators:
+                words = _closure(self.ring, words, g)
+            indices = [0] * len(words)
+            for column in zip(*words):  # Horner's rule on every word at once
+                indices = list(map(add, map(mul, indices, repeat(self.ring.q)), column))
+            self._indices = tuple(sorted(indices))
+        return self._indices
 
     @property
     def words(self) -> tuple:
@@ -70,8 +83,9 @@ class LinearCode:
             return NotImplemented
         return self.ring == other.ring and self.n == other.n and self.indices == other.indices
 
-    def __repr__(self):
-        return f"LinearCode(n={self.n}, size={self.size}, over {self.ring!r})"
+    def __repr__(self):  # the size only once listed: a repr must not list 2^20 words
+        size = "" if self._indices is None else f", size={len(self._indices)}"
+        return f"LinearCode(n={self.n}{size}, over {self.ring!r})"
 
 
 def index_digits(q: int, n: int, indices) -> tuple:
@@ -103,12 +117,11 @@ def _check_word(ring, n, w):
     return w
 
 
-def check_span(ring: RingSpec, n: int, generators, cap: int | None = None) -> list[tuple]:
-    """The generators as checked words, once all that span refuses is refused.
+def span(ring: RingSpec, n: int, generators, cap: int | None = None) -> LinearCode:
+    """The code of the generators' R-linear combinations, checked but not listed.
 
-    The span has at most min(q^k, q^n) words for k generators, and that
-    bound, not q^k alone, is held against the cap.  So is the length n, the
-    entries of one word.  Nothing is spanned.
+    Its size, at most min(q^k, q^n) for k generators, is held against the
+    cap, and so is the length n, the entries of one word.
     """
     if cap is None:
         cap = enumeration_cap()
@@ -121,19 +134,7 @@ def check_span(ring: RingSpec, n: int, generators, cap: int | None = None) -> li
         raise CapExceededError(
             f"spanning {len(gens)} generators of length {n} over q={ring.q} exceeds cap {cap}"
         )
-    return gens
-
-
-def span(ring: RingSpec, n: int, generators, cap: int | None = None) -> LinearCode:
-    """All R-linear combinations of the generators, checked by check_span first."""
-    gens = check_span(ring, n, generators, cap)
-    words = {(0,) * n}
-    for g in gens:
-        words = _closure(ring, words, g)
-    indices = [0] * len(words)
-    for column in zip(*words):  # Horner's rule on every word at once
-        indices = list(map(add, map(mul, indices, repeat(ring.q)), column))
-    return LinearCode(ring, n, gens, sorted(indices))
+    return LinearCode(ring, n, gens)
 
 
 def _closure(ring, words, g) -> set:

@@ -26,7 +26,7 @@ from pwenum.cli import (
     parse_ring_spec,
     run_fuzz,
 )
-from pwenum.codes import dual_indices, dual_weight_spectrum, span
+from pwenum.codes import LinearCode, dual_indices, dual_weight_spectrum
 from pwenum.enumerators import level_enumerator
 from pwenum.macwilliams import KINDS, render, verify_identity
 from pwenum.posets import LevelStructure
@@ -78,10 +78,10 @@ def test_parse_poset_spec(spec, expected):
 
 def test_parse_code_spec():
     ring = catalog_ring("F2")
-    assert span(ring, *parse_code_spec("C1", ring)).size == 2
+    assert parse_code_spec("C1", ring).size == 2
     inline = parse_code_spec('{"length":4,"generators":[[1,0,1,0],[0,1,1,1]]}', ring)
-    assert inline == (4, [(1, 0, 1, 0), (0, 1, 1, 1)])
-    assert span(ring, *inline).size == 4
+    assert (inline.n, inline.generators) == (4, ((1, 0, 1, 0), (0, 1, 1, 1)))
+    assert inline.size == 4
     with pytest.raises(ValueError):
         parse_code_spec("no-such-code", ring)
     with pytest.raises(ValueError):
@@ -420,7 +420,7 @@ def test_a_malformed_t_is_refused_before_any_word_is_spanned(route, t, message, 
     def reached(*args, **kwargs):
         raise _Reached
 
-    monkeypatch.setattr("pwenum.cli.span", reached)
+    monkeypatch.setattr(LinearCode, "indices", property(reached))  # no code's words are read
     assert _call(argv) == refused
 
 
@@ -441,9 +441,29 @@ def test_over_cap_inputs_are_refused_before_spanning(n, argv, message, monkeypat
         raise _Reached
 
     monkeypatch.delenv("PWE_CAP", raising=False)
-    monkeypatch.setattr("pwenum.cli.span", reached)
+    monkeypatch.setattr(LinearCode, "indices", property(reached))  # no code's words are read
     code = json.dumps({"length": n, "generators": [[1] * n]})
     assert _call(argv + ["--ring", "F2", "--code", code]) == (3, "", f"resource cap exceeded: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["enum", *kind, "--dual", "--ring", "Z4", "--code", "hamming74", "--poset", "leveled:3,2,2"]
+    for kind in (["--kind", "complete"], ["--kind", "level"], ["--kind", "mspotty", "--t", "2,1,2"])
+] + [
+    ["enum", "--kind", "poset", "--dual", "--ring", "F2", "--code", "hamming74", "--poset", "chain:7"],
+    ["enum", "--kind", "poset", "--dual", "--ring", "F3", "--code", "hamming74", "--poset", "leveled:3,4"],
+    ["enum", "--kind", "poset", "--dual", "--ring", "Z4", "--code", "ex51",
+     "--poset", '{"kind":"cover","n":4,"covers":[[1,3],[2,3]]}'],
+    ["enum", "--kind", "byte", "--dual", "--ring", "F2u", "--code", "ex51", "--poset", "leveled:2,1,1"],
+    ["dual", "--ring", "F2u", "--code", "ex51"],
+    ["dual", "--ring", "Z4", "--code", "hamming74"],
+])
+def test_no_dual_route_lists_a_word_of_the_code(argv, monkeypatch):
+    # the dual routes read the generators alone, so a code whose listing raises prints the same
+    printed = _call(argv)
+    assert printed[0] == 0 and printed[1]
+    monkeypatch.setattr("pwenum.codes._closure", _refuse)
+    assert _call(argv) == printed
 
 
 @pytest.mark.parametrize("command", ["verify", "enum", "dual"])
@@ -579,7 +599,7 @@ def test_run_fuzz_records():
 def test_cli_reuses_library_enumerators(capsys):
     # the CLI result must equal the library call bit for bit
     ring = catalog_ring("F2")
-    code = span(ring, *parse_code_spec("c1", ring))
+    code = parse_code_spec("c1", ring)
     chain = parse_poset_spec("chain3")
     expected = render("level", level_enumerator(code, chain), levels=chain)
     main(["enum", "--kind", "level", "--ring", "F2", "--poset", "chain3", "--code", "c1"])
@@ -684,7 +704,7 @@ _MALFORMED_OBJS = st.one_of(
         st.one_of(
             st.text(_ALPHABET, max_size=6).filter(lambda k: k not in RING_KINDS),
             st.integers(),
-            _JUNK,
+            _JUNK.filter(lambda k: k not in RING_KINDS),  # its text may spell a kind, such as GF
         ),
         st.sampled_from(VALID_RING_OBJS),
     ),

@@ -102,6 +102,22 @@ def test_dual_generators_are_picked_when_first_read(monkeypatch):
     assert dual_code(dual) == code
 
 
+def test_a_span_lists_its_words_when_first_read(monkeypatch):
+    calls = []
+    closure = codes._closure
+
+    def counted(ring, words, g):
+        calls.append(g)
+        return closure(ring, words, g)
+
+    monkeypatch.setattr(codes, "_closure", counted)
+    code = span(F2, 4, [(1, 0, 1, 0), (0, 1, 1, 1)])
+    assert calls == [] and repr(code) == f"LinearCode(n=4, over {F2!r})"  # a repr lists nothing
+    assert code.size == 4 and len(calls) == 2
+    assert code.indices == (0, 7, 10, 13) and len(calls) == 2
+    assert repr(code) == f"LinearCode(n=4, size=4, over {F2!r})"
+
+
 def test_span_rejects_malformed_lengths_and_entries():
     for n in ("3", 3.0, True, None, -1):
         with pytest.raises(ValueError, match="code length must be a non-negative integer"):
