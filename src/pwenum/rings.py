@@ -14,18 +14,18 @@ has a catalog additive character, one rule for every kind, whose kernel
 contains no nonzero ideal; default_character checks that on every call,
 because all the dual-code identities downstream depend on it.
 
-Every construction builds its tables in O(q^2), a whole row at a time, and
-checks every ring axiom on them exactly in |A| + 2·min(|A|, |M|) passes of
-q^2 lookups, A and M generating sets of + and · (3 passes at Z64, 6 at
-GF(49), 10 at GF(64)).  Closure arguments make that enough: the elements that
-pass Light's associativity test, or the distributive law, against all the
-others form a set closed under one operation, so the test need only run on
-that operation's generators (see _verify_tables).
+Every construction builds its tables in O(q^2) as rows of bytes, a whole row
+at a time, and checks every ring axiom on them exactly in |A| + 2·min(|A|, |M|)
+passes of q bytes.translate calls, each reading one row through another, A and
+M generating sets of + and · (3 passes at Z64, 6 at GF(49), 10 at GF(64)).
+Closure arguments make that enough: the elements that pass Light's
+associativity test, or the distributive law, against all the others form a
+set closed under one operation, so the test need only run on that
+operation's generators (see _verify_tables).
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import NamedTuple
 
 MAX_RING_SIZE = 64
@@ -36,21 +36,27 @@ RING_KINDS = ("Zm", "GF", "F2u", "F2v")
 class RingSpec:
     """A finite commutative ring given by total operation tables.
 
-    Not constructed directly; use make_ring().  Immutable after
-    construction; all tables are tuples of tuples indexed by element index.
+    Not constructed directly; use make_ring().  Immutable after construction;
+    add_table, mul_table and neg_table are tuples indexed by element index.
+    The checks read + and · as rows of bytes, as the builders hand them over.
     """
 
     def __init__(self, kind, q, add_table, mul_table, names, params):
         self.kind = kind
         self.q = q
-        self.add_table = add_table = tuple(map(tuple, add_table))
-        self.mul_table = tuple(map(tuple, mul_table))
+        self._add_rows, self._mul_rows = add, mul = _byte_rows(add_table, q), _byte_rows(mul_table, q)
+        rows = add + mul  # translate deletes each index in range(q) and leaves the rest
+        if {len(add), len(mul), *map(len, rows)} != {q} or b"".join(rows).translate(None, bytes(range(q))):
+            raise ValueError(f"an operation table is not {q} rows of {q} indices in range({q})")
+        self.add_table = tuple(map(tuple, add))
+        self.mul_table = tuple(map(tuple, mul))
         self.names = names
         self.params = dict(params)
-        if any(0 not in row for row in add_table):
+        self.neg_table = tuple([row.find(0) for row in add])
+        if -1 in self.neg_table:
             raise ValueError("addition table has an element without an inverse")
-        self.neg_table = tuple(row.index(0) for row in add_table)
         self.exponent = self._order_of_one()
+        self._add_gens = _generators(add, 0)  # A, for _verify_tables and check_additive
         _verify_tables(self)
 
     def _order_of_one(self):
@@ -82,6 +88,19 @@ class RingSpec:
         return f"RingSpec({self.kind}, q={self.q})"
 
 
+def _byte_rows(table, q):
+    """The rows of a table as bytes, any row but bytes or a list or tuple of ints in range(q) as b"".
+
+    bytes() alone would read True as 1 and an int n as n zero bytes; RingSpec refuses b"" by its length.
+    """
+    return [
+        row if type(row) is bytes
+        else bytes(row) if isinstance(row, (list, tuple)) and all(type(x) is int and 0 <= x < q for x in row)
+        else b""
+        for row in table
+    ]
+
+
 def _generators(table, identity):
     """Generators of the magma of one operation table, chosen greedily.
 
@@ -111,36 +130,41 @@ def _generators(table, identity):
     return gens
 
 
-def _is_associative(table, gens):
-    """Light's test: (x∘g)∘y = x∘(g∘y) for every generator g and all x, y."""
+def _is_associative(rows, through, gens):
+    """Light's test: (x∘g)∘y = x∘(g∘y) for every generator g and all x, y.
+
+    Over y: row x∘g, x∘g = entry x of row g in a commutative table, against
+    row g read through row x, which through[x] pads to a translation table.
+    """
     for g in gens:
-        through_g = itemgetter(*table[g])  # row x -> (x∘(g∘y) for y in R)
-        for row in table:
-            if table[row[g]] != through_g(row):
+        row_g = rows[g]
+        for x, through_x in enumerate(through):
+            if rows[row_g[x]] != row_g.translate(through_x):
                 return False
     return True
 
 
-def _distributes(add, mul, left, right):
-    """a(b+c) = ab + ac for every a in left, every b in right and all c."""
-    times = [(mul[a], itemgetter(*mul[a])) for a in left]  # row x of + -> (x + ac for c in R)
+def _distributes(add, add_through, rows, times, right):
+    """a(b+c) = ab + ac for every a with row of · in rows (times: padded), every b in right and all c.
+
+    Over c: row b of + read through row a of ·, against row a read through row ab of +.
+    """
     for b in right:
-        plus_b = itemgetter(*add[b])  # row a of · -> (a(b+c) for c in R)
-        for row, times_a in times:
-            if plus_b(row) != times_a(add[row[b]]):
-                return False
+        plus_ab = [add_through[row[b]] for row in rows]
+        if list(map(add[b].translate, times)) != list(map(bytes.translate, rows, plus_ab)):
+            return False
     return True
 
 
 def _verify_tables(ring):
-    """Exact check of the commutative ring axioms in |A| + 2·min(|A|, |M|) passes of q^2 lookups.
+    """Exact check of the commutative ring axioms in |A| + 2·min(|A|, |M|) passes over the tables.
 
-    The identities and commutativity are read off whole rows and columns;
-    right distributivity follows from left by commutativity.  A and M are
-    generating sets of + and · (see _generators).  Associativity of + is
-    Light's test on A: the g with (x+g)+y = x+(g+y) for all x, y form a
-    closed sub-magma that holds 0, so if it holds A it is the whole ring.
-    The rest runs on the smaller of A and M.
+    The identities and commutativity are read off whole rows and columns,
+    strided slices of the joined table; right distributivity follows from
+    left by commutativity.  A and M are generating sets of + and · (see
+    _generators).  Associativity of + is Light's test on A: the g with
+    (x+g)+y = x+(g+y) for all x, y form a closed sub-magma that holds 0, so
+    if it holds A it is the whole ring.  The rest runs on the smaller of A and M.
 
     Additive route, |A| <= |M|.  Distributivity first, a(g+c) = ag + ac for
     every a, c and every g in A: as + is associative, the b with
@@ -155,51 +179,46 @@ def _verify_tables(ring):
     the a that satisfy it are closed under ·; they hold 1, so holding M they
     are the whole ring.
     """
-    q, add, mul = ring.q, ring.add_table, ring.mul_table
-    rng = range(q)
-    ident = tuple(rng)
-    if add[0] != ident or tuple(row[0] for row in add) != ident:
+    q, add, mul = ring.q, ring._add_rows, ring._mul_rows
+    rng, ident, pad = range(q), bytes(range(q)), bytes(256 - q)
+    flat_add, flat_mul = b"".join(add), b"".join(mul)
+    if add[0] != ident or flat_add[::q] != ident:
         raise ValueError("index 0 is not the additive identity")
-    if mul[1] != ident or tuple(row[1] for row in mul) != ident:
+    if mul[1] != ident or flat_mul[1::q] != ident:
         raise ValueError("index 1 is not the multiplicative identity")
-    if add != tuple(zip(*add)) or mul != tuple(zip(*mul)):
+    if [flat_add[a::q] for a in rng] != add or [flat_mul[a::q] for a in rng] != mul:
         raise ValueError("operation tables are not commutative")
-    add_gens = _generators(add, 0)
-    if not _is_associative(add, add_gens):
+    add_through, mul_through = [row + pad for row in add], [row + pad for row in mul]
+    add_gens = ring._add_gens
+    if not _is_associative(add, add_through, add_gens):
         raise ValueError("addition is not associative")
     mul_gens = _generators(mul, 1)
     if len(add_gens) <= len(mul_gens):
-        if not _distributes(add, mul, rng, add_gens):
+        if not _distributes(add, add_through, mul, mul_through, add_gens):
             raise ValueError("multiplication does not distribute")
-        if not _is_associative(mul, add_gens):
+        if not _is_associative(mul, mul_through, add_gens):
             raise ValueError("multiplication is not associative")
     else:
-        if not _is_associative(mul, mul_gens):
+        if not _is_associative(mul, mul_through, mul_gens):
             raise ValueError("multiplication is not associative")
-        if not _distributes(add, mul, mul_gens, rng):
+        if not _distributes(add, add_through, [mul[g] for g in mul_gens], [mul_through[g] for g in mul_gens], rng):
             raise ValueError("multiplication does not distribute")
     e = ring.exponent
     if ring.q % e != 0:
         raise ValueError("additive exponent does not divide the ring size")
-    multiples = (0,) * q  # e·a for every a at once, by double-and-add over rows: O(q log e)
-    for bit in bin(e)[2:]:
-        multiples = [add[m][m] for m in multiples]
-        if bit == "1":
-            multiples = [add[m][a] for m, a in zip(multiples, rng)]
-    if any(multiples):
-        raise ValueError("additive exponent does not annihilate the ring")
+    # e·g for every g in A by double-and-add: the a with e·a = 0 form a subgroup, which holds A
+    for g in add_gens:
+        m = 0
+        for bit in bin(e)[2:]:
+            m = add[m][m] if bit == "0" else add[add[m][m]][g]
+        if m:
+            raise ValueError("additive exponent does not annihilate the ring")
 
 
 def _is_prime(p):
     if p < 2:
         return False
     return all(p % d for d in range(2, int(p**0.5) + 1))
-
-
-def _poly_name(coeffs, var):
-    powers = ["", var] + [f"{var}^{i}" for i in range(2, len(coeffs))]
-    terms = [(str(c) if c > 1 or i == 0 else "") + powers[i] for i, c in enumerate(coeffs) if c]
-    return "+".join(terms) or "0"
 
 
 def _make_zm(m):
@@ -210,7 +229,7 @@ def _make_zm(m):
     row = bytes(range(m))
     add = [row[a:] + row[:a] for a in range(m)]
     mul = [bytes(m)] + [(row * a)[::a] for a in range(1, m)]
-    names = tuple(str(a) for a in range(m))
+    names = tuple(map(str, range(m)))
     return RingSpec("Zm", m, add, mul, names, {"m": m})
 
 
@@ -221,33 +240,33 @@ def _poly_tables(p, k, modulus, var):
     digit j of a.
     """
     q = p**k
+    ident, pad = bytes(range(q)), bytes(256 - q)  # a row and pad make a translation table
     powers = [p**j for j in range(k)]
-    polys = [[i // pj % p for pj in powers] for i in range(q)]
-    # each a > 0 is prev = a - p^j plus the monomial x^j, j its lowest nonzero
-    # digit; prev < a, so the rows of both tables build in index order
-    steps = []
+    # bump[j][x]: x with its digit j raised by one, mod p; each run of p^(j+1) indices rotates by p^j
+    bump = [b"".join([ident[s + d : s + p * d] + ident[s : s + d] for s in range(0, q, p * d)]) + pad for d in powers]
+    # a > 0 is a - p^j plus x^j, j = low[a] its lowest nonzero digit: the rows build in index order
+    low = [0] * q
+    for a in range(p, q, p):
+        low[a] = low[a // p] + 1
+    # row a of + is row a - p^j with digit j of each entry raised
+    add = [ident]
     for a in range(1, q):
-        j = next(j for j, c in enumerate(polys[a]) if c)
-        steps.append((j, a - powers[j]))
-    # bump[j][x]: x with its digit j raised by one, mod p
-    bump = [
-        [x - (p - 1) * pj if polys[x][j] == p - 1 else x + pj for x in range(q)]
-        for j, pj in enumerate(powers)
-    ]
-    # row a = prev + x^j of + is row prev with digit j of each entry raised
-    add = [tuple(range(q))]
-    for j, prev in steps:
-        add.append(itemgetter(*add[prev])(bump[j]))
-    # a·x shifts the digits of a up by one and folds the top one back in
-    # through x^k = -(modulus_0 + ... + modulus_{k-1} x^{k-1})
-    top = powers[-1]
+        add.append(add[a - powers[low[a]]].translate(bump[low[a]]))
+    # a·x shifts the digits of a up by one and folds the top one c back in through
+    # x^k = -(modulus_0 + ... + modulus_{k-1} x^{k-1}): every p-th entry of the row of that fold
     folded = [sum(-c * m % p * pj for m, pj in zip(modulus, powers)) for c in range(p)]
-    times_x = [add[a % top * p][folded[a // top]] for a in range(q)]
+    times_x = b"".join([add[f][::p] for f in folded]) + pad
     # row a of · is x times row a/p when j > 0 (p | a), else row a - 1 plus b in each column b
-    mul = [(0,) * q]
-    for a, (j, prev) in enumerate(steps, 1):
-        mul.append(itemgetter(*mul[a // p])(times_x) if j else [row[u] for row, u in zip(add, mul[prev])])
-    return add, mul, tuple(_poly_name(poly, var) for poly in polys)
+    mul = [bytes(q)]
+    for a in range(1, q):
+        mul.append(mul[a // p].translate(times_x) if low[a] else bytes([row[u] for row, u in zip(add, mul[a - 1])]))
+    # the name of a joins its nonzero terms c·var^j, low to high, by +; the
+    # names of the indices below p^(j+1) are the terms of digit j over those below p^j
+    names = [""]
+    for j, power in enumerate(["", var, *[f"{var}^{j}" for j in range(2, k)]][:k]):
+        terms = ["", *[(str(c) if c > 1 or j == 0 else "") + power for c in range(1, p)]]
+        names = [lo + "+" + term if lo and term else lo or term for term in terms for lo in names]
+    return add, mul, tuple([name or "0" for name in names])
 
 
 def _make_gf(p, k, modulus):
@@ -350,7 +369,7 @@ def default_character(ring: RingSpec) -> Character:
     none of the nonzero ideals {0, u}, {0, v}, {0, 1+v} and R.
     """
     step = ring.q // ring.exponent
-    chi = Character(ring, tuple(a // step for a in range(ring.q)))
+    chi = Character(ring, tuple([a // step for a in range(ring.q)]))
     if not verify_generating_character(ring, chi):
         raise ValueError("catalog character failed the generating test")
     return chi
@@ -364,13 +383,15 @@ def check_additive(ring: RingSpec, chi: Character) -> None:
     eps(a + x) = eps(a) + eps(x) for all a form a set closed under +, and
     holding the generators it is the whole ring.
     """
-    q, e = ring.q, ring.exponent
-    eps = chi.exponents
-    if len(eps) != q or eps[0] != 0 or any(not 0 <= x < e for x in eps):
+    q, e, eps = ring.q, ring.exponent, chi.exponents
+    # every exponent an int in range(e), bool and float refused; eps(0) = 0
+    if len(eps) != q or set(map(type, eps)) != {int} or eps[0] != 0 or min(eps) < 0 or max(eps) >= e:
         raise ValueError("exponent map is malformed")
-    add = ring.add_table
-    for g in _generators(add, 0):
-        if itemgetter(*add[g])(eps) != tuple((x + eps[g]) % e for x in eps):
+    eps = bytes(eps)
+    through_eps, cycle = eps + bytes(256 - q), bytes(range(e)) * (512 // e)
+    for g in ring._add_gens:
+        # eps(a + g) over a, against eps(a) + eps(g) mod e: eps read through cycle[eps(g):], rotated by eps(g)
+        if ring._add_rows[g].translate(through_eps) != eps.translate(cycle[eps[g] : eps[g] + 256]):
             raise ValueError("exponent map violates additivity")
 
 
@@ -382,10 +403,7 @@ def verify_generating_character(ring: RingSpec, chi: Character) -> bool:
     character at all.
     """
     check_additive(ring, chi)
-    q, eps = ring.q, chi.exponents
-    mul = ring.mul_table
-    for a in range(1, q):
-        if all(eps[mul[r][a]] == 0 for r in range(q)):
-            return False
-    return True
+    through_eps, zero = bytes(chi.exponents) + bytes(256 - ring.q), bytes(ring.q)
+    # the kernel holds aR exactly when row a of · reads all 0 through eps
+    return zero not in [row.translate(through_eps) for row in ring._mul_rows[1:]]
 

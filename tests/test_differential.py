@@ -35,6 +35,7 @@ from oracles import (
     cover_poset_enumerator,
     cyclotomic_coefficient,
     dense_line_step,
+    enumerate_ideals,
     exhaustive_is_additive,
     exhaustive_ring_axioms,
     gf_is_irreducible,
@@ -749,21 +750,30 @@ ADDITIVITY_RINGS = {name: SPLIT_RINGS[name] for name in ("Z6", "Z16", "Z64", "GF
 
 
 @st.composite
-def exponent_maps(draw):
-    """(ring, map): a random map, or an additive one, perhaps off at one element; eps(0) = 0."""
-    ring = ADDITIVITY_RINGS[draw(st.sampled_from(sorted(ADDITIVITY_RINGS)))]
+def additive_maps(draw, rings):
+    """(ring, map): an additive map on one of the rings, the zero map among them."""
+    ring = rings[draw(st.sampled_from(sorted(rings)))]
     q, e = ring.q, ring.exponent
-    if draw(st.booleans()):
-        return ring, (0, *draw(st.lists(st.integers(0, e - 1), min_size=q - 1, max_size=q - 1)))
     if ring.kind == "Zm":
         d = draw(st.integers(0, e - 1))
-        eps = [d * a % e for a in range(q)]
-    else:  # a weighted sum of the base-p digits of the index, mod p
-        p, k = ring.params["p"], ring.params["k"]
-        weights = draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k))
-        eps = [sum(w * (a // p**j % p) for j, w in enumerate(weights)) % p for a in range(q)]
+        return ring, tuple(d * a % e for a in range(q))
+    # Z_p[x]/(f), e = p: a weighted sum of the base-p digits of the index, mod p
+    p, k = e, next(k for k in range(1, 7) if e**k == q)
+    weights = draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k))
+    return ring, tuple(sum(w * (a // p**j % p) for j, w in enumerate(weights)) % p for a in range(q))
+
+
+@st.composite
+def exponent_maps(draw):
+    """(ring, map): a random map, or an additive one, perhaps off at one element; eps(0) = 0."""
     if draw(st.booleans()):
-        eps[draw(st.integers(1, q - 1))] = draw(st.integers(0, e - 1))
+        ring = ADDITIVITY_RINGS[draw(st.sampled_from(sorted(ADDITIVITY_RINGS)))]
+        q, e = ring.q, ring.exponent
+        return ring, (0, *draw(st.lists(st.integers(0, e - 1), min_size=q - 1, max_size=q - 1)))
+    ring, eps = draw(additive_maps(ADDITIVITY_RINGS))
+    eps = list(eps)
+    if draw(st.booleans()):
+        eps[draw(st.integers(1, ring.q - 1))] = draw(st.integers(0, ring.exponent - 1))
     return ring, tuple(eps)
 
 
@@ -780,9 +790,13 @@ def test_additivity_check_agrees_with_the_exhaustive_oracle(case):
 
 def test_additivity_check_keeps_its_shape_checks():
     z4 = make_ring("Zm", m=4)
-    for eps in ((1, 1, 1, 1), (0, 1, 2), (0, 1, 2, 4), (0, -1, 2, 3)):
+    # a float or bool equal to the right exponent is refused too
+    malformed = ((1, 1, 1, 1), (0, 1, 2), (0, 1, 2, 4), (0, -1, 2, 3))
+    for eps in malformed + ((0, 1.0, 2, 3), (0, True, 2, 3), (0, 1, 2.0, 3)):
         with pytest.raises(ValueError, match="exponent map is malformed"):
             check_additive(z4, Character(z4, eps))
+        with pytest.raises(ValueError, match="exponent map is malformed"):
+            verify_generating_character(z4, Character(z4, eps))
 
 
 AXIOM_RINGS = {
@@ -790,6 +804,20 @@ AXIOM_RINGS = {
     for name in ("F2", "F4", "Z4", "F2u", "F2v", "GF8", "GF9")
     + ("Z16", "Z27", "GF49", "Z64", "GF64")
 }
+
+
+_IDEALS = {}
+
+
+@settings(max_examples=300, deadline=None)
+@given(additive_maps(AXIOM_RINGS))
+def test_generating_test_agrees_with_the_ideal_oracle(case):
+    ring, eps = case
+    if ring not in _IDEALS:
+        _IDEALS[ring] = [ideal for ideal in enumerate_ideals(ring) if len(ideal) > 1]
+    kernel = {a for a in range(ring.q) if eps[a] == 0}
+    generating = not any(ideal <= kernel for ideal in _IDEALS[ring])
+    assert verify_generating_character(ring, Character(ring, eps)) == generating
 
 
 def _rebuild(ring, add, mul):

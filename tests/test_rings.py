@@ -112,6 +112,27 @@ def test_construction_rejects_malformed_parameters():
             ring_from_json_obj(obj)
 
 
+@pytest.mark.parametrize("which", ["add", "mul"])
+@pytest.mark.parametrize(
+    "row",
+    [
+        [3, 0, 1],  # short
+        [3, 0, 1, 4],  # an entry equal to q
+        [3, 0, 1, -1],
+        4,  # bytes(4) would be four zero bytes
+        [3, False, 1, 2],  # bytes() would read False as 0
+        b"\x03\x00\x01\x04",
+        None,  # the row dropped: three rows
+    ],
+)
+def test_a_malformed_table_is_refused_before_any_axiom_check(which, row):
+    # row 3 of + is [3, 0, 1, 2] and of · [0, 3, 2, 1]; each replacement is refused by one message
+    tables = {"add": [list(r) for r in Z4.add_table], "mul": [list(r) for r in Z4.mul_table]}
+    tables[which][3:] = [] if row is None else [row]
+    with pytest.raises(ValueError, match="operation table is not 4 rows of 4 indices in range"):
+        RingSpec("Zm", 4, tables["add"], tables["mul"], Z4.names, Z4.params)
+
+
 def test_gf_size_cap_comes_before_primality():
     # trial division up to sqrt(p) would take about 0.1 s here
     for p, k in ((10**12 + 39, 1), (2, 10**9)):  # 10^12 + 39 is prime
