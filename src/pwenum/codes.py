@@ -40,7 +40,8 @@ class LinearCode:
 
     Either is computed from the other on first read and kept: span gives the
     generators, and _closure lists their words; dual_code gives the indices,
-    of which a small generating subset is picked greedily.
+    of which a small generating subset is picked greedily.  span_words reads
+    the words without keeping them, so a weight spectrum lists no index.
     """
 
     __slots__ = ("ring", "n", "_generators", "_indices")
@@ -51,12 +52,19 @@ class LinearCode:
         self._generators = None if generators is None else tuple(tuple(g) for g in generators)
         self._indices = None if indices is None else tuple(indices)
 
+    def span_words(self):
+        """The words as tuples, unordered and not kept: the generators' closure, or the listed indices decoded."""
+        if self._indices is not None:
+            return self.words
+        words = {(0,) * self.n}
+        for g in self._generators:
+            words = _closure(self.ring, words, g)
+        return words
+
     @property
     def indices(self) -> tuple:
         if self._indices is None:
-            words = {(0,) * self.n}
-            for g in self._generators:
-                words = _closure(self.ring, words, g)
+            words = self.span_words()
             indices = [0] * len(words)
             for column in zip(*words):  # Horner's rule on every word at once
                 indices = list(map(add, map(mul, indices, repeat(self.ring.q)), column))

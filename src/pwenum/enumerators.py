@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache, reduce
-from itertools import accumulate, compress, count, starmap
-from operator import add, or_
+from itertools import accumulate, compress, count, repeat, starmap
+from operator import or_
 
 from .codes import LinearCode, check_levels, index_digits
 from .posets import LevelStructure, Poset
@@ -83,12 +83,10 @@ def _per_block(q: int, levels: LevelStructure, indices, value) -> list:
 
 
 def weight_spectrum(code: LinearCode, levels: LevelStructure) -> dict[int, int]:
-    """Count codewords by weight key: the columns of level-S block weights times R_S, added as maps."""
+    """Count codewords by weight key, the sum of R_j over a word's nonzero entries: no index listed."""
     check_levels(code, levels)
-    places = levels.places
-    weigh = lambda s, b: (len(b) - b.count(0)) * places[s - 1]
-    columns = _per_block(code.ring.q, levels, code.indices, weigh)
-    return Counter(reduce(lambda keys, column: map(add, keys, column), columns))
+    places = [r for r, size in zip(levels.places, levels.sizes) for _ in range(size)]
+    return Counter(map(sum, map(compress, repeat(places), code.span_words())))
 
 
 def _weights(levels: LevelStructure, keys) -> list:

@@ -543,12 +543,13 @@ class Kind(NamedTuple):
 
 
 # The routes call the kernels through their module globals, so that a tracer
-# that rebinds those names (perfbench/spans.py) sees each call.
+# that rebinds those names (perfbench/spans.py) sees each call.  The transform
+# route's |C| is the spectrum's total: code.size would list and sort the indices.
 _WEIGHT_ROUTES = {
     "code": lambda code, levels, cap: weight_spectrum(code, levels),
     "dual": lambda code, levels, cap: dual_weight_spectrum(code, levels, cap),
     "transform": lambda code, levels, cap: krawtchouk_contraction(
-        weight_spectrum(code, levels), levels, code.ring.q, code.size
+        spectrum := weight_spectrum(code, levels), levels, code.ring.q, sum(spectrum.values())
     ),
 }
 

@@ -101,13 +101,13 @@ def _byte_rows(table, q):
     ]
 
 
-def _generators(table, identity):
+def _generators(table, identity, limit=None):
     """Generators of the magma of one operation table, chosen greedily.
 
     The identity counts as reached.  Each element not yet reached becomes a
     generator, and the reached set is closed under right products x∘g by
     every generator g, breadth first.  Every element ends up reached, so any
-    table, even a corrupt one, yields a finite list.
+    table, even a corrupt one, yields a finite list, cut short at limit generators if given.
     """
     reached = {identity}
     gens = []
@@ -115,6 +115,8 @@ def _generators(table, identity):
         if s in reached:
             continue
         gens.append(s)
+        if len(gens) == limit:
+            break
         reached.add(s)
         frontier = list(reached)
         while frontier:
@@ -192,7 +194,7 @@ def _verify_tables(ring):
     add_gens = ring._add_gens
     if not _is_associative(add, add_through, add_gens):
         raise ValueError("addition is not associative")
-    mul_gens = _generators(mul, 1)
+    mul_gens = _generators(mul, 1, len(add_gens))  # all of M only where |M| < |A|
     if len(add_gens) <= len(mul_gens):
         if not _distributes(add, add_through, mul, mul_through, add_gens):
             raise ValueError("multiplication does not distribute")

@@ -466,6 +466,25 @@ def test_no_dual_route_lists_a_word_of_the_code(argv, monkeypatch):
     assert _call(argv) == printed
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", *kind, "--ring", "Z4", "--code", "hamming74", "--poset", "leveled:3,2,2"]
+    for kind in (["--kind", "complete"], ["--kind", "level"], ["--kind", "mspotty", "--t", "2,1,2"])
+] + [
+    ["enum", "--kind", "complete", "--ring", "F3", "--code", "hamming74", "--poset", "leveled:3,4"],
+    ["enum", "--kind", "level", "--ring", "F2u", "--code", "ex51", "--poset", "leveled:2,1,1"],
+    ["enum", "--kind", "mspotty", "--t", "2,1,2", "--dual", "--via-transform", "--ring", "Z4",
+     "--code", "hamming74", "--poset", "leveled:3,2,2"],
+    ["enum", "--kind", "poset", "--ring", "F2", "--code", "hamming74", "--poset", "chain:7"],
+    ["enum", "--kind", "poset", "--ring", "F3", "--code", "hamming74", "--poset", "leveled:3,4"],
+])
+def test_no_weight_route_encodes_a_word(argv, monkeypatch):
+    # the code's spectrum is counted off the span's words, so a code whose indices raise prints the same
+    printed = _call(argv)
+    assert printed[0] == 0 and printed[1]
+    monkeypatch.setattr(LinearCode, "indices", property(_refuse))
+    assert _call(argv) == printed
+
+
 @pytest.mark.parametrize("command", ["verify", "enum", "dual"])
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_a_non_positive_cap_is_an_input_error(command, cap):

@@ -153,13 +153,19 @@ def test_dual_code_matches_scan_oracle(instance):
 @example(_fixed("Z9", (1,), [(3,)]))  # n = 1: an empty left half
 @example(_fixed("GF9", (2, 1), [(1, 5, 7), (0, 3, 3)]))  # odd n
 @example(_fixed("Z4", (1, 3, 1), [(1, 3, 2, 1, 0), (0, 2, 1, 3, 3)]))  # level 2 straddles the cut
+# not free: a repeated generator, a zero one and 2 times the first, 4 generators spanning 4 words
+@example(_fixed("Z4", (2, 2), [(1, 3, 2, 1), (2, 2, 0, 2), (1, 3, 2, 1), (0, 0, 0, 0)]))
+@example(_fixed("F3", (1, 2), [(1, 2, 0), (2, 1, 0), (0, 0, 0)]))  # dependent over a field: 3 words
 def test_index_storage_matches_span_and_spectrum_oracles(instance):
     ring, levels, code, _ = instance
+    fresh = span(ring, code.n, code.generators)
+    unlisted = weight_spectrum(fresh, levels)  # counted off the generators' closure, no index listed
     words = span_words(ring, code.n, code.generators)
     places = [ring.q ** (code.n - 1 - i) for i in range(code.n)]
     assert code.indices == tuple(sum(x * p for x, p in zip(w, places)) for w in words)
     assert code.words == tuple(words)
-    for held in (code, dual_code(code)):
+    assert unlisted == keyed(levels.sizes, tuple_weight_spectrum(fresh, levels))
+    for held in (code, dual_code(code)):  # the listed code and the dual: their indices decoded
         assert weight_spectrum(held, levels) == keyed(levels.sizes, tuple_weight_spectrum(held, levels))
 
 
