@@ -13,7 +13,7 @@ import os
 import random
 import re
 import sys
-from functools import partial
+from functools import cache, partial
 
 from .codes import LinearCode, check_ambient_cap, dual_code, enumeration_cap, level_split, span
 from .enumerators import _check_t
@@ -400,9 +400,14 @@ def cmd_paper_examples(args) -> int:
 COMMANDS = ("enum", "dual", "verify", "fuzz", "paper-examples")
 
 
+@cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser with every subparser, or only the named one's (whose usage line lists
-    all COMMANDS by a metavar, which in the full parser would change two errors)."""
+    all COMMANDS by a metavar, which in the full parser would change two errors).
+
+    Built once per process on first use and shared by every later caller, main too: a
+    parse keeps no state on it, and help reads COLUMNS when it prints.  Each subparser
+    holds its cmd_* function from that first build; a cmd_* replaced later is not called."""
     parser = argparse.ArgumentParser(
         prog="pwenum",
         description="Level weight enumerators of linear codes over finite "

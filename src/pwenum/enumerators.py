@@ -25,6 +25,7 @@ from itertools import accumulate, compress, count, repeat, starmap
 from operator import or_
 
 from .codes import LinearCode, check_levels, index_digits
+from .errors import IntegrityError
 from .posets import LevelStructure, Poset
 
 
@@ -83,10 +84,15 @@ def _per_block(q: int, levels: LevelStructure, indices, value) -> list:
 
 
 def weight_spectrum(code: LinearCode, levels: LevelStructure) -> dict[int, int]:
-    """Count codewords by weight key, the sum of R_j over a word's nonzero entries: no index listed."""
+    """Count codewords by weight key, the sum of R_j over a word's nonzero entries: no index listed.
+
+    Only the zero word has key 0, so a count there other than 1 raises IntegrityError."""
     check_levels(code, levels)
     places = [r for r, size in zip(levels.places, levels.sizes) for _ in range(size)]
-    return Counter(map(sum, map(compress, repeat(places), code.span_words())))
+    spectrum = Counter(map(sum, map(compress, repeat(places), code.span_words())))
+    if spectrum[0] != 1:
+        raise IntegrityError(f"{spectrum[0]} words have weight key 0; only the zero word has it")
+    return spectrum
 
 
 def _weights(levels: LevelStructure, keys) -> list:

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -19,6 +20,7 @@ import pwenum
 from pwenum.cli import (
     FIXTURES,
     NAMED_CODES,
+    build_parser,
     catalog_ring,
     main,
     parse_code_spec,
@@ -201,6 +203,65 @@ def test_usage_and_help_match_golden(record, monkeypatch):
     if record["subprocess"]:  # main(None) reads sys.argv itself
         done = _run_cli(*record["argv"])
         assert (done.returncode, done.stdout, done.stderr) == expected
+
+
+EX51 = ["--ring", "F2", "--code", "ex51", "--poset", "leveled:2,1,1"]
+
+
+def _fresh_call(argv):
+    """_call with every parser built anew, as in a process's first call."""
+    build_parser.cache_clear()
+    return _call(argv)
+
+
+def test_a_reused_parser_carries_nothing_from_one_call_to_the_next(monkeypatch):
+    # main builds each parser once a process; every call must print what a fresh parser prints
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["enum", "--kind", "complete", *EX51, "--dual", "--out", "json"],
+        ["enum", "--kind", "complete", *EX51],
+        ["verify", "--kind", "mspotty", *EX51, "--t", "2,1,1", "--cap", "8"],  # q^n = 16 is over it
+        ["verify", "--kind", "mspotty", *EX51, "--t", "2,1,1"],
+        ["verify", "--kind", "nope", *EX51],
+        ["verify", "--kind", "level", *EX51],
+        ["-h"],
+        ["verify", "--kind", "level", *EX51],
+        ["nope"],
+        ["enum", "--kind", "level", *EX51, "--dual"],
+    ]
+    fresh = [_fresh_call(argv) for argv in calls]
+    assert [rc for rc, _, _ in fresh] == [0, 0, 3, 0, 2, 0, 0, 0, 2, 0]
+    build_parser.cache_clear()
+    assert [_call(argv) for argv in calls] == fresh
+
+
+def test_help_wraps_at_the_columns_of_each_call(monkeypatch):
+    build_parser.cache_clear()
+    reused, fresh = [], []
+    for columns in ("40", "100"):
+        monkeypatch.setenv("COLUMNS", columns)
+        reused.append(_call(["verify", "-h"]))
+    for columns in ("40", "100"):
+        monkeypatch.setenv("COLUMNS", columns)
+        fresh.append(_fresh_call(["verify", "-h"]))
+    assert reused == fresh
+    assert reused[0][1] != reused[1][1]
+
+
+def test_main_builds_the_verify_parser_once(monkeypatch):
+    # building a parser takes about half of a small verify's time, so main builds each one once
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser.cache_clear()
+    for _ in range(20):
+        assert _call(["verify", "--kind", "complete", *EX51]) == (0, "complete: EQUAL\n", "")
+    assert built == ["pwenum", "pwenum verify"]
 
 
 def _refuse(*args, **kwargs):
@@ -483,6 +544,18 @@ def test_no_weight_route_encodes_a_word(argv, monkeypatch):
     assert printed[0] == 0 and printed[1]
     monkeypatch.setattr(LinearCode, "indices", property(_refuse))
     assert _call(argv) == printed
+
+
+@pytest.mark.parametrize("command", ["verify", "enum"])
+def test_a_spectrum_that_counts_each_word_twice_is_an_integrity_failure(command, monkeypatch):
+    # the transform route divides by the spectrum's own total, so verify printed EQUAL on this
+    # over-count and enum printed every coefficient doubled; only the zero word has weight key 0
+    span_words = LinearCode.span_words
+    monkeypatch.setattr(LinearCode, "span_words", lambda code: [*span_words(code), *span_words(code)])
+    code = '{"length":4,"generators":[[1,3,2,1],[2,2,0,2]]}'
+    argv = [command, "--kind", "complete", "--ring", "Z4", "--poset", "leveled:2,2", "--code", code]
+    message = "integrity failure: 2 words have weight key 0; only the zero word has it\n"
+    assert _call(argv) == (1, "", message)
 
 
 @pytest.mark.parametrize("command", ["verify", "enum", "dual"])
