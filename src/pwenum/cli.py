@@ -400,14 +400,9 @@ def cmd_paper_examples(args) -> int:
 COMMANDS = ("enum", "dual", "verify", "fuzz", "paper-examples")
 
 
-@cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser with every subparser, or only the named one's (whose usage line lists
-    all COMMANDS by a metavar, which in the full parser would change two errors).
-
-    Built once per process on first use and shared by every later caller, main too: a
-    parse keeps no state on it, and help reads COLUMNS when it prints.  Each subparser
-    holds its cmd_* function from that first build; a cmd_* replaced later is not called."""
+    all COMMANDS by a metavar, which in the full parser would change two errors)."""
     parser = argparse.ArgumentParser(
         prog="pwenum",
         description="Level weight enumerators of linear codes over finite "
@@ -460,10 +455,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+# main's own parsers, each built on its first call: a parse leaves nothing on a parser and
+# help reads COLUMNS when it prints.  Each keeps the cmd_* bound at that build.
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # -h, a typo or an option before the command get the full parser's messages
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+    parser = _parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

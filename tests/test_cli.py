@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pwenum
+from pwenum import cli
 from pwenum.cli import (
     FIXTURES,
     NAMED_CODES,
@@ -210,7 +211,7 @@ EX51 = ["--ring", "F2", "--code", "ex51", "--poset", "leveled:2,1,1"]
 
 def _fresh_call(argv):
     """_call with every parser built anew, as in a process's first call."""
-    build_parser.cache_clear()
+    cli._parser.cache_clear()
     return _call(argv)
 
 
@@ -231,12 +232,12 @@ def test_a_reused_parser_carries_nothing_from_one_call_to_the_next(monkeypatch):
     ]
     fresh = [_fresh_call(argv) for argv in calls]
     assert [rc for rc, _, _ in fresh] == [0, 0, 3, 0, 2, 0, 0, 0, 2, 0]
-    build_parser.cache_clear()
+    cli._parser.cache_clear()
     assert [_call(argv) for argv in calls] == fresh
 
 
 def test_help_wraps_at_the_columns_of_each_call(monkeypatch):
-    build_parser.cache_clear()
+    cli._parser.cache_clear()
     reused, fresh = [], []
     for columns in ("40", "100"):
         monkeypatch.setenv("COLUMNS", columns)
@@ -258,10 +259,21 @@ def test_main_builds_the_verify_parser_once(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    build_parser.cache_clear()
+    cli._parser.cache_clear()
     for _ in range(20):
         assert _call(["verify", "--kind", "complete", *EX51]) == (0, "complete: EQUAL\n", "")
     assert built == ["pwenum", "pwenum verify"]
+
+
+def test_a_parser_from_build_parser_is_the_callers_own():
+    # main keeps its parsers to itself: a caller that edits one it built changes no later call
+    level = ["verify", "--kind", "level", *EX51]
+    cli._parser.cache_clear()
+    assert _call(level) == (0, "level: EQUAL\n", "")
+    mine = build_parser("verify")
+    assert mine is not build_parser("verify")
+    mine.set_defaults(func=_refuse)
+    assert _call(level) == (0, "level: EQUAL\n", "")
 
 
 def _refuse(*args, **kwargs):
