@@ -18,7 +18,7 @@ from operator import add, itemgetter, lshift, mul
 from struct import Struct, unpack
 from typing import Callable, NamedTuple
 
-from .codes import LinearCode, check_levels, dual_code, dual_indices, dual_weight_spectrum
+from .codes import LinearCode, check_ambient_cap, check_levels, dual_code, dual_indices, dual_weight_spectrum
 from .enumerators import (
     _check_t,
     byte_enumerator,
@@ -33,7 +33,7 @@ from .enumerators import (
 )
 from .errors import IntegrityError
 from .posets import LevelStructure
-from .rings import Character, default_character
+from .rings import default_character
 
 
 class IdentityReport(NamedTuple):
@@ -271,8 +271,8 @@ def _transpose(rows: list, row_bytes: int, slot_bytes: int, signed: bool = False
     return new
 
 
-def _yates_tallies(code: LinearCode, chi: Character) -> tuple[int, list, int]:
-    """Tally of the exponents of chi(<b, u>) over u in C, for every b in R^n.
+def _yates_tallies(code: LinearCode, eps: bytes) -> tuple[int, list, int]:
+    """Tally of the exponents eps(<b, u>) over u in C, for every b in R^n, eps the character's exponent row.
 
     Returns the field width in bits, b = |C|.bit_length(), the final rows
     and the period P = q^ceil(n/2).  Each tally is e count fields followed
@@ -297,7 +297,7 @@ def _yates_tallies(code: LinearCode, chi: Character) -> tuple[int, list, int]:
     slot = -(-2 * half // 8)  # bytes
     width, nrows = q ** (n // 2), q ** (n - n // 2)
     row_bytes = width * slot
-    scaled = [x * field for x in chi.exponents]
+    scaled = [x * field for x in eps]
     shifts = [itemgetter(*row)(scaled) for row in ring.mul_table]
     split = _coset_split(ring.add_table, shifts, _subgroup(ring.add_table))
     if not split.pays():  # then no pass pays split: the dense product by the q x q matrix
@@ -320,8 +320,8 @@ def _yates_tallies(code: LinearCode, chi: Character) -> tuple[int, list, int]:
     return field, rows, nrows
 
 
-def byte_transform(code: LinearCode, levels: LevelStructure) -> dict[int, int]:
-    """Dual byte enumerator from the primal code, by Yates' algorithm.
+def byte_transform(code: LinearCode, levels: LevelStructure, cap: int | None = None) -> dict[int, int]:
+    """Dual byte enumerator from the primal code, by Yates' algorithm, refused where q^n exceeds cap.
 
     The coefficient of z_{1:b1}...z_{s:bs}, with b the concatenated pattern, is
         (1/|C|) sum over u in C of chi(<b, u>),
@@ -348,6 +348,7 @@ def byte_transform(code: LinearCode, levels: LevelStructure) -> dict[int, int]:
     times, and holds the old and the new rows.  The final rows are checked
     and read whole (_read_tallies).
     """
+    check_ambient_cap(code.ring, code.n, cap)
     check_levels(code, levels)
     return _read_tallies(*_yates_tallies(code, default_character(code.ring)), code.ring.exponent, code.size)
 
@@ -571,7 +572,7 @@ KINDS = {
         {
             "code": lambda code, levels, cap: byte_enumerator(code, levels),
             "dual": lambda code, levels, cap: dict.fromkeys(dual_indices(code, cap), 1),  # a monomial a word
-            "transform": lambda code, levels, cap: byte_transform(code, levels),
+            "transform": lambda code, levels, cap: byte_transform(code, levels, cap),
         },
         byte_terms,
     ),

@@ -11,8 +11,8 @@ supported:
 
 The last three are all Z_p[x]/(f), built by one table builder.  Every ring
 has a catalog additive character, one rule for every kind, whose kernel
-contains no nonzero ideal; default_character checks that on every call,
-because all the dual-code identities downstream depend on it.
+contains no nonzero ideal; default_character returns its exponent row as
+bytes, checked on every call, as all the dual-code identities depend on it.
 
 Every construction builds its tables in O(q^2) as rows of bytes, a whole row
 at a time, and checks every ring axiom on them exactly in |A| + 2·min(|A|, |M|)
@@ -26,8 +26,6 @@ operation's generators (see _verify_tables).
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 MAX_RING_SIZE = 64
 
 RING_KINDS = ("Zm", "GF", "F2u", "F2v")
@@ -36,20 +34,19 @@ RING_KINDS = ("Zm", "GF", "F2u", "F2v")
 class RingSpec:
     """A finite commutative ring given by total operation tables.
 
-    Not constructed directly; use make_ring().  Immutable after construction;
-    add_table, mul_table and neg_table are tuples indexed by element index.
-    The checks read + and · as rows of bytes, as the builders hand them over.
+    Not constructed directly; use make_ring().  Immutable after construction.
+    add_table and mul_table are the checked tables, tuples of q rows of bytes
+    that the axiom checks and every kernel read; no other copy is kept.
+    neg_table is a tuple indexed by element index.
     """
 
     def __init__(self, kind, q, add_table, mul_table, names, params):
         self.kind = kind
         self.q = q
-        self._add_rows, self._mul_rows = add, mul = _byte_rows(add_table, q), _byte_rows(mul_table, q)
+        self.add_table, self.mul_table = add, mul = _byte_rows(add_table, q), _byte_rows(mul_table, q)
         rows = add + mul  # translate deletes each index in range(q) and leaves the rest
         if {len(add), len(mul), *map(len, rows)} != {q} or b"".join(rows).translate(None, bytes(range(q))):
             raise ValueError(f"an operation table is not {q} rows of {q} indices in range({q})")
-        self.add_table = tuple(map(tuple, add))
-        self.mul_table = tuple(map(tuple, mul))
         self.names = names
         self.params = dict(params)
         self.neg_table = tuple([row.find(0) for row in add])
@@ -89,16 +86,16 @@ class RingSpec:
 
 
 def _byte_rows(table, q):
-    """The rows of a table as bytes, any row but bytes or a list or tuple of ints in range(q) as b"".
+    """The rows of a table as a tuple of bytes, any row but bytes or a list or tuple of ints in range(q) as b"".
 
     bytes() alone would read True as 1 and an int n as n zero bytes; RingSpec refuses b"" by its length.
     """
-    return [
+    return tuple([
         row if type(row) is bytes
         else bytes(row) if isinstance(row, (list, tuple)) and all(type(x) is int and 0 <= x < q for x in row)
         else b""
         for row in table
-    ]
+    ])
 
 
 def _generators(table, identity, limit=None):
@@ -181,14 +178,14 @@ def _verify_tables(ring):
     the a that satisfy it are closed under ·; they hold 1, so holding M they
     are the whole ring.
     """
-    q, add, mul = ring.q, ring._add_rows, ring._mul_rows
+    q, add, mul = ring.q, ring.add_table, ring.mul_table
     rng, ident, pad = range(q), bytes(range(q)), bytes(256 - q)
     flat_add, flat_mul = b"".join(add), b"".join(mul)
     if add[0] != ident or flat_add[::q] != ident:
         raise ValueError("index 0 is not the additive identity")
     if mul[1] != ident or flat_mul[1::q] != ident:
         raise ValueError("index 1 is not the multiplicative identity")
-    if [flat_add[a::q] for a in rng] != add or [flat_mul[a::q] for a in rng] != mul:
+    if tuple([flat_add[a::q] for a in rng]) != add or tuple([flat_mul[a::q] for a in rng]) != mul:
         raise ValueError("operation tables are not commutative")
     add_through, mul_through = [row + pad for row in add], [row + pad for row in mul]
     add_gens = ring._add_gens
@@ -354,38 +351,32 @@ def ring_from_json_obj(obj: dict) -> RingSpec:
     return make_ring(obj.pop("kind"), **obj)
 
 
-class Character(NamedTuple):
-    """Additive character a -> zeta_e^{eps(a)}, e the additive exponent."""
+def default_character(ring: RingSpec) -> bytes:
+    """The catalog character's exponent row, bytes eps(a) = a // (q/e), verified to be generating.
 
-    ring: RingSpec
-    exponents: tuple[int, ...]
-
-
-def default_character(ring: RingSpec) -> Character:
-    """The catalog character eps(a) = a // (q/e), verified to be generating.
-
-    It is eps(a) = a on Z_m and GF(p), where the character is one-to-one.
+    The character is a -> zeta_e^{eps(a)}, e the additive exponent.  It is
+    eps(a) = a on Z_m and GF(p), where the character is one-to-one.
     Elsewhere eps(a) is the top base-p digit, the coefficient of x^(k-1): a
     nonzero additive map, so generating on GF(p^k), whose one nonzero ideal
     is itself, and (0, 0, 1, 1) on F2u and F2v, whose kernel {0, 1} holds
     none of the nonzero ideals {0, u}, {0, v}, {0, 1+v} and R.
     """
     step = ring.q // ring.exponent
-    chi = Character(ring, tuple([a // step for a in range(ring.q)]))
-    if not verify_generating_character(ring, chi):
+    eps = bytes([a // step for a in range(ring.q)])
+    if not verify_generating_character(ring, eps):
         raise ValueError("catalog character failed the generating test")
-    return chi
+    return eps
 
 
-def check_additive(ring: RingSpec, chi: Character) -> None:
-    """Raise unless the exponent map is an additive character of the ring.
+def check_additive(ring: RingSpec, eps) -> None:
+    """Raise unless the exponent row eps is an additive character of the ring.
 
     Additivity is checked as eps(a + g) = eps(a) + eps(g) for every a and
     every additive generator g (see _generators), in O(q·|G|): the x with
     eps(a + x) = eps(a) + eps(x) for all a form a set closed under +, and
     holding the generators it is the whole ring.
     """
-    q, e, eps = ring.q, ring.exponent, chi.exponents
+    q, e = ring.q, ring.exponent
     # every exponent an int in range(e), bool and float refused; eps(0) = 0
     if len(eps) != q or set(map(type, eps)) != {int} or eps[0] != 0 or min(eps) < 0 or max(eps) >= e:
         raise ValueError("exponent map is malformed")
@@ -393,19 +384,18 @@ def check_additive(ring: RingSpec, chi: Character) -> None:
     through_eps, cycle = eps + bytes(256 - q), bytes(range(e)) * (512 // e)
     for g in ring._add_gens:
         # eps(a + g) over a, against eps(a) + eps(g) mod e: eps read through cycle[eps(g):], rotated by eps(g)
-        if ring._add_rows[g].translate(through_eps) != eps.translate(cycle[eps[g] : eps[g] + 256]):
+        if ring.add_table[g].translate(through_eps) != eps.translate(cycle[eps[g] : eps[g] + 256]):
             raise ValueError("exponent map violates additivity")
 
 
-def verify_generating_character(ring: RingSpec, chi: Character) -> bool:
-    """True iff no nonzero ideal sits inside the kernel of chi.
+def verify_generating_character(ring: RingSpec, eps) -> bool:
+    """True iff no nonzero ideal sits inside the kernel of the character with exponent row eps.
 
     It is enough to test principal ideals: every nonzero ideal contains a
     nonzero principal one.  Raises if the exponent map is not an additive
     character at all.
     """
-    check_additive(ring, chi)
-    through_eps, zero = bytes(chi.exponents) + bytes(256 - ring.q), bytes(ring.q)
+    check_additive(ring, eps)
+    through_eps, zero = bytes(eps) + bytes(256 - ring.q), bytes(ring.q)
     # the kernel holds aR exactly when row a of · reads all 0 through eps
-    return zero not in [row.translate(through_eps) for row in ring._mul_rows[1:]]
-
+    return zero not in [row.translate(through_eps) for row in ring.mul_table[1:]]

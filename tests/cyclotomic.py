@@ -167,6 +167,6 @@ def root_power(e: int, k: int) -> CycInt:
     return CycInt(e, [0] * k + [1])
 
 
-def character_value(chi, a: int) -> CycInt:
-    """chi(a) = zeta_e^eps(a), e the additive exponent of chi's ring."""
-    return root_power(chi.ring.exponent, chi.exponents[a])
+def character_value(ring, eps, a: int) -> CycInt:
+    """chi(a) = zeta_e^eps(a), e the additive exponent of the ring and eps the character's exponent row."""
+    return root_power(ring.exponent, eps[a])

@@ -186,17 +186,16 @@ def cell_complete_transform(spectrum, sizes, q, code_size) -> dict[tuple, int]:
     return out
 
 
-def pattern_byte_transform(code, chi) -> dict[tuple, int]:
-    """Dual byte coefficients, one pattern at a time.
+def pattern_byte_transform(code, eps) -> dict[tuple, int]:
+    """Dual byte coefficients, one pattern at a time; eps is the character's exponent row.
 
-    For every b in R^n, tallies the exponents of chi(<b, u>) over the
+    For every b in R^n, tallies the exponents eps(<b, u>) over the
     codewords u and reads the tally by cyclotomic_coefficient.  Returns
     {b: coefficient} with zero patterns left out.
     """
     ring = code.ring
     e = ring.exponent
     add, mul = ring.add_table, ring.mul_table
-    eps = chi.exponents
     out = {}
     for b in product(range(ring.q), repeat=code.n):
         rows = [mul[x] for x in b]
@@ -476,8 +475,8 @@ def reference_json(poly: dict) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def hadamard_check(ring, chi, code, f: dict, cap=None) -> IdentityReport:
-    """Compare sum of f over the dual with the averaged transformed sum over C.
+def hadamard_check(ring, eps, code, f: dict, cap=None) -> IdentityReport:
+    """Compare sum of f over the dual with the averaged transformed sum over C; eps is chi's exponent row.
 
     f maps words of R^n to integers or cyclotomic integers; missing words
     count as zero.  The transformed function sums chi(<u, v>) f(v) over the
@@ -496,7 +495,7 @@ def hadamard_check(ring, chi, code, f: dict, cap=None) -> IdentityReport:
     total = zero
     for u in code.words:
         for v, val in support:
-            total = total + character_value(chi, inner_product(ring, u, v)) * val
+            total = total + character_value(ring, eps, inner_product(ring, u, v)) * val
     rhs = total.divide_exact(code.size)
     return IdentityReport(
         kind="hadamard",
@@ -546,8 +545,8 @@ def _is_ideal(ring, subset):
     return True
 
 
-def character_ideal_sum(ring, chi, ideal) -> CycInt:
-    """Exact value of the character summed over an ideal.
+def character_ideal_sum(ring, eps, ideal) -> CycInt:
+    """Exact value of the character with exponent row eps summed over an ideal.
 
     For a generating character this is 1 on the zero ideal and 0 on every
     larger one; the sum with the zero element removed is then -1.
@@ -558,7 +557,7 @@ def character_ideal_sum(ring, chi, ideal) -> CycInt:
     e = ring.exponent
     counts = [0] * e
     for a in ideal:
-        counts[chi.exponents[a]] += 1
+        counts[eps[a]] += 1
     return CycInt(e, counts)
 
 

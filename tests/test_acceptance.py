@@ -89,10 +89,10 @@ def test_criterion_4_character_and_ideal_suite():
     rng = random.Random(404)
     for name in CATALOG_NAMES:
         ring = catalog_ring(name)
-        chi = default_character(ring)
-        assert verify_generating_character(ring, chi)
+        eps = default_character(ring)
+        assert verify_generating_character(ring, eps)
         for ideal in enumerate_ideals(ring):
-            total = character_ideal_sum(ring, chi, ideal)
+            total = character_ideal_sum(ring, eps, ideal)
             if len(ideal) == 1:
                 assert total == 1
             else:
@@ -109,7 +109,7 @@ def test_criterion_4_character_and_ideal_suite():
                 tuple(rng.randrange(ring.q) for _ in range(n)): rng.randint(-4, 4)
                 for _ in range(rng.randint(1, 10))
             }
-            assert hadamard_check(ring, chi, code, f).equal
+            assert hadamard_check(ring, eps, code, f).equal
     report(4, "generating characters, ideal sums, and 50 transform checks per ring")
 
 

@@ -12,7 +12,7 @@ from pwenum.enumerators import (
     complete_level_enumerator,
     weight_spectrum,
 )
-from pwenum.errors import IntegrityError
+from pwenum.errors import CapExceededError, IntegrityError
 from pwenum.macwilliams import (
     byte_transform,
     complete_transform,
@@ -22,7 +22,7 @@ from pwenum.macwilliams import (
     verify_identity,
 )
 from pwenum.posets import LevelStructure
-from pwenum.rings import Character, default_character, make_ring
+from pwenum.rings import default_character, make_ring
 
 F2 = make_ring("Zm", m=2)
 F3 = make_ring("Zm", m=3)
@@ -53,7 +53,7 @@ def test_krawtchouk_matches_character_sum():
     # independent oracle: sum chi(<u, v>) over words v of fixed Hamming weight
     rng = random.Random(17)
     for ring in (F2, F3, F4, Z4):
-        chi = default_character(ring)
+        eps = default_character(ring)
         e = ring.exponent
         for n in (1, 2, 3):
             for _ in range(4):
@@ -67,7 +67,7 @@ def test_krawtchouk_matches_character_sum():
                         acc = 0
                         for a, b in zip(u, v):
                             acc = ring.add_table[acc][ring.mul_table[a][b]]
-                        total = total + character_value(chi, acc)
+                        total = total + character_value(ring, eps, acc)
                     assert total == _krawtchouk(n, l, p, ring.q)
 
 
@@ -89,6 +89,24 @@ def test_byte_transform_of_zero_code_is_full_space():
     assert poly == byte_enumerator(dual_code(zero), levels)
 
 
+def test_every_route_on_r_to_the_n_holds_its_cap_before_any_kernel_runs(monkeypatch):
+    # the zero code of length 16: its dual is all of F2^16, 2^16 words against a cap of 100
+    code, levels = span(F2, 16, []), LevelStructure((16,))
+
+    def unreachable(code, eps):
+        raise AssertionError("the byte kernel ran past the cap")
+
+    monkeypatch.setattr(macwilliams, "_yates_tallies", unreachable)
+    for kind, entry in macwilliams.KINDS.items():
+        t = (1,) if kind == "mspotty" else None
+        for route in entry.routes:
+            if route == "dual" or (kind, route) == ("byte", "transform"):
+                with pytest.raises(CapExceededError, match=r"q\^n = 2\^16 exceeds cap 100"):
+                    macwilliams.count(kind, route, code, levels, t, cap=100)
+            else:  # |C| = 1 word, or the 17 cells of the weight spectrum
+                assert macwilliams.count(kind, route, code, levels, t, cap=100)
+
+
 def _check_each_corrupted_pattern(monkeypatch, code, levels):
     """A count moved from field 0 to field 1 fails the integrity check wherever it sits.
 
@@ -104,8 +122,8 @@ def _check_each_corrupted_pattern(monkeypatch, code, levels):
     slot_bits = 8 * -(-2 * ring.exponent * field // 8)  # 2e fields of field bits, padded to whole bytes
     for index in (ring.q**code.n - 1, repeated * period, 0):
 
-        def corrupted(code, chi, index=index):
-            field, rows, period = tallies(code, chi)
+        def corrupted(code, eps, index=index):
+            field, rows, period = tallies(code, eps)
             row, k = divmod(index, period)
             at = k * slot_bits
             rows[row] += (1 << (at + field)) - (1 << at)
@@ -315,8 +333,8 @@ def test_verify_identity_reads_a_one_shot_t_once():
 
 
 def test_wrong_character_breaks_the_identity(monkeypatch):
-    chi = Character(Z4, (0, 2, 0, 2))  # additive but not generating
-    monkeypatch.setattr(macwilliams, "default_character", lambda ring: chi)
+    eps = bytes((0, 2, 0, 2))  # additive but not generating
+    monkeypatch.setattr(macwilliams, "default_character", lambda ring: eps)
     code = span(Z4, 2, [(1, 2)])
     levels = LevelStructure((1, 1))
     try:
@@ -327,17 +345,17 @@ def test_wrong_character_breaks_the_identity(monkeypatch):
 
 def test_hadamard_indicator_of_zero():
     code = span(F3, 2, [(1, 2)])
-    chi = default_character(F3)
+    eps = default_character(F3)
     f = {(0, 0): 1}
-    report = hadamard_check(F3, chi, code, f)
+    report = hadamard_check(F3, eps, code, f)
     assert report.equal and report.lhs == 1 and report.rhs == 1
 
 
 def test_hadamard_constant_function():
     code = span(F3, 2, [(1, 2)])
-    chi = default_character(F3)
+    eps = default_character(F3)
     f = {v: 1 for v in product(range(3), repeat=2)}
-    report = hadamard_check(F3, chi, code, f)
+    report = hadamard_check(F3, eps, code, f)
     dual = dual_code(code)
     assert report.equal and report.lhs == dual.size
     assert report.rhs == 3**2 // code.size
@@ -345,7 +363,7 @@ def test_hadamard_constant_function():
 
 def test_hadamard_random_functions():
     rng = random.Random(61)
-    chi = default_character(F3)
+    eps = default_character(F3)
     for _ in range(10):
         gens = [tuple(rng.randrange(3) for _ in range(3)) for _ in range(rng.randint(1, 2))]
         code = span(F3, 3, gens)
@@ -353,15 +371,15 @@ def test_hadamard_random_functions():
             tuple(rng.randrange(3) for _ in range(3)): rng.randint(-5, 5)
             for _ in range(rng.randint(1, 12))
         }
-        report = hadamard_check(F3, chi, code, f)
+        report = hadamard_check(F3, eps, code, f)
         assert report.equal
 
 
 def test_hadamard_accepts_cyclotomic_values():
-    chi = default_character(F2)
+    eps = default_character(F2)
     code = span(F2, 2, [(1, 1)])
     f = {(1, 0): CycInt(2, (0, 1)), (0, 1): 2}
-    report = hadamard_check(F2, chi, code, f)
+    report = hadamard_check(F2, eps, code, f)
     assert report.equal
     with pytest.raises(ValueError):
-        hadamard_check(F2, chi, code, {(1, 0): CycInt(4, (1,))})
+        hadamard_check(F2, eps, code, {(1, 0): CycInt(4, (1,))})

@@ -6,8 +6,8 @@ import pytest
 
 from cyclotomic import CycInt, character_value
 from oracles import character_ideal_sum, enumerate_ideals, gf_is_irreducible
+from pwenum.cli import CATALOG_RINGS, catalog_ring
 from pwenum.rings import (
-    Character,
     RingSpec,
     default_character,
     make_ring,
@@ -34,15 +34,15 @@ def test_zm_tables():
 def test_zm_tables_are_modular_arithmetic():
     for m in range(2, 65):
         ring = make_ring("Zm", m=m)
-        assert ring.add_table == tuple(tuple((a + b) % m for b in range(m)) for a in range(m))
-        assert ring.mul_table == tuple(tuple(a * b % m for b in range(m)) for a in range(m))
+        assert tuple(map(tuple, ring.add_table)) == tuple(tuple((a + b) % m for b in range(m)) for a in range(m))
+        assert tuple(map(tuple, ring.mul_table)) == tuple(tuple(a * b % m for b in range(m)) for a in range(m))
 
 
 def test_f2v_construction():
     assert F2V.q == 4 and F2V.exponent == 2
     assert F2V.names == ("0", "1", "v", "1+v")
-    assert F2V.add_table == ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
-    assert F2V.mul_table == ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 2, 0), (0, 3, 0, 3))
+    assert tuple(map(tuple, F2V.add_table)) == ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+    assert tuple(map(tuple, F2V.mul_table)) == ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 2, 0), (0, 3, 0, 3))
     v = 2
     assert F2V.mul_table[v][v] == v  # v^2 = v
     assert F2V.add_table[1][v] == 3
@@ -53,8 +53,8 @@ def test_f2u_nilpotent_generator():
     assert F2U.mul_table[u][u] == 0  # u^2 = 0
     assert F2U.exponent == 2
     assert F2U.names == ("0", "1", "u", "1+u")
-    assert F2U.add_table == ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
-    assert F2U.mul_table == ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 0, 2), (0, 3, 2, 1))
+    assert tuple(map(tuple, F2U.add_table)) == ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+    assert tuple(map(tuple, F2U.mul_table)) == ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 0, 2), (0, 3, 2, 1))
 
 
 def test_gf4_field_structure():
@@ -82,7 +82,7 @@ def test_gf_names_are_polynomials():
 def test_gf_degenerate_extension():
     f3 = make_ring("GF", p=3, k=1, modulus=[0, 1])
     assert f3.q == 3 and f3.exponent == 3
-    assert default_character(f3).exponents == (0, 1, 2)  # a one-digit index is its own top digit
+    assert tuple(default_character(f3)) == (0, 1, 2)  # a one-digit index is its own top digit
 
 
 def test_construction_errors():
@@ -133,6 +133,21 @@ def test_a_malformed_table_is_refused_before_any_axiom_check(which, row):
         RingSpec("Zm", 4, tables["add"], tables["mul"], Z4.names, Z4.params)
 
 
+def test_tables_and_character_are_byte_rows():
+    # the checked rows are the tables: a tuple of q bytes rows each, whatever rows the builder handed over
+    listed = RingSpec("Zm", 4, [list(r) for r in Z4.add_table], [list(r) for r in Z4.mul_table], Z4.names, Z4.params)
+    big = [make_ring("Zm", m=64), make_ring("GF", p=2, k=6, modulus=[1, 1, 0, 0, 0, 0, 1])]
+    big.append(make_ring("GF", p=7, k=2, modulus=[1, 0, 1]))
+    for ring in [*map(catalog_ring, CATALOG_RINGS), *big, listed]:
+        q = ring.q
+        for table in (ring.add_table, ring.mul_table):
+            assert type(table) is tuple and len(table) == q
+            assert all(type(row) is bytes and len(row) == q for row in table)
+        eps = default_character(ring)
+        assert type(eps) is bytes and len(eps) == q
+    assert listed == Z4
+
+
 def test_gf_size_cap_comes_before_primality():
     # trial division up to sqrt(p) would take about 0.1 s here
     for p, k in ((10**12 + 39, 1), (2, 10**9)):  # 10^12 + 39 is prime
@@ -173,8 +188,7 @@ def test_a_wrong_additive_exponent_is_refused(monkeypatch, m, e, message):
 def test_large_ring_constructs_with_full_axiom_check():
     ring = make_ring("Zm", m=64)
     assert ring.exponent == 64
-    chi = default_character(ring)
-    assert verify_generating_character(ring, chi)
+    assert verify_generating_character(ring, default_character(ring))
 
 
 def test_ring_from_json_obj():
@@ -203,37 +217,34 @@ def test_default_characters_are_generating():
     assert len(fields) == sum(PRIMES) + 63
     rings = [make_ring("Zm", m=m) for m in range(2, 65)] + [F2U, F2V, *fields]
     for ring in rings:
-        chi = default_character(ring)
-        assert verify_generating_character(ring, chi)
-        eps, e = chi.exponents, ring.exponent
+        eps, e = default_character(ring), ring.exponent
+        assert verify_generating_character(ring, eps)
         for a, row in enumerate(ring.add_table):
             assert [eps[b] for b in row] == [(eps[a] + x) % e for x in eps]
     # the top base-p digit, not the trace: on GF(9) the trace of a constant c is 2c
-    assert default_character(F4).exponents == (0, 0, 1, 1)
+    assert tuple(default_character(F4)) == (0, 0, 1, 1)
     gf9 = make_ring("GF", p=3, k=2, modulus=[1, 0, 1])
-    assert default_character(gf9).exponents == (0, 0, 0, 1, 1, 1, 2, 2, 2)
+    assert tuple(default_character(gf9)) == (0, 0, 0, 1, 1, 1, 2, 2, 2)
 
 
 def test_default_character_values():
     z2 = default_character(F2)
-    assert z2.exponents == (0, 1)
-    assert character_value(z2, 1) == -1
-    z4 = default_character(Z4)
-    assert z4.exponents == (0, 1, 2, 3)
+    assert tuple(z2) == (0, 1)
+    assert character_value(F2, z2, 1) == -1
+    assert tuple(default_character(Z4)) == (0, 1, 2, 3)
     f2v = default_character(F2V)
-    assert [character_value(f2v, a) for a in range(4)] == [1, 1, -1, -1]
+    assert [character_value(F2V, f2v, a) for a in range(4)] == [1, 1, -1, -1]
 
 
 def test_non_generating_character_detected():
-    chi = Character(Z4, (0, 2, 0, 2))  # kernel contains the ideal {0, 2}
-    assert verify_generating_character(Z4, chi) is False
+    assert verify_generating_character(Z4, (0, 2, 0, 2)) is False  # kernel contains the ideal {0, 2}
 
 
 def test_malformed_exponent_map_rejected():
     with pytest.raises(ValueError):
-        verify_generating_character(Z4, Character(Z4, (0, 1, 1, 1)))
+        verify_generating_character(Z4, (0, 1, 1, 1))
     with pytest.raises(ValueError):
-        verify_generating_character(Z4, Character(Z4, (0, 1)))
+        verify_generating_character(Z4, (0, 1))
 
 
 def test_enumerate_ideals():
@@ -254,9 +265,9 @@ def test_enumerate_ideals():
 
 def test_character_sum_over_ideals():
     for ring in CATALOG:
-        chi = default_character(ring)
+        eps = default_character(ring)
         for ideal in enumerate_ideals(ring):
-            total = character_ideal_sum(ring, chi, ideal)
+            total = character_ideal_sum(ring, eps, ideal)
             if ideal == frozenset({0}):
                 assert total == 1
             else:
@@ -266,27 +277,27 @@ def test_character_sum_over_ideals():
 
 
 def test_character_sum_examples():
-    chi = default_character(Z4)
-    assert character_ideal_sum(Z4, chi, {0, 2}) == 0  # 1 + zeta^2 with zeta^2 = -1
-    assert character_ideal_sum(Z4, chi, {0, 1, 2, 3}) == 0
-    assert character_ideal_sum(Z4, chi, {0}) == 1
+    eps = default_character(Z4)
+    assert character_ideal_sum(Z4, eps, {0, 2}) == 0  # 1 + zeta^2 with zeta^2 = -1
+    assert character_ideal_sum(Z4, eps, {0, 1, 2, 3}) == 0
+    assert character_ideal_sum(Z4, eps, {0}) == 1
 
 
 def test_character_sum_rejects_non_ideal():
-    chi = default_character(Z4)
+    eps = default_character(Z4)
     with pytest.raises(ValueError):
-        character_ideal_sum(Z4, chi, {0, 1})  # not closed under addition
+        character_ideal_sum(Z4, eps, {0, 1})  # not closed under addition
 
 
 def test_character_orthogonality():
     # sum over a of chi(r a) is q for r = 0 and 0 otherwise
     for ring in CATALOG:
-        chi = default_character(ring)
+        eps = default_character(ring)
         e = ring.exponent
         for r in range(ring.q):
             total = CycInt(e)
             for a in range(ring.q):
-                total = total + character_value(chi, ring.mul_table[r][a])
+                total = total + character_value(ring, eps, ring.mul_table[r][a])
             assert total == (ring.q if r == 0 else 0)
 
 
