@@ -51,17 +51,17 @@ def _parse_json(text: str):
 
 
 def _spec_json(text: str, what: str, shorthand=lambda text: None):
-    """The JSON value of an inline object or of the named file, else shorthand's object or None."""
+    """Shorthand's object, so no file hides an alias (./F2 reads one), else inline or file JSON."""
     text = text.strip()
+    obj = shorthand(text)
+    if obj is not None:
+        return obj
     if text.startswith("{"):
         return _parse_json(text)
     if os.path.isfile(text):
         with open(text) as fh:
             return _parse_json(fh.read())
-    obj = shorthand(text)
-    if obj is None:
-        raise ValueError(f"cannot interpret {what} spec {text!r}")
-    return obj
+    raise ValueError(f"cannot interpret {what} spec {text!r}")
 
 
 _ZM_SHORTHAND = re.compile(r"^Z(\d+)$")
@@ -397,25 +397,19 @@ def cmd_paper_examples(args) -> int:
     return 0 if ok else 1
 
 
-COMMANDS = ("enum", "dual", "verify", "fuzz", "paper-examples")
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with every subparser, or only the named one's (whose usage line lists
-    all COMMANDS by a metavar, which in the full parser would change two errors)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with every subparser: a new one on every call, which is the caller's own."""
     parser = argparse.ArgumentParser(
         prog="pwenum",
         description="Level weight enumerators of linear codes over finite "
         "Frobenius rings, with exact MacWilliams-identity verification.",
     )
-    listed = {} if command is None else {"metavar": "{" + ",".join(COMMANDS) + "}"}
-    sub = parser.add_subparsers(dest="command", required=True, **listed)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, summary, func):
-        if command in (None, name):
-            sp = sub.add_parser(name, help=summary)
-            sp.set_defaults(func=func)
-            return sp
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(func=func)
+        return sp
 
     def add_io(sp, poset=True, kind=None, t=False):
         sp.add_argument("--ring", required=True, help="F2|F3|F4|Z<m>|F2u|F2v, inline JSON, or file")
@@ -429,41 +423,39 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sp.add_argument("--out", choices=("text", "json"), default="text")
         sp.add_argument("--cap", type=int, help="enumeration cap (default: PWE_CAP or 2^24)")
 
-    if sp := add("enum", "compute one enumerator", cmd_enum):
-        add_io(sp, kind=tuple(KINDS), t=True)
-        sp.add_argument("--dual", action="store_true", help="enumerate the dual code")
-        sp.add_argument(
-            "--via-transform",
-            action="store_true",
-            help="compute the dual enumerator through the identity instead of enumerating the dual",
-        )
+    sp = add("enum", "compute one enumerator", cmd_enum)
+    add_io(sp, kind=tuple(KINDS), t=True)
+    sp.add_argument("--dual", action="store_true", help="enumerate the dual code")
+    sp.add_argument(
+        "--via-transform",
+        action="store_true",
+        help="compute the dual enumerator through the identity instead of enumerating the dual",
+    )
 
-    if sp := add("dual", "print the dual code", cmd_dual):
-        add_io(sp, poset=False)
+    sp = add("dual", "print the dual code", cmd_dual)
+    add_io(sp, poset=False)
 
-    if sp := add("verify", "check one identity against the scanned dual", cmd_verify):
-        add_io(sp, kind=TRANSFORM_KINDS, t=True)
+    sp = add("verify", "check one identity against the scanned dual", cmd_verify)
+    add_io(sp, kind=TRANSFORM_KINDS, t=True)
 
-    if sp := add("fuzz", "randomized identity checking over the ring catalog", cmd_fuzz):
-        sp.add_argument("--fuzz-iters", type=int, default=100)
-        sp.add_argument("--seed", type=int, default=0)
-        bound = f"sampling bound on q^N (default {FUZZ_BOUND_DEFAULT})"
-        sp.add_argument("--cap", type=int, help=bound)
-        sp.add_argument("--out", choices=("text", "json"), default="text")
+    sp = add("fuzz", "randomized identity checking over the ring catalog", cmd_fuzz)
+    sp.add_argument("--fuzz-iters", type=int, default=100)
+    sp.add_argument("--seed", type=int, default=0)
+    bound = f"sampling bound on q^N (default {FUZZ_BOUND_DEFAULT})"
+    sp.add_argument("--cap", type=int, help=bound)
+    sp.add_argument("--out", choices=("text", "json"), default="text")
 
     add("paper-examples", "run the bundled worked-example corpus", cmd_paper_examples)
     return parser
 
 
-# main's own parsers, each built on its first call: a parse leaves nothing on a parser and
-# help reads COLUMNS when it prints.  Each keeps the cmd_* bound at that build.
+# main's own parser, built on its first call: a parse leaves nothing on it and help reads
+# COLUMNS when it prints.  It keeps the cmd_* bound at that build.
 _parser = cache(build_parser)
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # -h, a typo or an option before the command get the full parser's messages
-    parser = _parser(argv[0] if argv and argv[0] in COMMANDS else None)
+    parser = _parser()  # parse_args reads sys.argv[1:] itself when argv is None
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

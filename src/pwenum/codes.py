@@ -5,7 +5,8 @@ indices sort as the words do.  Codes are built by spanning generators or,
 for the dual, by a split-syndrome search over the ambient space, which
 lists the dual's indices and also counts its weight spectrum without
 listing it; all are exact and capped so a typo cannot demand 4^30
-codewords.  A span's words are listed, and any words decoded, only when read.
+codewords.  A span's words are listed, and any words decoded, only when read;
+a weight spectrum always counts the generators' closure.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ class LinearCode:
 
     Either is computed from the other on first read and kept: span gives the
     generators, and _closure lists their words; dual_code gives the indices,
-    of which a small generating subset is picked greedily.  span_words reads
-    the words without keeping them, so a weight spectrum lists no index.
+    of which a small generating subset is picked greedily.  span_words closes
+    the generators on every read, listed or not, and keeps no word: a span's
+    spectrum reads no index (a dual's reads them once, to pick generators).
     """
 
     __slots__ = ("ring", "n", "_generators", "_indices")
@@ -53,11 +55,9 @@ class LinearCode:
         self._indices = None if indices is None else tuple(indices)
 
     def span_words(self):
-        """The words as tuples, unordered and not kept: the generators' closure, or the listed indices decoded."""
-        if self._indices is not None:
-            return self.words
+        """The words as tuples, unordered and not kept: the generators' closure, listed or not."""
         words = {(0,) * self.n}
-        for g in self._generators:
+        for g in self.generators:
             words = _closure(self.ring, words, g)
         return words
 

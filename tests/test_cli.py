@@ -51,6 +51,21 @@ def test_parse_ring_spec_from_file(tmp_path):
     assert parse_ring_spec(str(path)).kind == "F2u"
 
 
+def test_a_file_does_not_hide_an_alias(tmp_path, monkeypatch):
+    # a file in the working directory used to override a ring or poset alias of its name;
+    # named codes already came first.  A path with a directory part still reads the file.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "F2").write_text(json.dumps({"kind": "Zm", "m": 3}))
+    (tmp_path / "antichain:4").write_text(json.dumps({"kind": "chain", "n": 4}))
+    (tmp_path / "ex51").write_text(json.dumps({"length": 4, "generators": [[1, 1, 1, 1]]}))
+    base = ["enum", "--kind", "complete"]
+    aliases = ["--ring", "F2", "--poset", "antichain:4", "--code", "ex51"]
+    assert _call(base + aliases) == (0, "z_{1:0} + z_{1:2} + 2z_{1:3}\n", "")
+    files = ["--ring", "./F2", "--poset", "./antichain:4", "--code", "./ex51"]
+    text = "z_{1:0}z_{2:0}z_{3:0}z_{4:0} + 2z_{1:1}z_{2:1}z_{3:1}z_{4:1}\n"
+    assert _call(base + files) == (0, text, "")
+
+
 @pytest.mark.parametrize(
     "spec, expected",
     [
@@ -249,8 +264,8 @@ def test_help_wraps_at_the_columns_of_each_call(monkeypatch):
     assert reused[0][1] != reused[1][1]
 
 
-def test_main_builds_the_verify_parser_once(monkeypatch):
-    # building a parser takes about half of a small verify's time, so main builds each one once
+def test_main_builds_its_parser_once(monkeypatch):
+    # building the parser takes about half of a small verify's time, so main builds it once
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -260,19 +275,28 @@ def test_main_builds_the_verify_parser_once(monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     cli._parser.cache_clear()
-    for _ in range(20):
-        assert _call(["verify", "--kind", "complete", *EX51]) == (0, "complete: EQUAL\n", "")
-    assert built == ["pwenum", "pwenum verify"]
+    calls = [
+        ["enum", "--kind", "complete", *EX51],
+        ["dual", "--ring", "F2", "--code", "ex51"],
+        ["verify", "--kind", "complete", *EX51],
+        ["fuzz", "--fuzz-iters", "0"],
+        ["paper-examples"],
+    ]
+    for _ in range(4):
+        assert [_call(argv)[0] for argv in calls] == [0] * 5
+    assert built == ["pwenum", *(f"pwenum {argv[0]}" for argv in calls)]
 
 
 def test_a_parser_from_build_parser_is_the_callers_own():
-    # main keeps its parsers to itself: a caller that edits one it built changes no later call
+    # main keeps its parser to itself: a caller that edits one it built changes no later call
     level = ["verify", "--kind", "level", *EX51]
     cli._parser.cache_clear()
     assert _call(level) == (0, "level: EQUAL\n", "")
-    mine = build_parser("verify")
-    assert mine is not build_parser("verify")
-    mine.set_defaults(func=_refuse)
+    mine = build_parser()
+    assert mine is not build_parser()
+    subcommands = next(a for a in mine._actions if isinstance(a, argparse._SubParsersAction))
+    subcommands.choices["verify"].set_defaults(func=_refuse)
+    assert mine.parse_args(level).func is _refuse
     assert _call(level) == (0, "level: EQUAL\n", "")
 
 

@@ -6,7 +6,7 @@ import pytest
 from cyclotomic import CycInt, character_value
 from oracles import _krawtchouk, hadamard_check, keyed, substitute
 from pwenum import macwilliams
-from pwenum.codes import dual_code, dual_indices, span
+from pwenum.codes import LinearCode, dual_code, dual_indices, span
 from pwenum.enumerators import (
     byte_enumerator,
     complete_level_enumerator,
@@ -16,6 +16,7 @@ from pwenum.errors import CapExceededError, IntegrityError
 from pwenum.macwilliams import (
     byte_transform,
     complete_transform,
+    count,
     level_transform,
     mspotty_transform,
     render,
@@ -330,6 +331,39 @@ def test_verify_identity_reads_a_one_shot_t_once():
     report = verify_identity("mspotty", EX_CODE, EX_LEVELS, t=iter((2, 1, 1)))
     assert report.equal and report.instance["t"] == [2, 1, 1]
     assert report == verify_identity("mspotty", EX_CODE, EX_LEVELS, t=(2, 1, 1))
+
+
+LISTED_SPANS = {
+    "F2": (F2, (2, 1, 1), [(1, 0, 1, 0), (0, 1, 1, 1)]),
+    "Z4": (Z4, (2, 2), [(1, 3, 2, 1), (2, 2, 0, 2), (1, 3, 2, 1)]),
+    "F2u": (CATALOG[4], (1, 2), [(1, 2, 3), (2, 2, 0)]),
+    "GF9": (make_ring("GF", p=3, k=2, modulus=[1, 0, 1]), (2, 1), [(1, 5, 7), (0, 3, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", LISTED_SPANS)
+def test_no_weight_route_reads_a_word_of_a_listed_span(name, monkeypatch):
+    # a code that run_fuzz has listed (it reads code.size first) used to have its words decoded
+    # whole for every spectrum; the spectrum now closes the generators, listed or not
+    ring, sizes, gens = LISTED_SPANS[name]
+    levels = LevelStructure(sizes)
+    runs = [
+        (kind, route)
+        for kind in ("complete", "level", "mspotty", "poset")
+        for route in ("code", "transform")
+        if route in macwilliams.KINDS[kind].routes
+    ]
+    fresh = span(ring, levels.n, gens)
+    expected = [count(kind, route, fresh, levels, sizes) for kind, route in runs]
+    assert repr(fresh) == f"LinearCode(n={levels.n}, over {ring!r})"  # counting listed nothing
+    listed = span(ring, levels.n, gens)
+    assert listed.size == sum(expected[0].values())
+
+    def refuse(code):
+        raise AssertionError("a weight route read a listed word")
+
+    monkeypatch.setattr(LinearCode, "words", property(refuse))
+    assert [count(kind, route, listed, levels, sizes) for kind, route in runs] == expected
 
 
 def test_wrong_character_breaks_the_identity(monkeypatch):
