@@ -16,7 +16,7 @@ import sys
 from functools import cache, partial
 
 from .codes import LinearCode, check_ambient_cap, dual_code, enumeration_cap, level_split, span
-from .enumerators import _check_t
+from .enumerators import check_t
 from .errors import CapExceededError, IntegrityError
 from .macwilliams import KINDS, TRANSFORM_KINDS, count, render, verify_identity
 from .posets import LevelStructure, Poset, poset_from_json_obj
@@ -34,12 +34,6 @@ CATALOG_RINGS = {
     "F2u": {"kind": "F2u"},
     "F2v": {"kind": "F2v"},
 }
-
-
-def catalog_ring(name: str) -> RingSpec:
-    if name not in CATALOG_RINGS:
-        raise ValueError(f"unknown ring alias {name!r}")
-    return ring_from_json_obj(CATALOG_RINGS[name])
 
 
 def _parse_json(text: str):
@@ -100,34 +94,29 @@ def parse_poset_spec(text: str, n: int | None = None, cap: int | None = None) ->
 
 
 NAMED_CODES = {
-    "c1": (3, [(0, 0, 1)]),
-    "c2": (3, [(1, 1, 1)]),
-    "ex51": (4, [(1, 0, 1, 0), (0, 1, 1, 1)]),
-    "hamming74": (
-        7,
-        [
-            (1, 0, 0, 0, 0, 1, 1),
-            (0, 1, 0, 0, 1, 0, 1),
-            (0, 0, 1, 0, 1, 1, 0),
-            (0, 0, 0, 1, 1, 1, 1),
+    "c1": {"length": 3, "generators": [[0, 0, 1]]},
+    "c2": {"length": 3, "generators": [[1, 1, 1]]},
+    "ex51": {"length": 4, "generators": [[1, 0, 1, 0], [0, 1, 1, 1]]},
+    "hamming74": {
+        "length": 7,
+        "generators": [
+            [1, 0, 0, 0, 0, 1, 1],
+            [0, 1, 0, 0, 1, 0, 1],
+            [0, 0, 1, 0, 1, 1, 0],
+            [0, 0, 0, 1, 1, 1, 1],
         ],
-    ),
+    },
 }
 
 
 def parse_code_spec(text: str, ring: RingSpec, cap: int | None = None) -> LinearCode:
     """The code of a named code, inline JSON or a file: checked by span, with no word listed."""
-    named = NAMED_CODES.get(text.strip().lower())
-    if named:
-        n, generators = named
-    else:
-        obj = _spec_json(text, "code")
-        if not isinstance(obj, dict) or "length" not in obj or "generators" not in obj:
-            raise ValueError("code description needs 'length' and 'generators' fields")
-        if not isinstance(obj["generators"], list):
-            raise ValueError(f"code generators must be a list of words, got {obj['generators']!r}")
-        n, generators = obj["length"], obj["generators"]
-    return span(ring, n, generators, cap)
+    obj = _spec_json(text, "code", lambda text: NAMED_CODES.get(text.lower()))
+    if not isinstance(obj, dict) or "length" not in obj or "generators" not in obj:
+        raise ValueError("code description needs 'length' and 'generators' fields")
+    if not isinstance(obj["generators"], list):
+        raise ValueError(f"code generators must be a list of words, got {obj['generators']!r}")
+    return span(ring, obj["length"], obj["generators"], cap)
 
 
 def parse_t_spec(text: str) -> tuple[int, ...]:
@@ -181,12 +170,12 @@ def run_paper_examples():
 
     Returns (all_ok, lines); one line per check.
     """
-    f2 = catalog_ring("F2")
+    f2 = parse_ring_spec("F2")
     split = level_split((1, 0, 1, 1, 0, 0), LevelStructure((2, 1, 3)))
     got = ",".join("".join(str(x) for x in part) for part in split)
     checks = [("three-level split of 101100", got == FIXTURES["split"], got)]
 
-    codes = {name: span(f2, *NAMED_CODES[name]) for name in ("c1", "c2", "ex51")}
+    codes = {name: parse_code_spec(name, f2) for name in ("c1", "c2", "ex51")}
     found = []
     for name, kind, code, route, fixture in PAPER_CHECKS:
         shape = LevelStructure((2, 1, 1) if KINDS[kind].levels else (1, 1, 1))
@@ -223,7 +212,7 @@ def run_fuzz(iters: int, seed: int, bound: int = FUZZ_BOUND_DEFAULT) -> dict:
     recorded as that instance's error and the run goes on.
     """
     rng = random.Random(seed)
-    rings = {name: catalog_ring(name) for name in CATALOG_RINGS}
+    rings = {name: parse_ring_spec(name) for name in CATALOG_RINGS}
     names = tuple(name for name, ring in rings.items() if ring.q <= bound)
     if not names:
         smallest = min(ring.q for ring in rings.values())
@@ -278,10 +267,12 @@ def run_fuzz(iters: int, seed: int, bound: int = FUZZ_BOUND_DEFAULT) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_cap(args) -> int:
+def _read_code(args) -> tuple[int, LinearCode]:
+    """The cap and the code of a call: --cap checked, then --ring read, then --code."""
     if args.cap is not None and args.cap < 1:
         raise ValueError(f"--cap must be positive, got {args.cap}")
-    return args.cap if args.cap is not None else enumeration_cap()
+    cap = args.cap if args.cap is not None else enumeration_cap()
+    return cap, parse_code_spec(args.code, parse_ring_spec(args.ring), cap)
 
 
 def _emit(args, text, json_obj) -> None:
@@ -311,9 +302,7 @@ def _resolve_shape(args, n: int, cap: int):
 
 
 def cmd_enum(args) -> int:
-    cap = _resolve_cap(args)
-    ring = parse_ring_spec(args.ring)
-    code = parse_code_spec(args.code, ring, cap)
+    cap, code = _read_code(args)
     route = "transform" if args.via_transform else "dual" if args.dual else "code"
     if route not in KINDS[args.kind].routes:
         raise ValueError(f"the plain {args.kind} enumerator has no transform route")
@@ -321,18 +310,17 @@ def cmd_enum(args) -> int:
     if args.via_transform and not args.dual:
         raise ValueError("--via-transform computes the dual enumerator; pass --dual")
     if args.dual:  # the listed dual needs q^n <= cap; the transform is held to it too, so both refuse alike
-        check_ambient_cap(ring, code.n, cap)
-    t = _check_t(shape, t) if KINDS[args.kind].fold else t  # refused before any route runs
+        check_ambient_cap(code.ring, code.n, cap)
+    t = check_t(shape, t) if KINDS[args.kind].fold else t  # refused before any route runs
     counts = count(args.kind, route, code, shape, t, cap)
-    spell = partial(render, args.kind, counts, ring.q, shape)
+    spell = partial(render, args.kind, counts, code.ring.q, shape)
     _emit(args, spell, lambda: {"kind": args.kind, "enumerator": spell(json=True)})
     return 0
 
 
 def cmd_dual(args) -> int:
-    cap = _resolve_cap(args)
-    ring = parse_ring_spec(args.ring)
-    dual = dual_code(parse_code_spec(args.code, ring, cap), cap)
+    cap, code = _read_code(args)
+    dual, ring = dual_code(code, cap), code.ring
     joiner = "" if all(len(name) == 1 for name in ring.names) else ","
     _emit(
         args,
@@ -348,14 +336,12 @@ def cmd_dual(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cap = _resolve_cap(args)
-    ring = parse_ring_spec(args.ring)
-    code = parse_code_spec(args.code, ring, cap)
+    cap, code = _read_code(args)
     levels, t = _resolve_shape(args, code.n, cap)
-    check_ambient_cap(ring, code.n, cap)  # the dual side works on R^n; ahead of verify_identity's check of t
+    check_ambient_cap(code.ring, code.n, cap)  # the dual side works on R^n; ahead of verify_identity's check of t
     report = verify_identity(args.kind, code, levels, t=t, cap=cap)
 
-    spell = partial(render, args.kind, q=ring.q, levels=levels)
+    spell = partial(render, args.kind, q=code.ring.q, levels=levels)
 
     def text():
         if report.equal:

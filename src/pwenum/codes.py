@@ -279,7 +279,9 @@ def dual_weight_spectrum(
 
 
 def check_levels(code: LinearCode, levels: LevelStructure) -> None:
-    """Refuse a level structure whose size is not the code length."""
+    """Refuse a level structure whose size is not the code length, and anything else, a Poset by its reason."""
+    if not isinstance(levels, LevelStructure):
+        raise ValueError(getattr(levels, "reason", f"levels must be a LevelStructure, got {levels!r}"))
     if levels.n != code.n:
         raise ValueError(
             f"level structure size {levels.n} does not match code length {code.n}"

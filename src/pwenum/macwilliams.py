@@ -20,9 +20,9 @@ from typing import Callable, NamedTuple
 
 from .codes import LinearCode, check_ambient_cap, check_levels, dual_code, dual_indices, dual_weight_spectrum
 from .enumerators import (
-    _check_t,
     byte_enumerator,
     byte_terms,
+    check_t,
     complete_terms,
     plain_terms,
     poset_spectrum,
@@ -503,18 +503,10 @@ def krawtchouk_contraction(
     return out
 
 
-def complete_transform(
-    spectrum: dict, levels: LevelStructure, q: int, code_size: int
-) -> dict[int, int]:
-    """Dual complete enumerator from the per-level weight spectrum of the code."""
-    return krawtchouk_contraction(spectrum, levels, q, code_size)
-
-
-def level_transform(
-    spectrum: dict, levels: LevelStructure, q: int, code_size: int
-) -> dict[int, int]:
-    """Dual plain-level enumerator: the dual spectrum, read as exponents z_j^p_j."""
-    return krawtchouk_contraction(spectrum, levels, q, code_size)
+# The dual complete enumerator, from the per-level weight spectrum of the code, and the dual
+# plain-level one, that spectrum read as exponents z_j^p_j, are both the contraction; the names
+# remain because the benchmark's tracer (perfbench/spans.py) times each layer under them.
+complete_transform = level_transform = krawtchouk_contraction
 
 
 def mspotty_transform(
@@ -522,7 +514,7 @@ def mspotty_transform(
 ) -> dict[int, int]:
     """Dual spotty enumerator: the dual spectrum folded to z_j^ceil(p_j/t_j)."""
     dual_spectrum = krawtchouk_contraction(spectrum, levels, q, code_size)
-    return spotty_spectrum(dual_spectrum, levels, _check_t(levels, t))
+    return spotty_spectrum(dual_spectrum, levels, check_t(levels, t))
 
 
 class Kind(NamedTuple):
@@ -571,7 +563,8 @@ KINDS = {
     "byte": Kind(
         {
             "code": lambda code, levels, cap: byte_enumerator(code, levels),
-            "dual": lambda code, levels, cap: dict.fromkeys(dual_indices(code, cap), 1),  # a monomial a word
+            # a monomial a word, the levels checked first as on the other routes
+            "dual": lambda code, levels, cap: check_levels(code, levels) or dict.fromkeys(dual_indices(code, cap), 1),
             "transform": lambda code, levels, cap: byte_transform(code, levels, cap),
         },
         byte_terms,
@@ -579,7 +572,7 @@ KINDS = {
     "complete": Kind(_WEIGHT_ROUTES, complete_terms),
     "level": Kind(_WEIGHT_ROUTES, plain_terms),
     "mspotty": Kind(
-        _WEIGHT_ROUTES, plain_terms, lambda counts, levels, t: spotty_spectrum(counts, levels, _check_t(levels, t))
+        _WEIGHT_ROUTES, plain_terms, lambda counts, levels, t: spotty_spectrum(counts, levels, check_t(levels, t))
     ),
     "poset": Kind(
         {
@@ -623,12 +616,14 @@ def verify_identity(
     is the same enumerator computed on the dual by its "dual" route, which
     lists the dual's word indices (byte) or counts its per-level weight
     spectrum without listing it.  Both sides are count dicts, compared
-    before anything is rendered.  t is read, checked and recorded only by
-    the kinds that fold by it, and read once, before either route runs.
+    before anything is rendered.  The levels are checked first; then t is
+    read, checked and recorded only by the kinds that fold by it, and read
+    once, before either route runs.
     """
     if kind not in TRANSFORM_KINDS:
         raise ValueError(f"unknown identity kind {kind!r}; expected {TRANSFORM_KINDS}")
-    t = _check_t(levels, t) if KINDS[kind].fold else t
+    check_levels(code, levels)
+    t = check_t(levels, t) if KINDS[kind].fold else t
     rhs = count(kind, "dual", code, levels, t, cap)
     lhs = count(kind, "transform", code, levels, t, cap)
     instance = {

@@ -14,7 +14,7 @@ from math import ceil, comb, prod
 
 from cyclotomic import CycInt, character_value
 from pwenum.codes import dual_code, level_split
-from pwenum.enumerators import _check_t
+from pwenum.enumerators import check_t
 from pwenum.errors import IntegrityError
 from pwenum.macwilliams import IdentityReport
 
@@ -585,7 +585,7 @@ def mu(s_level: int, pattern, u, levels) -> int:
 
 def mspotty_weight(v, levels, t) -> int:
     """The paper's m-spotty weight: the sum over levels of ceil(level Hamming weight / t_i)."""
-    t = _check_t(levels, t)
+    t = check_t(levels, t)
     parts = level_split(v, levels)
     return sum(ceil((len(part) - part.count(0)) / ti) for part, ti in zip(parts, t))
 
@@ -596,7 +596,7 @@ def mspotty_distance(u, v, levels, t) -> int:
         raise ValueError(
             f"word lengths {len(u)} and {len(v)} do not match level structure size {levels.n}"
         )
-    t = _check_t(levels, t)
+    t = check_t(levels, t)
     dist = 0
     for (lo, hi), ti in zip(level_bounds(levels.sizes), t):
         d = sum(1 for a, b in zip(u[lo - 1 : hi], v[lo - 1 : hi]) if a != b)

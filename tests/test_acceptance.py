@@ -17,7 +17,7 @@ from oracles import (
     mspotty_distance,
     unkeyed,
 )
-from pwenum.cli import catalog_ring, run_fuzz, run_paper_examples
+from pwenum.cli import parse_ring_spec, run_fuzz, run_paper_examples
 from pwenum.codes import dual_code, span
 from pwenum.enumerators import weight_spectrum
 from pwenum.macwilliams import count, level_transform, render
@@ -57,7 +57,7 @@ def test_criterion_2_identity_fuzz(fuzz_results):
 
 
 def test_criterion_3_classical_hamming_reduction():
-    f2 = catalog_ring("F2")
+    f2 = parse_ring_spec("F2")
     code = span(
         f2,
         7,
@@ -88,7 +88,7 @@ def test_criterion_3_classical_hamming_reduction():
 def test_criterion_4_character_and_ideal_suite():
     rng = random.Random(404)
     for name in CATALOG_NAMES:
-        ring = catalog_ring(name)
+        ring = parse_ring_spec(name)
         eps = default_character(ring)
         assert verify_generating_character(ring, eps)
         for ideal in enumerate_ideals(ring):
@@ -120,7 +120,7 @@ def test_criterion_5_metric_suite():
         (LevelStructure((3, 3)), (1, 3)),
     )
     for name in CATALOG_NAMES:
-        ring = catalog_ring(name)
+        ring = parse_ring_spec(name)
         for levels, t in configs:
             n = levels.n
             for _ in range(10_000):
@@ -154,7 +154,7 @@ def test_criterion_7_integrity_suite(fuzz_results):
 def test_catalog_duality_spot_check():
     # small deterministic complement to the fuzz: every ring, fixed code
     for name in CATALOG_NAMES:
-        ring = catalog_ring(name)
+        ring = parse_ring_spec(name)
         code = span(ring, 2, [(1, 1)])
         dual = dual_code(code)
         assert code.size * dual.size == ring.q**2

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -22,7 +23,6 @@ from pwenum.cli import (
     FIXTURES,
     NAMED_CODES,
     build_parser,
-    catalog_ring,
     main,
     parse_code_spec,
     parse_poset_spec,
@@ -95,7 +95,7 @@ def test_parse_poset_spec(spec, expected):
 
 
 def test_parse_code_spec():
-    ring = catalog_ring("F2")
+    ring = parse_ring_spec("F2")
     assert parse_code_spec("C1", ring).size == 2
     inline = parse_code_spec('{"length":4,"generators":[[1,0,1,0],[0,1,1,1]]}', ring)
     assert (inline.n, inline.generators) == (4, ((1, 0, 1, 0), (0, 1, 1, 1)))
@@ -104,6 +104,42 @@ def test_parse_code_spec():
         parse_code_spec("no-such-code", ring)
     with pytest.raises(ValueError):
         parse_code_spec('{"length":4}', ring)
+
+
+# Each catalog alias's size, names and the first 16 hex digits of the SHA-256 of its addition
+# then multiplication rows joined; each named code's length and generators.
+CATALOG_TABLES = {
+    "F2": (2, ("0", "1"), "090b5ea336d2a3fa"),
+    "F3": (3, ("0", "1", "2"), "f9287b0c3bb4fee9"),
+    "F4": (4, ("0", "1", "a", "1+a"), "fc7e342da9b4f0b5"),
+    "Z4": (4, ("0", "1", "2", "3"), "14256a5e831d6cd0"),
+    "F2u": (4, ("0", "1", "u", "1+u"), "16f4521d465aa926"),
+    "F2v": (4, ("0", "1", "v", "1+v"), "2cf3a3359ec04a7c"),
+}
+NAMED_GENERATORS = {
+    "c1": (3, ((0, 0, 1),)),
+    "c2": (3, ((1, 1, 1),)),
+    "ex51": (4, ((1, 0, 1, 0), (0, 1, 1, 1))),
+    "hamming74": (
+        7,
+        ((1, 0, 0, 0, 0, 1, 1), (0, 1, 0, 0, 1, 0, 1), (0, 0, 1, 0, 1, 1, 0), (0, 0, 0, 1, 1, 1, 1)),
+    ),
+}
+
+
+def test_every_catalog_alias_and_named_code_reads_to_its_pinned_tables_and_generators():
+    assert list(CATALOG_TABLES) == list(cli.CATALOG_RINGS) and set(NAMED_GENERATORS) == set(NAMED_CODES)
+    for alias, (q, names, digest) in CATALOG_TABLES.items():
+        for text in (alias, f" {alias} "):
+            ring = parse_ring_spec(text)
+            rows = b"".join(ring.add_table + ring.mul_table)
+            assert (ring.q, ring.names, hashlib.sha256(rows).hexdigest()[:16]) == (q, names, digest)
+    f2 = parse_ring_spec("F2")
+    for name, pinned in NAMED_GENERATORS.items():
+        code = parse_code_spec(name, f2)
+        assert (code.n, code.generators) == pinned
+    code = parse_code_spec(" EX51 ", f2)
+    assert (code.n, code.generators) == NAMED_GENERATORS["ex51"]
 
 
 def test_enum_level_command(capsys):
@@ -726,7 +762,7 @@ def test_run_fuzz_records():
 
 def test_cli_reuses_library_enumerators(capsys):
     # the CLI result must equal the library call bit for bit
-    ring = catalog_ring("F2")
+    ring = parse_ring_spec("F2")
     code = parse_code_spec("c1", ring)
     chain = parse_poset_spec("chain3")
     expected = render("level", level_enumerator(code, chain), levels=chain)
@@ -747,7 +783,7 @@ PARITY_POSETS = {"c1": "leveled:2,1", "c2": "leveled:1,2", "ex51": "leveled:2,1,
 def test_byte_dual_routes_print_identical_text(ring, capsys):
     q = parse_ring_spec(ring).q
     for name, poset in PARITY_POSETS.items():
-        if q ** NAMED_CODES[name][0] > 2**14:  # hamming74 over GF(8) and GF(9)
+        if q ** NAMED_CODES[name]["length"] > 2**14:  # hamming74 over GF(8) and GF(9)
             continue
         argv = ["enum", "--kind", "byte", "--ring", ring, "--code", name, "--poset", poset, "--dual"]
         assert main(argv) == 0

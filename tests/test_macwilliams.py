@@ -5,7 +5,7 @@ import pytest
 
 from cyclotomic import CycInt, character_value
 from oracles import _krawtchouk, hadamard_check, keyed, substitute
-from pwenum import macwilliams
+from pwenum import codes, enumerators, macwilliams
 from pwenum.codes import LinearCode, dual_code, dual_indices, span
 from pwenum.enumerators import (
     byte_enumerator,
@@ -22,7 +22,7 @@ from pwenum.macwilliams import (
     render,
     verify_identity,
 )
-from pwenum.posets import LevelStructure
+from pwenum.posets import LevelStructure, poset_from_json_obj
 from pwenum.rings import default_character, make_ring
 
 F2 = make_ring("Zm", m=2)
@@ -106,6 +106,45 @@ def test_every_route_on_r_to_the_n_holds_its_cap_before_any_kernel_runs(monkeypa
                     macwilliams.count(kind, route, code, levels, t, cap=100)
             else:  # |C| = 1 word, or the 17 cells of the weight spectrum
                 assert macwilliams.count(kind, route, code, levels, t, cap=100)
+
+
+COVER_POSET = poset_from_json_obj({"kind": "cover", "n": 4, "covers": [[1, 3], [2, 3]]})
+LEVEL_ROUTES = [
+    (kind, route) for kind, entry in macwilliams.KINDS.items() if entry.levels for route in entry.routes
+]
+
+
+@pytest.mark.parametrize(
+    "shape, message",
+    [
+        (LevelStructure((2, 1)), "level structure size 3 does not match code length 4"),
+        (COVER_POSET, "incomparable; the poset is not hierarchical"),
+    ],
+    ids=("wrong-size", "cover-poset"),
+)
+@pytest.mark.parametrize(  # a (kind, route) pair is counted; a kind alone is verified
+    "call", [*LEVEL_ROUTES, *macwilliams.TRANSFORM_KINDS], ids=lambda call: "/".join(call) if isinstance(call, tuple) else call
+)
+def test_level_routes_and_identities_refuse_a_wrong_shape_before_any_kernel(monkeypatch, call, shape, message):
+    code = span(F2, 4, [(1, 0, 1, 0), (0, 1, 1, 1)])  # ex51, with no index listed yet
+
+    def unreachable(*args):
+        raise AssertionError("a kernel ran on a shape that is no level structure of the code")
+
+    monkeypatch.setattr(macwilliams, "_yates_tallies", unreachable)
+    monkeypatch.setattr(codes, "_half_syndromes", unreachable)
+    monkeypatch.setattr(codes, "_closure", unreachable)
+    t = (1, 1, 1)  # one threshold per level of ex51's levels (2, 1, 1)
+    with pytest.raises(ValueError, match=message):
+        if isinstance(call, tuple):
+            count(*call, code, shape, t)
+        else:
+            verify_identity(call, code, shape, t)
+
+
+def test_the_tracer_names_are_their_kernels():
+    assert macwilliams.complete_transform is macwilliams.level_transform is macwilliams.krawtchouk_contraction
+    assert enumerators.complete_level_enumerator is enumerators.level_enumerator is weight_spectrum
 
 
 def _check_each_corrupted_pattern(monkeypatch, code, levels):

@@ -6,7 +6,7 @@ import pytest
 
 from cyclotomic import CycInt, character_value
 from oracles import character_ideal_sum, enumerate_ideals, gf_is_irreducible
-from pwenum.cli import CATALOG_RINGS, catalog_ring
+from pwenum.cli import CATALOG_RINGS, parse_ring_spec
 from pwenum.rings import (
     RingSpec,
     default_character,
@@ -138,7 +138,7 @@ def test_tables_and_character_are_byte_rows():
     listed = RingSpec("Zm", 4, [list(r) for r in Z4.add_table], [list(r) for r in Z4.mul_table], Z4.names, Z4.params)
     big = [make_ring("Zm", m=64), make_ring("GF", p=2, k=6, modulus=[1, 1, 0, 0, 0, 0, 1])]
     big.append(make_ring("GF", p=7, k=2, modulus=[1, 0, 1]))
-    for ring in [*map(catalog_ring, CATALOG_RINGS), *big, listed]:
+    for ring in [*map(parse_ring_spec, CATALOG_RINGS), *big, listed]:
         q = ring.q
         for table in (ring.add_table, ring.mul_table):
             assert type(table) is tuple and len(table) == q

@@ -6,7 +6,9 @@ as an attribute; special methods such as __eq__ are called by Python.  The
 only exemptions are the names that readers outside the program rely on:
 the functions the benchmark's tracer wraps (perfbench/spans.py LAYERS),
 the names its set-up code reads (perfbench/run.py SETUP_CODE), both read
-as text, and the README's Library import.
+as text, and the README's Library import.  A name with a leading
+underscore is private to its module: no other module of the program
+imports it.
 """
 
 import ast
@@ -74,6 +76,18 @@ def test_every_method_and_property_is_used_in_src():
         and uses[node.name] == _attributes(node)[node.name]
     ]
     assert unused == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    imported = [
+        alias.name
+        for tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "pwenum")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert imported == []
 
 
 def test_the_package_exports_the_library_import_and_the_errors():
