@@ -3,16 +3,17 @@
 Word u of R^n has the lexicographic index sum of u_i q^(n-1-i), so the
 indices sort as the words do.  Codes are built by spanning generators or,
 for the dual, by a split-syndrome search over the ambient space, which
-lists the dual's indices and also counts its weight spectrum without
-listing it; all are exact and capped so a typo cannot demand 4^30
-codewords.  A span's words are listed, and any words decoded, only when read;
-a weight spectrum always counts the generators' closure.
+joins the dual's q^n-byte indicator from byte columns of syndromes, and
+also counts its weight spectrum without listing it; all are exact and
+capped so a typo cannot demand 4^30 codewords.  A span's words are
+listed, and any words decoded, only when read; a weight spectrum always
+counts the generators' closure.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import repeat
+from itertools import compress, count, repeat
 from operator import add, getitem, mul
 
 from .errors import CapExceededError
@@ -172,44 +173,54 @@ def check_ambient_cap(ring: RingSpec, n: int, cap: int | None = None) -> None:
         raise CapExceededError(f"q^n = {ring.q}^{n} exceeds cap {cap}")
 
 
-def _half_syndromes(ring, columns, k) -> list[tuple]:
-    """The syndrome against k generators of every word over the given coordinates.
+def _half_syndromes(ring, columns, k) -> list[bytes]:
+    """The syndromes against k generators of every word over the given coordinates, one byte column a generator.
 
-    columns[i] holds the k generator entries at the i-th coordinate.  A
-    word's syndrome sits at the word's lexicographic index; no word is built.
+    columns[i] holds the k generator entries at the i-th coordinate.  Byte w
+    of column j is entry j of the syndrome of the word of index w.  Taken
+    last first, a coordinate's symbol x prefixes the column read through the
+    addition row of g x, the column itself where g = 0; no word is built.
     """
-    add, mul = ring.add_table, ring.mul_table
-    out = [(0,) * k]
-    for col in columns:
-        # one step per symbol x; its rows[i] maps s_i to s_i + g_i x
-        steps = [[add[mul[g][x]] for g in col] for x in range(ring.q)]
-        out = [tuple(map(getitem, rows, s)) for s in out for rows in steps]
+    through = [row + bytes(256 - ring.q) for row in ring.add_table]  # translate tables
+    out = [b"\0"] * k
+    for col in reversed(columns):
+        out = [b"".join([s.translate(through[gx]) for gx in ring.mul_table[g]]) if g else s * ring.q
+               for g, s in zip(col, out)]
     return out
 
 
-def dual_indices(code: LinearCode, cap: int | None = None) -> list[int]:
-    """The lexicographic indices of the dual's words, in increasing order.
+def dual_indicator(code: LinearCode, cap: int | None = None) -> bytes:
+    """The indicator of the dual in R^n: byte i is 0x80 if the word of index i is in the dual, else 0.
 
     Checking the generators suffices: orthogonality to them is linear in
     the codeword.  A word v = (a, b), cut after floor(n/2) coordinates, is
     in the dual iff the syndrome of b against the generators is minus that
-    of a.  The right halves are bucketed by syndrome and each left half is
-    joined with its bucket, left half outermost.  A half is held as its
-    index, so a joined word is the int a * q^(n - floor(n/2)) + b.
+    of a (Wolf's syndrome trellis, cut once).  Each right half marks its
+    byte in the row of q^ceil(n/2) bytes of its syndrome's bucket; the left
+    halves' syndromes are negated, one translate a column, and the bucket
+    row of each, or a zero row, is joined in left-half order: about
+    q^ceil(n/2) Python steps, q^n bytes copied and no int per word.  The
+    zero code is spanned by the zero word, so a half has a syndrome to key.
     """
     check_ambient_cap(code.ring, code.n, cap)
-    ring, n = code.ring, code.n
-    k = len(code.generators)
-    columns = [tuple(g[i] for g in code.generators) for i in range(n)]
-    half = n // 2
-    buckets: dict[tuple, list] = {}
-    for b, s in enumerate(_half_syndromes(ring, columns[half:], k)):
-        buckets.setdefault(s, []).append(b)
-    shift, neg = ring.q ** (n - half), ring.neg_table
-    out: list[int] = []
-    for a, s in enumerate(_half_syndromes(ring, columns[:half], k)):
-        out += map((a * shift).__add__, buckets.get(tuple(map(neg.__getitem__, s)), ()))
-    return out
+    ring, n, half = code.ring, code.n, code.n // 2
+    generators = code.generators or ((0,) * n,)  # k = 0 would zip no column, and list no half
+    k, width = len(generators), ring.q ** (n - half)
+    columns = [tuple(g[i] for g in generators) for i in range(n)]
+    buckets: dict[tuple, bytearray] = {}
+    for b, s in enumerate(zip(*_half_syndromes(ring, columns[half:], k))):
+        if s not in buckets:
+            buckets[s] = bytearray(width)
+        buckets[s][b] = 0x80
+    neg = bytes(ring.neg_table) + bytes(256 - ring.q)
+    lefts = [column.translate(neg) for column in _half_syndromes(ring, columns[:half], k)]
+    empty = bytes(width)
+    return b"".join([buckets.get(s, empty) for s in zip(*lefts)])
+
+
+def dual_indices(code: LinearCode, cap: int | None = None) -> list[int]:
+    """The lexicographic indices of the dual's words, in increasing order: the members of dual_indicator."""
+    return list(compress(count(), dual_indicator(code, cap)))
 
 
 def dual_code(code: LinearCode, cap: int | None = None) -> LinearCode:
@@ -250,7 +261,7 @@ def dual_weight_spectrum(
 ) -> dict[int, int]:
     """Count the dual's words by their per-level Hamming weights, listing none.
 
-    The cut of dual_indices: a word (a, b), cut after floor(n/2) coordinates,
+    The cut of dual_indicator: a word (a, b), cut after floor(n/2) coordinates,
     is in the dual iff the syndrome of b is minus that of a.  Each half is
     counted by syndrome and by partial level weights (Wolf's syndrome
     trellis, cut once), and each left syndrome s is joined with the right
@@ -278,11 +289,11 @@ def dual_weight_spectrum(
     return joined
 
 
-def check_levels(code: LinearCode, levels: LevelStructure) -> None:
-    """Refuse a level structure whose size is not the code length, and anything else, a Poset by its reason."""
+def check_levels(code: LinearCode | None, levels: LevelStructure) -> None:
+    """Refuse anything but a LevelStructure, a Poset by its reason, then a size other than a given code's length."""
     if not isinstance(levels, LevelStructure):
         raise ValueError(getattr(levels, "reason", f"levels must be a LevelStructure, got {levels!r}"))
-    if levels.n != code.n:
+    if code is not None and levels.n != code.n:
         raise ValueError(
             f"level structure size {levels.n} does not match code length {code.n}"
         )

@@ -2,8 +2,9 @@
 
 Each codeword contributes one monomial to each enumerator, fixed by one
 statistic of the word, so an enumerator is held as a dict of counts keyed
-by that statistic; a weight key sums w_S R_S over the level weights w_S
-(LevelStructure.places), and is split into digits only to be printed:
+by that statistic (the byte kind's counts are 1: it is a set of indices,
+increasing or a q^n-byte indicator); a weight key sums w_S R_S over the
+level weights w_S (LevelStructure.places), split into digits only to print:
 
     byte      the word's lexicographic index     z_{S:pattern} for each level S
     complete  the word's weight key              z_{S:w} for each level S
@@ -12,7 +13,7 @@ by that statistic; a weight key sums w_S R_S over the level weights w_S
     poset     the poset weight                   x^w; on a hierarchical poset,
               folded from the weight key
 
-The counts sum to the code size.  The *_terms functions list a dict's
+The counts sum to the code size.  The *_terms functions list an enumerator's
 terms in print order, each variable spelled as a (text, JSON) pair; see
 macwilliams.render.
 """
@@ -46,16 +47,17 @@ def poset_weight_enumerator(code: LinearCode, poset: Poset) -> dict[int, int]:
     return Counter(map(int.bit_count, map(or_, *closed)))
 
 
-def byte_enumerator(code: LinearCode, levels: LevelStructure) -> dict[int, int]:
-    """sum over codewords of prod_S z_{S:(level-S block of the codeword)}, by word index."""
+def byte_enumerator(code: LinearCode, levels: LevelStructure) -> tuple:
+    """sum over codewords of prod_S z_{S:(level-S block of the codeword)}: C's sorted indices, not held to q^n."""
     check_levels(code, levels)
-    return dict.fromkeys(code.indices, 1)
+    return code.indices
 
 
-def byte_terms(counts: dict, q: int, levels: LevelStructure) -> list:
-    """The terms z_{1:beta_1}...z_{s:beta_s} of these {pattern index: count}, by index."""
-    order = sorted(counts)
-    return list(zip(map(counts.__getitem__, order), zip(*_per_block(q, levels, order, _block_var))))
+def byte_terms(patterns, q: int, levels: LevelStructure) -> list:
+    """The terms z_{1:beta_1}...z_{s:beta_s} of a set of patterns by index: increasing indices, or an indicator."""
+    if isinstance(patterns, bytes):
+        patterns = list(compress(count(), patterns))
+    return [(1, variables) for variables in zip(*_per_block(q, levels, patterns, _block_var))]
 
 
 def _block_var(level: int, pattern: tuple) -> tuple:

@@ -18,7 +18,7 @@ from operator import add, itemgetter, lshift, mul
 from struct import Struct, unpack
 from typing import Callable, NamedTuple
 
-from .codes import LinearCode, check_ambient_cap, check_levels, dual_code, dual_indices, dual_weight_spectrum
+from .codes import LinearCode, check_ambient_cap, check_levels, dual_code, dual_indicator, dual_weight_spectrum
 from .enumerators import (
     byte_enumerator,
     byte_terms,
@@ -39,13 +39,15 @@ from .rings import default_character
 class IdentityReport(NamedTuple):
     """Outcome of one identity check: transform output (lhs) vs direct computation (rhs).
 
-    The sides are the two compared count dicts, by weight key for the weight kinds; render spells them.
+    The sides are the two compared counts, which render spells: for the byte
+    kind q^n-byte indicators of the dual, 0x80 at each word's index and 0
+    elsewhere; for the others count dicts by weight key.
     """
 
     kind: str
     equal: bool
-    lhs: dict
-    rhs: dict
+    lhs: bytes | dict
+    rhs: bytes | dict
     instance: dict
 
 
@@ -328,9 +330,10 @@ def byte_transform(code: LinearCode, levels: LevelStructure, cap: int | None = N
     the n-fold tensor power of the q x q matrix chi(ab) applied to the
     indicator of C.  Yates' algorithm applies that matrix one coordinate at a
     time in the group ring Z[Z_e], where zeta_e is x, and each value ends as
-    the tally of the character exponents <b, u> over the code.  The result
-    is the nonzero {lexicographic index of b: coefficient}, in increasing
-    index order.
+    the tally of the character exponents <b, u> over the code.  Every
+    coefficient is 0 or 1, so the result is the indicator of the patterns
+    of coefficient 1: q^n bytes, byte i 0x80 if the pattern of lexicographic
+    index i has coefficient 1, else 0.
 
     A value is packed into a Python int as 2e count fields of
     |C|.bit_length() bits, in a slot of whole bytes, so multiplying by x^r
@@ -346,25 +349,27 @@ def byte_transform(code: LinearCode, levels: LevelStructure, cap: int | None = N
     splits the product (see _Split), less the ones on all-zero columns.  A
     pass thus reads the q^n slot bytes of the rows q times, or |H| + q/|H|
     times, and holds the old and the new rows.  The final rows are checked
-    and read whole (_read_tallies).
+    and read whole into the indicator (_read_tallies).
     """
     check_ambient_cap(code.ring, code.n, cap)
     check_levels(code, levels)
     return _read_tallies(*_yates_tallies(code, default_character(code.ring)), code.ring.exponent, code.size)
 
 
-def _read_tallies(field: int, rows: list, period: int, e: int, code_size: int) -> dict[int, int]:
-    """{r P + k: 1} for each slot k of each final row r that holds the tally of coefficient 1; P = period.
+def _read_tallies(field: int, rows: list, period: int, e: int, code_size: int) -> bytes:
+    """The indicator of the coefficient-1 tallies: byte r P + k is 0x80 if slot k of final row r holds one, else 0.
 
-    A slot is 2e fields of field bits, padded to whole bytes.  By
-    orthogonality (see _byte_coefficient) it holds a tally T_g, g | e and
-    (e/g) | |C|: |C| g/e on the count fields of the multiples of g, 0 on the
-    rest, on the zero fields and on the padding; T_e is coefficient 1, the
-    others 0.  By Lamport's lane test, a slot of x = row ^ T_g (repeated) is
-    nonzero exactly when its top bit is set in ((x & rest) + rest) | x, rest
-    being the other bits.  T_e goes first, its equal slots read off their
-    top bytes, then g = 1, 2, ... until every slot has matched; a slot
-    matching none raises IntegrityError.
+    P = period, the slots of a row.  A slot is 2e fields of field bits,
+    padded to whole bytes.  By orthogonality (see _byte_coefficient) it
+    holds a tally T_g, g | e and (e/g) | |C|: |C| g/e on the count fields of
+    the multiples of g, 0 on the rest, on the zero fields and on the
+    padding; T_e is coefficient 1, the others 0.  By Lamport's lane test, a
+    slot of x = row ^ T_g (repeated) is nonzero exactly when its top bit is
+    set in ((x & rest) + rest) | x, rest being the other bits.  T_e goes
+    first, its equal slots read off their top bytes, the row's P bytes of
+    the indicator, then g = 1, 2, ... until every slot has matched; a slot
+    matching none raises IntegrityError.  A row equal to one read before
+    reuses its bytes, and the rows' bytes are joined in row order.
     """
     slot = -(-2 * e * field // 8)  # bytes
     top = _bias(period, slot)  # the top bit of each slot
@@ -375,14 +380,14 @@ def _read_tallies(field: int, rows: list, period: int, e: int, code_size: int) -
         for g in (e, *range(1, e))
         if e % g == 0 and code_size * g % e == 0
     ]
-    read: dict[int, tuple] = {}  # a row read before -> the slots k of its coefficient-1 patterns
-    out = {}
-    for start, row in zip(range(0, period * len(rows), period), rows):
-        slots = read.get(row)
-        if slots is None:
+    read: dict[int, bytes] = {}  # a row read before -> its bytes of the indicator
+    out = []  # each row's bytes; a row int is hashed once, as its hash reads every digit
+    for row in rows:
+        ones = read.get(row)
+        if ones is None:
             x = row ^ unit
             left = (((x & rest) + rest) | x) & top  # the top bits of the slots that match no form so far
-            ones = (top ^ left).to_bytes(slot * period, "little")[slot - 1 :: slot]
+            ones = read[row] = (top ^ left).to_bytes(slot * period, "little")[slot - 1 :: slot]
             for tally in others:
                 if not left:
                     break
@@ -393,9 +398,8 @@ def _read_tallies(field: int, rows: list, period: int, e: int, code_size: int) -
                 tally = row >> (8 * slot * k) & ((1 << 8 * slot) - 1)
                 _byte_coefficient(tally, e, field, code_size)
                 raise IntegrityError(f"the zero fields and padding of a tally hold {tally >> e * field:#x}")
-            slots = read[row] = tuple(compress(range(period), ones))
-        out.update(zip(map(start.__add__, slots), repeat(1)))
-    return out
+        out.append(ones)
+    return b"".join(out)
 
 
 def _byte_coefficient(tally: int, e: int, field: int, code_size: int) -> int:
@@ -457,9 +461,12 @@ def krawtchouk_contraction(
     absolute value: a field holds that and a sign, in 1, 2, 4, 8, ... bytes.
 
     Every key must be a weight key and every count a positive int, or
-    ValueError is raised.  Every result must divide exactly by |C| and not
-    be negative, or IntegrityError is raised; zero results are left out.
+    ValueError is raised, and so is levels other than a LevelStructure
+    (check_levels), before any entry is read.  Every result must divide
+    exactly by |C| and not be negative, or IntegrityError is raised; zero
+    results are left out.
     """
+    check_levels(None, levels)
     sizes = levels.sizes
     cells = prod(n + 1 for n in sizes)
     for key, count in spectrum.items():
@@ -563,8 +570,8 @@ KINDS = {
     "byte": Kind(
         {
             "code": lambda code, levels, cap: byte_enumerator(code, levels),
-            # a monomial a word, the levels checked first as on the other routes
-            "dual": lambda code, levels, cap: check_levels(code, levels) or dict.fromkeys(dual_indices(code, cap), 1),
+            # the levels checked first, as on the other routes
+            "dual": lambda code, levels, cap: check_levels(code, levels) or dual_indicator(code, cap),
             "transform": lambda code, levels, cap: byte_transform(code, levels, cap),
         },
         byte_terms,
@@ -614,11 +621,11 @@ def verify_identity(
 
     lhs is the kind's "transform" route, computed from the primal code; rhs
     is the same enumerator computed on the dual by its "dual" route, which
-    lists the dual's word indices (byte) or counts its per-level weight
-    spectrum without listing it.  Both sides are count dicts, compared
-    before anything is rendered.  The levels are checked first; then t is
-    read, checked and recorded only by the kinds that fold by it, and read
-    once, before either route runs.
+    joins the dual's indicator (byte) or counts its per-level weight
+    spectrum without listing it.  Both sides are q^n-byte indicators (byte)
+    or count dicts, compared before anything is rendered.  The levels are
+    checked first; then t is read, checked and recorded only by the kinds
+    that fold by it, and read once, before either route runs.
     """
     if kind not in TRANSFORM_KINDS:
         raise ValueError(f"unknown identity kind {kind!r}; expected {TRANSFORM_KINDS}")

@@ -354,6 +354,21 @@ def gf_is_irreducible(modulus, p, k) -> bool:
     return True
 
 
+def indicator_of(indices, size) -> bytes:
+    """The byte kind's indicator of a set of indices below size: 0x80 at each, 0 elsewhere."""
+    out = bytearray(size)
+    for i in indices:
+        out[i] = 0x80
+    return bytes(out)
+
+
+def members(indicator) -> list[int]:
+    """The indices of an indicator's members, byte by byte; any byte but 0 and 0x80 is refused."""
+    if set(indicator) - {0, 0x80}:
+        raise ValueError(f"an indicator byte is neither 0 nor 0x80: {sorted(set(indicator))}")
+    return [i for i, b in enumerate(indicator) if b]
+
+
 def pattern_of(index, q, n) -> list[int]:
     """The pattern with this lexicographic index, index = sum of b_i q^(n-1-i)."""
     digits = []

@@ -29,7 +29,7 @@ from pwenum.cli import (
     parse_ring_spec,
     run_fuzz,
 )
-from pwenum.codes import LinearCode, dual_indices, dual_weight_spectrum
+from pwenum.codes import LinearCode, dual_indicator, dual_weight_spectrum
 from pwenum.enumerators import level_enumerator
 from pwenum.macwilliams import KINDS, render, verify_identity
 from pwenum.posets import LevelStructure
@@ -375,9 +375,11 @@ def test_a_text_byte_verify_builds_no_dual_word_or_polynomial(monkeypatch, capsy
 
 def test_a_differing_byte_identity_prints_both_polynomials(monkeypatch, capsys):
     def one_word_short(code, cap=None):
-        return dual_indices(code, cap)[:-1]
+        indicator = bytearray(dual_indicator(code, cap))
+        indicator[indicator.rindex(0x80)] = 0  # the dual's last word in index order
+        return bytes(indicator)
 
-    monkeypatch.setattr("pwenum.macwilliams.dual_indices", one_word_short)
+    monkeypatch.setattr("pwenum.macwilliams.dual_indicator", one_word_short)
     argv = ["verify", "--kind", "byte", "--ring", "F2", "--code", "ex51", "--poset", "leveled:2,1,1"]
     assert main(argv) == 1
     # the fixture's terms in pattern order; the dual's last word in that order is 1110
@@ -1161,6 +1163,46 @@ def test_a_byte_verify_of_2_to_the_24_patterns_fits_in_1_gib():
     done = _run_cli("verify", "--kind", "byte", "--ring", ring, "--poset", "antichain:4", "--code", code,
                     preexec_fn=_limit_memory)
     assert (done.returncode, done.stdout, done.stderr) == (0, "byte: EQUAL\n", "")
+
+
+# Runs the CLI with its arguments from a small interpreter, RLIMIT_AS = 1 GiB set in preexec_fn and a
+# 20 s timeout, and prints its exit code, output and own ru_maxrss (os.wait4) as JSON.  A forked child
+# counts the pages it shares with its parent until it execs in its ru_maxrss, so a child of the
+# test process itself would read the test process's size.
+_MEASURED_RUN = """
+import json, os, resource, subprocess, sys, tempfile, time
+def limit():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+    child = subprocess.Popen([sys.executable, "-m", "pwenum.cli", *sys.argv[1:]], stdout=out, stderr=err, preexec_fn=limit)
+    deadline = time.monotonic() + 20
+    while not (ended := os.wait4(child.pid, os.WNOHANG))[0] and time.monotonic() < deadline:
+        time.sleep(0.01)
+    timed_out = not ended[0]
+    if timed_out:
+        child.kill()
+        ended = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(ended[1])  # reaped here, so Popen must not wait
+    out.seek(0)
+    err.seek(0)
+    print(json.dumps({"timed_out": timed_out, "rc": child.returncode, "stdout": out.read().decode(),
+                      "stderr": err.read().decode(), "maxrss_kb": ended[2].ru_maxrss}))
+"""
+
+
+@pytest.mark.parametrize("ring, n", [("F2", 24), ("Z4", 12)])
+def test_a_byte_verify_of_the_whole_ambient_space_fits_in_150_mib(ring, n):
+    # the dual of the zero code is all 2^24 words; each side is one 2^24-byte indicator
+    src = Path(pwenum.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    argv = ["verify", "--kind", "byte", "--ring", ring, "--poset", f"antichain:{n}", "--code", _zero_code(n)]
+    done = subprocess.run([sys.executable, "-c", _MEASURED_RUN, *argv], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr[-2000:]
+    run = json.loads(done.stdout)
+    assert not run["timed_out"]
+    assert (run["rc"], run["stdout"], run["stderr"]) == (0, "byte: EQUAL\n", "")
+    assert run["maxrss_kb"] <= 150 * 1024, f"peak RSS {run['maxrss_kb']} KiB"
 
 
 ZERO_24 = ("--ring", "F2", "--poset", "antichain:24", "--code", _zero_code(24))

@@ -40,8 +40,10 @@ from oracles import (
     exhaustive_ring_axioms,
     gf_is_irreducible,
     hierarchical_poset,
+    indicator_of,
     keyed,
     level_bounds,
+    members,
     pattern_byte_transform,
     pattern_of,
     reference_json,
@@ -53,7 +55,7 @@ from oracles import (
     tuple_weight_spectrum,
     unkeyed,
 )
-from pwenum.codes import dual_code, dual_indices, dual_weight_spectrum, span
+from pwenum.codes import dual_code, dual_indicator, dual_indices, dual_weight_spectrum, span
 from pwenum.enumerators import (
     byte_enumerator,
     mspotty_enumerator,
@@ -355,9 +357,10 @@ def test_the_folds_match_their_oracles_on_random_spectra(case):
     assert poset_spectrum(keyed(sizes, spectrum), levels) == poset
 
 
-def _as_patterns(counts, q, n) -> dict[tuple, int]:
-    """{pattern: coefficient} of a byte enumerator's {pattern index: coefficient}."""
-    return {tuple(pattern_of(i, q, n)): c for i, c in counts.items()}
+def _as_patterns(indicator, q, n) -> dict[tuple, int]:
+    """{pattern: 1} of a byte indicator over R^n, q^n bytes each 0 or 0x80."""
+    assert len(indicator) == q**n
+    return {tuple(pattern_of(i, q, n)): 1 for i in members(indicator)}
 
 
 @SETTINGS
@@ -375,6 +378,7 @@ def count_dicts(draw):
     """(kind, counts, q, levels): positive counts on keys of one kind, q up to 64.
 
     A weight kind's keys are weight tuples here, for the reference renderer.
+    The byte kind's counts are all 1: its enumerator is a set of patterns.
     """
     kind = draw(st.sampled_from(sorted(KINDS)))
     q = draw(st.sampled_from([2, 3, 4, 9, 10, 11, 16, 64]))
@@ -385,23 +389,27 @@ def count_dicts(draw):
         key = st.integers(0, levels.n)
     else:
         key = st.tuples(*(st.integers(0, size) for size in levels.sizes))
-    counts = draw(st.dictionaries(key, st.integers(1, 10**6), max_size=12))
+    counts = draw(st.dictionaries(key, st.just(1) if kind == "byte" else st.integers(1, 10**6), max_size=12))
     return kind, counts, q, levels
 
 
 @settings(max_examples=300, deadline=None)
 @given(count_dicts())
-@example(("byte", {1: 1, 11 * 64 + 3: 2, 64**2 - 1: 5}, 64, LevelStructure((1, 2))))  # 1,11 vs 03
+@example(("byte", {1: 1, 11 * 64 + 3: 1, 64**2 - 1: 1}, 64, LevelStructure((1, 2))))  # 1,11 vs 03
 @example(("level", {(0, 1): 1, (1, 0): 1, (0, 2): 3, (1, 1): 1, (0, 0): 1}, 2, LevelStructure((2, 2))))
 @example(("complete", {}, 2, LevelStructure((1,))))
 def test_render_matches_the_reference_renderer(case):
     # the polynomial type's order and spelling: (level, kind, data) variables, sorted monomials
     kind, counts, q, levels = case
     poly = reference_poly(kind, counts, q, levels)
+    holders = [counts]
     if kind in ("complete", "level", "mspotty"):
-        counts = keyed(levels.sizes, counts)
-    assert render(kind, counts, q, levels) == reference_text(poly)
-    assert render(kind, counts, q, levels, json=True) == reference_json(poly)
+        holders = [keyed(levels.sizes, counts)]
+    elif kind == "byte":  # both holders of a set: increasing indices, and the indicator where it is small
+        holders = [tuple(sorted(counts))] + ([indicator_of(counts, q**levels.n)] if q**levels.n <= 2**18 else [])
+    for held in holders:
+        assert render(kind, held, q, levels) == reference_text(poly)
+        assert render(kind, held, q, levels, json=True) == reference_json(poly)
 
 
 BIG_RINGS = {
@@ -460,9 +468,9 @@ def test_byte_transform_matches_pattern_oracle_on_big_rings(name, sizes, generat
     levels = LevelStructure(sizes)
     code = span(ring, levels.n, generators)
     poly = byte_transform(code, levels)
-    assert list(poly) == sorted(poly)  # keys strictly increasing: a dict's keys are distinct
     assert _as_patterns(poly, ring.q, code.n) == pattern_byte_transform(code, default_character(ring))
-    assert poly == byte_enumerator(dual_code(code), levels)
+    assert poly == dual_indicator(code)
+    assert members(poly) == list(byte_enumerator(dual_code(code), levels))
 
 
 @pytest.mark.parametrize(
@@ -506,8 +514,9 @@ def test_byte_transform_at_the_field_width_boundaries(m, sizes, generators, size
     ring = make_ring("Zm", m=m)
     code = span(ring, levels.n, generators)
     assert code.size == size
-    dual = byte_enumerator(dual_code(code), levels)
+    dual = dual_indicator(code)
     assert byte_transform(code, levels) == dual
+    assert members(dual) == list(byte_enumerator(dual_code(code), levels))
     # each slot, field by field, is the true tally, its zero fields and padding 0: the whole-row read
     # compares a slot with its forms, and a count |C| one bit too wide for its field would carry into
     # field 1 alike in both
@@ -515,7 +524,7 @@ def test_byte_transform_at_the_field_width_boundaries(m, sizes, generators, size
     e, slot = ring.exponent, -(-2 * ring.exponent * field // 8)
     tallies = [row >> 8 * slot * k & ((1 << 8 * slot) - 1) for row in rows for k in range(period)]
     assert not any(tally >> e * field for tally in tallies)
-    assert [_byte_coefficient(tally, e, field, size) for tally in tallies] == [int(i in dual) for i in range(m**levels.n)]
+    assert [_byte_coefficient(tally, e, field, size) for tally in tallies] == [b >> 7 for b in dual]
 
 
 @pytest.mark.parametrize(
@@ -537,7 +546,72 @@ def test_non_generating_character_fails_as_the_oracle_does(name, exponents, gene
     # and the failure shows as extra patterns next to the dual's indicator
     poly = byte_transform(code, levels)
     assert _as_patterns(poly, ring.q, 2) == pattern_byte_transform(code, exponents)
-    assert poly != dict.fromkeys(dual_indices(code), 1)
+    assert poly != dual_indicator(code)
+
+
+INDICATOR_RINGS = {**RINGS, **BIG_RINGS, **COMPOSITE_RINGS}
+
+
+@st.composite
+def indicator_codes(draw, ring):
+    """(levels, generators) with q^n <= AMBIENT_LIMIT: the zero code, the full space, or random
+    generators, some of them repeated, multiplied by a ring element or summed."""
+    n = draw(st.integers(1, max(m for m in range(1, 13) if ring.q**m <= AMBIENT_LIMIT)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    sizes = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+    word = st.tuples(*[st.integers(0, ring.q - 1)] * n)
+    shape = draw(st.sampled_from(("zero", "full", "random", "dependent")))
+    if shape == "zero":  # no generator, or zero words: the dual is all of R^n
+        gens = [(0,) * n] * draw(st.integers(0, 2))
+    elif shape == "full":  # the unit words, then any others: the dual is the zero word alone
+        gens = [tuple(int(i == j) for j in range(n)) for i in range(n)] + draw(st.lists(word, max_size=2))
+    else:
+        gens = draw(st.lists(word, min_size=1, max_size=3))
+    if shape == "dependent":
+        add, mul = ring.add_table, ring.mul_table
+        g, h = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+        r = draw(st.integers(0, ring.q - 1))
+        gens += [g, tuple(mul[r][x] for x in g), tuple(add[x][y] for x, y in zip(g, h))]
+        gens = draw(st.permutations(gens))
+    return LevelStructure(sizes), gens
+
+
+def _check_both_indicators(ring, levels, gens):
+    """The dual indicator and the transform's against the indicator of the scanned dual."""
+    code = span(ring, levels.n, gens)
+    places = [ring.q ** (levels.n - 1 - i) for i in range(levels.n)]
+    listed = indicator_of((sum(x * p for x, p in zip(w, places)) for w in scan_dual_words(code)), ring.q**levels.n)
+    assert dual_indicator(code) == listed
+    assert byte_transform(code, levels) == listed
+    report = verify_identity("byte", code, levels)
+    assert report.equal and report.lhs == report.rhs == listed
+
+
+@pytest.mark.parametrize("name", sorted(INDICATOR_RINGS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_both_byte_indicators_match_the_scanned_dual(name, data):
+    ring = INDICATOR_RINGS[name]
+    _check_both_indicators(ring, *data.draw(indicator_codes(ring)))
+
+
+@pytest.mark.parametrize(
+    "name, sizes, gens",
+    [
+        # over Z4 and F3 a syndrome s has -s != s, so a left half must be joined with the bucket of -s
+        ("Z4", (2, 2), [(1, 2, 3, 1)]),
+        ("Z4", (1, 2), [(1, 3, 2), (0, 1, 1)]),
+        ("F3", (2, 2), [(1, 2, 0, 1), (0, 1, 1, 2)]),
+        ("F3", (1, 1, 1), [(1, 1, 2)]),
+        ("Z4", (3,), []),  # k = 0: the dual is all of R^n
+        ("F3", (2, 1), [(0, 0, 0)]),  # a zero generator: likewise
+        ("Z4", (1, 1), [(1, 0), (0, 1)]),  # the full space: the dual is the zero word
+        ("F3", (2, 2), [(1, 2, 0, 1), (1, 2, 0, 1), (2, 1, 0, 2)]),  # repeated, and 2 times the first
+        ("Z9", (1,), [(3,)]),  # n = 1: an empty left half
+    ],
+)
+def test_both_byte_indicators_match_the_scanned_dual_on_fixed_codes(name, sizes, gens):
+    _check_both_indicators(INDICATOR_RINGS[name], LevelStructure(sizes), gens)
 
 
 @SETTINGS
@@ -637,7 +711,7 @@ def test_the_whole_row_read_agrees_with_the_check_of_each_slot(case):
         assert refusal in str(error.value)
     else:
         out = _read_tallies(field, rows, period, e, size)
-        assert list(out) == expected and set(out.values()) <= {1}
+        assert out == indicator_of(expected, period * len(rows))
 
 
 def _gf(p, k):

@@ -270,7 +270,7 @@ def test_substitution_chains():
             ]
             code = span(ring, n, gens)
             t = tuple(rng.randint(1, s) for s in sizes)
-            byte = byte_enumerator(code, levels)
+            byte = dict.fromkeys(byte_enumerator(code, levels), 1)  # a set: every count 1
             complete = complete_level_enumerator(code, levels)
             tuples = unkeyed(sizes, complete)
             assert keyed(sizes, substitute(byte, "byte->complete", q=ring.q, levels=levels)) == complete
@@ -297,7 +297,7 @@ def test_collapse_to_x_reduces_to_hamming():
     poly = collapse_to_x(unkeyed(singles.sizes, level_enumerator(EX_CODE, singles)))
     assert poly == count("poset", "code", EX_CODE, LevelStructure((4,)))
     with pytest.raises(ValueError):
-        collapse_to_x(byte_enumerator(EX_CODE, EX_LEVELS))
+        collapse_to_x(dict.fromkeys(byte_enumerator(EX_CODE, EX_LEVELS), 1))
 
 
 def test_enumerators_reject_mismatched_levels():
