@@ -4,16 +4,19 @@ Word u of R^n has the lexicographic index sum of u_i q^(n-1-i), so the
 indices sort as the words do.  Codes are built by spanning generators or,
 for the dual, by a split-syndrome search over the ambient space, which
 joins the dual's q^n-byte indicator from byte columns of syndromes, and
-also counts its weight spectrum without listing it; all are exact and
-capped so a typo cannot demand 4^30 codewords.  A span's words are
-listed, and any words decoded, only when read; a weight spectrum always
-counts the generators' closure.
+also counts its weight spectrum without listing it: a half's words off the
+same columns where they number at most a syndrome trellis's step bound,
+else by that trellis; all are exact and capped so a typo cannot demand
+4^30 codewords.  A span's words are listed, and any words decoded, only
+when read; a weight spectrum always counts the generators' closure.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from itertools import compress, count, repeat
+from math import prod
 from operator import add, getitem, mul
 
 from .errors import CapExceededError
@@ -189,6 +192,14 @@ def _half_syndromes(ring, columns, k) -> list[bytes]:
     return out
 
 
+def _dual_cut(code: LinearCode, cap: int | None) -> tuple[int, int, list[tuple]]:
+    """Both dual routes' preamble: the cap checked, the cut after floor(n/2) coordinates, k, and each
+    coordinate's k generator entries; the zero code is spanned by the zero word, or zip lists no half-word."""
+    check_ambient_cap(code.ring, code.n, cap)
+    generators = code.generators or ((0,) * code.n,)
+    return code.n // 2, len(generators), [tuple(g[i] for g in generators) for i in range(code.n)]
+
+
 def dual_indicator(code: LinearCode, cap: int | None = None) -> bytes:
     """The indicator of the dual in R^n: byte i is 0x80 if the word of index i is in the dual, else 0.
 
@@ -199,14 +210,10 @@ def dual_indicator(code: LinearCode, cap: int | None = None) -> bytes:
     byte in the row of q^ceil(n/2) bytes of its syndrome's bucket; the left
     halves' syndromes are negated, one translate a column, and the bucket
     row of each, or a zero row, is joined in left-half order: about
-    q^ceil(n/2) Python steps, q^n bytes copied and no int per word.  The
-    zero code is spanned by the zero word, so a half has a syndrome to key.
+    q^ceil(n/2) Python steps, q^n bytes copied and no int per word.
     """
-    check_ambient_cap(code.ring, code.n, cap)
-    ring, n, half = code.ring, code.n, code.n // 2
-    generators = code.generators or ((0,) * n,)  # k = 0 would zip no column, and list no half
-    k, width = len(generators), ring.q ** (n - half)
-    columns = [tuple(g[i] for g in generators) for i in range(n)]
+    half, k, columns = _dual_cut(code, cap)
+    ring, width = code.ring, code.ring.q ** (code.n - half)
     buckets: dict[tuple, bytearray] = {}
     for b, s in enumerate(zip(*_half_syndromes(ring, columns[half:], k))):
         if s not in buckets:
@@ -229,12 +236,12 @@ def dual_code(code: LinearCode, cap: int | None = None) -> LinearCode:
 
 
 def _half_weight_counts(ring, columns, places, k) -> dict[tuple, dict[int, int]]:
-    """Words over the given coordinates counted by syndrome, then by weight key.
+    """Words over the given coordinates counted by syndrome, then by weight key: the trellis kernel.
 
-    A word's weight key is the sum of places[i] over its nonzero coordinates
-    i.  The words are never listed: the count is stepped one coordinate at a
-    time, each syndrome once per symbol.  Symbol 0 keeps the syndrome and
-    the key, so its count is moved, not copied.
+    A word's weight key is the sum of places[i] over its nonzero coordinates i.  The words are never
+    listed: the count is stepped one coordinate at a time, each syndrome once per symbol.  Symbol 0
+    keeps the syndrome and the key, so its count is moved, not copied.  _half_counts takes this kernel
+    only where q^h exceeds h q min(q^k, q^h) prod(m_j + 1) (_columns_pay), else the byte columns.
     """
     add, mul = ring.add_table, ring.mul_table
     states = {(0,) * k: {0: 1}}
@@ -256,31 +263,48 @@ def _half_weight_counts(ring, columns, places, k) -> dict[tuple, dict[int, int]]
     return states
 
 
-def dual_weight_spectrum(
-    code: LinearCode, levels: LevelStructure, cap: int | None = None
-) -> dict[int, int]:
+def _columns_pay(q: int, k: int, places) -> bool:
+    """Whether a half's q^h words are at most the trellis's step bound h q min(q^k, q^h) prod(m_j + 1).
+
+    With m_j of its h coordinates in level j, the trellis holds at most min(q^k, q^h) syndromes of
+    prod(m_j + 1) keys each and steps each key once per symbol a coordinate, in the interpreter; byte
+    columns read each word once, at C speed.  One op each, the columns are the cheaper kernel unless
+    q^h is past that bound, as where RM(1,7) is cut at 64 coordinates: 2^64 words, about 2^21 steps."""
+    h = len(places)
+    return q**h <= h * q * min(q**k, q**h) * prod(m + 1 for m in Counter(places).values())
+
+
+def _half_counts(ring, columns, places, k) -> dict[tuple, dict[int, int]]:
+    """_half_weight_counts, or where _columns_pay, off the byte columns of _half_syndromes: a key column
+    built in their order, last coordinate first, and Counter counting (syndrome, key) pairs at C speed."""
+    if not _columns_pay(ring.q, k, places):
+        return _half_weight_counts(ring, columns, places, k)
+    keys = [0]
+    for place in reversed(places):
+        keys += [x + place for x in keys] * (ring.q - 1)
+    counts: dict[tuple, dict[int, int]] = {}
+    for (s, key), c in Counter(zip(zip(*_half_syndromes(ring, columns, k)), keys)).items():
+        counts.setdefault(s, {})[key] = c
+    return counts
+
+
+def dual_weight_spectrum(code: LinearCode, levels: LevelStructure, cap: int | None = None) -> dict[int, int]:
     """Count the dual's words by their per-level Hamming weights, listing none.
 
-    The cut of dual_indicator: a word (a, b), cut after floor(n/2) coordinates,
-    is in the dual iff the syndrome of b is minus that of a.  Each half is
-    counted by syndrome and by partial level weights (Wolf's syndrome
-    trellis, cut once), and each left syndrome s is joined with the right
-    count of -s.  That is the right count of s itself, since b -> -b maps
-    the halves of syndrome s onto those of -s and keeps every weight, so no
-    syndrome is negated.  Counts are keyed by weight key (weight_spectrum),
-    so joining two counts adds their keys, and the joined keys are the
-    result.  The cost is about 2 q^(ceil(n/2) + 1) syndrome steps plus one
-    multiply-add per joined pair of weight keys.
-    """
-    check_ambient_cap(code.ring, code.n, cap)
+    The cut of dual_indicator: a word (a, b), cut after floor(n/2) coordinates, is in the dual iff
+    the syndrome of b is minus that of a.  Each half is counted by syndrome and by partial level
+    weights (_half_counts: off byte syndrome columns where its q^h words are at most the step bound
+    of Wolf's syndrome trellis, else by that trellis), and each left syndrome s is joined with the
+    right count of -s: that of s itself, since b -> -b maps the halves of syndrome s onto those of
+    -s and keeps every weight.  Counts are keyed by weight key (weight_spectrum), so joining two
+    counts adds their keys, and the joined keys are the result.  The cost is each half's q^h words
+    read at C speed, or at most the step bound (_columns_pay), plus one multiply-add a joined pair."""
+    half, k, columns = _dual_cut(code, cap)
     check_levels(code, levels)
-    ring, n, half = code.ring, code.n, code.n // 2
     places = [r for r, size in zip(levels.places, levels.sizes) for _ in range(size)]
-    k = len(code.generators)
-    columns = [tuple(g[i] for g in code.generators) for i in range(n)]
-    right = _half_weight_counts(ring, columns[half:], places[half:], k)
+    right = _half_counts(code.ring, columns[half:], places[half:], k)
     joined: dict[int, int] = {}
-    for s, left in _half_weight_counts(ring, columns[:half], places[:half], k).items():
+    for s, left in _half_counts(code.ring, columns[:half], places[:half], k).items():
         counts = right.get(s)
         if counts:
             for a, ca in left.items():

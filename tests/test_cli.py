@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pwenum
-from pwenum import cli
+from pwenum import cli, codes
 from pwenum.cli import (
     FIXTURES,
     NAMED_CODES,
@@ -1232,3 +1232,22 @@ def test_the_whole_ambient_space_as_a_dual_is_counted_not_listed(argv):
     refused = _run_cli(*argv, *ZERO_24, "--cap", "1000000", preexec_fn=_limit_memory)
     assert (refused.returncode, refused.stdout) == (3, "")
     assert refused.stderr == "resource cap exceeded: q^n = 2^24 exceeds cap 1000000\n"
+
+
+def test_a_long_half_is_counted_by_the_trellis_not_listed_as_byte_columns(monkeypatch):
+    # RM(1,7), [128, 8]: the all-ones row and the 7 bit rows of i < 128, verified past the default cap.
+    # Each half of the cut has 2^64 words, far past the trellis's bound of 64·2·2^8·65 steps, so the
+    # dual's spectrum counts both halves by the trellis and lists no 64-coordinate half as byte columns.
+    listed = []
+
+    def half_syndromes(ring, columns, k):
+        listed.append(len(columns))
+        assert len(columns) < 64, "a 64-coordinate half was listed as byte columns"
+        return real(ring, columns, k)
+
+    real = codes._half_syndromes
+    monkeypatch.setattr(codes, "_half_syndromes", half_syndromes)
+    code = json.dumps({"length": 128, "generators": [[1] * 128] + [[(i >> b) & 1 for i in range(128)] for b in range(7)]})
+    argv = ["verify", "--kind", "complete", "--ring", "F2", "--poset", "leveled:64,64", "--code", code]
+    assert _call([*argv, "--cap", str(2**130)]) == (0, "complete: EQUAL\n", "")
+    assert 64 not in listed

@@ -55,6 +55,7 @@ from oracles import (
     tuple_weight_spectrum,
     unkeyed,
 )
+from pwenum import codes
 from pwenum.codes import dual_code, dual_indicator, dual_indices, dual_weight_spectrum, span
 from pwenum.enumerators import (
     byte_enumerator,
@@ -197,6 +198,32 @@ def test_dual_weight_spectrum_matches_listing_and_scan_oracles(instance):
     spectrum = dual_weight_spectrum(code, levels)
     assert spectrum == weight_spectrum(dual_code(code), levels)
     assert spectrum == keyed(levels.sizes, _level_weights(scan_dual_words(code), levels))
+
+
+# Both half kernels of dual_weight_spectrum, on each half of the cut: the byte
+# columns with their key column, and the trellis.  The choice between them
+# (_columns_pay) only sets the speed, so the spectrum is checked with it
+# forced each way.
+@pytest.mark.parametrize("name", sorted(RINGS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+@example(data=_fixed("Z4", (3,), []))  # k = 0: the zero word keys both halves
+@example(data=_fixed("Z9", (1,), [(3,)]))  # n = 1: h = 0 on the left
+@example(data=_fixed("GF9", (2, 1), [(1, 5, 7), (0, 3, 3)]))  # odd n
+@example(data=_fixed("Z4", (1, 3, 1), [(1, 3, 2, 1, 0), (0, 2, 1, 3, 3)]))  # level 2 straddles the cut
+@example(data=_fixed("Z4", (2, 2), [(1, 3, 2, 1), (2, 2, 0, 2), (1, 3, 2, 1), (0, 0, 0, 0)]))  # not free
+def test_byte_column_half_counts_match_the_trellis(name, data):
+    ring, levels, code, _ = data if isinstance(data, tuple) else data.draw(instances((name,)))
+    half, k, columns = codes._dual_cut(code, None)
+    places = [r for r, size in zip(levels.places, levels.sizes) for _ in range(size)]
+    scanned = keyed(levels.sizes, _level_weights(scan_dual_words(code), levels))
+    for pays in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(codes, "_columns_pay", lambda q, k, places: pays)
+            for cut in (slice(None, half), slice(half, None)):
+                counted = codes._half_counts(ring, columns[cut], places[cut], k)
+                assert counted == codes._half_weight_counts(ring, columns[cut], places[cut], k)
+            assert dual_weight_spectrum(code, levels) == scanned
 
 
 @SETTINGS
