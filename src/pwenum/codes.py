@@ -1,23 +1,23 @@
-"""Linear codes over a RingSpec, held as generators and the sorted indices of their words.
+"""Linear codes over a RingSpec, held as generators and their words in lexicographic order.
 
-Word u of R^n has the lexicographic index sum of u_i q^(n-1-i), so the
-indices sort as the words do.  Codes are built by spanning generators or,
-for the dual, by a split-syndrome search over the ambient space, which
-joins the dual's q^n-byte indicator from byte columns of syndromes, and
-also counts its weight spectrum without listing it: a half's words off the
-same columns where they number at most a syndrome trellis's step bound,
-else by that trellis; all are exact and capped so a typo cannot demand
-4^30 codewords.  A span's words are listed, and any words decoded, only
-when read; a weight spectrum always counts the generators' closure.
+Codes are built by spanning generators or, for the dual, by a split-syndrome
+search over the ambient space, which joins the dual's q^n-byte indicator
+from byte columns of syndromes (byte u_1 q^(n-1) + ... + u_n for word u: only
+R^n, held to the cap, indexes words), and also counts its weight spectrum
+without listing it: a half's words off the same columns where they number
+at most a syndrome trellis's step bound, else by that trellis; all are exact
+and capped so a typo cannot demand 4^30 codewords.  A span's words are
+listed, and an indicator's read off, only when read; a weight spectrum
+always counts the generators' closure.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter
-from itertools import compress, count, repeat
+from itertools import compress, product
 from math import prod
-from operator import add, getitem, mul
+from operator import getitem
 
 from .errors import CapExceededError
 from .posets import LevelStructure
@@ -41,22 +41,23 @@ def enumeration_cap() -> int:
 
 
 class LinearCode:
-    """A submodule of R^n: its generator list and the sorted indices of its words.
+    """A submodule of R^n: its generator list and its words, as tuples in lexicographic order.
 
-    Either is computed from the other on first read and kept: span gives the
-    generators, and _closure lists their words; dual_code gives the indices,
-    of which a small generating subset is picked greedily.  span_words closes
+    Either is computed from the other on first read: span gives the
+    generators, and _closure lists their words, sorted and kept; dual_code
+    gives the dual's indicator, read off to words on every read, of which a
+    small generating subset is picked greedily and kept.  span_words closes
     the generators on every read, listed or not, and keeps no word: a span's
-    spectrum reads no index (a dual's reads them once, to pick generators).
+    spectrum sorts nothing (a dual's reads its words once, to pick generators).
     """
 
-    __slots__ = ("ring", "n", "_generators", "_indices")
+    __slots__ = ("ring", "n", "_generators", "_words")
 
-    def __init__(self, ring: RingSpec, n: int, generators, indices=None):
+    def __init__(self, ring: RingSpec, n: int, generators, indicator: bytes | None = None):
         self.ring = ring
         self.n = n
         self._generators = None if generators is None else tuple(tuple(g) for g in generators)
-        self._indices = None if indices is None else tuple(indices)
+        self._words = indicator  # then the sorted words once a span lists them
 
     def span_words(self):
         """The words as tuples, unordered and not kept: the generators' closure, listed or not."""
@@ -66,19 +67,13 @@ class LinearCode:
         return words
 
     @property
-    def indices(self) -> tuple:
-        if self._indices is None:
-            words = self.span_words()
-            indices = [0] * len(words)
-            for column in zip(*words):  # Horner's rule on every word at once
-                indices = list(map(add, map(mul, indices, repeat(self.ring.q)), column))
-            self._indices = tuple(sorted(indices))
-        return self._indices
-
-    @property
     def words(self) -> tuple:
-        """The words as tuples of element indices, decoded from the indices on every read."""
-        return index_digits(self.ring.q, self.n, self.indices)
+        """The words as tuples of element indices, in lexicographic order: a span's sorted closure, or a
+        dual's indicator read off by indicator_words."""
+        if self._words is None:
+            self._words = tuple(sorted(self.span_words()))
+        held = self._words
+        return tuple(indicator_words(self.ring.q, self.n, held)) if isinstance(held, bytes) else held
 
     @property
     def generators(self) -> tuple:
@@ -88,33 +83,28 @@ class LinearCode:
 
     @property
     def size(self) -> int:
-        return len(self.indices)
+        held = self._words
+        return held.count(0x80) if isinstance(held, bytes) else len(self.words)
 
     def __eq__(self, other):
         if not isinstance(other, LinearCode):
             return NotImplemented
-        return self.ring == other.ring and self.n == other.n and self.indices == other.indices
+        return self.ring == other.ring and self.n == other.n and self.words == other.words
 
-    def __repr__(self):  # the size only once listed: a repr must not list 2^20 words
-        size = "" if self._indices is None else f", size={len(self._indices)}"
+    def __repr__(self):  # the size only once listed or joined: a repr must not list 2^20 words
+        size = "" if self._words is None else f", size={self.size}"
         return f"LinearCode(n={self.n}{size}, over {self.ring!r})"
 
 
-def index_digits(q: int, n: int, indices) -> tuple:
-    """The n base-q digits of each index, most significant first.
+def indicator_words(q: int, n: int, indicator: bytes):
+    """The words of an indicator's members, in lexicographic order, each built as it is read.
 
-    An index splits into its halves by // and % of q^(n - floor(n/2)), and
-    each distinct half is decoded once, so the cost follows the distinct
-    indices, not q^(n/2).
+    Byte i of a q^n-byte indicator stands for the i-th word of R^n in
+    lexicographic order, the i-th of product(range(q), repeat=n), so its
+    members are that product filtered by it: q^n steps at C speed, and no
+    index is decoded.
     """
-    if n < 2:
-        return tuple((i,) * n for i in indices)
-    cut = q ** (n - n // 2)
-    lefts = dict.fromkeys(i // cut for i in indices)
-    rights = dict.fromkeys(i % cut for i in indices)
-    lefts = dict(zip(lefts, index_digits(q, n // 2, lefts)))
-    rights = dict(zip(rights, index_digits(q, n - n // 2, rights)))
-    return tuple(lefts[i // cut] + rights[i % cut] for i in indices)
+    return compress(product(range(q), repeat=n), indicator)
 
 
 def _check_word(ring, n, w):
@@ -225,14 +215,14 @@ def dual_indicator(code: LinearCode, cap: int | None = None) -> bytes:
     return b"".join([buckets.get(s, empty) for s in zip(*lefts)])
 
 
-def dual_indices(code: LinearCode, cap: int | None = None) -> list[int]:
-    """The lexicographic indices of the dual's words, in increasing order: the members of dual_indicator."""
-    return list(compress(count(), dual_indicator(code, cap)))
+def dual_words(code: LinearCode, cap: int | None = None):
+    """The dual's words in lexicographic order, each built as it is read: the members of dual_indicator."""
+    return indicator_words(code.ring.q, code.n, dual_indicator(code, cap))
 
 
 def dual_code(code: LinearCode, cap: int | None = None) -> LinearCode:
-    """The code on dual_indices; its generators are picked when first read."""
-    return LinearCode(code.ring, code.n, None, dual_indices(code, cap))
+    """The code held as dual_indicator; its words are read off it, and its generators picked when first read."""
+    return LinearCode(code.ring, code.n, None, dual_indicator(code, cap))
 
 
 def _half_weight_counts(ring, columns, places, k) -> dict[tuple, dict[int, int]]:

@@ -2,11 +2,12 @@
 
 Each codeword contributes one monomial to each enumerator, fixed by one
 statistic of the word, so an enumerator is held as a dict of counts keyed
-by that statistic (the byte kind's counts are 1: it is a set of indices,
-increasing or a q^n-byte indicator); a weight key sums w_S R_S over the
-level weights w_S (LevelStructure.places), split into digits only to print:
+by that statistic (the byte kind's counts are 1: it is a set of words,
+in lexicographic order or a q^n-byte indicator); a weight key sums w_S R_S
+over the level weights w_S (LevelStructure.places), split into digits only
+to print:
 
-    byte      the word's lexicographic index     z_{S:pattern} for each level S
+    byte      the word itself                    z_{S:pattern} for each level S
     complete  the word's weight key              z_{S:w} for each level S
     level     the word's weight key              z_S^w, weights in the exponents
     mspotty   that key, digits w to ceil(w/t_S)  z_S^(folded weight)
@@ -25,64 +26,46 @@ from functools import cache, reduce
 from itertools import accumulate, compress, count, repeat, starmap
 from operator import or_
 
-from .codes import LinearCode, check_levels, index_digits
+from .codes import LinearCode, check_levels, indicator_words
 from .errors import IntegrityError
 from .posets import LevelStructure, Poset
 
 
-def poset_weight_enumerator(code: LinearCode, poset: Poset) -> dict[int, int]:
-    """Count codewords by their poset weight, the size of the ideal their support generates.
+def poset_weight_enumerator(words, poset: Poset) -> dict[int, int]:
+    """Count words by their poset weight, the size of the ideal their support generates.
 
-    Each distinct half of a word index (_per_block) has its support closed
-    once, by OR-ing the down-set masks of its positions; a word's weight is
-    the bit count of its two halves' masks OR-ed together.
+    A word is cut after floor(n/2) coordinates, and each distinct half has
+    its support closed once, by OR-ing the down-set masks of its positions;
+    a word's weight is the bit count of its two halves' masks OR-ed
+    together.  The words are read once, so they may come as an iterator.
     """
-    n = len(poset.down)
-    if code.n != n:
-        raise ValueError(f"poset size {n} does not match code length {code.n}")
-    cut = n // 2  # a Poset has n >= 2: every order on fewer positions is a LevelStructure
+    cut = len(poset.down) // 2  # a Poset has n >= 2: every order on fewer positions is a LevelStructure
     halves = (poset.down[:cut], poset.down[cut:])
-    closure = lambda level, block: reduce(or_, compress(halves[level - 1], block), 0)
-    closed = _per_block(code.ring.q, LevelStructure((cut, n - cut)), code.indices, closure)
-    return Counter(map(int.bit_count, map(or_, *closed)))
+    left, right = (cache(lambda half, down=down: reduce(or_, compress(down, half), 0)) for down in halves)
+    return Counter((left(word[:cut]) | right(word[cut:])).bit_count() for word in words)
 
 
 def byte_enumerator(code: LinearCode, levels: LevelStructure) -> tuple:
-    """sum over codewords of prod_S z_{S:(level-S block of the codeword)}: C's sorted indices, not held to q^n."""
+    """sum over codewords of prod_S z_{S:(level-S block of the codeword)}: C's words in order, not held to q^n."""
     check_levels(code, levels)
-    return code.indices
+    return code.words
 
 
-def byte_terms(patterns, q: int, levels: LevelStructure) -> list:
-    """The terms z_{1:beta_1}...z_{s:beta_s} of a set of patterns by index: increasing indices, or an indicator."""
+def byte_terms(patterns, q: int, levels: LevelStructure):
+    """The terms z_{1:beta_1}...z_{s:beta_s} of words in lexicographic order, or of an indicator's members
+    (indicator_words), built as they are read: each word cut into its level blocks, each block's variable
+    built once."""
     if isinstance(patterns, bytes):
-        patterns = list(compress(count(), patterns))
-    return [(1, variables) for variables in zip(*_per_block(q, levels, patterns, _block_var))]
+        patterns = indicator_words(q, levels.n, patterns)
+    blocks = [slice(end - size, end) for end, size in zip(accumulate(levels.sizes), levels.sizes)]
+    var = cache(_block_var)
+    return ((1, tuple(var(level, word[block]) for level, block in enumerate(blocks, 1))) for word in patterns)
 
 
 def _block_var(level: int, pattern: tuple) -> tuple:
     """z_{level:beta} for the level block beta."""
     joined = ("" if all(i < 10 for i in pattern) else ",").join(map(str, pattern))
     return f"z_{{{level}:{joined}}}", {"level": level, "kind": "byte", "pattern": list(pattern)}
-
-
-def _per_block(q: int, levels: LevelStructure, indices, value) -> list:
-    """For each level S, the column of value(S, beta_S) over the indices, as an iterator.
-
-    The word of index i = sum of u_j q^(n-1-j) has the level-S block beta_S of
-    index i // q^after % q^n_S, with `after` coordinates past level S.  Each
-    distinct block is decoded to its digits and valued once, so the cost
-    follows the indices given.
-    """
-    columns, after = [], levels.n
-    for level, n_s in enumerate(levels.sizes, start=1):
-        after -= n_s
-        div, mod = q**after, q**n_s
-        blocks = [i // div % mod for i in indices]
-        distinct = dict.fromkeys(blocks)
-        values = dict(zip(distinct, (value(level, b) for b in index_digits(q, n_s, distinct))))
-        columns.append(map(values.__getitem__, blocks))
-    return columns
 
 
 def weight_spectrum(code: LinearCode, levels: LevelStructure) -> dict[int, int]:

@@ -11,14 +11,14 @@ code size; any failure is raised as an IntegrityError, never rounded.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import chain, compress, repeat
 from math import prod
 from operator import add, itemgetter, lshift, mul
 from struct import Struct, unpack
 from typing import Callable, NamedTuple
 
-from .codes import LinearCode, check_ambient_cap, check_levels, dual_code, dual_indicator, dual_weight_spectrum
+from .codes import LinearCode, check_ambient_cap, check_levels, dual_indicator, dual_weight_spectrum, dual_words
 from .enumerators import (
     byte_enumerator,
     byte_terms,
@@ -273,16 +273,18 @@ def _transpose(rows: list, row_bytes: int, slot_bytes: int, signed: bool = False
     return new
 
 
-def _yates_tallies(code: LinearCode, eps: bytes) -> tuple[int, list, int]:
+def _yates_tallies(code: LinearCode, eps: bytes) -> tuple[int, list, int, int]:
     """Tally of the exponents eps(<b, u>) over u in C, for every b in R^n, eps the character's exponent row.
 
-    Returns the field width in bits, b = |C|.bit_length(), the final rows
-    and the period P = q^ceil(n/2).  Each tally is e count fields followed
+    Returns the field width in bits, b = |C|.bit_length(), the final rows,
+    the period P = q^ceil(n/2) and |C|.  Each tally is e count fields followed
     by e zero fields, 2e b bits, and zero bits pad its slot to whole bytes:
     no count exceeds |C| < 2^b, and a shift by fewer than e fields keeps a
     value in its 2e fields, so no bit reaches the padding.  Row r packs the
     tallies of the P patterns with lexicographic index r * P + k, at slot
     k, so the rows read in order are the patterns in lexicographic order.
+    The input, the indicator of C, is read off the span's words: Horner's rule
+    on a word's first floor(n/2) coordinates gives its slot r, on the rest its row k.
 
     The steps follow Bailey's four-step order.  The last ceil(n/2)
     coordinates index a list of rows, each packing the patterns of the first
@@ -294,7 +296,9 @@ def _yates_tallies(code: LinearCode, eps: bytes) -> tuple[int, list, int]:
     """
     ring = code.ring
     q, e, n = ring.q, ring.exponent, code.n
-    field = code.size.bit_length()  # a count field holds up to |C|
+    words = code.span_words()
+    size, columns = len(words), list(zip(*words))
+    field = size.bit_length()  # a count field holds up to |C|
     half = field * e
     slot = -(-2 * half // 8)  # bytes
     width, nrows = q ** (n // 2), q ** (n - n // 2)
@@ -309,17 +313,19 @@ def _yates_tallies(code: LinearCode, eps: bytes) -> tuple[int, list, int]:
         low = int.from_bytes(((1 << half) - 1).to_bytes(slot, "little") * slots, "little")  # their low e fields
         return [(q, partial(_ring_step, low=low, half=half, split=split))] * digits
 
+    # each word's index over these coordinates, by Horner's rule on whole columns
+    horner = lambda part: reduce(lambda index, col: list(map(add, map(mul, index, repeat(q)), col)), part, [0] * size)
     marks: dict[int, bytearray] = {}  # the indicator of C, by row
-    for index in code.indices:
-        r, k = divmod(index, nrows)
+    for r, k in zip(horner(columns[: n // 2]), horner(columns[n // 2 :])):
         if k not in marks:
             marks[k] = bytearray(row_bytes)
         marks[k][r * slot] = 1
+    del words, columns  # read once: the passes hold rows alone
     rows = [int.from_bytes(marks.pop(k), "little") if k in marks else 0 for k in range(nrows)]
     rows = _step_rows(rows, steps(width, n - n // 2))
     rows = _transpose(rows, row_bytes, slot)
     rows = _step_rows(rows, steps(nrows, n // 2))
-    return field, rows, nrows
+    return field, rows, nrows, size
 
 
 def byte_transform(code: LinearCode, levels: LevelStructure, cap: int | None = None) -> dict[int, int]:
@@ -353,10 +359,10 @@ def byte_transform(code: LinearCode, levels: LevelStructure, cap: int | None = N
     """
     check_ambient_cap(code.ring, code.n, cap)
     check_levels(code, levels)
-    return _read_tallies(*_yates_tallies(code, default_character(code.ring)), code.ring.exponent, code.size)
+    return _read_tallies(*_yates_tallies(code, default_character(code.ring)), code.ring.exponent)
 
 
-def _read_tallies(field: int, rows: list, period: int, e: int, code_size: int) -> bytes:
+def _read_tallies(field: int, rows: list, period: int, code_size: int, e: int) -> bytes:
     """The indicator of the coefficient-1 tallies: byte r P + k is 0x80 if slot k of final row r holds one, else 0.
 
     P = period, the slots of a row.  A slot is 2e fields of field bits,
@@ -537,14 +543,14 @@ class Kind(NamedTuple):
     """
 
     routes: dict  # route name -> (code, shape, cap) -> counts
-    terms: Callable  # (counts, q, levels) -> the terms in print order; see render
+    terms: Callable  # (counts, q, levels) -> the terms in print order, read once; see render
     fold: Callable | None = None  # (counts, levels, t) -> counts under the thresholds t
     levels: bool = True
 
 
 # The routes call the kernels through their module globals, so that a tracer
 # that rebinds those names (perfbench/spans.py) sees each call.  The transform
-# route's |C| is the spectrum's total: code.size would list and sort the indices.
+# route's |C| is the spectrum's total: code.size would list and sort the words.
 _WEIGHT_ROUTES = {
     "code": lambda code, levels, cap: weight_spectrum(code, levels),
     "dual": lambda code, levels, cap: dual_weight_spectrum(code, levels, cap),
@@ -555,12 +561,14 @@ _WEIGHT_ROUTES = {
 
 
 def _poset_route(spectrum: Callable, listed: Callable) -> Callable:
-    """A poset kind route: on a LevelStructure, the weight spectrum route folded by poset_spectrum,
-    with no word listed; on a Poset, the listed word indices weighed half by half by their masks."""
+    """A poset kind route: on a LevelStructure, the weight spectrum route folded by poset_spectrum, with
+    no word listed; on a Poset of the code's length, the words, as listed, weighed half by half by masks."""
 
     def route(code, shape, cap):
         if isinstance(shape, LevelStructure):
             return poset_spectrum(spectrum(code, shape, cap), shape)
+        if code.n != len(shape.down):
+            raise ValueError(f"poset size {len(shape.down)} does not match code length {code.n}")
         return poset_weight_enumerator(listed(code, cap), shape)
 
     return route
@@ -583,8 +591,8 @@ KINDS = {
     ),
     "poset": Kind(
         {
-            "code": _poset_route(_WEIGHT_ROUTES["code"], lambda code, cap: code),
-            "dual": _poset_route(_WEIGHT_ROUTES["dual"], lambda code, cap: dual_code(code, cap)),
+            "code": _poset_route(_WEIGHT_ROUTES["code"], lambda code, cap: code.words),
+            "dual": _poset_route(_WEIGHT_ROUTES["dual"], lambda code, cap: dual_words(code, cap)),
         },
         poset_terms,
         levels=False,

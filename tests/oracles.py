@@ -369,6 +369,11 @@ def members(indicator) -> list[int]:
     return [i for i, b in enumerate(indicator) if b]
 
 
+def member_words(indicator, q, n) -> list[tuple]:
+    """The words of an indicator's members over R^n, in increasing index order."""
+    return [tuple(pattern_of(i, q, n)) for i in members(indicator)]
+
+
 def pattern_of(index, q, n) -> list[int]:
     """The pattern with this lexicographic index, index = sum of b_i q^(n-1-i)."""
     digits = []
@@ -378,11 +383,11 @@ def pattern_of(index, q, n) -> list[int]:
     return digits[::-1]
 
 
-def substitute(counts, rule: str, t=None, q=None, levels=None) -> dict:
+def substitute(counts, rule: str, t=None, levels=None) -> dict:
     """Rewrite an enumerator's count dict by a substitution and collect equal keys.
 
-    byte->complete      z_{S:pattern} becomes z_{S:w(pattern)}: a pattern index
-                        (read in base q, cut at the levels) becomes its weight tuple
+    byte->complete      z_{S:pattern} becomes z_{S:w(pattern)}: a word of the
+                        levels' length, cut at the levels, becomes its weight tuple
     complete->level     z_{j:p}       becomes z_j^p: the weight tuple stays
     complete->mspotty   z_{j:p}       becomes z_j^ceil(p/t_j)
 
@@ -391,7 +396,6 @@ def substitute(counts, rule: str, t=None, q=None, levels=None) -> dict:
     """
     if rule not in ("byte->complete", "complete->level", "complete->mspotty"):
         raise ValueError(f"unknown substitution rule {rule!r}")
-    source = int if rule == "byte->complete" else tuple
     if rule == "complete->mspotty":
         if t is None:
             raise ValueError("complete->mspotty needs the spotty thresholds t")
@@ -400,12 +404,12 @@ def substitute(counts, rule: str, t=None, q=None, levels=None) -> dict:
             raise ValueError(f"t entries must be positive, got {t}")
     out: dict = {}
     for key, coeff in counts.items():
-        if not isinstance(key, source):
-            found = type(key).__name__
-            raise ValueError(f"key {key!r} is a {found}; rule {rule} expects a {source.__name__}")
+        if not isinstance(key, tuple):
+            raise ValueError(f"key {key!r} is a {type(key).__name__}; rule {rule} expects a tuple")
         if rule == "byte->complete":
-            pattern = pattern_of(key, q, levels.n)
-            new = tuple(sum(1 for x in pattern[lo - 1 : hi] if x) for lo, hi in level_bounds(levels.sizes))
+            if levels is None or len(key) != levels.n:
+                raise ValueError(f"key {key!r} is no word of the levels {levels}")
+            new = tuple(sum(1 for x in key[lo - 1 : hi] if x) for lo, hi in level_bounds(levels.sizes))
         elif rule == "complete->level":
             new = key
         else:
@@ -619,15 +623,15 @@ def mspotty_distance(u, v, levels, t) -> int:
     return dist
 
 
-def collapse_to_x(spectrum: dict) -> dict[int, int]:
+def collapse_to_x(spectrum: dict, sizes) -> dict[int, int]:
     """Set every level variable equal to x (Hamming specialization): fold each key on its sum.
 
-    Only a per-level weight spectrum collapses; the pattern indices of a
-    byte enumerator are refused.
+    Only a per-level weight spectrum of these level sizes collapses; any
+    other key, such as a word of a byte enumerator, is refused.
     """
     out: dict[int, int] = {}
     for key, count in spectrum.items():
-        if not isinstance(key, tuple):
-            raise ValueError(f"cannot collapse key {key!r}; expected a per-level weight tuple")
+        if not (isinstance(key, tuple) and len(key) == len(sizes) and all(0 <= w <= n for w, n in zip(key, sizes))):
+            raise ValueError(f"cannot collapse key {key!r}; expected a weight tuple of the level sizes {sizes}")
         out[sum(key)] = out.get(sum(key), 0) + count
     return out

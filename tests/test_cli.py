@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pwenum
+from oracles import cover_poset_enumerator, reference_poly, reference_text, span_words
 from pwenum import cli, codes
 from pwenum.cli import (
     FIXTURES,
@@ -33,7 +34,7 @@ from pwenum.codes import LinearCode, dual_indicator, dual_weight_spectrum
 from pwenum.enumerators import level_enumerator
 from pwenum.macwilliams import KINDS, render, verify_identity
 from pwenum.posets import LevelStructure
-from pwenum.rings import RING_KINDS
+from pwenum.rings import RING_KINDS, make_ring
 
 
 def test_parse_ring_spec():
@@ -340,6 +341,11 @@ def _refuse(*args, **kwargs):
     raise AssertionError("this route must not build it")
 
 
+def _refuse_dual_listing(monkeypatch):
+    for name in ("codes.dual_code", "cli.dual_code", "codes.dual_words", "macwilliams.dual_words"):
+        monkeypatch.setattr(f"pwenum.{name}", _refuse)
+
+
 def _refuse_rendering(monkeypatch):
     for module in ("pwenum.macwilliams", "pwenum.cli"):
         monkeypatch.setattr(f"{module}.render", _refuse)
@@ -349,8 +355,7 @@ def _refuse_rendering(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["complete", "level", "mspotty"])
 def test_weight_kinds_list_no_dual_words(kind, monkeypatch, capsys):
-    for module in ("pwenum.codes", "pwenum.macwilliams", "pwenum.cli"):
-        monkeypatch.setattr(f"{module}.dual_code", _refuse)
+    _refuse_dual_listing(monkeypatch)
     base = ["--kind", kind, "--ring", "Z4", "--code", "hamming74", "--poset", "leveled:3,2,2",
             "--t", "2,1,2"]
     assert main(["enum", "--dual", *base]) == 0
@@ -364,8 +369,7 @@ def test_weight_kinds_list_no_dual_words(kind, monkeypatch, capsys):
 
 
 def test_a_text_byte_verify_builds_no_dual_word_or_polynomial(monkeypatch, capsys):
-    for module in ("pwenum.codes", "pwenum.macwilliams", "pwenum.cli"):
-        monkeypatch.setattr(f"{module}.dual_code", _refuse)
+    _refuse_dual_listing(monkeypatch)
     _refuse_rendering(monkeypatch)
     for ring, code, poset in (("Z4", "hamming74", "leveled:3,2,2"), ("F2", "ex51", "leveled:2,1,1")):
         argv = ["verify", "--kind", "byte", "--ring", ring, "--code", code, "--poset", poset]
@@ -555,7 +559,7 @@ def test_a_malformed_t_is_refused_before_any_word_is_spanned(route, t, message, 
     def reached(*args, **kwargs):
         raise _Reached
 
-    monkeypatch.setattr(LinearCode, "indices", property(reached))  # no code's words are read
+    monkeypatch.setattr(LinearCode, "words", property(reached))  # no code's words are listed
     assert _call(argv) == refused
 
 
@@ -576,7 +580,7 @@ def test_over_cap_inputs_are_refused_before_spanning(n, argv, message, monkeypat
         raise _Reached
 
     monkeypatch.delenv("PWE_CAP", raising=False)
-    monkeypatch.setattr(LinearCode, "indices", property(reached))  # no code's words are read
+    monkeypatch.setattr(LinearCode, "words", property(reached))  # no code's words are listed
     code = json.dumps({"length": n, "generators": [[1] * n]})
     assert _call(argv + ["--ring", "F2", "--code", code]) == (3, "", f"resource cap exceeded: {message}\n")
 
@@ -613,11 +617,41 @@ def test_no_dual_route_lists_a_word_of_the_code(argv, monkeypatch):
     ["enum", "--kind", "poset", "--ring", "F3", "--code", "hamming74", "--poset", "leveled:3,4"],
 ])
 def test_no_weight_route_encodes_a_word(argv, monkeypatch):
-    # the code's spectrum is counted off the span's words, so a code whose indices raise prints the same
+    # the code's spectrum is counted off the span's words, unkept, so a code whose listing raises prints the same
     printed = _call(argv)
     assert printed[0] == 0 and printed[1]
-    monkeypatch.setattr(LinearCode, "indices", property(_refuse))
+    monkeypatch.setattr(LinearCode, "words", property(_refuse))
     assert _call(argv) == printed
+
+
+@pytest.mark.parametrize("q, n, generators, cover_n", [
+    (3, 20_000, [[i % 3 for i in range(20_000)], [i // 7 % 3 for i in range(20_000)]], 20_000),
+    # a cover poset's masks take about n^2/16 bytes, 625 MB at n = 100,000: its route runs at 20,000
+    (2, 100_000, [], 20_000),
+], ids=["F3-two-generators", "F2-zero-code"])
+def test_the_long_code_routes_print_the_span_words_with_no_indicator_read(q, n, generators, cover_n, monkeypatch):
+    # the byte and cover-poset code routes print off the span's word tuples: an index of n log2(q) bits
+    # a word, encoded and decoded again, takes time quadratic in n. Only an indicator over R^n, held to
+    # the cap, is read off to words, and a long code has none
+    for name in ("codes.indicator_words", "enumerators.indicator_words", "codes.dual_indicator"):
+        monkeypatch.setattr(f"pwenum.{name}", _refuse)
+    ring = {2: "F2", 3: "F3"}[q]
+    words = span_words(make_ring("Zm", m=q), n, generators)
+    code = json.dumps({"length": n, "generators": generators})
+    for shape, blocks in ((f"antichain:{n}", [(0, n)]), (f"leveled:1,{n - 1}", [(0, 1), (1, n)])):
+        monos = (tuple(((s, "byte", w[lo:hi]), 1) for s, (lo, hi) in enumerate(blocks, 1)) for w in words)
+        byte = reference_text(dict.fromkeys(monos, 1))
+        assert _call(["enum", "--kind", "byte", "--ring", ring, "--poset", shape, "--code", code]) == (
+            0, byte + "\n", ""
+        )
+    # 1 below 2 within the left half, 3 below the last position across the cut
+    covers = [[1, 2], [3, cover_n]]
+    words = [w[:cover_n] for w in words]
+    code = json.dumps({"length": cover_n, "generators": [g[:cover_n] for g in generators]})
+    poset = json.dumps({"kind": "cover", "n": cover_n, "covers": covers})
+    argv = ["enum", "--kind", "poset", "--ring", ring, "--poset", poset, "--code", code, "--cap", str(cover_n**2)]
+    weights = reference_text(reference_poly("poset", cover_poset_enumerator(words, covers)))
+    assert _call(argv) == (0, weights + "\n", "")
 
 
 @pytest.mark.parametrize("command", ["verify", "enum"])

@@ -114,7 +114,7 @@ def test_a_span_lists_its_words_when_first_read(monkeypatch):
     code = span(F2, 4, [(1, 0, 1, 0), (0, 1, 1, 1)])
     assert calls == [] and repr(code) == f"LinearCode(n=4, over {F2!r})"  # a repr lists nothing
     assert code.size == 4 and len(calls) == 2
-    assert code.indices == (0, 7, 10, 13) and len(calls) == 2
+    assert code.words == ((0, 0, 0, 0), (0, 1, 1, 1), (1, 0, 1, 0), (1, 1, 0, 1)) and len(calls) == 2
     assert repr(code) == f"LinearCode(n=4, size=4, over {F2!r})"
 
 

@@ -43,6 +43,7 @@ from oracles import (
     indicator_of,
     keyed,
     level_bounds,
+    member_words,
     members,
     pattern_byte_transform,
     pattern_of,
@@ -56,7 +57,7 @@ from oracles import (
     unkeyed,
 )
 from pwenum import codes
-from pwenum.codes import dual_code, dual_indicator, dual_indices, dual_weight_spectrum, span
+from pwenum.codes import dual_code, dual_indicator, dual_weight_spectrum, span
 from pwenum.enumerators import (
     byte_enumerator,
     mspotty_enumerator,
@@ -143,7 +144,7 @@ def test_dual_code_matches_scan_oracle(instance):
     ring, _, code, _ = instance
     words = scan_dual_words(code)
     places = [ring.q ** (code.n - 1 - i) for i in range(code.n)]
-    assert dual_indices(code) == [sum(x * p for x, p in zip(w, places)) for w in words]
+    assert members(dual_indicator(code)) == [sum(x * p for x, p in zip(w, places)) for w in words]
     dual = dual_code(code)
     assert list(dual.words) == words
     assert code.size * dual.size == ring.q**code.n
@@ -158,16 +159,15 @@ def test_dual_code_matches_scan_oracle(instance):
 # not free: a repeated generator, a zero one and 2 times the first, 4 generators spanning 4 words
 @example(_fixed("Z4", (2, 2), [(1, 3, 2, 1), (2, 2, 0, 2), (1, 3, 2, 1), (0, 0, 0, 0)]))
 @example(_fixed("F3", (1, 2), [(1, 2, 0), (2, 1, 0), (0, 0, 0)]))  # dependent over a field: 3 words
-def test_index_storage_matches_span_and_spectrum_oracles(instance):
+def test_word_storage_matches_span_and_spectrum_oracles(instance):
     ring, levels, code, _ = instance
     fresh = span(ring, code.n, code.generators)
-    unlisted = weight_spectrum(fresh, levels)  # counted off the generators' closure, no index listed
+    unlisted = weight_spectrum(fresh, levels)  # counted off the generators' closure, nothing listed
     words = span_words(ring, code.n, code.generators)
-    places = [ring.q ** (code.n - 1 - i) for i in range(code.n)]
-    assert code.indices == tuple(sum(x * p for x, p in zip(w, places)) for w in words)
-    assert code.words == tuple(words)
+    assert code.words == tuple(words)  # the listing: every word once, in lexicographic order
+    assert code.size == len(words)
     assert unlisted == keyed(levels.sizes, tuple_weight_spectrum(fresh, levels))
-    for held in (code, dual_code(code)):  # the listed code and the dual: their indices decoded
+    for held in (code, dual_code(code)):  # the listed code and the dual: its words decoded
         assert weight_spectrum(held, levels) == keyed(levels.sizes, tuple_weight_spectrum(held, levels))
 
 
@@ -433,7 +433,8 @@ def test_render_matches_the_reference_renderer(case):
     if kind in ("complete", "level", "mspotty"):
         holders = [keyed(levels.sizes, counts)]
     elif kind == "byte":  # both holders of a set: increasing indices, and the indicator where it is small
-        holders = [tuple(sorted(counts))] + ([indicator_of(counts, q**levels.n)] if q**levels.n <= 2**18 else [])
+        words = tuple(tuple(pattern_of(i, q, levels.n)) for i in sorted(counts))
+        holders = [words] + ([indicator_of(counts, q**levels.n)] if q**levels.n <= 2**18 else [])
     for held in holders:
         assert render(kind, held, q, levels) == reference_text(poly)
         assert render(kind, held, q, levels, json=True) == reference_json(poly)
@@ -497,7 +498,7 @@ def test_byte_transform_matches_pattern_oracle_on_big_rings(name, sizes, generat
     poly = byte_transform(code, levels)
     assert _as_patterns(poly, ring.q, code.n) == pattern_byte_transform(code, default_character(ring))
     assert poly == dual_indicator(code)
-    assert members(poly) == list(byte_enumerator(dual_code(code), levels))
+    assert member_words(poly, ring.q, code.n) == list(byte_enumerator(dual_code(code), levels))
 
 
 @pytest.mark.parametrize(
@@ -543,11 +544,12 @@ def test_byte_transform_at_the_field_width_boundaries(m, sizes, generators, size
     assert code.size == size
     dual = dual_indicator(code)
     assert byte_transform(code, levels) == dual
-    assert members(dual) == list(byte_enumerator(dual_code(code), levels))
+    assert member_words(dual, ring.q, code.n) == list(byte_enumerator(dual_code(code), levels))
     # each slot, field by field, is the true tally, its zero fields and padding 0: the whole-row read
     # compares a slot with its forms, and a count |C| one bit too wide for its field would carry into
     # field 1 alike in both
-    field, rows, period = _yates_tallies(code, default_character(ring))
+    field, rows, period, counted = _yates_tallies(code, default_character(ring))
+    assert counted == size
     e, slot = ring.exponent, -(-2 * ring.exponent * field // 8)
     tallies = [row >> 8 * slot * k & ((1 << 8 * slot) - 1) for row in rows for k in range(period)]
     assert not any(tally >> e * field for tally in tallies)
@@ -734,10 +736,10 @@ def test_the_whole_row_read_agrees_with_the_check_of_each_slot(case):
             break
     if refusal:
         with pytest.raises(IntegrityError) as error:
-            _read_tallies(field, rows, period, e, size)
+            _read_tallies(field, rows, period, size, e)
         assert refusal in str(error.value)
     else:
-        out = _read_tallies(field, rows, period, e, size)
+        out = _read_tallies(field, rows, period, size, e)
         assert out == indicator_of(expected, period * len(rows))
 
 

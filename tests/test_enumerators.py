@@ -109,7 +109,8 @@ def test_chain_poset_weight_is_last_nonzero_index():
     off_chain = poset_from_json_obj({"kind": "cover", "n": 5, "covers": [[1, 2], [2, 3], [3, 4]]})
     assert isinstance(off_chain, Poset)
     expected = Counter(max((i + 1 for i, x in enumerate(w[:4]) if x), default=0) + w[4] for w in code.words)
-    assert poset_weight_enumerator(code, off_chain) == expected
+    assert poset_weight_enumerator(code.words, off_chain) == expected
+    assert poset_weight_enumerator(iter(code.words), off_chain) == expected  # words read once suffice
 
 
 def test_eta():
@@ -137,16 +138,19 @@ def test_mu():
 
 def test_byte_enumerator_examples():
     poly = byte_enumerator(EX_CODE, EX_LEVELS)
+    assert poly == ((0, 0, 0, 0), (0, 1, 1, 1), (1, 0, 1, 0), (1, 1, 0, 1))  # the words, in lexicographic order
     assert render("byte", poly, 2, EX_LEVELS) == (
         "z_{1:00}z_{2:0}z_{3:0} + z_{1:01}z_{2:1}z_{3:1} + "
         "z_{1:10}z_{2:1}z_{3:0} + z_{1:11}z_{2:0}z_{3:1}"
     )
     dual = byte_enumerator(dual_code(EX_CODE), EX_LEVELS)
+    assert dual == ((0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 1, 1), (1, 1, 1, 0))
     assert render("byte", dual, 2, EX_LEVELS) == (
         "z_{1:00}z_{2:0}z_{3:0} + z_{1:01}z_{2:0}z_{3:1} + "
         "z_{1:10}z_{2:1}z_{3:1} + z_{1:11}z_{2:1}z_{3:0}"
     )
     zero = span(F2, 4, [])
+    assert byte_enumerator(zero, EX_LEVELS) == ((0, 0, 0, 0),)
     assert render("byte", byte_enumerator(zero, EX_LEVELS), 2, EX_LEVELS) == "z_{1:00}z_{2:0}z_{3:0}"
 
 
@@ -270,10 +274,10 @@ def test_substitution_chains():
             ]
             code = span(ring, n, gens)
             t = tuple(rng.randint(1, s) for s in sizes)
-            byte = dict.fromkeys(byte_enumerator(code, levels), 1)  # a set: every count 1
+            byte = dict.fromkeys(byte_enumerator(code, levels), 1)  # a set of words: every count 1
             complete = complete_level_enumerator(code, levels)
             tuples = unkeyed(sizes, complete)
-            assert keyed(sizes, substitute(byte, "byte->complete", q=ring.q, levels=levels)) == complete
+            assert keyed(sizes, substitute(byte, "byte->complete", levels=levels)) == complete
             assert keyed(sizes, substitute(tuples, "complete->level")) == level_enumerator(code, levels)
             assert keyed(sizes, substitute(tuples, "complete->mspotty", t)) == mspotty_enumerator(
                 code, levels, t
@@ -285,7 +289,7 @@ def test_substitution_chains():
 def test_substitute_kind_mismatch():
     complete = unkeyed(EX_LEVELS.sizes, complete_level_enumerator(EX_CODE, EX_LEVELS))
     with pytest.raises(ValueError):
-        substitute(complete, "byte->complete")
+        substitute(complete, "byte->complete", levels=EX_LEVELS)  # weight tuples are no words of length 4
     with pytest.raises(ValueError):
         substitute(complete, "complete->mspotty")  # t missing
     with pytest.raises(ValueError):
@@ -294,10 +298,10 @@ def test_substitute_kind_mismatch():
 
 def test_collapse_to_x_reduces_to_hamming():
     singles = LevelStructure((1,) * 4)
-    poly = collapse_to_x(unkeyed(singles.sizes, level_enumerator(EX_CODE, singles)))
+    poly = collapse_to_x(unkeyed(singles.sizes, level_enumerator(EX_CODE, singles)), singles.sizes)
     assert poly == count("poset", "code", EX_CODE, LevelStructure((4,)))
     with pytest.raises(ValueError):
-        collapse_to_x(dict.fromkeys(byte_enumerator(EX_CODE, EX_LEVELS), 1))
+        collapse_to_x(dict.fromkeys(byte_enumerator(EX_CODE, EX_LEVELS), 1), EX_LEVELS.sizes)
 
 
 def test_enumerators_reject_mismatched_levels():
@@ -306,4 +310,4 @@ def test_enumerators_reject_mismatched_levels():
     with pytest.raises(ValueError):
         count("poset", "code", EX_CODE, LevelStructure((1, 1, 1)))
     with pytest.raises(ValueError, match="poset size 3 does not match code length 4"):
-        poset_weight_enumerator(EX_CODE, poset_from_json_obj({"kind": "cover", "n": 3, "covers": [[2, 1]]}))
+        count("poset", "code", EX_CODE, poset_from_json_obj({"kind": "cover", "n": 3, "covers": [[2, 1]]}))

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from cyclotomic import CycInt, character_value
-from oracles import _krawtchouk, hadamard_check, keyed, members, substitute
+from oracles import _krawtchouk, hadamard_check, keyed, member_words, substitute
 from pwenum import codes, enumerators, macwilliams
 from pwenum.codes import LinearCode, dual_code, dual_indicator, span
 from pwenum.enumerators import (
@@ -74,7 +74,7 @@ def test_krawtchouk_matches_character_sum():
 
 def test_byte_transform_reproduces_dual_enumerator():
     transformed = byte_transform(EX_CODE, EX_LEVELS)
-    assert members(transformed) == list(byte_enumerator(dual_code(EX_CODE), EX_LEVELS))
+    assert member_words(transformed, 2, 4) == list(byte_enumerator(dual_code(EX_CODE), EX_LEVELS))
     assert render("byte", transformed, 2, EX_LEVELS) == (
         "z_{1:00}z_{2:0}z_{3:0} + z_{1:01}z_{2:0}z_{3:1} + "
         "z_{1:10}z_{2:1}z_{3:1} + z_{1:11}z_{2:1}z_{3:0}"
@@ -86,7 +86,7 @@ def test_byte_transform_of_zero_code_is_full_space():
     levels = LevelStructure((2, 1))
     poly = byte_transform(zero, levels)
     assert poly == b"\x80" * 8  # every pattern combination, coefficient one
-    assert members(poly) == list(byte_enumerator(dual_code(zero), levels))
+    assert member_words(poly, 2, 3) == list(byte_enumerator(dual_code(zero), levels))
 
 
 def test_every_route_on_r_to_the_n_holds_its_cap_before_any_kernel_runs(monkeypatch):
@@ -168,19 +168,20 @@ def _check_each_corrupted_pattern(monkeypatch, code, levels):
     """
     ring = code.ring
     clean = byte_transform(code, levels)
-    assert members(clean) == list(byte_enumerator(dual_code(code), levels))
+    assert member_words(clean, ring.q, code.n) == list(byte_enumerator(dual_code(code), levels))
     tallies = macwilliams._yates_tallies
-    field, rows, period = tallies(code, default_character(ring))
+    field, rows, period, size = tallies(code, default_character(ring))
+    assert size == code.size
     repeated = next(r for r in range(1, len(rows)) if rows[r] in rows[:r])
     slot_bits = 8 * -(-2 * ring.exponent * field // 8)  # 2e fields of field bits, padded to whole bytes
     for index in (ring.q**code.n - 1, repeated * period, 0):
 
         def corrupted(code, eps, index=index):
-            field, rows, period = tallies(code, eps)
+            field, rows, period, size = tallies(code, eps)
             row, k = divmod(index, period)
             at = k * slot_bits
             rows[row] += (1 << (at + field)) - (1 << at)
-            return field, rows, period
+            return field, rows, period, size
 
         monkeypatch.setattr(macwilliams, "_yates_tallies", corrupted)
         with pytest.raises(IntegrityError, match="did not collapse to an integer"):
@@ -288,8 +289,8 @@ def test_transform_self_consistency():
         levels = LevelStructure(sizes)
         gens = [tuple(rng.randrange(ring.q) for _ in range(levels.n)) for _ in range(2)]
         code = span(ring, levels.n, gens)
-        via_byte = dict.fromkeys(members(byte_transform(code, levels)), 1)  # a set: every coefficient 1
-        via_byte = substitute(via_byte, "byte->complete", q=ring.q, levels=levels)
+        via_byte = dict.fromkeys(member_words(byte_transform(code, levels), ring.q, levels.n), 1)  # a set of words
+        via_byte = substitute(via_byte, "byte->complete", levels=levels)
         via_byte = keyed(sizes, via_byte)
         direct = complete_transform(
             weight_spectrum(code, levels), levels, ring.q, code.size
@@ -318,7 +319,7 @@ def test_transforms_over_non_binary_rings():
     rng = random.Random(71)
     z4_code = span(Z4, 3, [tuple(rng.randrange(4) for _ in range(3)) for _ in range(2)])
     z4_levels = LevelStructure((2, 1))
-    assert members(byte_transform(z4_code, z4_levels)) == list(byte_enumerator(
+    assert member_words(byte_transform(z4_code, z4_levels), 4, 3) == list(byte_enumerator(
         dual_code(z4_code), z4_levels
     ))
     f4_code = span(F4, 4, [tuple(rng.randrange(4) for _ in range(4)) for _ in range(2)])

@@ -6,7 +6,6 @@ import pytest
 
 from oracles import cover_ideal, cover_level_sizes, hierarchical_poset, level_bounds
 from pwenum.codes import span
-from pwenum.enumerators import poset_weight_enumerator
 from pwenum.errors import CapExceededError
 from pwenum.macwilliams import count
 from pwenum.posets import LevelStructure, Poset, poset_from_json_obj
@@ -79,7 +78,7 @@ def test_weight_length_mismatch():
     p = _cover(3, [(1, 2)])
     assert isinstance(p, Poset)
     with pytest.raises(ValueError, match="poset size 3 does not match code length 2"):
-        poset_weight_enumerator(span(F2, 2, [(1, 0)]), p)
+        count("poset", "code", span(F2, 2, [(1, 0)]), p)
 
 
 def _random_covers(rng, n):
