@@ -7,17 +7,18 @@ R^n, held to the cap, indexes words), and also counts its weight spectrum
 without listing it: a half's words off the same columns where they number
 at most a syndrome trellis's step bound, else by that trellis; all are exact
 and capped so a typo cannot demand 4^30 codewords.  A span's words are
-listed, and an indicator's read off, only when read; a weight spectrum
-always counts the generators' closure.
+built as byte columns by the same kernel (LinearCode.span_columns) and
+listed, as an indicator's are read off, only when read.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter
-from itertools import compress, product
+from functools import reduce
+from itertools import compress, product, repeat
 from math import prod
-from operator import getitem
+from operator import getitem, or_
 
 from .errors import CapExceededError
 from .posets import LevelStructure
@@ -44,11 +45,10 @@ class LinearCode:
     """A submodule of R^n: its generator list and its words, as tuples in lexicographic order.
 
     Either is computed from the other on first read: span gives the
-    generators, and _closure lists their words, sorted and kept; dual_code
-    gives the dual's indicator, read off to words on every read, of which a
-    small generating subset is picked greedily and kept.  span_words closes
-    the generators on every read, listed or not, and keeps no word: a span's
-    spectrum sorts nothing (a dual's reads its words once, to pick generators).
+    generators, whose words are listed off span_columns, sorted and kept;
+    dual_code gives the dual's indicator, read off to words on every read,
+    of which a small generating subset is picked greedily and kept.  A
+    span's spectrum reads span_columns, which keeps no word: it sorts nothing.
     """
 
     __slots__ = ("ring", "n", "_generators", "_words")
@@ -59,19 +59,22 @@ class LinearCode:
         self._generators = None if generators is None else tuple(tuple(g) for g in generators)
         self._words = indicator  # then the sorted words once a span lists them
 
-    def span_words(self):
-        """The words as tuples, unordered and not kept: the generators' closure, listed or not."""
-        words = {(0,) * self.n}
-        for g in self.generators:
-            words = _closure(self.ring, words, g)
-        return words
+    def span_columns(self) -> tuple[list[bytes], int]:
+        """The words aG of the q^k coefficient vectors a as n byte columns, byte a of column i coordinate i
+        of aG (_half_syndromes on the transposed G), and z = q^k/|C|, the lanes zero in every column.  Past
+        n generators, each steps the distinct rows so far: at most q^(n+1) lanes, and z = lanes/|C|."""
+        columns = _half_syndromes(self.ring, self.generators[: self.n], self.n)
+        for g in self.generators[self.n :]:
+            rows = b"".join(_rows(columns))
+            columns = _half_syndromes(self.ring, [g], self.n, [rows[i :: self.n] for i in range(self.n)])
+        ored = reduce(or_, map(int.from_bytes, columns, repeat("little")), 0)
+        return columns, ored.to_bytes(len(columns[0]) if columns else 1, "little").count(0)
 
     @property
     def words(self) -> tuple:
-        """The words as tuples of element indices, in lexicographic order: a span's sorted closure, or a
-        dual's indicator read off by indicator_words."""
+        """The words as index tuples in lexicographic order: a span's distinct column rows or an indicator's members."""
         if self._words is None:
-            self._words = tuple(sorted(self.span_words()))
+            self._words = tuple(map(tuple, sorted(_rows(self.span_columns()[0]))))
         held = self._words
         return tuple(indicator_words(self.ring.q, self.n, held)) if isinstance(held, bytes) else held
 
@@ -139,22 +142,19 @@ def span(ring: RingSpec, n: int, generators, cap: int | None = None) -> LinearCo
     return LinearCode(ring, n, gens)
 
 
-def _closure(ring, words, g) -> set:
-    """Every word w + r g, for w in words and r in R; w + r g maps w through r g's rows of the addition table."""
-    add, mul = ring.add_table, ring.mul_table
-    steps = [list(map(add.__getitem__, rg)) for rg in {tuple(mul[r][x] for x in g) for r in range(ring.q)}]
-    return {tuple(map(getitem, rows, w)) for w in words for rows in steps}
+def _rows(columns: list) -> set:
+    """The distinct rows of byte columns of q^k bytes: row a, b"".join(columns)[a::q^k], is the word aG."""
+    joined, lanes = b"".join(columns), len(columns[0]) if columns else 1
+    return {joined[a::lanes] for a in range(lanes)}
 
 
 def _greedy_generators(ring, words):
-    """A small generating subset of an already-linear codeword set."""
-    n = len(words[0]) if words else 0
-    spanned = {(0,) * n}
-    gens = []
+    """A small generating subset of an already-linear codeword set: each word not yet spanned, in order."""
+    gens, spanned = [], {bytes(len(words[0]))} if words else set()
     for w in words:
-        if w not in spanned:
+        if bytes(w) not in spanned:
             gens.append(w)
-            spanned = _closure(ring, spanned, w)
+            spanned = _rows(_half_syndromes(ring, gens, len(w)))
     return gens
 
 
@@ -166,16 +166,15 @@ def check_ambient_cap(ring: RingSpec, n: int, cap: int | None = None) -> None:
         raise CapExceededError(f"q^n = {ring.q}^{n} exceeds cap {cap}")
 
 
-def _half_syndromes(ring, columns, k) -> list[bytes]:
+def _half_syndromes(ring, columns, k, out=None) -> list[bytes]:
     """The syndromes against k generators of every word over the given coordinates, one byte column a generator.
 
-    columns[i] holds the k generator entries at the i-th coordinate.  Byte w
-    of column j is entry j of the syndrome of the word of index w.  Taken
-    last first, a coordinate's symbol x prefixes the column read through the
-    addition row of g x, the column itself where g = 0; no word is built.
-    """
+    columns[i] holds the k generator entries at the i-th coordinate.  Byte w of column j is entry j of the
+    syndrome of the word of index w.  Taken last first, a coordinate's symbol x prefixes the column read through
+    the addition row of g x, the column itself where g = 0; no word is built.  Given out, k columns of some
+    lanes, those lanes are stepped in place of the zero word's one."""
     through = [row + bytes(256 - ring.q) for row in ring.add_table]  # translate tables
-    out = [b"\0"] * k
+    out = out or [b"\0"] * k
     for col in reversed(columns):
         out = [b"".join([s.translate(through[gx]) for gx in ring.mul_table[g]]) if g else s * ring.q
                for g, s in zip(col, out)]

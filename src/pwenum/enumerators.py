@@ -21,6 +21,7 @@ macwilliams.render.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from functools import cache, reduce
 from itertools import accumulate, compress, count, repeat, starmap
@@ -69,15 +70,29 @@ def _block_var(level: int, pattern: tuple) -> tuple:
 
 
 def weight_spectrum(code: LinearCode, levels: LevelStructure) -> dict[int, int]:
-    """Count codewords by weight key, the sum of R_j over a word's nonzero entries: no index listed.
+    """Count codewords by weight key, the sum of R_j over a word's nonzero entries, off LinearCode.span_columns.
 
-    Only the zero word has key 0, so a count there other than 1 raises IntegrityError."""
+    The columns, translated to 0/1 bytes, are summed as ints, at most 255 to a sum of 1-byte lanes, widened to
+    lanes of 1, 2, 4, 8 or more bytes, the fewest that hold prod(n_j + 1) - 1, the top key (and so n_j), and
+    times R_j added up: a key a lane (Lamport 1975), which a Counter reads.  Each word fills z = q^k/|C| lanes,
+    so every count is divided by z exactly; a remainder, or z other than key 0's count, is an IntegrityError."""
     check_levels(code, levels)
-    places = [r for r, size in zip(levels.places, levels.sizes) for _ in range(size)]
-    spectrum = Counter(map(sum, map(compress, repeat(places), code.span_words())))
-    if spectrum[0] != 1:
-        raise IntegrityError(f"{spectrum[0]} words have weight key 0; only the zero word has it")
-    return spectrum
+    columns, z = code.span_columns()
+    places, lanes, total = levels.places, len(columns[0]), 0
+    width = 1 << ((places[0] * (levels.sizes[0] + 1) - 1).bit_length() - 1 >> 3).bit_length()  # bytes a lane
+    ones = list(map(int.from_bytes, map(bytes.translate, columns, repeat(b"\0" + b"\1" * 255)), repeat("little")))
+    for r, size, end in zip(places, levels.sizes, accumulate(levels.sizes)):
+        for chunk in range(end - size, end, 255):
+            wide = bytearray(width * lanes)
+            wide[::width] = sum(ones[chunk : min(chunk + 255, end)]).to_bytes(lanes, "little")
+            total += r * int.from_bytes(wide, "little")
+    data = total.to_bytes(width * lanes, sys.byteorder)  # each lane in native order, as a cast reads it
+    counts = Counter(memoryview(data).cast("BHIQ"[width.bit_length() - 1]) if width <= 8 else
+                     (int.from_bytes(data[i : i + width], sys.byteorder) for i in range(0, len(data), width)))
+    if counts[0] != z or any(c % z for c in counts.values()):
+        raise IntegrityError(f"weight key 0 is counted {counts[0]} times, z = q^k/|C| = {z}: each count must be"
+                             " z times a word count, 1 at key 0")
+    return counts if z == 1 else {key: c // z for key, c in counts.items()}
 
 
 def _weights(levels: LevelStructure, keys) -> list:

@@ -283,8 +283,8 @@ def _yates_tallies(code: LinearCode, eps: bytes) -> tuple[int, list, int, int]:
     value in its 2e fields, so no bit reaches the padding.  Row r packs the
     tallies of the P patterns with lexicographic index r * P + k, at slot
     k, so the rows read in order are the patterns in lexicographic order.
-    The input, the indicator of C, is read off the span's words: Horner's rule
-    on a word's first floor(n/2) coordinates gives its slot r, on the rest its row k.
+    The input, the indicator of C, is read off LinearCode.span_columns: Horner's rule on a lane's
+    columns gives its word's index r P + k, and the z lanes of a word mark one slot: |C| is lanes/z.
 
     The steps follow Bailey's four-step order.  The last ceil(n/2)
     coordinates index a list of rows, each packing the patterns of the first
@@ -296,8 +296,8 @@ def _yates_tallies(code: LinearCode, eps: bytes) -> tuple[int, list, int, int]:
     """
     ring = code.ring
     q, e, n = ring.q, ring.exponent, code.n
-    words = code.span_words()
-    size, columns = len(words), list(zip(*words))
+    columns, z = code.span_columns()
+    size = len(columns[0]) // z
     field = size.bit_length()  # a count field holds up to |C|
     half = field * e
     slot = -(-2 * half // 8)  # bytes
@@ -313,15 +313,11 @@ def _yates_tallies(code: LinearCode, eps: bytes) -> tuple[int, list, int, int]:
         low = int.from_bytes(((1 << half) - 1).to_bytes(slot, "little") * slots, "little")  # their low e fields
         return [(q, partial(_ring_step, low=low, half=half, split=split))] * digits
 
-    # each word's index over these coordinates, by Horner's rule on whole columns
-    horner = lambda part: reduce(lambda index, col: list(map(add, map(mul, index, repeat(q)), col)), part, [0] * size)
-    marks: dict[int, bytearray] = {}  # the indicator of C, by row
-    for r, k in zip(horner(columns[: n // 2]), horner(columns[n // 2 :])):
-        if k not in marks:
-            marks[k] = bytearray(row_bytes)
-        marks[k][r * slot] = 1
-    del words, columns  # read once: the passes hold rows alone
-    rows = [int.from_bytes(marks.pop(k), "little") if k in marks else 0 for k in range(nrows)]
+    rows = bytearray(nrows * row_bytes)  # the indicator of C: row k, slot r holds the word of index r P + k
+    for i in reduce(lambda index, col: list(map(add, map(mul, index, repeat(q)), col)), columns, [0] * len(columns[0])):
+        rows[i % nrows * row_bytes + i // nrows * slot] = 1
+    del columns  # read once: the passes hold rows alone
+    rows = [int.from_bytes(rows[k * row_bytes : (k + 1) * row_bytes], "little") for k in range(nrows)]
     rows = _step_rows(rows, steps(width, n - n // 2))
     rows = _transpose(rows, row_bytes, slot)
     rows = _step_rows(rows, steps(nrows, n // 2))

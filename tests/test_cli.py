@@ -598,10 +598,10 @@ def test_over_cap_inputs_are_refused_before_spanning(n, argv, message, monkeypat
     ["dual", "--ring", "Z4", "--code", "hamming74"],
 ])
 def test_no_dual_route_lists_a_word_of_the_code(argv, monkeypatch):
-    # the dual routes read the generators alone, so a code whose listing raises prints the same
+    # the dual routes read the generators alone, so a code whose words cannot be built prints the same
     printed = _call(argv)
     assert printed[0] == 0 and printed[1]
-    monkeypatch.setattr("pwenum.codes._closure", _refuse)
+    monkeypatch.setattr(LinearCode, "span_columns", _refuse)
     assert _call(argv) == printed
 
 
@@ -617,7 +617,7 @@ def test_no_dual_route_lists_a_word_of_the_code(argv, monkeypatch):
     ["enum", "--kind", "poset", "--ring", "F3", "--code", "hamming74", "--poset", "leveled:3,4"],
 ])
 def test_no_weight_route_encodes_a_word(argv, monkeypatch):
-    # the code's spectrum is counted off the span's words, unkept, so a code whose listing raises prints the same
+    # the code's spectrum is counted off the span's byte columns, unkept, so a code whose listing raises prints the same
     printed = _call(argv)
     assert printed[0] == 0 and printed[1]
     monkeypatch.setattr(LinearCode, "words", property(_refuse))
@@ -629,10 +629,11 @@ def test_no_weight_route_encodes_a_word(argv, monkeypatch):
     # a cover poset's masks take about n^2/16 bytes, 625 MB at n = 100,000: its route runs at 20,000
     (2, 100_000, [], 20_000),
 ], ids=["F3-two-generators", "F2-zero-code"])
-def test_the_long_code_routes_print_the_span_words_with_no_indicator_read(q, n, generators, cover_n, monkeypatch):
-    # the byte and cover-poset code routes print off the span's word tuples: an index of n log2(q) bits
-    # a word, encoded and decoded again, takes time quadratic in n. Only an indicator over R^n, held to
-    # the cap, is read off to words, and a long code has none
+def test_the_long_code_routes_print_the_span_column_rows_with_no_indicator_read(q, n, generators, cover_n, monkeypatch):
+    # the byte and cover-poset code routes print the span's words as the rows of its byte columns
+    # (LinearCode.span_columns), cut by strided slices: an index of n log2(q) bits a word, encoded and
+    # decoded again, takes time quadratic in n. Only an indicator over R^n, held to the cap, is read off
+    # to words, and a long code has none
     for name in ("codes.indicator_words", "enumerators.indicator_words", "codes.dual_indicator"):
         monkeypatch.setattr(f"pwenum.{name}", _refuse)
     ring = {2: "F2", 3: "F3"}[q]
@@ -655,14 +656,21 @@ def test_the_long_code_routes_print_the_span_words_with_no_indicator_read(q, n, 
 
 
 @pytest.mark.parametrize("command", ["verify", "enum"])
-def test_a_spectrum_that_counts_each_word_twice_is_an_integrity_failure(command, monkeypatch):
-    # the transform route divides by the spectrum's own total, so verify printed EQUAL on this
-    # over-count and enum printed every coefficient doubled; only the zero word has weight key 0
-    span_words = LinearCode.span_words
-    monkeypatch.setattr(LinearCode, "span_words", lambda code: [*span_words(code), *span_words(code)])
+def test_a_spectrum_that_counts_the_zero_lane_twice_is_an_integrity_failure(command, monkeypatch):
+    # the transform route divides by the spectrum's own total, so a miscount would print EQUAL on verify
+    # and wrong coefficients on enum; a uniform one, every lane twice, is divided out by z = q^k/|C|. Here
+    # the zero lane counts twice and every other lane once: 5 lanes of key 0 where z = 4 (g2 = 2 g1)
+    span_columns = LinearCode.span_columns
+
+    def zero_lane_twice(code):
+        columns, z = span_columns(code)
+        return [column[:1] + column for column in columns], z
+
+    monkeypatch.setattr(LinearCode, "span_columns", zero_lane_twice)
     code = '{"length":4,"generators":[[1,3,2,1],[2,2,0,2]]}'
     argv = [command, "--kind", "complete", "--ring", "Z4", "--poset", "leveled:2,2", "--code", code]
-    message = "integrity failure: 2 words have weight key 0; only the zero word has it\n"
+    message = ("integrity failure: weight key 0 is counted 5 times, z = q^k/|C| = 4: each count must be"
+               " z times a word count, 1 at key 0\n")
     assert _call(argv) == (1, "", message)
 
 

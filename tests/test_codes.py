@@ -104,18 +104,34 @@ def test_dual_generators_are_picked_when_first_read(monkeypatch):
 
 def test_a_span_lists_its_words_when_first_read(monkeypatch):
     calls = []
-    closure = codes._closure
+    span_columns = codes.LinearCode.span_columns
 
-    def counted(ring, words, g):
-        calls.append(g)
-        return closure(ring, words, g)
+    def counted(code):
+        calls.append(code.n)
+        return span_columns(code)
 
-    monkeypatch.setattr(codes, "_closure", counted)
+    monkeypatch.setattr(codes.LinearCode, "span_columns", counted)
     code = span(F2, 4, [(1, 0, 1, 0), (0, 1, 1, 1)])
     assert calls == [] and repr(code) == f"LinearCode(n=4, over {F2!r})"  # a repr lists nothing
-    assert code.size == 4 and len(calls) == 2
-    assert code.words == ((0, 0, 0, 0), (0, 1, 1, 1), (1, 0, 1, 0), (1, 1, 0, 1)) and len(calls) == 2
+    assert code.size == 4 and calls == [4]
+    assert code.words == ((0, 0, 0, 0), (0, 1, 1, 1), (1, 0, 1, 0), (1, 1, 0, 1)) and calls == [4]
     assert repr(code) == f"LinearCode(n=4, size=4, over {F2!r})"
+
+
+@pytest.mark.parametrize("ring", [F2, make_ring("Zm", m=3), Z4], ids=["F2", "F3", "Z4"])
+def test_a_span_of_more_generators_than_coordinates_steps_its_distinct_rows(ring):
+    # 40 generators of length 3 would take q^40 lanes; past n generators each one steps the distinct
+    # rows so far, so the columns hold at most q^(n+1) lanes
+    rng = random.Random(7)
+    gens = [tuple(rng.randrange(ring.q) for _ in range(3)) for _ in range(40)]
+    words = {(0, 0, 0)}
+    for g in gens:  # the closure, one generator at a time
+        steps = [[ring.mul_table[r][x] for x in g] for r in range(ring.q)]
+        words |= {tuple(ring.add_table[w][x] for w, x in zip(word, rg)) for word in words for rg in steps}
+    code = span(ring, 3, gens)
+    columns, z = code.span_columns()
+    assert len(columns[0]) // z == len(words) and len(columns[0]) <= ring.q**4
+    assert code.words == tuple(sorted(words)) and code.generators == tuple(gens)
 
 
 def test_span_rejects_malformed_lengths_and_entries():

@@ -2,7 +2,9 @@
 
 Instances range over ten rings (the six catalog rings plus GF(8), GF(9), Z8
 and Z9), level sizes, generators and spotty thresholds t, with q^n kept
-small enough for the full-scan oracle.  Fixed cases over rings of 16-64
+small enough for the full-scan oracle.  The byte columns a span's words are
+built as are checked on generators that are not free, on the zero code and
+on levels past 255 coordinates.  Fixed cases over rings of 16-64
 elements take the byte transform to character orders e = 16-64 and to
 several packed rows; cases over Z6, Z10 and Z12 take it to orders with two
 prime factors.  Its integer check of each tally is checked against the
@@ -162,7 +164,7 @@ def test_dual_code_matches_scan_oracle(instance):
 def test_word_storage_matches_span_and_spectrum_oracles(instance):
     ring, levels, code, _ = instance
     fresh = span(ring, code.n, code.generators)
-    unlisted = weight_spectrum(fresh, levels)  # counted off the generators' closure, nothing listed
+    unlisted = weight_spectrum(fresh, levels)  # counted off the span's byte columns, nothing listed
     words = span_words(ring, code.n, code.generators)
     assert code.words == tuple(words)  # the listing: every word once, in lexicographic order
     assert code.size == len(words)
@@ -398,6 +400,57 @@ def test_byte_transform_matches_pattern_oracle(instance):
     primal = min(code, dual_code(code), key=lambda c: c.size)
     poly = byte_transform(primal, levels)
     assert _as_patterns(poly, ring.q, code.n) == pattern_byte_transform(primal, default_character(ring))
+
+
+@st.composite
+def dependent_codes(draw, ring):
+    """(sizes, generators) whose rows are not free, in random order: one or two random rows and one to
+    three of a repeat, a zero row and r g for a ring element r and a row g, with q^n <= 2^8; the zero
+    code; or, in a level of 256-300 coordinates, a row of nonzero entries and one such dependent row."""
+    shape = draw(st.sampled_from(["small", "zero", "long"]))
+    if shape == "long":
+        n = draw(st.integers(256, 300))
+        sizes = draw(st.sampled_from([(n,), (n - 3, 3), (2, n - 2)]))
+        base = [tuple(draw(st.lists(st.integers(1, ring.q - 1), min_size=n, max_size=n)))]
+        picks = 1
+    else:
+        budget = max(m for m in range(1, 9) if ring.q**m <= 2**8)
+        sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda s: sum(s) <= budget)))
+        base = draw(st.lists(st.tuples(*[st.integers(0, ring.q - 1)] * sum(sizes)), min_size=1, max_size=2))
+        picks = 0 if shape == "zero" else draw(st.integers(1, 3))
+    rows = list(base) if picks else []
+    for _ in range(picks):
+        g = draw(st.sampled_from(base))
+        r = draw(st.integers(0, ring.q - 1))
+        rows.append(draw(st.sampled_from([g, (0,) * len(g), tuple(ring.mul_table[r][x] for x in g)])))
+    return sizes, draw(st.permutations(rows))
+
+
+# A span's words are built as byte columns of q^k lanes (LinearCode.span_columns), each word in
+# z = q^k/|C| of them: dependent rows make z > 1, which weight_spectrum divides out and byte_transform
+# marks once, and a level past 255 coordinates takes weight_spectrum's 1-byte column sums past a byte.
+@pytest.mark.parametrize("name", sorted(RINGS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+@example(data=("Z4", (2, 2), [(1, 3, 2, 1), (2, 2, 0, 2)]))  # g and 2g: z = 4
+@example(data=("Z4", (300,), [(1, 3) * 150, (2, 2) * 150]))  # g and 2g on a level of 300: a weight of 300
+@example(data=("F2", (300,), [(1,) * 300, (1,) * 300]))  # a repeated row: z = 2
+@example(data=("F3", (1, 2), [(1, 0, 2), (0, 0, 0), (1, 0, 2)]))  # a zero row and a repeat
+@example(data=("Z9", (2,), []))  # the zero code: one column lane, z = 1
+@example(data=("F2", (1,) * 70, [(1, 0) * 35, (1, 1) * 35, (0, 1) * 35]))  # keys past 2^64: 16-byte lanes
+def test_span_columns_match_the_oracles_on_dependent_generators(name, data):
+    if isinstance(data, tuple):
+        name, sizes, gens = data
+    else:
+        sizes, gens = data.draw(dependent_codes(RINGS[name]))
+    ring, levels = RINGS[name], LevelStructure(sizes)
+    code = span(ring, levels.n, gens)
+    words = span_words(ring, levels.n, gens)
+    assert weight_spectrum(code, levels) == keyed(sizes, _level_weights(words, levels))  # nothing listed yet
+    assert code.words == tuple(words)
+    if ring.q**levels.n <= 2**8:
+        patterns = pattern_byte_transform(code, default_character(ring))
+        assert _as_patterns(byte_transform(code, levels), ring.q, levels.n) == patterns
 
 
 @st.composite

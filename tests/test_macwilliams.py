@@ -133,7 +133,7 @@ def test_level_routes_and_identities_refuse_a_wrong_shape_before_any_kernel(monk
     monkeypatch.setattr(macwilliams, "_yates_tallies", unreachable)
     monkeypatch.setattr(codes, "_half_syndromes", unreachable)
     monkeypatch.setattr(codes, "_half_weight_counts", unreachable)  # the weight dual route's trellis
-    monkeypatch.setattr(codes, "_closure", unreachable)
+    monkeypatch.setattr(LinearCode, "span_columns", unreachable)  # the code side's words
     t = (1, 1, 1)  # one threshold per level of ex51's levels (2, 1, 1)
     with pytest.raises(ValueError, match=message):
         if isinstance(call, tuple):
