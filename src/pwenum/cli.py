@@ -15,7 +15,7 @@ import re
 import sys
 from functools import cache, partial
 
-from .codes import LinearCode, check_ambient_cap, dual_code, enumeration_cap, level_split, span
+from .codes import LinearCode, check_ambient_cap, dual_code, dual_words, enumeration_cap, span
 from .enumerators import check_t
 from .errors import CapExceededError, IntegrityError
 from .macwilliams import KINDS, TRANSFORM_KINDS, count, render, verify_identity
@@ -132,7 +132,7 @@ def parse_t_spec(text: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 FIXTURES = {
-    "split": "10,1,100",
+    "split": "z_{1:10}z_{2:1}z_{3:100}",
     "chain_primal": "1 + x^3",
     "chain_dual_1": "1 + x + 2x^2",
     "chain_dual_2": "1 + x^2 + 2x^3",
@@ -171,8 +171,7 @@ def run_paper_examples():
     Returns (all_ok, lines); one line per check.
     """
     f2 = parse_ring_spec("F2")
-    split = level_split((1, 0, 1, 1, 0, 0), LevelStructure((2, 1, 3)))
-    got = ",".join("".join(str(x) for x in part) for part in split)
+    got = render("byte", ((1, 0, 1, 1, 0, 0),), f2.q, LevelStructure((2, 1, 3)))  # cut into level blocks
     checks = [("three-level split of 101100", got == FIXTURES["split"], got)]
 
     codes = {name: parse_code_spec(name, f2) for name in ("c1", "c2", "ex51")}
@@ -208,7 +207,7 @@ def run_fuzz(iters: int, seed: int, bound: int = FUZZ_BOUND_DEFAULT) -> dict:
     Per instance: a catalog ring with q <= bound, levels with at most 3
     levels of size at most 3 subject to q^N <= bound, at most 3 random
     generators, random t.  Also checks |C| * |dual| = q^N and that
-    dualizing twice returns the code.  An exception inside one instance is
+    the dual's dual has the code's words.  An exception inside one instance is
     recorded as that instance's error and the run goes on.
     """
     rng = random.Random(seed)
@@ -240,10 +239,8 @@ def run_fuzz(iters: int, seed: int, bound: int = FUZZ_BOUND_DEFAULT) -> dict:
         }
         try:
             code = span(ring, n, gens, cap=bound)
-            dual = dual_code(code, cap=bound)
-            record["duality"] = (
-                code.size * dual.size == q**n and dual_code(dual, cap=bound) == code
-            )
+            dual, words = dual_code(code, cap=bound), code.words
+            record["duality"] = len(words) * dual.size == q**n and words == tuple(dual_words(dual, bound))
             for kind in TRANSFORM_KINDS:
                 record[kind] = verify_identity(kind, code, levels, t=t, cap=bound).equal
             record["ok"] = record["duality"] and all(record[k] for k in TRANSFORM_KINDS)
@@ -320,18 +317,15 @@ def cmd_enum(args) -> int:
 
 def cmd_dual(args) -> int:
     cap, code = _read_code(args)
-    dual, ring = dual_code(code, cap), code.ring
-    joiner = "" if all(len(name) == 1 for name in ring.names) else ","
-    _emit(
-        args,
-        lambda: "\n".join(joiner.join(ring.names[x] for x in w) for w in dual.words),
-        lambda: {
-            "length": dual.n,
-            "size": dual.size,
-            "generators": [list(g) for g in dual.generators],
-            "codewords": [list(w) for w in dual.words],
-        },
-    )
+    names = code.ring.names
+    joiner = "" if all(len(name) == 1 for name in names) else ","
+
+    def json_obj():
+        words = [list(w) for w in dual_words(code, cap)]
+        generators = [list(g) for g in dual_code(code, cap).generators]
+        return {"length": code.n, "size": len(words), "generators": generators, "codewords": words}
+
+    _emit(args, lambda: "\n".join(joiner.join(names[x] for x in w) for w in dual_words(code, cap)), json_obj)
     return 0
 
 

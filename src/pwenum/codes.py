@@ -1,14 +1,15 @@
-"""Linear codes over a RingSpec, held as generators and their words in lexicographic order.
+"""Linear codes over a RingSpec, each held as its generators alone.
 
 Codes are built by spanning generators or, for the dual, by a split-syndrome
 search over the ambient space, which joins the dual's q^n-byte indicator
 from byte columns of syndromes (byte u_1 q^(n-1) + ... + u_n for word u: only
-R^n, held to the cap, indexes words), and also counts its weight spectrum
-without listing it: a half's words off the same columns where they number
-at most a syndrome trellis's step bound, else by that trellis; all are exact
-and capped so a typo cannot demand 4^30 codewords.  A span's words are
-built as byte columns by the same kernel (LinearCode.span_columns) and
-listed, as an indicator's are read off, only when read.
+R^n, held to the cap, indexes words), reads its words off that indicator in
+lexicographic order, of which a generating subset is picked, and also counts
+its weight spectrum without listing it: a half's words off the same columns
+where they number at most a syndrome trellis's step bound, else by that
+trellis; all are exact and capped so a typo cannot demand 4^30 codewords.
+A code's words and size are read off byte columns built by the same kernel
+(LinearCode.span_columns) each time they are asked for.
 """
 
 from __future__ import annotations
@@ -42,22 +43,19 @@ def enumeration_cap() -> int:
 
 
 class LinearCode:
-    """A submodule of R^n: its generator list and its words, as tuples in lexicographic order.
+    """A submodule of R^n held as its generators; every derived value is read off span_columns when asked.
 
-    Either is computed from the other on first read: span gives the
-    generators, whose words are listed off span_columns, sorted and kept;
-    dual_code gives the dual's indicator, read off to words on every read,
-    of which a small generating subset is picked greedily and kept.  A
-    span's spectrum reads span_columns, which keeps no word: it sorts nothing.
+    Its words, index tuples in lexicographic order, are the sorted distinct
+    rows of the columns, and |C| is their lanes over z; neither is kept, so
+    no field is set after construction.
     """
 
-    __slots__ = ("ring", "n", "_generators", "_words")
+    __slots__ = ("ring", "n", "generators")
 
-    def __init__(self, ring: RingSpec, n: int, generators, indicator: bytes | None = None):
+    def __init__(self, ring: RingSpec, n: int, generators):
         self.ring = ring
         self.n = n
-        self._generators = None if generators is None else tuple(tuple(g) for g in generators)
-        self._words = indicator  # then the sorted words once a span lists them
+        self.generators = tuple(tuple(g) for g in generators)
 
     def span_columns(self) -> tuple[list[bytes], int]:
         """The words aG of the q^k coefficient vectors a as n byte columns, byte a of column i coordinate i
@@ -72,31 +70,22 @@ class LinearCode:
 
     @property
     def words(self) -> tuple:
-        """The words as index tuples in lexicographic order: a span's distinct column rows or an indicator's members."""
-        if self._words is None:
-            self._words = tuple(map(tuple, sorted(_rows(self.span_columns()[0]))))
-        held = self._words
-        return tuple(indicator_words(self.ring.q, self.n, held)) if isinstance(held, bytes) else held
-
-    @property
-    def generators(self) -> tuple:
-        if self._generators is None:
-            self._generators = tuple(_greedy_generators(self.ring, self.words))
-        return self._generators
+        """The words as index tuples in lexicographic order: the distinct rows of span_columns, sorted."""
+        return tuple(map(tuple, sorted(_rows(self.span_columns()[0]))))
 
     @property
     def size(self) -> int:
-        held = self._words
-        return held.count(0x80) if isinstance(held, bytes) else len(self.words)
+        """|C|, the lanes of span_columns over z: no word is listed or sorted (length 0: the empty word)."""
+        columns, z = self.span_columns()
+        return len(columns[0]) // z if columns else 1
 
     def __eq__(self, other):
         if not isinstance(other, LinearCode):
             return NotImplemented
         return self.ring == other.ring and self.n == other.n and self.words == other.words
 
-    def __repr__(self):  # the size only once listed or joined: a repr must not list 2^20 words
-        size = "" if self._words is None else f", size={self.size}"
-        return f"LinearCode(n={self.n}{size}, over {self.ring!r})"
+    def __repr__(self):  # no size: a repr must not span 2^20 words
+        return f"LinearCode(n={self.n}, over {self.ring!r})"
 
 
 def indicator_words(q: int, n: int, indicator: bytes):
@@ -148,13 +137,14 @@ def _rows(columns: list) -> set:
     return {joined[a::lanes] for a in range(lanes)}
 
 
-def _greedy_generators(ring, words):
-    """A small generating subset of an already-linear codeword set: each word not yet spanned, in order."""
-    gens, spanned = [], {bytes(len(words[0]))} if words else set()
+def _greedy_generators(ring, n, words) -> list[tuple]:
+    """A small generating subset of a linear code's words of length n, read once in order: each word not
+    spanned by those picked before it, whose span is then stepped anew as the rows of its byte columns."""
+    gens, spanned = [], {bytes(n)}
     for w in words:
         if bytes(w) not in spanned:
             gens.append(w)
-            spanned = _rows(_half_syndromes(ring, gens, len(w)))
+            spanned = _rows(_half_syndromes(ring, gens, n))
     return gens
 
 
@@ -220,8 +210,8 @@ def dual_words(code: LinearCode, cap: int | None = None):
 
 
 def dual_code(code: LinearCode, cap: int | None = None) -> LinearCode:
-    """The code held as dual_indicator; its words are read off it, and its generators picked when first read."""
-    return LinearCode(code.ring, code.n, None, dual_indicator(code, cap))
+    """The dual as a code of its own generators, picked greedily off dual_words in lexicographic order."""
+    return LinearCode(code.ring, code.n, _greedy_generators(code.ring, code.n, dual_words(code, cap)))
 
 
 def _half_weight_counts(ring, columns, places, k) -> dict[tuple, dict[int, int]]:
@@ -311,16 +301,3 @@ def check_levels(code: LinearCode | None, levels: LevelStructure) -> None:
             f"level structure size {levels.n} does not match code length {code.n}"
         )
 
-
-def level_split(v, levels: LevelStructure):
-    """Cut a word into its per-level blocks."""
-    v = tuple(v)
-    if len(v) != levels.n:
-        raise ValueError(
-            f"word length {len(v)} does not match level structure size {levels.n}"
-        )
-    out, start = [], 0
-    for s in levels.sizes:
-        out.append(v[start : start + s])
-        start += s
-    return tuple(out)

@@ -442,31 +442,29 @@ def _krawtchouk_columns(n_j: int, q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(columns[1:])
 
 
-def krawtchouk_contraction(
-    spectrum: dict, levels: LevelStructure, q: int, code_size: int
-) -> dict[int, int]:
+def krawtchouk_contraction(spectrum: dict, levels: LevelStructure, q: int) -> dict[int, int]:
     """Per-level weight spectrum of the dual, from the code's, both keyed by weight key.
 
     The dual's count at weights p is (1/|C|) sum over spectrum entries A_l of
-        A_l prod_j K_(p_j)(l_j), with level j's Krawtchouk values (_krawtchouk_columns).
-    The product factors by level, so the spectrum is contracted with one
-    Krawtchouk matrix per level, by the byte transform's kernel in its
-    four-step order (see _yates_tallies).  Each cell is one signed field;
-    the first floor(s/2) levels index the W slots of a row and the others
-    the P rows, so each count is added straight into its row.  The trailing
-    levels are stepped between the rows, each pass a multiply-add of whole
-    columns by the level's matrix (_step_rows, _column_sums with mul), the
-    slot matrix is transposed once, and the leading levels are stepped
-    between the new rows.  Row r, slot k then holds weight key r P + k, so
+        A_l prod_j K_(p_j)(l_j), with level j's Krawtchouk values (_krawtchouk_columns),
+    and |C| the sum of the counts A_l.  The product factors by level, so
+    the spectrum is contracted with one Krawtchouk matrix per level, by the
+    byte transform's kernel in its four-step order (see _yates_tallies).
+    Each cell is one signed field; the first floor(s/2) levels index the W
+    slots of a row and the others the P rows, so each count is added
+    straight into its row.  The trailing levels are stepped between the
+    rows, each pass a multiply-add of whole columns by the level's matrix
+    (_step_rows, _column_sums with mul), the slot matrix is transposed
+    once, and the leading levels are stepped between the new rows.  Row r, slot k then holds weight key r P + k, so
     the keys are read in order.  The absolute values in a row of a
     Krawtchouk matrix sum to at most q^n_j, so no cell exceeds |C| q^n in
     absolute value: a field holds that and a sign, in 1, 2, 4, 8, ... bytes.
 
     Every key must be a weight key and every count a positive int, or
-    ValueError is raised, and so is levels other than a LevelStructure
-    (check_levels), before any entry is read.  Every result must divide
-    exactly by |C| and not be negative, or IntegrityError is raised; zero
-    results are left out.
+    ValueError is raised, and so is an empty spectrum, which no code has,
+    or levels other than a LevelStructure (check_levels), before any entry
+    is read.  Every result must divide exactly by |C| and not be negative,
+    or IntegrityError is raised; zero results are left out.
     """
     check_levels(None, levels)
     sizes = levels.sizes
@@ -476,8 +474,9 @@ def krawtchouk_contraction(
             raise ValueError(f"spectrum key {key!r} is no weight key of levels {sizes}")
         if type(count) is not int or count < 1:
             raise ValueError(f"spectrum count {count!r} at {key} is not a positive integer")
-    if code_size < 1 or code_size != sum(spectrum.values()):
-        raise ValueError(f"spectrum sums to {sum(spectrum.values())}, but |C| = {code_size}")
+    if not spectrum:
+        raise ValueError("the spectrum is empty, but every code holds its zero word")
+    code_size = sum(spectrum.values())
     field = 1 << ((code_size * q**levels.n).bit_length() // 8).bit_length()
     lead = len(sizes) // 2
     width = prod(n + 1 for n in sizes[:lead])  # W, the slots of a row
@@ -518,11 +517,9 @@ def krawtchouk_contraction(
 complete_transform = level_transform = krawtchouk_contraction
 
 
-def mspotty_transform(
-    spectrum: dict, levels: LevelStructure, t, q: int, code_size: int
-) -> dict[int, int]:
+def mspotty_transform(spectrum: dict, levels: LevelStructure, t, q: int) -> dict[int, int]:
     """Dual spotty enumerator: the dual spectrum folded to z_j^ceil(p_j/t_j)."""
-    dual_spectrum = krawtchouk_contraction(spectrum, levels, q, code_size)
+    dual_spectrum = krawtchouk_contraction(spectrum, levels, q)
     return spotty_spectrum(dual_spectrum, levels, check_t(levels, t))
 
 
@@ -545,14 +542,11 @@ class Kind(NamedTuple):
 
 
 # The routes call the kernels through their module globals, so that a tracer
-# that rebinds those names (perfbench/spans.py) sees each call.  The transform
-# route's |C| is the spectrum's total: code.size would list and sort the words.
+# that rebinds those names (perfbench/spans.py) sees each call.
 _WEIGHT_ROUTES = {
     "code": lambda code, levels, cap: weight_spectrum(code, levels),
     "dual": lambda code, levels, cap: dual_weight_spectrum(code, levels, cap),
-    "transform": lambda code, levels, cap: krawtchouk_contraction(
-        spectrum := weight_spectrum(code, levels), levels, code.ring.q, sum(spectrum.values())
-    ),
+    "transform": lambda code, levels, cap: krawtchouk_contraction(weight_spectrum(code, levels), levels, code.ring.q),
 }
 
 

@@ -13,7 +13,7 @@ from itertools import accumulate, product
 from math import ceil, comb, prod
 
 from cyclotomic import CycInt, character_value
-from pwenum.codes import dual_code, level_split
+from pwenum.codes import dual_code
 from pwenum.enumerators import check_t
 from pwenum.errors import IntegrityError
 from pwenum.macwilliams import IdentityReport
@@ -51,6 +51,14 @@ def unkeyed(sizes, counts: dict) -> dict[tuple, int]:
     """A spectrum keyed by weight key, keyed by weight tuple instead; a key of no tuple raises KeyError."""
     tuples = weight_tuples(sizes)
     return {tuples[key]: c for key, c in counts.items()}
+
+
+def level_split(v, levels) -> tuple[tuple, ...]:
+    """A word cut into its per-level blocks: its first n_1 entries, the next n_2, and so on."""
+    v = tuple(v)
+    if len(v) != levels.n:
+        raise ValueError(f"word length {len(v)} does not match level structure size {levels.n}")
+    return tuple(v[end - size : end] for end, size in zip(accumulate(levels.sizes), levels.sizes))
 
 
 def tuple_weight_spectrum(code, levels) -> Counter:

@@ -80,7 +80,7 @@ def test_criterion_3_classical_hamming_reduction():
     assert render("poset", dual_weights) == "1 + 7x^4"
 
     singles = LevelStructure((1,) * 7)
-    transformed = level_transform(weight_spectrum(code, singles), singles, f2.q, code.size)
+    transformed = level_transform(weight_spectrum(code, singles), singles, f2.q)
     assert collapse_to_x(unkeyed(singles.sizes, transformed), singles.sizes) == dual_weights
     report(3, "antichain levels over F2 reproduce the classical identity on the [7,4] code")
 

@@ -342,7 +342,7 @@ def _refuse(*args, **kwargs):
 
 
 def _refuse_dual_listing(monkeypatch):
-    for name in ("codes.dual_code", "cli.dual_code", "codes.dual_words", "macwilliams.dual_words"):
+    for name in ("codes.dual_code", "cli.dual_code", "codes.dual_words", "cli.dual_words", "macwilliams.dual_words"):
         monkeypatch.setattr(f"pwenum.{name}", _refuse)
 
 
@@ -722,6 +722,17 @@ def test_dual_command(capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["size"] == 4 and payload["length"] == 3
+
+
+@pytest.mark.parametrize(
+    "record", [r for r in _golden("byte_routes_cli.json") if r["argv"][0] == "dual"], ids=_argv_id
+)
+def test_dual_prints_its_golden_lines_with_no_code_listed(record, monkeypatch):
+    # the words print straight off dual_words; only --out json picks the dual's generators
+    monkeypatch.setattr(LinearCode, "words", property(_refuse))
+    if "json" not in record["argv"]:
+        monkeypatch.setattr("pwenum.cli.dual_code", _refuse)
+    assert _call(record["argv"]) == (record["rc"], record["stdout"], record["stderr"])
 
 
 def test_dual_of_the_length_0_code_is_the_empty_word():

@@ -5,8 +5,8 @@ from itertools import product
 import pytest
 
 from pwenum import codes
-from oracles import inner_product
-from pwenum.codes import dual_code, level_split, span
+from oracles import inner_product, level_split
+from pwenum.codes import dual_code, span
 from pwenum.errors import CapExceededError
 from pwenum.posets import LevelStructure
 from pwenum.rings import make_ring
@@ -84,25 +84,16 @@ def test_dual_examples():
     assert dual_code(zero).size == 4
 
 
-def test_dual_generators_are_picked_when_first_read(monkeypatch):
-    calls = []
-    greedy = codes._greedy_generators
-
-    def counted(ring, words):
-        calls.append(len(words))
-        return greedy(ring, words)
-
-    monkeypatch.setattr(codes, "_greedy_generators", counted)
-    code = span(F2, 4, [(1, 0, 1, 0), (0, 1, 1, 1)])
-    dual = dual_code(code)
-    assert dual.size == 4 and calls == []
-    assert dual.generators == ((0, 1, 0, 1), (1, 0, 1, 1))
-    assert dual.generators == ((0, 1, 0, 1), (1, 0, 1, 1))
-    assert calls == [4]
-    assert dual_code(dual) == code
+def test_a_dual_is_the_greedy_pick_of_its_words_in_order():
+    ex51 = span(F2, 4, [(1, 0, 1, 0), (0, 1, 1, 1)])
+    assert dual_code(ex51).generators == ((0, 1, 0, 1), (1, 0, 1, 1))
+    assert dual_code(span(F2, 3, [])).generators == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    assert dual_code(span(F2, 0, [])).generators == ()
+    assert dual_code(span(Z4, 3, [(1, 2, 3), (2, 0, 2)])).generators == ((0, 1, 2), (1, 0, 1))
+    assert dual_code(dual_code(ex51)) == ex51
 
 
-def test_a_span_lists_its_words_when_first_read(monkeypatch):
+def test_a_code_holds_its_generators_and_sizes_off_one_span_sorting_nothing(monkeypatch):
     calls = []
     span_columns = codes.LinearCode.span_columns
 
@@ -111,11 +102,14 @@ def test_a_span_lists_its_words_when_first_read(monkeypatch):
         return span_columns(code)
 
     monkeypatch.setattr(codes.LinearCode, "span_columns", counted)
-    code = span(F2, 4, [(1, 0, 1, 0), (0, 1, 1, 1)])
-    assert calls == [] and repr(code) == f"LinearCode(n=4, over {F2!r})"  # a repr lists nothing
-    assert code.size == 4 and calls == [4]
-    assert code.words == ((0, 0, 0, 0), (0, 1, 1, 1), (1, 0, 1, 0), (1, 1, 0, 1)) and calls == [4]
-    assert repr(code) == f"LinearCode(n=4, size=4, over {F2!r})"
+    monkeypatch.setattr(codes, "_rows", lambda columns: pytest.fail("the words were listed"))
+    code = span(Z4, 3, [(1, 2, 3), (2, 0, 2)])  # g and 2g: 4 words, each in z = 4 of 16 lanes
+    generators = code.generators
+    assert calls == [] and repr(code) == f"LinearCode(n=3, over {Z4!r})"  # a repr spans nothing
+    assert code.size == 4 and calls == [3]
+    assert code.size == 4 and calls == [3, 3]  # nothing is kept
+    assert code.generators is generators and not hasattr(code, "__dict__")
+    assert span(F2, 0, []).size == 1  # the empty word
 
 
 @pytest.mark.parametrize("ring", [F2, make_ring("Zm", m=3), Z4], ids=["F2", "F3", "Z4"])
@@ -177,21 +171,6 @@ def test_duality_invariants_random_codes():
                 r = rng.randrange(ring.q)
                 s = tuple(ring.add_table[x][ring.mul_table[r][y]] for x, y in zip(a, b))
                 assert s in dual.words
-
-
-def test_level_split():
-    levels = LevelStructure((2, 1, 3))
-    parts = level_split((1, 0, 1, 1, 0, 0), levels)
-    assert parts == ((1, 0), (1,), (1, 0, 0))
-    assert level_split((1, 1, 0, 1), LevelStructure((2, 1, 1))) == ((1, 1), (0,), (1,))
-    assert level_split((1, 0, 1), LevelStructure((3,))) == ((1, 0, 1),)
-    with pytest.raises(ValueError):
-        level_split((1, 0), levels)
-    # concatenation reproduces the word
-    rng = random.Random(4)
-    for _ in range(20):
-        v = tuple(rng.randint(0, 1) for _ in range(6))
-        assert sum(level_split(v, levels), ()) == v
 
 
 def test_a_held_code_costs_at_most_64_bytes_a_word():

@@ -142,6 +142,10 @@ def _fixed(name, sizes, generators):
 @example(_fixed("Z4", (3,), []))  # k = 0: the dual is all of R^n
 @example(_fixed("Z9", (1,), [(3,)]))  # n = 1: an empty left half
 @example(_fixed("Z4", (2, 3), [(1, 3, 2, 1, 0), (0, 2, 1, 3, 3)]))  # odd n
+# codes whose lanes hold each word z > 1 times: g and 2g, a repeated row, and a zero row
+@example(_fixed("Z4", (2, 1), [(1, 2, 3), (2, 0, 2)]))
+@example(_fixed("F3", (1, 2), [(1, 2, 0), (1, 2, 0)]))
+@example(_fixed("GF9", (1, 1), [(0, 0)]))
 def test_dual_code_matches_scan_oracle(instance):
     ring, _, code, _ = instance
     words = scan_dual_words(code)
@@ -149,6 +153,7 @@ def test_dual_code_matches_scan_oracle(instance):
     assert members(dual_indicator(code)) == [sum(x * p for x, p in zip(w, places)) for w in words]
     dual = dual_code(code)
     assert list(dual.words) == words
+    assert code.size == len(span_words(ring, code.n, code.generators))
     assert code.size * dual.size == ring.q**code.n
     assert dual_code(dual) == code
 
@@ -169,7 +174,7 @@ def test_word_storage_matches_span_and_spectrum_oracles(instance):
     assert code.words == tuple(words)  # the listing: every word once, in lexicographic order
     assert code.size == len(words)
     assert unlisted == keyed(levels.sizes, tuple_weight_spectrum(fresh, levels))
-    for held in (code, dual_code(code)):  # the listed code and the dual: its words decoded
+    for held in (code, dual_code(code)):  # the code and the dual, each spanned by its generators
         assert weight_spectrum(held, levels) == keyed(levels.sizes, tuple_weight_spectrum(held, levels))
 
 
@@ -295,12 +300,12 @@ def test_complete_transform_matches_cell_oracle(instance):
     dual = dual_code(code)
     for primal in (code, dual):
         spectrum = weight_spectrum(primal, levels)
-        poly = complete_transform(spectrum, levels, ring.q, primal.size)
+        poly = complete_transform(spectrum, levels, ring.q)
         expected = cell_complete_transform(unkeyed(levels.sizes, spectrum), levels.sizes, ring.q, primal.size)
         assert poly == keyed(levels.sizes, expected)
     # t reaches the transform only through the spotty substitution
     spectrum = weight_spectrum(code, levels)
-    spotty = mspotty_transform(spectrum, levels, t, ring.q, code.size)
+    spotty = mspotty_transform(spectrum, levels, t, ring.q)
     assert spotty == mspotty_enumerator(dual, levels, t)
 
 
@@ -352,10 +357,10 @@ def test_contraction_checks_match_the_raw_cell_totals(case):
     spectrum = keyed(levels.sizes, spectrum)
     if any(total % size or total < 0 for total in totals.values()):
         with pytest.raises(IntegrityError):
-            krawtchouk_contraction(spectrum, levels, q, size)
+            krawtchouk_contraction(spectrum, levels, q)
     else:
         expected = {p: total // size for p, total in totals.items() if total}
-        assert krawtchouk_contraction(spectrum, levels, q, size) == keyed(levels.sizes, expected)
+        assert krawtchouk_contraction(spectrum, levels, q) == keyed(levels.sizes, expected)
 
 
 @st.composite

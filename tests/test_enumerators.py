@@ -10,6 +10,7 @@ from oracles import (
     eta,
     hierarchical_poset,
     keyed,
+    level_split,
     mspotty_distance,
     mspotty_weight,
     mu,
@@ -152,6 +153,18 @@ def test_byte_enumerator_examples():
     zero = span(F2, 4, [])
     assert byte_enumerator(zero, EX_LEVELS) == ((0, 0, 0, 0),)
     assert render("byte", byte_enumerator(zero, EX_LEVELS), 2, EX_LEVELS) == "z_{1:00}z_{2:0}z_{3:0}"
+
+
+def test_byte_terms_cut_each_word_into_its_level_blocks():
+    levels = LevelStructure((2, 1, 3))
+    assert render("byte", ((1, 0, 1, 1, 0, 0),), 2, levels) == "z_{1:10}z_{2:1}z_{3:100}"
+    assert render("byte", ((1, 1, 0, 1),), 2, LevelStructure((2, 1, 1))) == "z_{1:11}z_{2:0}z_{3:1}"
+    assert render("byte", ((1, 0, 1),), 2, LevelStructure((3,))) == "z_{1:101}"
+    rng = random.Random(4)
+    words = [tuple(rng.randint(0, 1) for _ in range(6)) for _ in range(20)]
+    for word, term in zip(words, render("byte", words, 2, levels, json=True), strict=True):
+        blocks = tuple(tuple(var["pattern"]) for var in term["vars"])
+        assert blocks == level_split(word, levels) and sum(blocks, ()) == word  # concatenated, the word
 
 
 def test_weight_spectrum_example():
