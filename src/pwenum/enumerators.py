@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import accumulate, compress, count, repeat, starmap
 from operator import or_
 
@@ -54,12 +54,12 @@ def byte_enumerator(code: LinearCode, levels: LevelStructure) -> tuple:
 
 def byte_terms(patterns, q: int, levels: LevelStructure):
     """The terms z_{1:beta_1}...z_{s:beta_s} of words in lexicographic order, or of an indicator's members
-    (indicator_words), built as they are read: each word cut into its level blocks, each block's variable
-    built once."""
+    (indicator_words), built as they are read: each word cut into its level blocks, the variables of the
+    4096 blocks read last kept, so that one level, every word its own block, holds no variable a word."""
     if isinstance(patterns, bytes):
         patterns = indicator_words(q, levels.n, patterns)
     blocks = [slice(end - size, end) for end, size in zip(accumulate(levels.sizes), levels.sizes)]
-    var = cache(_block_var)
+    var = lru_cache(maxsize=4096)(_block_var)
     return ((1, tuple(var(level, word[block]) for level, block in enumerate(blocks, 1))) for word in patterns)
 
 

@@ -12,9 +12,9 @@ code size; any failure is raised as an IntegrityError, never rounded.
 from __future__ import annotations
 
 from functools import lru_cache, partial, reduce
-from itertools import chain, compress, repeat
+from itertools import chain, compress, cycle, repeat
 from math import prod
-from operator import add, itemgetter, lshift, mul
+from operator import add, and_, itemgetter, lshift, mul, or_, rshift
 from struct import Struct, unpack
 from typing import Callable, NamedTuple
 
@@ -51,81 +51,88 @@ class IdentityReport(NamedTuple):
     instance: dict
 
 
-def _column_sums(columns: list, weights: list, height: int, op=lshift):
-    """For each row w of weights in turn, the rows of the column sum over a of op(columns[a], w[a]).
+def _column_sums(columns: list, weights: list, height: int):
+    """For each row w of weights in turn, the rows of the column sum over a of columns[a] * w[a].
 
-    op is lshift, a weight being a shift in bits, or mul.  A column of
-    height 1 is its one value, and such columns are summed as one line, the
-    zero ones left out: a chain's two map objects a column would outweigh
-    its one op-add.  Taller columns are lists of rows; all-zero ones are
-    skipped, and each output column is one lazy chain of whole-column maps,
-    a weight that leaves a row as it is (a zero shift, a factor 1) adding
-    its column as it is.  The result is one iterable over the rows of every
-    output column in turn, to be read once.
+    A column of height 1 is its one value, and such columns are summed as
+    one line, the zero ones left out: a chain's two map objects a column
+    would outweigh its one multiply-add.  Taller columns are lists of rows;
+    all-zero ones are skipped, and each output column is one lazy chain of
+    whole-column maps, a factor 1 adding its column as it is.  The result is
+    one iterable over the rows of every output column in turn, to be read
+    once.
     """
     if height == 1:
         if 0 in columns:
             live = [a for a, v in enumerate(columns) if v]
             columns = [columns[a] for a in live]
             weights = [[w[a] for a in live] for w in weights]
-        return [sum(map(op, columns, w)) for w in weights]
+        return [sum(map(mul, columns, w)) for w in weights]
     if not all(map(any, columns)):
         live = list(compress(range(len(columns)), map(any, columns)))
         if not live:
             return repeat(0, height * len(weights))
         columns = list(map(columns.__getitem__, live))
         weights = [list(map(w.__getitem__, live)) for w in weights]
-    unit = int(op is mul)  # the weight that leaves a row as it is
     sums = []
     for w in weights:
         acc = None
         for column, x in zip(columns, w):
-            term = column if x == unit else map(op, column, repeat(x))
+            term = column if x == 1 else map(mul, column, repeat(x))
             acc = term if acc is None else map(add, acc, term)
         sums.append(acc)
     return chain.from_iterable(sums)
 
 
-def _fold(sums, low: int, half: int) -> list:
-    """The packed values of sums, each with field e+j folded onto field j: x^e = 1."""
-    return [(acc & low) + ((acc >> half) & low) for acc in sums]
-
-
 class _Split(NamedTuple):
-    """One coordinate's chi(ab) product, factored through an additive subgroup H.
+    """One coordinate's chi(ab) product, factored through an additive subgroup H, as units of rotations and sums.
 
     As chi(b(t + h)) = chi(bt) chi(bh), value b of a step is the sum over the
-    cosets t + H of chi(bt) times the coset's sum against chi(b.) on H, and
-    that inner sum depends only on the class of b: the restriction of
-    chi(b.) to H.  Stage 1 sums each coset against each class's shifts
-    (inner) and folds; stage 2 sums, for each b of each class, the coset
-    results of its class against its shifts chi(bt) (outer).  The results
-    come class by class, and order puts them back in the order of b.  With
-    H = {0} there is no stage 1, one class and no reordering: stage 2 is the
-    dense product by the q x q matrix.
-
-    A pass on L nonzero columns in M cosets is counted per row of its
-    columns, with a shift-add of two rows as 1, one step of a chain of maps,
-    and a fold as 4, four big-int operations in the interpreter (two masks,
-    a shift and an add).  Stage 1 takes L |classes| shift-adds and |classes|
-    folds per live coset, stage 2 q shift-adds per live coset and q folds:
-    L |classes| + M (q + 4 |classes|) + 4q in all, against Lq + 4q for
-    H = {0}.  The split is the cheaper one exactly when
-    L (q - |classes|) > M (q + 4 |classes|).  As L <= M |H|, a pass pays
-    split only if a full line, all q columns in all q/|H| cosets, does, so
-    the choice is made once per ring, on a full line (pays).
+    cosets t + H of x^eps(bt) times the coset's sum against x^eps(bh), h in
+    H, and that inner sum depends only on the class of b: the restriction of
+    chi(b.) to H.  Stage 1 sums each coset against each class, a unit a
+    coset, into outputs i C + c (coset i, C classes); stage 2 sums, for each
+    b, the stage 1 outputs of its class against eps(bt), t over the coset
+    representatives, a unit a class, and order puts its outputs in the order
+    of b.  The cosets share one unit, and so do the classes whose rows of
+    eps(bt) agree once sorted, as on every field.  With H = {0} stage 2
+    alone is the dense product by the q x q matrix.  Both are built from the
+    exponents on H and on the representatives alone, q (|H| + q/|H|)
+    entries.  Counted in whole-row ops, a rotation 5 and an add 1, a split
+    line costs a few ops more than a dense one at most, and far fewer on the
+    big rings, so every ring splits.
     """
 
-    cosets: list | None  # an itemgetter of the values on each coset t + H; None if H = {0}
-    coset_of: tuple  # the index in cosets of each element's coset
-    inner: list  # inner[c]: the shifts of chi(bh), h in H, for every b of class c
-    outer: list  # outer[c][j]: the shifts of chi(bt), t over the coset representatives, for the j-th b of class c
-    order: Callable | None  # the results class by class -> the results by b; None if already so
+    stages: tuple  # (units, order): stage 1 and stage 2, or stage 2 alone where H = {0}
 
-    def pays(self) -> bool:
-        """Whether a full line, all q columns nonzero, counts fewer operations split than dense."""
-        q, classes = len(self.coset_of), len(self.inner)
-        return bool(self.cosets) and q * (q - classes) > len(self.cosets) * (q + 4 * classes)
+    def bind(self, wraps: list, field: int) -> list:
+        """The stages with each rotation's shifts and masks, on rows whose fields 0 to r-1 wraps[r] keeps, r < e.
+
+        x^s takes v to ((v & keep_s) << s field) | ((v >> (e - s) field) &
+        wrap_s): keep_s = wraps[e - s] keeps the fields that stay in their
+        slot, and wrap_s = wraps[s] the fields that wrap to its bottom.
+        """
+        e = len(wraps)
+        tables = [s * field for s in range(e)], [(e - s) * field for s in range(e)], wraps[:1] + wraps[:0:-1], wraps
+        shared = {id(s): s for units, _ in self.stages for _, _, s, _ in units}  # a unit the cosets or classes share
+        bound = {key: [list(map(t.__getitem__, s)) for t in tables] for key, s in shared.items()}
+        return [([(take, at, *bound[id(s)], sums) for take, at, s, sums in units], o) for units, o in self.stages]
+
+
+def _unit(exps, m: int, e: int) -> tuple:
+    """The rotations and sums of a unit whose output o is the sum over j < m of input j times x^exps[o][j].
+
+    exps is an iterable of each output's m exponents.  Returns the
+    rotations, one for each distinct nonzero s an input is read at, as their
+    input positions and their s; and one getter an output over the pool,
+    the inputs then the rotations.
+    """
+    bases = range(0, m * e, e)
+    keys = list(map(add, cycle(bases), chain.from_iterable(exps)))  # j e + s: input j times x^s
+    spun = set(keys).difference(bases)
+    pool = dict(zip(chain(bases, spun), range(m + len(spun))))
+    sums = list(map(itemgetter, *[iter(itemgetter(*keys)(pool))] * m))  # each output's m keys in turn
+    return [k // e for k in spun], [k % e for k in spun], sums
 
 
 def _subgroup(add: tuple) -> list:
@@ -149,62 +156,76 @@ def _subgroup(add: tuple) -> list:
     return group
 
 
-def _coset_split(add: tuple, shifts: list, group: list) -> _Split:
-    """The step through the sorted subgroup group; shifts[b][a] multiplies by chi(ab).
+def _coset_split(add: tuple, exps: list, group: list, e: int) -> _Split:
+    """The step through the sorted subgroup group; exps[b][a] = eps(ab), the exponent of chi(ab) in Z_e.
 
     The cosets come in the order of their smallest elements, and the
     classes in the order of their smallest b.
     """
     q = len(add)
-    if len(group) == 1:  # each element its own coset, one class
-        return _Split(None, tuple(range(q)), [(0,)], [shifts], None)
-    cosets, reps, coset_of = [], [], [None] * q
+    if len(group) == 1:  # each element its own coset, one class: the dense product
+        return _Split((([(tuple, *_unit(exps, q, e))], None),))
+    on_group, cosets, seen = itemgetter(*group), [], set()
     for t in range(q):
-        if coset_of[t] is None:
-            coset = [add[t][h] for h in group]
-            for a in coset:
-                coset_of[a] = len(reps)
-            cosets.append(itemgetter(*coset))
-            reps.append(t)
+        if t not in seen:
+            cosets.append(on_group(add[t]))
+            seen.update(cosets[-1])
     classes: dict[tuple, list] = {}  # the restriction of chi(b.) to H -> the b with it
-    for b, on_group in enumerate(map(itemgetter(*group), shifts)):
-        classes.setdefault(on_group, []).append(b)
-    members = [b for bs in classes.values() for b in bs]
-    at_reps = itemgetter(*reps)
-    return _Split(
-        cosets,
-        tuple(coset_of),
-        list(classes),
-        [[at_reps(shifts[b]) for b in bs] for bs in classes.values()],
-        None if members == sorted(members) else itemgetter(*sorted(range(q), key=members.__getitem__)),
-    )
+    for b in range(q):
+        classes.setdefault(on_group(exps[b]), []).append(b)
+    count, at_reps, units, outer, members = len(classes), itemgetter(*next(zip(*cosets))), {}, [], []
+    for c, bs in enumerate(classes.values()):  # classes whose rows of eps(bt) agree, sorted, share a unit
+        rows = sorted(zip(map(at_reps, map(exps.__getitem__, bs)), bs))
+        key = tuple(row for row, b in rows)
+        unit = units[key] = units.get(key) or _unit(key, len(cosets), e)
+        outer.append((itemgetter(*range(c, len(cosets) * count, count)), *unit))
+        members += [b for row, b in rows]
+    inner = _unit(map(on_group, map(exps.__getitem__, map(itemgetter(0), classes.values()))), len(group), e)
+    order = None if members == sorted(members) else itemgetter(*sorted(range(q), key=members.__getitem__))
+    return _Split((([(itemgetter(*coset), *inner) for coset in cosets], None), (outer, order)))
 
 
-def _ring_step(columns: list, height: int, low: int, half: int, split: _Split) -> list:
-    """One coordinate pass: the q columns times the matrix chi(ab), by the two stages of split.
+def _ring_step(columns: list, height: int, stages: list, fresh: bool = False) -> list:
+    """One coordinate pass: the q columns times the matrix chi(ab), by the stages of a bound _Split.
 
     Column a holds the rows whose stepped digit is a, height rows each (a
     column of height 1 is its one row), and row i of output column b is the
-    sum over a of row i of column a times chi(ab).  Returns the rows of the output columns b = 0, ..., q-1 in
-    turn.  Each stage is folded once over all its rows: stage 1's sums
-    before stage 2 reads them, and stage 2's.  Once stage 1 has read the
-    list columns it empties it, so that a split pass holds two sets of rows
-    at a time, as a dense one does: its input and stage 1's sums, then those
-    sums and its output.
+    sum over a of row i of column a times chi(ab).  Returns the rows of the
+    output columns b = 0, ..., q-1 in turn.  Each unit rotates its live
+    inputs once for each distinct nonzero s its outputs read (see bind), at
+    C speed where a column is one row, and sums each output from its pool;
+    taller columns are lists of rows, all-zero ones None and skipped.  A
+    fresh pass reads the indicator of C, field 0 alone, so its first stage
+    shifts.  The list columns is emptied, and each stage lets its input go
+    once read: a pass holds two sets of rows and one unit's rotations.
     """
-    if not split.cosets:  # H = {0}: stage 2 alone, one class, in order
-        return _fold(_column_sums(columns, split.outer[0], height), low, half)
-    classes = len(split.inner)
-    inner = chain.from_iterable(_column_sums(coset(columns), split.inner, height) for coset in split.cosets)
-    inner = _fold(inner, low, half)
+    live = columns.copy() if height == 1 else [column if any(column) else None for column in columns]
     columns.clear()
-    if height > 1:
-        inner = list(zip(*[iter(inner)] * height))  # coset t's column of class c at t classes + c
-    out = chain.from_iterable(_column_sums(inner[c::classes], w, height) for c, w in enumerate(split.outer))
-    out = _fold(out, low, half)
-    if split.order:  # the columns come class by class
-        out = list(chain.from_iterable(split.order(list(zip(*[iter(out)] * height)))))
-    return out
+    for units, order in stages:
+        out = []
+        for take, at, lo, hi, keep, wrap, sums in units:
+            pool = take(live)
+            if height == 1:
+                if fresh:
+                    pool += tuple(map(lshift, map(pool.__getitem__, at), lo))
+                else:
+                    low = map(lshift, map(and_, map(pool.__getitem__, at), keep), lo)
+                    pool += tuple(map(or_, low, map(and_, map(rshift, map(pool.__getitem__, at), hi), wrap)))
+                out += [reduce(add, g(pool)) for g in sums]
+                continue
+            for x, *rotation in zip(map(pool.__getitem__, at), lo, hi, keep, wrap):
+                if x is not None:
+                    left, right, k, w = map(repeat, rotation)
+                    low = map(lshift, x if fresh else map(and_, x, k), left)
+                    x = list(low if fresh else map(or_, low, map(and_, map(rshift, x, right), w)))
+                pool += (x,)
+            for g in sums:
+                terms = [x for x in g(pool) if x is not None]
+                out.append(list(reduce(partial(map, add), terms)) if len(terms) > 1 else terms[0] if terms else None)
+        live, fresh = order(out) if order else out, False
+    if height == 1:
+        return list(live)
+    return list(chain.from_iterable(repeat(0, height) if x is None else x for x in live))
 
 
 def _step_rows(rows: list, steps: list) -> list:
@@ -277,50 +298,49 @@ def _yates_tallies(code: LinearCode, eps: bytes) -> tuple[int, list, int, int]:
     """Tally of the exponents eps(<b, u>) over u in C, for every b in R^n, eps the character's exponent row.
 
     Returns the field width in bits, b = |C|.bit_length(), the final rows,
-    the period P = q^ceil(n/2) and |C|.  Each tally is e count fields followed
-    by e zero fields, 2e b bits, and zero bits pad its slot to whole bytes:
-    no count exceeds |C| < 2^b, and a shift by fewer than e fields keeps a
-    value in its 2e fields, so no bit reaches the padding.  Row r packs the
-    tallies of the P patterns with lexicographic index r * P + k, at slot
-    k, so the rows read in order are the patterns in lexicographic order.
-    The input, the indicator of C, is read off LinearCode.span_columns: Horner's rule on a lane's
-    columns gives its word's index r P + k, and the z lanes of a word mark one slot: |C| is lanes/z.
+    the period P = q^ceil(n/2) and |C|.  Each tally is e count fields, e b
+    bits, padded with zero bits to a slot of ceil(e b / 8) bytes: no count
+    exceeds |C| < 2^b, and a rotation keeps a value in its e fields.  Row r
+    packs the tallies of the P patterns of lexicographic index r * P + k, at
+    slot k, so the rows read in order are the patterns in that order.  The
+    input, the indicator of C, is read off LinearCode.span_columns: Horner's
+    rule on a lane's leading floor(n/2) columns gives its word's slot r, and
+    on the others its row k; a word's z lanes mark one slot: |C| is lanes/z.
 
     The steps follow Bailey's four-step order.  The last ceil(n/2)
     coordinates index a list of rows, each packing the patterns of the first
     floor(n/2); those trailing coordinates are stepped between rows, one
     pass over all rows each (_step_rows), the slot matrix is transposed
     once, and the leading coordinates are stepped between the new rows.  A
-    pass or the transpose holds two sets of rows at a time, each of
-    q^n ceil(2e b / 8) bytes.
+    pass or the transpose holds two sets of rows of q^n ceil(e b / 8) bytes
+    each, and a pass also one unit's rotations and e masks of a row.
     """
     ring = code.ring
-    q, e, n = ring.q, ring.exponent, code.n
+    q, e, n, lead = ring.q, ring.exponent, code.n, code.n // 2
     columns, z = code.span_columns()
     size = len(columns[0]) // z
     field = size.bit_length()  # a count field holds up to |C|
-    half = field * e
-    slot = -(-2 * half // 8)  # bytes
-    width, nrows = q ** (n // 2), q ** (n - n // 2)
-    row_bytes = width * slot
-    scaled = [x * field for x in eps]
-    shifts = [itemgetter(*row)(scaled) for row in ring.mul_table]
-    split = _coset_split(ring.add_table, shifts, _subgroup(ring.add_table))
-    if not split.pays():  # then no pass pays split: the dense product by the q x q matrix
-        split = _coset_split(ring.add_table, shifts, [0])
+    slot = -(-e * field // 8)  # bytes
+    width, nrows = q**lead, q ** (n - lead)
+    exps = list(map(bytes.translate, ring.mul_table, repeat(bytes(eps).ljust(256, b"\0"))))  # exps[b][a] = eps(ab)
+    split, bound = _coset_split(ring.add_table, exps, _subgroup(ring.add_table), e), {}
 
-    def steps(slots: int, digits: int) -> list:  # passes on rows of that many slots
-        low = int.from_bytes(((1 << half) - 1).to_bytes(slot, "little") * slots, "little")  # their low e fields
-        return [(q, partial(_ring_step, low=low, half=half, split=split))] * digits
+    def steps(slots: int, digits: int, fresh: bool = False) -> list:  # passes on rows of that many slots
+        if slots not in bound:  # the stages bound to these rows' masks, low[r] keeping fields 0 to r-1
+            low = [int.from_bytes(((1 << r * field) - 1).to_bytes(slot, "little") * slots, "little") for r in range(e)]
+            bound[slots] = split.bind(low, field)
+        return [(q, partial(_ring_step, stages=bound[slots], fresh=fresh and d == 0)) for d in range(digits)]
 
-    rows = bytearray(nrows * row_bytes)  # the indicator of C: row k, slot r holds the word of index r P + k
-    for i in reduce(lambda index, col: list(map(add, map(mul, index, repeat(q)), col)), columns, [0] * len(columns[0])):
-        rows[i % nrows * row_bytes + i // nrows * slot] = 1
+    def horner(part: list) -> list:  # each lane's index on these coordinates
+        return reduce(lambda index, col: list(map(add, map(mul, index, repeat(q)), col)), part, [0] * len(columns[0]))
+
+    rows = [0] * nrows  # the indicator of C: row k, slot r holds the word of index r P + k
+    for r, k in zip(horner(columns[:lead]), horner(columns[lead:])):
+        rows[k] |= 1 << 8 * slot * r
     del columns  # read once: the passes hold rows alone
-    rows = [int.from_bytes(rows[k * row_bytes : (k + 1) * row_bytes], "little") for k in range(nrows)]
-    rows = _step_rows(rows, steps(width, n - n // 2))
-    rows = _transpose(rows, row_bytes, slot)
-    rows = _step_rows(rows, steps(nrows, n // 2))
+    rows = _step_rows(rows, steps(width, n - lead, fresh=True))
+    rows = _transpose(rows, width * slot, slot)
+    rows = _step_rows(rows, steps(nrows, lead))
     return field, rows, nrows, size
 
 
@@ -337,21 +357,19 @@ def byte_transform(code: LinearCode, levels: LevelStructure, cap: int | None = N
     of coefficient 1: q^n bytes, byte i 0x80 if the pattern of lexicographic
     index i has coefficient 1, else 0.
 
-    A value is packed into a Python int as 2e count fields of
-    |C|.bit_length() bits, in a slot of whole bytes, so multiplying by x^r
-    is a left shift by r fields; after each coordinate one mask-and-add
-    folds field e+j back onto field j.  Row ints pack the patterns of some
-    coordinates and a list of rows is indexed by the others, so a coordinate
-    step combines whole rows.  Every coordinate is stepped between rows (see
-    _yates_tallies): half of them, then one transpose of the slot matrix,
-    then the other half.  Each coordinate is one pass over all the rows
-    (_step_rows): the q strided columns of rows that differ in that
-    coordinate are multiplied by the q x q matrix chi(ab) in whole-column
-    shift-adds, q^2 of them, or q (|H| + q/|H|) where a subgroup H of (R, +)
-    splits the product (see _Split), less the ones on all-zero columns.  A
-    pass thus reads the q^n slot bytes of the rows q times, or |H| + q/|H|
-    times, and holds the old and the new rows.  The final rows are checked
-    and read whole into the indicator (_read_tallies).
+    A value is packed into a Python int as e count fields of
+    |C|.bit_length() bits, in a slot of whole bytes, so multiplying by x^s
+    rotates each slot's fields by s, in five whole-row ops.  Row ints pack
+    the patterns of some coordinates and a list of rows is indexed by the
+    others, so a coordinate step combines whole rows.  Every coordinate is
+    stepped between rows (see _yates_tallies): half of them, then one
+    transpose of the slot matrix, then the other half.  Each coordinate is
+    one pass over all the rows (_step_rows): the q strided columns of rows
+    that differ in that coordinate are multiplied by the q x q matrix
+    chi(ab) through a subgroup H of (R, +) (see _Split), in about
+    q (|H| + q/|H|) whole-column adds and the rotations they read, less the
+    ones on all-zero columns.  The final rows are checked and read whole
+    into the indicator (_read_tallies).
     """
     check_ambient_cap(code.ring, code.n, cap)
     check_levels(code, levels)
@@ -361,19 +379,19 @@ def byte_transform(code: LinearCode, levels: LevelStructure, cap: int | None = N
 def _read_tallies(field: int, rows: list, period: int, code_size: int, e: int) -> bytes:
     """The indicator of the coefficient-1 tallies: byte r P + k is 0x80 if slot k of final row r holds one, else 0.
 
-    P = period, the slots of a row.  A slot is 2e fields of field bits,
+    P = period, the slots of a row.  A slot is e fields of field bits,
     padded to whole bytes.  By orthogonality (see _byte_coefficient) it
-    holds a tally T_g, g | e and (e/g) | |C|: |C| g/e on the count fields of
-    the multiples of g, 0 on the rest, on the zero fields and on the
-    padding; T_e is coefficient 1, the others 0.  By Lamport's lane test, a
-    slot of x = row ^ T_g (repeated) is nonzero exactly when its top bit is
-    set in ((x & rest) + rest) | x, rest being the other bits.  T_e goes
+    holds a tally T_g, g | e and (e/g) | |C|: |C| g/e on the fields of the
+    multiples of g, 0 on the rest and on the padding; T_e is coefficient 1,
+    the others 0.  By Lamport's lane test, a slot of x = row ^ T_g
+    (repeated) is nonzero exactly when its top bit is set in
+    ((x & rest) + rest) | x, rest being the other bits.  T_e goes
     first, its equal slots read off their top bytes, the row's P bytes of
     the indicator, then g = 1, 2, ... until every slot has matched; a slot
     matching none raises IntegrityError.  A row equal to one read before
     reuses its bytes, and the rows' bytes are joined in row order.
     """
-    slot = -(-2 * e * field // 8)  # bytes
+    slot = -(-e * field // 8)  # bytes
     top = _bias(period, slot)  # the top bit of each slot
     lanes = top >> (8 * slot - 1)  # the low bit of each slot
     rest = top - lanes  # the other bits of each slot
@@ -399,7 +417,7 @@ def _read_tallies(field: int, rows: list, period: int, code_size: int, e: int) -
                 k = (left & -left).bit_length() // (8 * slot) - 1
                 tally = row >> (8 * slot * k) & ((1 << 8 * slot) - 1)
                 _byte_coefficient(tally, e, field, code_size)
-                raise IntegrityError(f"the zero fields and padding of a tally hold {tally >> e * field:#x}")
+                raise IntegrityError(f"the padding bits of a tally hold {tally >> e * field:#x}")
         out.append(ones)
     return b"".join(out)
 
@@ -488,7 +506,7 @@ def krawtchouk_contraction(spectrum: dict, levels: LevelStructure, q: int) -> di
 
     def steps(part: tuple) -> list:  # the last level first, each a multiply-add by its Krawtchouk matrix
         matrices = [_krawtchouk_columns(n, q) for n in reversed(part)]
-        return [(len(m), lambda columns, height, m=m: list(_column_sums(columns, m, height, mul))) for m in matrices]
+        return [(len(m), lambda columns, height, m=m: list(_column_sums(columns, m, height))) for m in matrices]
 
     rows = _step_rows(rows, steps(sizes[lead:]))
     rows = _transpose(rows, field * width, field, signed=True)

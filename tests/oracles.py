@@ -9,8 +9,9 @@ library's weight keys.
 
 from collections import Counter
 from functools import cache
-from itertools import accumulate, product
+from itertools import accumulate, product, repeat
 from math import ceil, comb, prod
+from operator import add, and_, lshift, rshift
 
 from cyclotomic import CycInt, character_value
 from pwenum.codes import dual_code
@@ -236,20 +237,27 @@ def cyclotomic_coefficient(counts, code_size) -> int:
     return coeff
 
 
-def dense_line_step(values, shifts, low, half) -> list:
-    """One coordinate line of the byte transform times the q x q matrix chi(ab), pair by pair.
+def dense_line_step(values, exponents, field, e, slots) -> list:
+    """One coordinate line of the byte transform times the q x q matrix chi(ab), pair by pair, field by field.
 
-    values[a] is the packed value at element a and shifts[b][a] the shift
-    that multiplies by chi(ab); each of the q sums is folded with low and
-    half as in the kernel.  This is the step as it ran before it was split
-    through a subgroup.
+    values[a] is the packed value at element a, slots slots of e count
+    fields of field bits, each slot padded to whole bytes as in the kernel;
+    exponents[b][a] = eps(ab).  Each value is unpacked into its counts, slot
+    by slot, multiplied by x^eps(ab) as those counts permuted (count r of a
+    slot moves to r + eps(ab) mod e), with no mask, and summed count by
+    count.
     """
+    bits = 8 * -(-e * field // 8)  # a slot
+    at = [k * bits + r * field for k in range(slots) for r in range(e)]  # count r of slot k
+    unpacked = [list(map(and_, map(rshift, repeat(v), at), repeat((1 << field) - 1))) for v in values]
+    rotate = [[k * e + (r - s) % e for k in range(slots) for r in range(e)] for s in range(e)]  # x^s
     out = []
-    for row in shifts:
-        acc = 0
-        for value, shift in zip(values, row):
-            acc += value << shift
-        out.append((acc & low) + ((acc >> half) & low))
+    for row in exponents:
+        acc = [0] * (slots * e)
+        for counts, s, nonzero in zip(unpacked, row, values):
+            if nonzero:
+                acc = list(map(add, acc, map(counts.__getitem__, rotate[s])))
+        out.append(sum(map(lshift, acc, at)))
     return out
 
 

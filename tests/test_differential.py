@@ -563,11 +563,11 @@ def test_byte_transform_matches_pattern_oracle_on_big_rings(name, sizes, generat
     "m, sizes, generators, size",
     [
         # |C| a power of two: the count |C| needs b = |C|.bit_length() bits, one more than |C| - 1;
-        # a slot is 2e fields of b bits, padded to whole bytes where 8 does not divide 2e b
-        (2, (2, 2), [], 1),  # b = 1: 4 bits in 1 byte
-        (2, (2, 2), [(1, 1, 0, 1)], 2),  # b = 2: 8 bits
-        (2, (2, 2), [(1, 1, 0, 1), (0, 1, 1, 1)], 4),  # b = 3: 12 bits in 2 bytes
-        (2, (3, 3), [(1, 0, 0, 0, 1, 1), (0, 1, 0, 1, 0, 1), (0, 0, 1, 1, 1, 0), (0, 0, 0, 1, 1, 1)], 16),  # 20 in 3
+        # a slot is e fields of b bits, padded to whole bytes where 8 does not divide e b
+        (2, (2, 2), [], 1),  # b = 1: 2 bits in 1 byte
+        (2, (2, 2), [(1, 1, 0, 1)], 2),  # b = 2: 4 bits in 1 byte
+        (2, (2, 2), [(1, 1, 0, 1), (0, 1, 1, 1)], 4),  # b = 3: 6 bits in 1 byte
+        (2, (3, 3), [(1, 0, 0, 0, 1, 1), (0, 1, 0, 1, 0, 1), (0, 0, 1, 1, 1, 0), (0, 0, 0, 1, 1, 1)], 16),  # 10 in 2
         (4, (1, 2), [(2, 0, 2)], 2),
         (4, (1, 2), [(1, 2, 3)], 4),
         (4, (1, 2), [(1, 0, 3), (0, 1, 1)], 16),
@@ -583,15 +583,15 @@ def test_byte_transform_matches_pattern_oracle_on_big_rings(name, sizes, generat
         (64, (1, 1), [(1, 0), (0, 16)], 256),  # b = 9
         (64, (1, 1), [(1, 0), (0, 1)], 4096),  # the whole space: b = 13
         # |C| no power of two, on e = 3, 9 and 27
-        (3, (1, 2), [(1, 2, 1)], 3),  # b = 2: 12 bits in 2 bytes
-        (3, (2, 2), [(1, 0, 1, 2), (0, 1, 2, 2)], 9),  # b = 4: 24 bits
-        (3, (2, 2), [(1, 0, 0, 1), (0, 1, 0, 2), (0, 0, 1, 1)], 27),  # b = 5: 30 bits in 4 bytes
-        (9, (1, 2), [(3, 3, 6)], 3),  # b = 2: 36 bits in 5 bytes
-        (9, (1, 2), [(1, 3, 6)], 9),  # b = 4: 72 bits
-        (9, (1, 2), [(1, 0, 3), (0, 3, 3)], 27),  # b = 5: 90 bits in 12 bytes
+        (3, (1, 2), [(1, 2, 1)], 3),  # b = 2: 6 bits in 1 byte
+        (3, (2, 2), [(1, 0, 1, 2), (0, 1, 2, 2)], 9),  # b = 4: 12 bits in 2 bytes
+        (3, (2, 2), [(1, 0, 0, 1), (0, 1, 0, 2), (0, 0, 1, 1)], 27),  # b = 5: 15 bits in 2 bytes
+        (9, (1, 2), [(3, 3, 6)], 3),  # b = 2: 18 bits in 3 bytes
+        (9, (1, 2), [(1, 3, 6)], 9),  # b = 4: 36 bits in 5 bytes
+        (9, (1, 2), [(1, 0, 3), (0, 3, 3)], 27),  # b = 5: 45 bits in 6 bytes
         (27, (1, 1), [], 1),
-        (27, (1, 1), [(9, 9)], 3),  # b = 2: 108 bits in 14 bytes
-        (27, (1, 1), [(1, 5)], 27),  # b = 5: 270 bits in 34 bytes
+        (27, (1, 1), [(9, 9)], 3),  # b = 2: 54 bits in 7 bytes
+        (27, (1, 1), [(1, 5)], 27),  # b = 5: 135 bits in 17 bytes
         (27, (1, 1), [(3, 0), (0, 9)], 27),
     ],
 )
@@ -603,12 +603,12 @@ def test_byte_transform_at_the_field_width_boundaries(m, sizes, generators, size
     dual = dual_indicator(code)
     assert byte_transform(code, levels) == dual
     assert member_words(dual, ring.q, code.n) == list(byte_enumerator(dual_code(code), levels))
-    # each slot, field by field, is the true tally, its zero fields and padding 0: the whole-row read
-    # compares a slot with its forms, and a count |C| one bit too wide for its field would carry into
-    # field 1 alike in both
+    # each slot, field by field, is the true tally and its padding 0: the whole-row read compares a
+    # slot with its forms, and a count |C| one bit too wide for its field would carry into field 1
+    # alike in both
     field, rows, period, counted = _yates_tallies(code, default_character(ring))
     assert counted == size
-    e, slot = ring.exponent, -(-2 * ring.exponent * field // 8)
+    e, slot = ring.exponent, -(-ring.exponent * field // 8)
     tallies = [row >> 8 * slot * k & ((1 << 8 * slot) - 1) for row in rows for k in range(period)]
     assert not any(tally >> e * field for tally in tallies)
     assert [_byte_coefficient(tally, e, field, size) for tally in tallies] == [b >> 7 for b in dual]
@@ -695,6 +695,12 @@ def test_both_byte_indicators_match_the_scanned_dual(name, data):
         ("Z4", (1, 1), [(1, 0), (0, 1)]),  # the full space: the dual is the zero word
         ("F3", (2, 2), [(1, 2, 0, 1), (1, 2, 0, 1), (2, 1, 0, 2)]),  # repeated, and 2 times the first
         ("Z9", (1,), [(3,)]),  # n = 1: an empty left half
+        # n = 3 at q = 64: passes of 64-row columns, then one of single rows; e = 64 and e = 2
+        ("Z64", (1, 2), [(1, 5, 9)]),
+        ("GF64", (1, 2), [(1, 5, 9)]),
+        # |C| = 128, b = 8: 16 bits fill a 2-byte slot; |C| = 256, b = 9: 36 bits in a 5-byte slot
+        ("F2", (4, 4), [tuple(int(j in (i, 7)) for j in range(8)) for i in range(7)]),
+        ("Z4", (2, 2, 1), [tuple(int(j == i) + (j == 4) * (i % 3 + 1) for j in range(5)) for i in range(4)]),
     ],
 )
 def test_both_byte_indicators_match_the_scanned_dual_on_fixed_codes(name, sizes, gens):
@@ -725,11 +731,10 @@ def test_byte_coefficient_agrees_with_the_cyclotomic_reduction(data):
 def final_rows(draw):
     """(rows, period, e, field, |C|): slots of valid tallies T_g, at most one of them corrupted.
 
-    A slot is 2e fields of field bits, padded with zero bits to whole bytes:
-    T_g has |C| g/e on the count fields of the multiples of g and 0 on the
-    others, on the e zero fields and on the padding.  The corruption moves a
-    count between count fields, changes one, sets a zero field or sets a
-    padding bit; it may land on another valid tally.
+    A slot is e fields of field bits, padded with zero bits to whole bytes:
+    T_g has |C| g/e on the fields of the multiples of g and 0 on the others
+    and on the padding.  The corruption moves a count between fields,
+    changes one or sets a padding bit; it may land on another valid tally.
     """
     e = draw(st.sampled_from((2, 3, 4, 8, 9, 16, 27, 64)))
     field = draw(st.integers(1, 24))
@@ -740,11 +745,11 @@ def final_rows(draw):
     slots = []
     for _ in range(period * nrows):
         g = draw(st.sampled_from(forms))
-        slots.append([size * g // e if r % g == 0 else 0 for r in range(e)] + [0] * e)
+        slots.append([size * g // e if r % g == 0 else 0 for r in range(e)])
     at = draw(st.integers(0, len(slots) - 1))
-    counts, slot = slots[at], -(-2 * e * field // 8)  # bytes
-    padded = 8 * slot > 2 * e * field
-    how = draw(st.sampled_from(("none", "move", "change", "zero") + ("pad",) * padded))
+    counts, slot = slots[at], -(-e * field // 8)  # bytes
+    padded = 8 * slot > e * field
+    how = draw(st.sampled_from(("none", "move", "change") + ("pad",) * padded))
     if how == "move":
         src = draw(st.sampled_from([r for r in range(e) if counts[r]]))
         moved = draw(st.integers(1, counts[src]))
@@ -754,11 +759,9 @@ def final_rows(draw):
         r = draw(st.integers(0, e - 1))
         flip = st.integers(0, field - 1).map(lambda b: counts[r] ^ 1 << b)
         counts[r] = draw(st.one_of(flip, st.integers(0, top).filter(lambda c: c != counts[r])))
-    elif how == "zero":  # a zero field, to any value it holds
-        counts[draw(st.integers(e, 2 * e - 1))] = draw(st.integers(1, top))
     packed = [sum(c << field * r for r, c in enumerate(counts)) for counts in slots]
-    if how == "pad":  # one bit past the 2e fields
-        packed[at] |= 1 << draw(st.integers(2 * e * field, 8 * slot - 1))
+    if how == "pad":  # one bit past the e fields
+        packed[at] |= 1 << draw(st.integers(e * field, 8 * slot - 1))
     chunks = (packed[i : i + period] for i in range(0, len(packed), period))
     rows = [sum(v << 8 * slot * k for k, v in enumerate(chunk)) for chunk in chunks]
     return rows, period, e, field, size
@@ -766,16 +769,17 @@ def final_rows(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(final_rows())
-@example(([4 | 0x80 << 8 * 31], 1, 2, 64, 4))  # T_2 in fields of 64 bits but for the top bit of the slot
-@example(([int.from_bytes(bytes([4, 0, 0, 0x80]), "little")], 1, 2, 8, 4))  # likewise in fields of 8 bits
-@example(([int.from_bytes(bytes([2, 2, 0, 0, 4, 0, 0, 0]), "little")], 2, 2, 8, 4))  # T_1 then T_2
+@example(([4 | 0x80 << 8 * 15], 1, 2, 64, 4))  # T_2 in fields of 64 bits but for the top bit of the slot
+@example(([int.from_bytes(bytes([4, 0x80]), "little")], 1, 2, 8, 4))  # likewise in fields of 8 bits
+@example(([int.from_bytes(bytes([2, 2, 4, 0]), "little")], 2, 2, 8, 4))  # T_1 then T_2
 @example(([5], 1, 2, 8, 4))  # T_2 but for the lowest bit of the slot
-@example(([4 | 1 << 15], 1, 2, 3, 4))  # T_2 in fields of 3 bits, 12 of 16 bits, but for the top padding bit
-@example(([4 | 1 << 12], 1, 2, 3, 4))  # likewise, but for the lowest padding bit
-@example(([2 | 2 << 3 | 4 << 16], 2, 2, 3, 4))  # T_1 then T_2 in fields of 3 bits
+@example(([4 | 1 << 7], 1, 2, 3, 4))  # T_2 in fields of 3 bits, 6 of 8 bits, but for the top padding bit
+@example(([4 | 1 << 6], 1, 2, 3, 4))  # likewise, but for the lowest padding bit
+@example(([2 | 2 << 3 | 4 << 8], 2, 2, 3, 4))  # T_1 then T_2 in fields of 3 bits
+@example(([4 | 1 << 9 | 4 << 16], 2, 3, 3, 4))  # e = 3: 9 bits of fields and 7 of padding, a padding bit set in slot 0
 def test_the_whole_row_read_agrees_with_the_check_of_each_slot(case):
     rows, period, e, field, size = case
-    slot = -(-2 * e * field // 8)  # bytes
+    slot = -(-e * field // 8)  # bytes
     expected, refusal = [], None
     for r, row in enumerate(rows):
         for k in range(period):
@@ -785,8 +789,8 @@ def test_the_whole_row_read_agrees_with_the_check_of_each_slot(case):
             except IntegrityError as error:
                 refusal = str(error)
                 break
-            if tally >> e * field:  # a zero field or a padding bit
-                refusal = "zero fields"
+            if tally >> e * field:  # a padding bit
+                refusal = "padding"
                 break
             if coeff:
                 expected.append(r * period + k)
@@ -840,8 +844,12 @@ def _exponent_maps():
     yield pytest.param("GF2^6", tuple(a & 1 for a in range(64)), id="GF2^6-constant-coefficient")
 
 
-def _shifts(ring, exponents, field):  # field in bits
-    return [[exponents[x] * field for x in row] for row in ring.mul_table]
+def _exps(ring, exponents):  # exps[b][a] = eps(ab)
+    return [tuple(exponents[x] for x in row) for row in ring.mul_table]
+
+
+def _wraps(e, field, slot, slots):  # wraps[r] keeps fields 0 to r-1 of every slot, r < e, as the kernel builds them
+    return [int.from_bytes(((1 << r * field) - 1).to_bytes(slot, "little") * slots, "little") for r in range(e)]
 
 
 @pytest.mark.parametrize("name", sorted(SPLIT_RINGS))
@@ -851,64 +859,67 @@ def test_the_subgroup_is_one_and_its_cosets_partition_the_ring(name):
     group = _subgroup(add)
     assert group[0] == 0 and len(group) ** 2 <= q
     assert {add[a][b] for a in group for b in group} == set(group)
-    split = _coset_split(add, _shifts(ring, default_character(ring), 8), group)
-    if len(group) == 1:
-        assert split.cosets is None and split.coset_of == tuple(range(q))
+    stages = _coset_split(add, _exps(ring, default_character(ring)), group, ring.exponent).stages
+    if len(group) == 1:  # the dense product: one unit reads every column
+        assert len(stages) == 1 and stages[0][0][0][0](range(q)) == tuple(range(q))
         return
-    cosets = [coset(range(q)) for coset in split.cosets]
+    cosets = [take(range(q)) for take, *_ in stages[0][0]]  # stage 1 reads coset by coset
     assert sorted(a for coset in cosets for a in coset) == list(range(q))
-    for i, coset in enumerate(cosets):
-        assert set(coset) == {add[coset[0]][h] for h in group}
-        assert all(split.coset_of[a] == i for a in coset)
+    assert [coset[0] for coset in cosets] == sorted(min(coset) for coset in cosets)
+    for coset in cosets:
+        assert list(coset) == [add[coset[0]][h] for h in group]
 
 
-def test_the_split_pays_on_the_big_rings_and_on_no_ring_of_at_most_9_elements():
+def test_a_ring_steps_through_its_subgroup_exactly_when_the_subgroup_is_larger_than_zero():
     sizes = {}
     for name, ring in SPLIT_RINGS.items():
         group = _subgroup(ring.add_table)
-        split = _coset_split(ring.add_table, _shifts(ring, default_character(ring), 8), group)
-        if split.pays():  # on a full line
-            sizes[name] = len(group)
-    assert not [name for name in sizes if SPLIT_RINGS[name].q <= 9]
+        split = _coset_split(ring.add_table, _exps(ring, default_character(ring)), group, ring.exponent)
+        assert len(split.stages) == (2 if len(group) > 1 else 1)
+        sizes[name] = len(group)
     big = ("Z16", "Z27", "Z32", "Z64", "GF7^2", "GF2^6")
-    assert [sizes.get(name) for name in big] == [4, 3, 4, 8, 7, 8]
+    assert [sizes[name] for name in big] == [4, 3, 4, 8, 7, 8]
+    small = {name: size for name, size in sizes.items() if SPLIT_RINGS[name].q <= 9 and size > 1}
+    assert small == {"Z4": 2, "Z6": 2, "Z8": 2, "Z9": 3, "GF2^2": 2, "GF2^3": 2, "GF3^2": 3, "F2u": 2, "F2v": 2}
 
 
 @pytest.mark.parametrize("name, exponents", list(_exponent_maps()))
 def test_the_split_step_matches_the_dense_oracle(name, exponents):
     ring = SPLIT_RINGS[name]
     q, e, add = ring.q, ring.exponent, ring.add_table
-    field, slots = 14, 3  # every count below 4: a field sums at most q e of them, under 2^14
-    half, slot = field * e, -(-2 * field * e // 8)  # bits; bytes, as the kernel pads a slot
-    low = int.from_bytes(((1 << half) - 1).to_bytes(slot, "little") * slots, "little")
-    shifts = _shifts(ring, exponents, field)
-    splits = [_coset_split(add, shifts, [0]), _coset_split(add, shifts, _subgroup(add))]
-    oracle = partial(dense_line_step, shifts=shifts, low=low, half=half)
+    field, slots = 14, 3  # every count below 4: a field sums at most q of them, under 2^14
+    wraps = _wraps(e, field, -(-field * e // 8), slots)  # a slot of e fields padded to bytes, as the kernel pads it
+    exps = _exps(ring, exponents)
+    groups = [[0]] + [_subgroup(add)] * (len(_subgroup(add)) > 1)
+    splits = [_coset_split(add, exps, group, e).bind(wraps, field) for group in groups]
+    oracle = partial(dense_line_step, exponents=exps, field=field, e=e, slots=slots)
     rng = random.Random(name)
+    bits = 8 * -(-field * e // 8)
 
-    def value():  # a packed value, zero one time in four
+    def value(fresh):  # a packed value, zero one time in four; fresh: 0 or 1 in field 0 alone, as the indicator of C
         if rng.randrange(4) == 0:
             return 0
-        counts = [rng.randrange(4) for _ in range(e)]
+        counts = [rng.randrange(2)] + [0] * (e - 1) if fresh else [rng.randrange(4) for _ in range(e)]
         packed = sum(c << (field * r) for r, c in enumerate(counts))
-        return sum(packed << (8 * slot * k) for k in range(slots))
+        return sum(packed << (bits * k) for k in range(slots))
 
     # nonzero columns: all, half, one, and none, when the whole pass is zero; of the q + 1
-    # lines of the tallest columns three may be nonzero, as the oracle takes q^2 steps a line
-    for height in (1, 2, q + 1):
+    # lines of the tallest columns three may be nonzero, as the oracle takes q^2 steps a line.
+    # A fresh pass, whose input is the indicator, shifts where the others rotate.
+    for height, fresh in [(1, False), (2, False), (q + 1, False), (1, True), (2, True)]:
         rows = rng.sample(range(height), min(height, 3))
-        for live in (q, q // 2, 1, 0):
+        for live in (q, q // 2, 1, 0) if not fresh else (q, 1):
             columns = [[0] * height for _ in range(q)]
             for a in rng.sample(range(q), live):
                 while not any(columns[a]):
                     for i in rows:
-                        columns[a][i] = value()
+                        columns[a][i] = value(fresh)
             # row i of output column b is value b of line i, the rows i of every column
             lines = [oracle(list(line)) if any(line) else [0] * q for line in zip(*columns)]
             expected = [line[b] for b in range(q) for line in lines]
             fed = [column[0] for column in columns] if height == 1 else columns  # one row: the column is that row
-            for split in splits:  # a split step empties the list it reads
-                assert _ring_step(list(fed), height, low, half, split) == expected
+            for stages in splits:  # a step empties the list it reads
+                assert _ring_step(list(fed), height, stages, fresh) == expected
 
 
 ADDITIVITY_RINGS = {name: SPLIT_RINGS[name] for name in ("Z6", "Z16", "Z64", "GF2^3", "GF2^6")}

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from functools import partial
 
@@ -324,3 +325,18 @@ def test_enumerators_reject_mismatched_levels():
         count("poset", "code", EX_CODE, LevelStructure((1, 1, 1)))
     with pytest.raises(ValueError, match="poset size 3 does not match code length 4"):
         count("poset", "code", EX_CODE, poset_from_json_obj({"kind": "cover", "n": 3, "covers": [[2, 1]]}))
+
+
+def test_a_one_level_byte_render_holds_at_most_200_bytes_a_word():
+    # one level makes every word its own block; a cache of every block's variable held about 770 bytes a word
+    levels = LevelStructure((16,))
+    counts = count("byte", "dual", span(F2, 16, []), levels)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        text = render("byte", counts, 2, levels)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert text.count("z_") == 2**16
+    assert peak <= 200 * 2**16

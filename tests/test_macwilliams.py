@@ -173,7 +173,7 @@ def _check_each_corrupted_pattern(monkeypatch, code, levels):
     field, rows, period, size = tallies(code, default_character(ring))
     assert size == code.size
     repeated = next(r for r in range(1, len(rows)) if rows[r] in rows[:r])
-    slot_bits = 8 * -(-2 * ring.exponent * field // 8)  # 2e fields of field bits, padded to whole bytes
+    slot_bits = 8 * -(-ring.exponent * field // 8)  # e fields of field bits, padded to whole bytes
     for index in (ring.q**code.n - 1, repeated * period, 0):
 
         def corrupted(code, eps, index=index):
@@ -198,6 +198,25 @@ def test_byte_transform_checks_every_pattern_after_a_split_step(monkeypatch):
     # repeat, since a row's tallies depend on 2 b1 alone
     z64 = make_ring("Zm", m=64)
     _check_each_corrupted_pattern(monkeypatch, span(z64, 2, [(2, 1)]), LevelStructure((1, 1)))
+
+
+@pytest.mark.parametrize(
+    "ring, generators, slot",
+    [
+        (F2, [tuple(int(j == i) for j in range(8)) for i in range(6)], 2),  # 2 fields of 7 bits: 14 bits in 2 bytes
+        (make_ring("Zm", m=64), [(1, 5)], 56),  # 64 fields of 7 bits: 448 bits, 56 bytes and no padding
+    ],
+)
+def test_yates_tallies_hold_e_fields_a_slot(ring, generators, slot):
+    # a slot holds the e counts of b = |C|.bit_length() bits in ceil(e b / 8) bytes, with no
+    # field left for the wrap of a shift: each final slot read at that width is its tally
+    code = span(ring, len(generators[0]), generators)
+    field, rows, period, size = macwilliams._yates_tallies(code, default_character(ring))
+    assert (size, field) == (64, 7) and -(-ring.exponent * field // 8) == slot
+    assert 8 * slot * (period - 1) < max(row.bit_length() for row in rows) <= 8 * slot * period
+    tallies = [row >> 8 * slot * k & ((1 << 8 * slot) - 1) for row in rows for k in range(period)]
+    coefficients = [macwilliams._byte_coefficient(tally, ring.exponent, field, size) for tally in tallies]
+    assert coefficients == [b >> 7 for b in dual_indicator(code)]
 
 
 def _tally(counts, field=9):  # fields of 9 bits: no field starts on a byte but the first
